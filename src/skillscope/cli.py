@@ -177,14 +177,23 @@ def cmd_occupations(args) -> int:
     return 0
 
 
+def _read_holidays(path) -> tuple[dt.date, ...]:
+    hp = _require_file(path, "holiday calendar")
+    holidays = []
+    for lineno, line in enumerate(hp.read_text().splitlines(), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            holidays.append(dt.date.fromisoformat(text))
+        except ValueError:
+            raise DataError(f"holiday calendar {hp} line {lineno}: "
+                            f"not an ISO date: {text!r}") from None
+    return tuple(holidays)
+
+
 def _fit_config(args) -> timeseries.FitConfig:
-    holidays = ()
-    if getattr(args, "holidays", None):
-        hp = _require_file(args.holidays, "holiday calendar")
-        holidays = tuple(
-            dt.date.fromisoformat(line.strip())
-            for line in hp.read_text().splitlines() if line.strip()
-        )
+    holidays = _read_holidays(args.holidays) if getattr(args, "holidays", None) else ()
     return timeseries.FitConfig(
         n_changepoints=args.changepoints,
         ridge_lambda=args.ridge_lambda,
@@ -193,11 +202,14 @@ def _fit_config(args) -> timeseries.FitConfig:
 
 
 def _corpus_span(ads):
+    if not ads:
+        raise DataError("corpus has no accepted ads; nothing to backtest")
     dates = [ad.posted_date for ad in ads]
     return min(dates), max(dates)
 
 
 def cmd_backtest(args) -> int:
+    cfg = _fit_config(args)
     path, ads, _, _ = _load_corpus(args)
     start, end = _corpus_span(ads)
     label = args.occupation or "all"
@@ -208,8 +220,7 @@ def cmd_backtest(args) -> int:
         train_days=args.train_days,
         test_days=args.test_days,
         iterations=args.iterations,
-        config=_fit_config(args),
-        workers=args.threads,
+        config=cfg,
     )
     out = _out_dir(args)
     report.to_json(out / "backtest.json")
@@ -227,10 +238,9 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def _grouped_report(ads, groups: dict[str, list], args, out: Path) -> None:
+def _grouped_report(ads, groups: dict[str, list], args, cfg, out: Path) -> None:
     """Backtest every group plus the market baseline and write the report."""
     start, end = _corpus_span(ads)
-    cfg = _fit_config(args)
     backtests = {}
     models = {}
 
@@ -245,7 +255,6 @@ def _grouped_report(ads, groups: dict[str, list], args, out: Path) -> None:
             test_days=args.test_days,
             iterations=args.iterations,
             config=cfg,
-            workers=args.threads,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -284,6 +293,7 @@ def _group_ads(ads, selection, category_map) -> dict[str, list]:
 
 
 def cmd_indicators(args) -> int:
+    cfg = _fit_config(args)
     path, ads, _, _ = _load_corpus(args)
     category_map = _load_category_map(args)
     if category_map:
@@ -296,13 +306,14 @@ def cmd_indicators(args) -> int:
         for ad in ads:
             groups.setdefault(ad.occupation, []).append(ad)
     out = _out_dir(args)
-    _grouped_report(ads, groups, args, out)
+    _grouped_report(ads, groups, args, cfg, out)
     _write_provenance(out, {"command": "indicators"}, [path])
     print(f"wrote indicator report for {len(groups)} groups to {out}")
     return 0
 
 
 def cmd_report(args) -> int:
+    cfg = _fit_config(args)
     path, ads, vocab, ingest_report = _load_corpus(args)
     seeds = _read_seeds(args)
     out = _out_dir(args)
@@ -322,7 +333,7 @@ def cmd_report(args) -> int:
                         "nothing to report on")
 
     groups = _group_ads(ads, selection, category_map)
-    _grouped_report(ads, groups, args, out)
+    _grouped_report(ads, groups, args, cfg, out)
     _write_provenance(out, {
         "command": "report", "seeds": seeds,
         "per_seed_k": args.per_seed_k, "cutoff": args.cutoff,
@@ -351,12 +362,27 @@ def _add_skills_args(p):
                    help="average merged scores over all seeds, not appearances")
 
 
+def _non_negative(kind):
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+    return parse
+
+
 def _add_backtest_args(p):
     p.add_argument("--train-days", type=int, default=DEFAULTS["train_days"])
     p.add_argument("--test-days", type=int, default=DEFAULTS["test_days"])
     p.add_argument("--iterations", type=int, default=DEFAULTS["iterations"])
-    p.add_argument("--changepoints", type=int, default=DEFAULTS["changepoints"])
-    p.add_argument("--ridge-lambda", type=float, default=DEFAULTS["ridge_lambda"])
+    p.add_argument("--changepoints", type=_non_negative(int),
+                   default=DEFAULTS["changepoints"])
+    p.add_argument("--ridge-lambda", type=_non_negative(float),
+                   default=DEFAULTS["ridge_lambda"])
     p.add_argument("--holidays", help="file of ISO holiday dates, one per line")
 
 
@@ -400,7 +426,6 @@ def build_parser() -> _Parser:
     _add_corpus_args(p)
     p.add_argument("--occupation", help="restrict to one occupation")
     _add_backtest_args(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_backtest)
 
@@ -408,7 +433,6 @@ def build_parser() -> _Parser:
     _add_corpus_args(p)
     _add_category_args(p)
     _add_backtest_args(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_indicators)
 
@@ -418,7 +442,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=DEFAULTS["threshold"])
     _add_category_args(p)
     _add_backtest_args(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -8,6 +8,13 @@ and one indicator column per holiday date. The changepoint slope deltas
 carry a ridge penalty; everything else is unpenalized. The fit is a
 deterministic least-squares solve, so identical inputs give identical
 coefficients.
+
+The sliding-window backtest refits the same model on every window. Without
+holidays the window design depends only on the window length and the
+``FitConfig``, so the backtest builds it once, pseudo-inverts it once and
+scores each window with two matrix-vector products. Holiday columns move
+with the window, so with holidays every window is refit with ``fit`` and
+``forecast``.
 """
 
 from __future__ import annotations
@@ -169,6 +176,43 @@ class DecompositionModel:
         return out
 
 
+def _design(n: int, config: FitConfig, horizon: int = 0) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Trend and seasonality columns of a fit on days ``0..n-1``, evaluated
+    at days ``0..n+horizon-1``: ones, the day offset, one hinge per
+    changepoint, weekly and, from two yearly periods of data on, yearly
+    Fourier terms. Holiday columns depend on the calendar and are left to
+    the caller.
+
+    Returns the design, the changepoint offsets and whether yearly
+    seasonality is on."""
+    if n < MIN_FIT_DAYS:
+        raise DataError(f"series of {n} days is shorter than two weeks; cannot fit")
+    t = np.arange(n + horizon, dtype=np.float64)
+    use_yearly = n >= 2 * YEAR_PERIOD
+    cp_limit = config.changepoint_range * (n - 1)
+    n_cp = max(0, int(config.n_changepoints))
+    changepoints = (
+        np.linspace(cp_limit / (n_cp + 1), cp_limit, n_cp) if n_cp else np.empty(0)
+    )
+
+    blocks = [np.ones((len(t), 1)), t.reshape(-1, 1)]
+    if n_cp:
+        blocks.append(np.maximum(0.0, t.reshape(-1, 1) - changepoints.reshape(1, -1)))
+    blocks.append(_fourier_block(t, WEEK_PERIOD, config.weekly_order))
+    if use_yearly:
+        blocks.append(_fourier_block(t, YEAR_PERIOD, config.yearly_order))
+    return np.hstack(blocks), changepoints, use_yearly
+
+
+def _ridge_augment(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.ndarray:
+    """The design with one row per penalized column appended. Against zero
+    targets these rows implement the ridge penalty on the changepoint delta
+    columns (2..2+n_cp) only."""
+    penalty = np.zeros(design.shape[1])
+    penalty[2:2 + n_cp] = np.sqrt(ridge_lambda)
+    return np.vstack([design, np.diag(penalty)[penalty > 0]])
+
+
 def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionModel:
     """Deterministic ridge-regularized least-squares decomposition fit.
 
@@ -177,30 +221,15 @@ def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionMo
     rejected.
     """
     n = len(series)
-    if n < MIN_FIT_DAYS:
-        raise DataError(f"series of {n} days is shorter than two weeks; cannot fit")
+    design, changepoints, use_yearly = _design(n, config)
     y = series.counts
-    t = np.arange(n, dtype=np.float64)
-
-    use_yearly = n >= 2 * YEAR_PERIOD
     if not use_yearly and config.yearly_order > 0:
         warnings.warn(
             f"series of {n} days is shorter than two yearly periods; "
             "yearly seasonality disabled"
         )
+    n_cp = len(changepoints)
 
-    cp_limit = config.changepoint_range * (n - 1)
-    n_cp = max(0, int(config.n_changepoints))
-    changepoints = (
-        np.linspace(cp_limit / (n_cp + 1), cp_limit, n_cp) if n_cp else np.empty(0)
-    )
-
-    blocks = [np.ones((n, 1)), t.reshape(-1, 1)]
-    if n_cp:
-        blocks.append(np.maximum(0.0, t.reshape(-1, 1) - changepoints.reshape(1, -1)))
-    blocks.append(_fourier_block(t, WEEK_PERIOD, config.weekly_order))
-    if use_yearly:
-        blocks.append(_fourier_block(t, YEAR_PERIOD, config.yearly_order))
     holiday_dates = tuple(sorted(config.holidays))
     if holiday_dates:
         hday = np.zeros((n, len(holiday_dates)))
@@ -208,16 +237,12 @@ def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionMo
             off = (date - series.start).days
             if 0 <= off < n:
                 hday[off, k] = 1.0
-        blocks.append(hday)
-    design = np.hstack(blocks)
+        design = np.hstack([design, hday])
 
-    # Augmented rows implement the ridge penalty on the delta columns only;
     # lstsq keeps the solve deterministic and rank-deficiency safe.
     p = design.shape[1]
-    penalty = np.zeros(p)
-    penalty[2:2 + n_cp] = np.sqrt(config.ridge_lambda)
-    aug = np.vstack([design, np.diag(penalty)[penalty > 0]]) if n_cp else design
-    rhs = np.concatenate([y, np.zeros(int(np.count_nonzero(penalty)))]) if n_cp else y
+    aug = _ridge_augment(design, n_cp, config.ridge_lambda)
+    rhs = np.concatenate([y, np.zeros(len(aug) - n)])
     beta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
 
     pos = 2 + n_cp
@@ -327,19 +352,46 @@ def _backtest_iteration(series: DailySeries, shift: int, train_days: int,
     return smape(actual, predicted)
 
 
+def _shared_design_scores(y: np.ndarray, train_days: int, test_days: int,
+                          iterations: int, config: FitConfig) -> list[float]:
+    """Backtest scores of a holiday-free model, whose design is the same for
+    every window: one pseudo-inverse, then two mat-vecs per window."""
+    design, changepoints, _ = _design(train_days, config, horizon=test_days)
+    aug = _ridge_augment(design[:train_days], len(changepoints), config.ridge_lambda)
+    # The singular-value cutoff of lstsq(rcond=None), as in fit; the ridge
+    # rows' targets are zero, so only the first train_days columns are kept.
+    cutoff = np.finfo(np.float64).eps * max(aug.shape)
+    solve = np.linalg.pinv(aug, cutoff)[:, :train_days]
+    future = design[train_days:]
+    scores = []
+    for shift in range(iterations):
+        beta = solve @ y[shift:shift + train_days]
+        predicted = np.maximum(future @ beta, 0.0)
+        actual = y[shift + train_days:shift + train_days + test_days]
+        scores.append(smape(actual, predicted))
+    return scores
+
+
 def sliding_window_backtest(
     series: DailySeries,
     train_days: int = 1186,
     test_days: int = 365,
     iterations: int = 365,
     config: FitConfig = FitConfig(),
-    workers: int = 1,
 ) -> BacktestReport:
     """Fixed-length train and test windows advance together one day per
-    iteration; each iteration refits and scores the forecast with SMAPE.
+    iteration; each iteration fits the train window and scores the forecast
+    of the test window with SMAPE.
 
-    Iterations are independent; with ``workers > 1`` they run on a thread
-    pool, with scores always assembled in shift order."""
+    Without holidays all windows share one factored design; with holidays
+    each window is refit with ``fit`` and ``forecast``."""
+    if train_days < MIN_FIT_DAYS:
+        raise DataError(f"backtest train window of {train_days} days is shorter "
+                        "than two weeks; cannot fit")
+    if test_days < 1:
+        raise DataError(f"backtest test window of {test_days} days; needs at least 1")
+    if iterations < 1:
+        raise DataError(f"backtest of {iterations} iterations; needs at least 1")
     required = train_days + test_days + iterations - 1
     if len(series) < required:
         raise DataError(
@@ -347,20 +399,14 @@ def sliding_window_backtest(
             f"needs at least {required} (train {train_days} + test {test_days} "
             f"+ iterations {iterations} - 1)"
         )
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(
-                lambda shift: _backtest_iteration(
-                    series, shift, train_days, test_days, config),
-                range(iterations),
-            ))
-    else:
+    if config.holidays:
         scores = [
             _backtest_iteration(series, shift, train_days, test_days, config)
             for shift in range(iterations)
         ]
+    else:
+        scores = _shared_design_scores(series.counts, train_days, test_days,
+                                       iterations, config)
     return BacktestReport(
         scores=scores,
         train_days=train_days,

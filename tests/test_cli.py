@@ -78,6 +78,41 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
 
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+class TestBacktestInputErrors:
+    @pytest.mark.parametrize("flags,rc,message", [
+        (["--iterations", "0"], 2, "0 iterations; needs at least 1"),
+        (["--test-days", "0"], 2, "test window of 0 days; needs at least 1"),
+        (["--changepoints", "-1"], 1, "--changepoints: must be >= 0"),
+        (["--ridge-lambda", "-0.5"], 1, "--ridge-lambda: must be >= 0"),
+    ])
+    def test_out_of_range_flag(self, corpus, tmp_path, capsys, flags, rc, message):
+        assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS, *flags,
+                     "--out", str(tmp_path / "bt")]) == rc
+        assert message in one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["backtest", "indicators"])
+    def test_empty_corpus_exit_2(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main([command, "--input", str(empty), *BACKTEST_FLAGS,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "no accepted ads" in one_line_error(capsys)
+
+    def test_bad_holiday_date_names_file_and_line(self, corpus, tmp_path, capsys):
+        holidays = tmp_path / "holidays.txt"
+        holidays.write_text("2017-01-01\n\n2016-13-01\n")
+        assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS,
+                     "--holidays", str(holidays), "--out", str(tmp_path / "bt")]) == 2
+        err = one_line_error(capsys)
+        assert f"{holidays} line 3" in err and "2016-13-01" in err
+
+
 class TestStages:
     def test_ingest_writes_report_and_corpus(self, corpus, tmp_path, capsys):
         out = tmp_path / "ing"

@@ -30,6 +30,16 @@ def quiet_fit(s, config=FitConfig()):
         return fit(s, config)
 
 
+def per_window_scores(s, config, train_days, test_days, iterations):
+    """Reference backtest: refit every window with fit and forecast."""
+    scores = []
+    for shift in range(iterations):
+        model = quiet_fit(s.slice(shift, train_days), config)
+        actual = s.counts[shift + train_days:shift + train_days + test_days]
+        scores.append(smape(actual, forecast(model, test_days)))
+    return scores
+
+
 class TestAggregateDaily:
     def ads_on(self, dates, occupation="Dev"):
         return [
@@ -240,13 +250,45 @@ class TestBacktest:
         assert (sliding_window_backtest(volatile, **kw).median
                 > sliding_window_backtest(stable, **kw).median)
 
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(31)
-        y = (10 + rng.poisson(6, size=70)).astype(float)
-        kw = dict(train_days=30, test_days=10, iterations=8)
-        serial = sliding_window_backtest(series(y), **kw)
-        threaded = sliding_window_backtest(series(y), workers=4, **kw)
-        assert serial.scores == threaded.scores
+    @pytest.mark.parametrize("train_days,config", [
+        (60, FitConfig(n_changepoints=0)),
+        (60, FitConfig()),
+        (200, FitConfig(ridge_lambda=0.05)),
+        (200, FitConfig(ridge_lambda=10.0)),
+        (20, FitConfig(ridge_lambda=0.0)),   # more columns than rows
+        (730, FitConfig()),                  # yearly seasonality off
+        (731, FitConfig(n_changepoints=0)),  # yearly seasonality on
+    ])
+    def test_shared_design_matches_per_window_fit(self, train_days, config):
+        rng = np.random.default_rng(train_days)
+        s = series(rng.poisson(6, size=train_days + 40).astype(float))
+        kw = dict(train_days=train_days, test_days=30, iterations=11)
+        shared = sliding_window_backtest(s, config=config, **kw).scores
+        assert shared == pytest.approx(per_window_scores(s, config, **kw), rel=0, abs=1e-9)
+
+    def test_holidays_refit_every_window(self):
+        rng = np.random.default_rng(41)
+        s = series(rng.poisson(6, size=90).astype(float))
+        config = FitConfig(holidays=(START + dt.timedelta(days=20),
+                                     START + dt.timedelta(days=65)))
+        kw = dict(train_days=40, test_days=30, iterations=21)
+        assert (sliding_window_backtest(s, config=config, **kw).scores
+                == per_window_scores(s, config, **kw))
+
+    @pytest.mark.parametrize("train_days", [10, -5])
+    @pytest.mark.parametrize("config", [FitConfig(), FitConfig(holidays=(START,))])
+    def test_short_train_window_fatal(self, config, train_days):
+        with pytest.raises(DataError, match="two weeks"):
+            sliding_window_backtest(series([1.0] * 40), train_days=train_days,
+                                    test_days=5, iterations=3, config=config)
+
+    @pytest.mark.parametrize("kw,match", [
+        (dict(test_days=0, iterations=3), "test window of 0 days"),
+        (dict(test_days=5, iterations=0), "0 iterations"),
+    ])
+    def test_empty_test_window_or_no_iterations_fatal(self, kw, match):
+        with pytest.raises(DataError, match=match):
+            sliding_window_backtest(series([1.0] * 40), train_days=20, **kw)
 
     def test_report_serialization(self, tmp_path):
         report = BacktestReport(scores=[1.0, 3.0, 2.0], train_days=10,
