@@ -1,10 +1,25 @@
-"""Command-line pipeline: ingest, synth, skills, occupations, backtest,
-indicators, and the end-to-end report.
+"""Command-line pipeline over the one report chain.
+
+The chain runs ingest, then the skills stage (incidence index, RCA,
+effective use, theta, seed expansion), then the occupations stage
+(intensity, selection), then ad grouping, then the indicators stage
+(backtest of the market and of every group, trend fits, assembled report).
+Each subcommand runs a slice of it through the same stage functions:
+
+    ingest       ingest
+    skills       ingest, skills
+    occupations  ingest, occupations (skill set read from --skills)
+    backtest     ingest, one backtest
+    indicators   ingest, grouping, indicators
+    report       ingest, skills, occupations, grouping, indicators
+
+``synth`` writes a synthetic corpus for the chain to read.
 
 Stages communicate through plain CSV/JSON files so every intermediate is
-inspectable and the pipeline is resumable. Every run writes a
-provenance.json (config, input hashes, tool version); analysis outputs are
-byte-identical across runs with equal provenance.
+inspectable and the pipeline is resumable. After every command ``main``
+writes a provenance.json: every parsed flag except ``--out``, the SHA-256 of
+every input file named by a flag, the tool version and a timestamp.
+Analysis outputs are byte-identical across runs with equal provenance.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.
@@ -27,19 +42,6 @@ from . import occupations as occupations_mod
 from . import similarity, skillmetrics, synthgen, timeseries
 from .errors import DataError, InvariantError, UsageError
 
-# Defaults follow the reference workflow: top-300 neighbour lists cut to a
-# 150-skill set, a 15% intensity threshold, and a 1186/365/365 backtest.
-DEFAULTS = {
-    "per_seed_k": 300,
-    "cutoff": 150,
-    "threshold": 0.15,
-    "train_days": 1186,
-    "test_days": 365,
-    "iterations": 365,
-    "changepoints": 25,
-    "ridge_lambda": 1.0,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -54,11 +56,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_provenance(out_dir: Path, config: dict, inputs: list[Path]) -> None:
+def _write_provenance(out_dir: Path, args) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     payload = {
-        "config": {k: (str(v) if isinstance(v, Path) else v)
-                   for k, v in sorted(config.items())},
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "config": config,
+        "inputs": {getattr(args, k): _sha256(Path(getattr(args, k)))
+                   for k in ("input", "config", "seeds", "skills", "category_map",
+                             "holidays") if getattr(args, k, None)},
         "version": __version__,
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
@@ -74,131 +78,74 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _read_text(path, what: str) -> str:
+    p = _require_file(path, what)
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {p} is not UTF-8 text: {exc.reason}") from None
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _load_corpus(args):
-    path = _require_file(args.input, "input corpus")
-    fmt = getattr(args, "format", "jsonl")
-    ads, vocab, report = corpus_mod.ingest(path, fmt)
-    return path, ads, vocab, report
+    return corpus_mod.ingest(_require_file(args.input, "input corpus"), args.format)
 
 
 def _read_seeds(args) -> list[str]:
-    if getattr(args, "seed_skill", None):
+    if args.seed_skill:
         return list(args.seed_skill)
-    if getattr(args, "seeds", None):
-        path = _require_file(args.seeds, "seeds file")
-        seeds = [line.strip() for line in path.read_text().splitlines() if line.strip()]
+    if args.seeds:
+        text = _read_text(args.seeds, "seeds file")
+        seeds = [line.strip() for line in text.splitlines() if line.strip()]
         if not seeds:
-            raise UsageError(f"seeds file is empty: {path}")
+            raise UsageError(f"seeds file is empty: {args.seeds}")
         return seeds
     raise UsageError("no seed skills given (use --seeds FILE or --seed-skill NAME)")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_ingest(args) -> int:
-    path, ads, vocab, report = _load_corpus(args)
-    out = _out_dir(args)
-    corpus_mod.write_jsonl(ads, out / "corpus.jsonl")
-    (out / "ingest_report.json").write_text(report.to_json() + "\n")
-    _write_provenance(out, {"command": "ingest", "format": args.format}, [path])
-    print(f"accepted {report.accepted}, rejected {report.rejected} "
-          f"({len(vocab)} distinct skills)")
-    return 0
-
-
-def cmd_synth(args) -> int:
-    cfg_path = _require_file(args.config, "synth config")
-    raw = json.loads(cfg_path.read_text())
-    config = synthgen.config_from_dict(raw)
-    out = _out_dir(args)
-    corpus_path, truth_path = synthgen.write_scenario(config, out)
-    _write_provenance(out, {"command": "synth", "seed": config.seed}, [cfg_path])
-    print(f"wrote {corpus_path} and {truth_path}")
-    return 0
-
-
-def _expand(ads, vocab, seeds, args):
-    index = corpus_mod.build_index(ads, vocab)
-    eff = skillmetrics.compute_effective_use(skillmetrics.compute_rca(index))
-    theta = similarity.compute_theta(eff)
-    return similarity.expand_seeds(
-        theta,
-        seeds,
-        per_seed_k=args.per_seed_k,
-        cutoff=args.cutoff,
-        avg_over_all_seeds=args.avg_over_all_seeds,
-    )
-
-
-def cmd_skills(args) -> int:
-    path, ads, vocab, _ = _load_corpus(args)
-    seeds = _read_seeds(args)
-    result = _expand(ads, vocab, seeds, args)
-    result.provenance = {"input": str(path), "input_sha256": _sha256(path)}
-    out = _out_dir(args)
-    result.to_csv(out / "skills.csv")
-    result.to_json(out / "skills.json")
-    _write_provenance(out, {
-        "command": "skills", "seeds": seeds,
-        "per_seed_k": args.per_seed_k, "cutoff": args.cutoff,
-        "avg_over_all_seeds": args.avg_over_all_seeds,
-    }, [path])
-    print(f"expanded {len(seeds)} seeds into {len(result.entries)} skills")
-    return 0
-
-
 def _load_category_map(args):
-    if getattr(args, "category_map", None):
+    if args.category_map:
         return occupations_mod.load_category_map(
             _require_file(args.category_map, "category map"))
-    if getattr(args, "default_categories", False):
+    if args.default_categories:
         return occupations_mod.load_category_map(
             occupations_mod.default_category_map_path())
     return None
 
 
-def cmd_occupations(args) -> int:
-    path, ads, _, _ = _load_corpus(args)
-    skills_path = _require_file(args.skills, "skill set CSV")
-    skill_set = similarity.SkillSetResult.from_csv(skills_path)
-    profiles = occupations_mod.compute_intensity(ads, skill_set)
-    selection = occupations_mod.select_occupations(
-        profiles, threshold=args.threshold, category_map=_load_category_map(args))
-    out = _out_dir(args)
-    occupations_mod.write_selection_csv(selection, out / "occupations.csv")
-    _write_provenance(out, {"command": "occupations", "threshold": args.threshold},
-                      [path, skills_path])
-    print(f"selected {selection.total_occupations} occupations "
-          f"({selection.total_ads} ads) above eta > {args.threshold}")
-    return 0
-
-
 def _read_holidays(path) -> tuple[dt.date, ...]:
-    hp = _require_file(path, "holiday calendar")
     holidays = []
-    for lineno, line in enumerate(hp.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, "holiday calendar").splitlines(),
+                                  start=1):
         text = line.strip()
         if not text:
             continue
         try:
             holidays.append(dt.date.fromisoformat(text))
         except ValueError:
-            raise DataError(f"holiday calendar {hp} line {lineno}: "
+            raise DataError(f"holiday calendar {path} line {lineno}: "
                             f"not an ISO date: {text!r}") from None
     return tuple(holidays)
 
 
 def _fit_config(args) -> timeseries.FitConfig:
-    holidays = _read_holidays(args.holidays) if getattr(args, "holidays", None) else ()
     return timeseries.FitConfig(
         n_changepoints=args.changepoints,
         ridge_lambda=args.ridge_lambda,
-        holidays=holidays,
+        holidays=_read_holidays(args.holidays) if args.holidays else (),
     )
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _corpus_span(ads):
@@ -208,61 +155,71 @@ def _corpus_span(ads):
     return min(dates), max(dates)
 
 
-def cmd_backtest(args) -> int:
-    cfg = _fit_config(args)
-    path, ads, _, _ = _load_corpus(args)
-    start, end = _corpus_span(ads)
-    label = args.occupation or "all"
-    selector = (lambda ad: ad.occupation == args.occupation) if args.occupation else None
-    series = timeseries.aggregate_daily(ads, start, end, label=label, selector=selector)
-    report = timeseries.sliding_window_backtest(
+def _skills_stage(ads, vocab, seeds, args, out: Path) -> similarity.SkillSetResult:
+    """Index, RCA, effective use, theta and seed expansion; writes
+    skills.csv and skills.json."""
+    index = corpus_mod.build_index(ads, vocab)
+    eff = skillmetrics.compute_effective_use(skillmetrics.compute_rca(index))
+    skill_set = similarity.expand_seeds(
+        similarity.compute_theta(eff),
+        seeds,
+        per_seed_k=args.per_seed_k,
+        cutoff=args.cutoff,
+        avg_over_all_seeds=args.avg_over_all_seeds,
+    )
+    skill_set.to_csv(out / "skills.csv")
+    skill_set.to_json(out / "skills.json")
+    return skill_set
+
+
+def _occupations_stage(ads, skill_set, category_map, args, out: Path):
+    """Intensity and selection; writes occupations.csv."""
+    profiles = occupations_mod.compute_intensity(ads, skill_set)
+    selection = occupations_mod.select_occupations(
+        profiles, threshold=args.threshold, category_map=category_map)
+    occupations_mod.write_selection_csv(selection, out / "occupations.csv")
+    return selection
+
+
+def _group_ads(ads, category_map, occupations=None) -> dict[str, list]:
+    """Ads by category when a map is given, else by occupation; with
+    ``occupations``, only the ads of those occupations. Occupations the map
+    does not name fall into the ``uncategorized`` group."""
+    groups: dict[str, list] = {}
+    for ad in ads:
+        if occupations is not None and ad.occupation not in occupations:
+            continue
+        label = (category_map.get(ad.occupation, occupations_mod.UNCATEGORIZED)
+                 if category_map else ad.occupation)
+        groups.setdefault(label, []).append(ad)
+    return groups
+
+
+def _backtest(ads, label: str, span, args, cfg):
+    """Daily series of ``ads`` over the corpus span and its backtest."""
+    series = timeseries.aggregate_daily(ads, *span, label=label)
+    return series, timeseries.sliding_window_backtest(
         series,
         train_days=args.train_days,
         test_days=args.test_days,
         iterations=args.iterations,
         config=cfg,
     )
-    out = _out_dir(args)
-    report.to_json(out / "backtest.json")
-    with (out / "boxplot.csv").open("w", encoding="utf-8") as fh:
-        fh.write("label,smape\n")
-        for lbl, score in report.boxplot_rows():
-            fh.write(f"{lbl},{score!r}\n")
-    _write_provenance(out, {
-        "command": "backtest", "label": label,
-        "train_days": args.train_days, "test_days": args.test_days,
-        "iterations": args.iterations,
-    }, [path])
-    print(f"backtest {label}: median SMAPE {report.median:.3f} "
-          f"over {args.iterations} windows")
-    return 0
 
 
-def _grouped_report(ads, groups: dict[str, list], args, cfg, out: Path) -> None:
-    """Backtest every group plus the market baseline and write the report."""
-    start, end = _corpus_span(ads)
-    backtests = {}
-    models = {}
+def _indicators_stage(ads, groups: dict[str, list], args, cfg, out: Path) -> None:
+    """Backtest the market baseline and every group, fit their trend lines,
+    and write the shortage report."""
+    span = _corpus_span(ads)
 
     def run(label, group_ads):
-        selector_ads = group_ads
-        series = timeseries.aggregate_daily(
-            selector_ads, start, end, label=label,
-        )
-        bt = timeseries.sliding_window_backtest(
-            series,
-            train_days=args.train_days,
-            test_days=args.test_days,
-            iterations=args.iterations,
-            config=cfg,
-        )
+        series, bt = _backtest(group_ads, label, span, args, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = timeseries.fit(series, cfg)
-        return bt, model
+            return bt, timeseries.fit(series, cfg)
 
     market_bt, market_model = run("market", ads)
-    models["market"] = market_model
+    backtests, models = {}, {"market": market_model}
     for label in sorted(groups):
         backtests[label], models[label] = run(label, groups[label])
 
@@ -272,80 +229,84 @@ def _grouped_report(ads, groups: dict[str, list], args, cfg, out: Path) -> None:
         backtests=backtests,
         market_backtest=market_bt,
         trend_models=models,
-        corpus_start=start,
-        corpus_end=end,
+        corpus_start=span[0],
+        corpus_end=span[1],
     )
     indicators_mod.write_report(report, out)
 
 
-def _group_ads(ads, selection, category_map) -> dict[str, list]:
-    """Group the selected occupations' ads by category when a map is given,
-    else by occupation."""
-    selected = {p.occupation: p for p in selection.profiles}
-    groups: dict[str, list] = {}
-    for ad in ads:
-        profile = selected.get(ad.occupation)
-        if profile is None:
-            continue
-        label = profile.category if category_map else ad.occupation
-        groups.setdefault(label, []).append(ad)
-    return groups
-
-
-def cmd_indicators(args) -> int:
-    cfg = _fit_config(args)
-    path, ads, _, _ = _load_corpus(args)
-    category_map = _load_category_map(args)
-    if category_map:
-        groups: dict[str, list] = {}
-        for ad in ads:
-            if ad.occupation in category_map:
-                groups.setdefault(category_map[ad.occupation], []).append(ad)
-    else:
-        groups = {}
-        for ad in ads:
-            groups.setdefault(ad.occupation, []).append(ad)
+def cmd_ingest(args) -> None:
+    ads, vocab, report = _load_corpus(args)
     out = _out_dir(args)
-    _grouped_report(ads, groups, args, cfg, out)
-    _write_provenance(out, {"command": "indicators"}, [path])
-    print(f"wrote indicator report for {len(groups)} groups to {out}")
-    return 0
+    corpus_mod.write_jsonl(ads, out / "corpus.jsonl")
+    (out / "ingest_report.json").write_text(report.to_json() + "\n")
+    print(f"accepted {report.accepted}, rejected {report.rejected} "
+          f"({len(vocab)} distinct skills)")
 
 
-def cmd_report(args) -> int:
-    cfg = _fit_config(args)
-    path, ads, vocab, ingest_report = _load_corpus(args)
+def cmd_synth(args) -> None:
+    config = synthgen.config_from_dict(_read_json(args.config, "synth config"))
+    corpus_path, truth_path = synthgen.write_scenario(config, _out_dir(args))
+    print(f"wrote {corpus_path} and {truth_path}")
+
+
+def cmd_skills(args) -> None:
     seeds = _read_seeds(args)
+    ads, vocab, _ = _load_corpus(args)
+    skill_set = _skills_stage(ads, vocab, seeds, args, _out_dir(args))
+    print(f"expanded {len(seeds)} seeds into {len(skill_set.entries)} skills")
+
+
+def cmd_occupations(args) -> None:
+    ads, _, _ = _load_corpus(args)
+    skill_set = similarity.SkillSetResult.from_csv(
+        _require_file(args.skills, "skill set CSV"))
+    selection = _occupations_stage(ads, skill_set, _load_category_map(args), args,
+                                   _out_dir(args))
+    print(f"selected {selection.total_occupations} occupations "
+          f"({selection.total_ads} ads) above eta > {args.threshold}")
+
+
+def cmd_backtest(args) -> None:
+    cfg = _fit_config(args)
+    ads, _, _ = _load_corpus(args)
+    span = _corpus_span(ads)
+    label = args.occupation or "all"
+    if args.occupation:
+        ads = [ad for ad in ads if ad.occupation == args.occupation]
+    _, report = _backtest(ads, label, span, args, cfg)
+    out = _out_dir(args)
+    report.to_json(out / "backtest.json")
+    indicators_mod.write_boxplot({label: report}, out / "boxplot.csv")
+    print(f"backtest {label}: median SMAPE {report.median:.3f} "
+          f"over {args.iterations} windows")
+
+
+def cmd_indicators(args) -> None:
+    cfg = _fit_config(args)
+    ads, _, _ = _load_corpus(args)
+    groups = _group_ads(ads, _load_category_map(args))
+    out = _out_dir(args)
+    _indicators_stage(ads, groups, args, cfg, out)
+    print(f"wrote indicator report for {len(groups)} groups to {out}")
+
+
+def cmd_report(args) -> None:
+    cfg = _fit_config(args)
+    seeds = _read_seeds(args)
+    ads, vocab, ingest_report = _load_corpus(args)
     out = _out_dir(args)
     (out / "ingest_report.json").write_text(ingest_report.to_json() + "\n")
-
-    skill_set = _expand(ads, vocab, seeds, args)
-    skill_set.to_csv(out / "skills.csv")
-    skill_set.to_json(out / "skills.json")
-
-    profiles = occupations_mod.compute_intensity(ads, skill_set)
+    skill_set = _skills_stage(ads, vocab, seeds, args, out)
     category_map = _load_category_map(args)
-    selection = occupations_mod.select_occupations(
-        profiles, threshold=args.threshold, category_map=category_map)
-    occupations_mod.write_selection_csv(selection, out / "occupations.csv")
+    selection = _occupations_stage(ads, skill_set, category_map, args, out)
     if not selection.profiles:
         raise DataError(f"no occupation exceeds eta > {args.threshold}; "
                         "nothing to report on")
-
-    groups = _group_ads(ads, selection, category_map)
-    _grouped_report(ads, groups, args, cfg, out)
-    _write_provenance(out, {
-        "command": "report", "seeds": seeds,
-        "per_seed_k": args.per_seed_k, "cutoff": args.cutoff,
-        "avg_over_all_seeds": args.avg_over_all_seeds,
-        "threshold": args.threshold,
-        "train_days": args.train_days, "test_days": args.test_days,
-        "iterations": args.iterations, "changepoints": args.changepoints,
-        "ridge_lambda": args.ridge_lambda,
-    }, [path])
+    groups = _group_ads(ads, category_map, {p.occupation for p in selection.profiles})
+    _indicators_stage(ads, groups, args, cfg, out)
     print(f"report written to {out} ({len(groups)} groups, "
           f"{selection.total_occupations} occupations)")
-    return 0
 
 
 def _add_corpus_args(p):
@@ -353,11 +314,13 @@ def _add_corpus_args(p):
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
 
+# Defaults follow the reference workflow: top-300 neighbour lists cut to a
+# 150-skill set, a 15% intensity threshold, and a 1186/365/365 backtest.
 def _add_skills_args(p):
     p.add_argument("--seeds", help="newline-delimited seed skills file")
     p.add_argument("--seed-skill", action="append", help="seed skill (repeatable)")
-    p.add_argument("--per-seed-k", type=int, default=DEFAULTS["per_seed_k"])
-    p.add_argument("--cutoff", type=int, default=DEFAULTS["cutoff"])
+    p.add_argument("--per-seed-k", type=int, default=300)
+    p.add_argument("--cutoff", type=int, default=150)
     p.add_argument("--avg-over-all-seeds", action="store_true",
                    help="average merged scores over all seeds, not appearances")
 
@@ -369,20 +332,20 @@ def _non_negative(kind):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}") from None
-        if not value >= 0:  # also rejects NaN
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        if not 0 <= value < float("inf"):  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {text!r}")
         return value
     return parse
 
 
 def _add_backtest_args(p):
-    p.add_argument("--train-days", type=int, default=DEFAULTS["train_days"])
-    p.add_argument("--test-days", type=int, default=DEFAULTS["test_days"])
-    p.add_argument("--iterations", type=int, default=DEFAULTS["iterations"])
+    p.add_argument("--train-days", type=int, default=1186)
+    p.add_argument("--test-days", type=int, default=365)
+    p.add_argument("--iterations", type=int, default=365)
     p.add_argument("--changepoints", type=_non_negative(int),
-                   default=DEFAULTS["changepoints"])
+                   default=25)
     p.add_argument("--ridge-lambda", type=_non_negative(float),
-                   default=DEFAULTS["ridge_lambda"])
+                   default=1.0)
     p.add_argument("--holidays", help="file of ISO holiday dates, one per line")
 
 
@@ -392,59 +355,43 @@ def _add_category_args(p):
                    help="use the shipped four-category occupation map")
 
 
+def _add_threshold_arg(p):
+    p.add_argument("--threshold", type=float, default=0.15)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="skillscope",
                      description="Skill-shortage analytics for job-ad corpora")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate and normalize a corpus")
-    _add_corpus_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
+    def command(name, help, func, *add_args):
+        p = sub.add_parser(name, help=help)
+        for add in add_args:
+            add(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--config", required=True, help="JSON scenario config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("skills", help="expand seed skills into a skill set")
-    _add_corpus_args(p)
-    _add_skills_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_skills)
-
-    p = sub.add_parser("occupations", help="intensity ranking and selection")
-    _add_corpus_args(p)
-    p.add_argument("--skills", required=True, help="skills.csv from the skills stage")
-    p.add_argument("--threshold", type=float, default=DEFAULTS["threshold"])
-    _add_category_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_occupations)
-
-    p = sub.add_parser("backtest", help="sliding-window forecast backtest")
-    _add_corpus_args(p)
-    p.add_argument("--occupation", help="restrict to one occupation")
-    _add_backtest_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_backtest)
-
-    p = sub.add_parser("indicators", help="shortage indicators per group")
-    _add_corpus_args(p)
-    _add_category_args(p)
-    _add_backtest_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_indicators)
-
-    p = sub.add_parser("report", help="full pipeline end-to-end")
-    _add_corpus_args(p)
-    _add_skills_args(p)
-    p.add_argument("--threshold", type=float, default=DEFAULTS["threshold"])
-    _add_category_args(p)
-    _add_backtest_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-
+    command("ingest", "validate and normalize a corpus", cmd_ingest, _add_corpus_args)
+    command("synth", "generate a synthetic corpus", cmd_synth,
+            lambda p: p.add_argument("--config", required=True,
+                                     help="JSON scenario config"))
+    command("skills", "expand seed skills into a skill set", cmd_skills,
+            _add_corpus_args, _add_skills_args)
+    command("occupations", "intensity ranking and selection", cmd_occupations,
+            _add_corpus_args,
+            lambda p: p.add_argument("--skills", required=True,
+                                     help="skills.csv from the skills stage"),
+            _add_threshold_arg, _add_category_args)
+    command("backtest", "sliding-window forecast backtest", cmd_backtest,
+            _add_corpus_args,
+            lambda p: p.add_argument("--occupation", help="restrict to one occupation"),
+            _add_backtest_args)
+    command("indicators", "shortage indicators per group", cmd_indicators,
+            _add_corpus_args, _add_category_args, _add_backtest_args)
+    command("report", "full pipeline end-to-end", cmd_report, _add_corpus_args,
+            _add_skills_args, _add_threshold_arg, _add_category_args,
+            _add_backtest_args)
     return parser
 
 
@@ -453,8 +400,11 @@ def apply_config_file(argv: list[str]) -> list[str]:
     if "--config-file" not in argv:
         return argv
     i = argv.index("--config-file")
-    cfg_path = _require_file(argv[i + 1], "config file")
-    raw = json.loads(cfg_path.read_text())
+    if i + 1 == len(argv):
+        raise UsageError("--config-file needs a file name")
+    raw = _read_json(argv[i + 1], "config file")
+    if not isinstance(raw, dict):
+        raise UsageError(f"config file {argv[i + 1]} must hold a JSON object")
     injected: list[str] = []
     for key, value in raw.items():
         flag = "--" + key.replace("_", "-")
@@ -476,7 +426,9 @@ def main(argv=None) -> int:
     try:
         argv = apply_config_file(argv)
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        _write_provenance(Path(args.out), args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -148,9 +149,12 @@ def _parse_optional_float(value, field_name: str) -> Optional[float]:
     if value is None or value == "":
         return None
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"bad number in {field_name}")
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite {field_name}")
+    return number
 
 
 def _record_to_ad(rec: dict, config: IngestConfig) -> JobAd:
@@ -158,6 +162,9 @@ def _record_to_ad(rec: dict, config: IngestConfig) -> JobAd:
     for key in ("id", "date", "occupation", "skills"):
         if key not in rec or rec[key] in (None, ""):
             raise ValueError(f"missing {key}")
+    occupation = str(rec["occupation"]).strip()
+    if not occupation:
+        raise ValueError("missing occupation")
     try:
         posted = dt.date.fromisoformat(str(rec["date"]))
     except ValueError:
@@ -169,7 +176,9 @@ def _record_to_ad(rec: dict, config: IngestConfig) -> JobAd:
 
     raw_skills = rec["skills"]
     if isinstance(raw_skills, str):
-        raw_skills = [s for s in raw_skills.split(";")]
+        raw_skills = raw_skills.split(";")
+    elif not isinstance(raw_skills, list):
+        raise ValueError("bad skills")
     skills: list[str] = []
     seen: set[str] = set()
     for raw in raw_skills:
@@ -194,7 +203,7 @@ def _record_to_ad(rec: dict, config: IngestConfig) -> JobAd:
     return JobAd(
         id=str(rec["id"]),
         posted_date=posted,
-        occupation=str(rec["occupation"]).strip(),
+        occupation=occupation,
         skills=tuple(skills),
         salary_min=salary_min,
         salary_max=salary_max,
@@ -204,22 +213,24 @@ def _record_to_ad(rec: dict, config: IngestConfig) -> JobAd:
 
 
 def _iter_records(path: Path, fmt: str):
-    if fmt == "jsonl":
-        with path.open("r", encoding="utf-8") as fh:
+    if fmt not in ("jsonl", "csv"):
+        raise DataError(f"unknown input format: {fmt!r}")
+    try:
+        with path.open("r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+            if fmt == "csv":
+                yield from csv.DictReader(fh)
+                return
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
-                    yield {"__parse_error__": "bad json"}
-    elif fmt == "csv":
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                yield dict(row)
-    else:
-        raise DataError(f"unknown input format: {fmt!r}")
+                    rec = json.loads(line)
+                except (json.JSONDecodeError, RecursionError):
+                    rec = None
+                yield rec if isinstance(rec, dict) else {"__parse_error__": "bad json"}
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read input file {path}: {exc}") from None
 
 
 def ingest(

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import JobAd, normalize_skill
+from .corpus import JobAd
 from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel
 
@@ -75,63 +75,6 @@ def mean_experience(ads: Sequence[JobAd], year: int) -> Optional[float]:
     vals = [ad.experience_years for ad in _ads_in_year(ads, year)
             if ad.experience_years is not None]
     return sum(vals) / len(vals) if vals else None
-
-
-def cagr(first_year_count: int, last_year_count: int, years: int) -> float:
-    """Compound annual growth rate as a percentage."""
-    if first_year_count <= 0:
-        raise DataError("CAGR undefined: zero count in the first year")
-    if years < 1:
-        raise DataError("CAGR undefined: span must be at least one year")
-    return ((last_year_count / first_year_count) ** (1.0 / years) - 1.0) * 100.0
-
-
-@dataclass
-class SkillDemandStats:
-    """Per-skill yearly ad counts and growth since first appearance."""
-
-    counts: dict[str, dict[int, int]]
-    cagr_pct: dict[str, Optional[float]]   # None where undefined (no full-year span)
-
-    def to_csv(self, path) -> None:
-        years = sorted({y for per in self.counts.values() for y in per})
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["skill"] + [str(y) for y in years] + ["cagr_pct"])
-            for skill in sorted(self.counts):
-                row = [skill] + [self.counts[skill].get(y, 0) for y in years]
-                c = self.cagr_pct[skill]
-                row.append("" if c is None else repr(c))
-                writer.writerow(row)
-
-
-def skill_demand_stats(ads: Sequence[JobAd], skills: Sequence[str]) -> SkillDemandStats:
-    """Yearly demand counts for each target skill and its CAGR from the
-    first year it appears to the last corpus year."""
-    keys = [normalize_skill(s) for s in skills]
-    key_set = set(keys)
-    counts: dict[str, dict[int, int]] = {k: {} for k in keys}
-    last_year = None
-    for ad in ads:
-        year = ad.posted_date.year
-        last_year = year if last_year is None else max(last_year, year)
-        for s in ad.skills:
-            if s in key_set:
-                per = counts[s]
-                per[year] = per.get(year, 0) + 1
-    cagr_pct: dict[str, Optional[float]] = {}
-    for k in keys:
-        per = counts[k]
-        if not per or last_year is None:
-            cagr_pct[k] = None
-            continue
-        first = min(per)
-        span = last_year - first
-        if span < 1 or per[first] <= 0:
-            cagr_pct[k] = None
-        else:
-            cagr_pct[k] = cagr(per[first], per.get(last_year, 0), span)
-    return SkillDemandStats(counts=counts, cagr_pct=cagr_pct)
 
 
 @dataclass
@@ -271,6 +214,16 @@ def _write_indicator_csv(path: Path, name: str, baseline, groups, getter) -> Non
             writer.writerow([ind.label] + [_fmt(getter(ind, y)) for y in years])
 
 
+def write_boxplot(backtests: dict[str, BacktestReport], path) -> None:
+    """One ``label,smape`` row per backtest window, labels in sorted order."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", "smape"])
+        for label in sorted(backtests):
+            for row in backtests[label].boxplot_rows():
+                writer.writerow([row[0], repr(row[1])])
+
+
 def write_report(report: ShortageReport, out_dir) -> None:
     """Emit the report directory: one CSV per indicator, report.json,
     boxplot.csv, and trend_lines.csv."""
@@ -289,12 +242,7 @@ def write_report(report: ShortageReport, out_dir) -> None:
     _write_indicator_csv(out_dir / "experience_years.csv", "experience", base, groups,
                          lambda ind, y: ind.experience_by_year.get(y))
 
-    with (out_dir / "boxplot.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "smape"])
-        for label in sorted(report.backtests):
-            for row in report.backtests[label].boxplot_rows():
-                writer.writerow([row[0], repr(row[1])])
+    write_boxplot(report.backtests, out_dir / "boxplot.csv")
 
     with (out_dir / "trend_lines.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

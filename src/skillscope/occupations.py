@@ -82,19 +82,24 @@ def load_category_map(path) -> dict[str, str]:
     if not path.is_file():
         raise DataError(f"cannot read category map: {path}")
     mapping: dict[str, str] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(f"malformed category map at line {lineno}: "
-                                f"expected 2 columns, got {len(row)}")
-            occ, cat = row[0].strip(), row[1].strip()
-            if lineno == 1 and occ.lower() == "occupation":
-                continue
-            if not occ or not cat:
-                raise DataError(f"malformed category map at line {lineno}: empty field")
-            mapping[occ] = cat
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read category map {path}: {exc}") from None
+    for lineno, row in enumerate(rows, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise DataError(f"malformed category map {path} at line {lineno}: "
+                            f"expected 2 columns, got {len(row)}")
+        occ, cat = row[0].strip(), row[1].strip()
+        if lineno == 1 and occ.lower() == "occupation":
+            continue
+        if not occ or not cat:
+            raise DataError(f"malformed category map {path} at line {lineno}: "
+                            "empty field")
+        mapping[occ] = cat
     return mapping
 
 

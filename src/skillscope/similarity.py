@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import normalize_skill
@@ -88,7 +88,6 @@ class SkillSetResult:
     per_seed_k: int
     cutoff: int
     avg_over_all_seeds: bool = False
-    provenance: dict = field(default_factory=dict)
 
     @property
     def skills(self) -> list[str]:
@@ -110,7 +109,6 @@ class SkillSetResult:
             "per_seed_k": self.per_seed_k,
             "cutoff": self.cutoff,
             "avg_over_all_seeds": self.avg_over_all_seeds,
-            "provenance": self.provenance,
             "skills": [
                 {"rank": i + 1, "skill": e.skill, "theta": e.score, "seed": e.is_seed}
                 for i, e in enumerate(self.entries)
@@ -120,10 +118,17 @@ class SkillSetResult:
 
     @classmethod
     def from_csv(cls, path) -> "SkillSetResult":
-        entries = []
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                entries.append(SkillScore(row["skill"], float(row["theta"])))
+        """Read a ``skills.csv``; only its ``skill`` and ``theta`` columns
+        are used."""
+        try:
+            with Path(path).open("r", encoding="utf-8", newline="") as fh:
+                entries = [SkillScore(row["skill"], float(row["theta"]))
+                           for row in csv.DictReader(fh, restval="")]
+        except KeyError as exc:
+            raise DataError(f"skill set CSV {path} has no {exc.args[0]!r} "
+                            "column") from None
+        except (ValueError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
+            raise DataError(f"malformed skill set CSV {path}: {exc}") from None
         return cls(entries=entries, seeds=[], per_seed_k=0, cutoff=len(entries))
 
 

@@ -12,9 +12,6 @@ stored only where the skill actually appears in the ad. A skill is in
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
 from .corpus import IncidenceIndex
@@ -78,20 +75,3 @@ def compute_effective_use(rca: RcaMatrix) -> EffectiveUseMatrix:
         for skills, vals in zip(rca.index.job_skills, rca.values)
     ]
     return EffectiveUseMatrix(rca.index, rows)
-
-
-def dump_csv(rca: RcaMatrix, eff: EffectiveUseMatrix, path) -> None:
-    """Audit dump: one row per stored incidence entry."""
-    vocab = rca.index.vocab
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["job_id", "skill", "rca", "effective"])
-        for i, job_id in enumerate(rca.index.job_ids):
-            row = rca.index.job_skills[i]
-            for k, s in enumerate(row):
-                writer.writerow([
-                    job_id,
-                    vocab.display(int(s)),
-                    repr(float(rca.values[i][k])),
-                    int(eff.is_effective(i, int(s))),
-                ])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional, Sequence
@@ -64,8 +65,11 @@ class SynthConfig:
     deterministic_counts: bool = False   # round(rate) instead of Poisson
 
     def validate(self) -> None:
-        if self.n_days < 1:
-            raise DataError("invalid SynthConfig.n_days: must be >= 1")
+        if self.seed < 0:
+            raise DataError("invalid SynthConfig.seed: must be >= 0")
+        if not 1 <= self.n_days <= (dt.date.max - self.start_date).days + 1:
+            raise DataError("invalid SynthConfig.n_days: must be >= 1 and end "
+                            f"by {dt.date.max}")
         if not self.clusters:
             raise DataError("invalid SynthConfig.clusters: need at least one cluster")
         for c in self.clusters:
@@ -242,25 +246,47 @@ def write_scenario(config: SynthConfig, out_dir) -> tuple[Path, Path]:
     return corpus_path, truth_path
 
 
-def config_from_dict(raw: dict) -> SynthConfig:
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
+def _optional_number(value):
+    """A finite number kept as given (an int stays an int), or None."""
+    if value is None or (type(value) in (int, float) and math.isfinite(value)):
+        return value
+    raise ValueError(f"expected a finite number or null, got {value!r}")
+
+
+def _names(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a list of names, got {value!r}")
+    return tuple(value)
+
+
+def config_from_dict(raw) -> SynthConfig:
     """Build a SynthConfig from a parsed JSON document (the CLI format)."""
+    if not isinstance(raw, dict):
+        raise DataError("invalid synth config: expected a JSON object")
     try:
         clusters = tuple(
             ClusterSpec(
-                name=c["name"],
-                skills=tuple(c["skills"]),
-                occupations=tuple(c["occupations"]),
-                base_daily_rate=float(c["base_daily_rate"]),
-                annual_growth=float(c.get("annual_growth", 0.0)),
+                name=str(c["name"]),
+                skills=_names(c["skills"]),
+                occupations=_names(c["occupations"]),
+                base_daily_rate=_finite(c["base_daily_rate"]),
+                annual_growth=_finite(c.get("annual_growth", 0.0)),
                 growth_changepoints=tuple(
-                    (int(d), float(g)) for d, g in c.get("growth_changepoints", [])
+                    (int(d), _finite(g)) for d, g in c.get("growth_changepoints", [])
                 ),
-                cohesion=float(c.get("cohesion", 1.0)),
-                salary_level=c.get("salary_level"),
-                salary_trend=float(c.get("salary_trend", 0.0)),
-                education_mean=c.get("education_mean"),
-                experience_mean=c.get("experience_mean"),
-                experience_trend=float(c.get("experience_trend", 0.0)),
+                cohesion=_finite(c.get("cohesion", 1.0)),
+                salary_level=_optional_number(c.get("salary_level")),
+                salary_trend=_finite(c.get("salary_trend", 0.0)),
+                education_mean=_optional_number(c.get("education_mean")),
+                experience_mean=_optional_number(c.get("experience_mean")),
+                experience_trend=_finite(c.get("experience_trend", 0.0)),
             )
             for c in raw["clusters"]
         )
@@ -269,15 +295,17 @@ def config_from_dict(raw: dict) -> SynthConfig:
             n_days=int(raw["n_days"]),
             clusters=clusters,
             background_skills=tuple(
-                (str(n), float(p)) for n, p in raw.get("background_skills", [])
+                (str(n), _finite(p)) for n, p in raw.get("background_skills", [])
             ),
             start_date=dt.date.fromisoformat(raw.get("start_date", "2015-01-01")),
-            weekly_amplitude=float(raw.get("weekly_amplitude", 0.0)),
-            yearly_amplitude=float(raw.get("yearly_amplitude", 0.0)),
-            noise_level=float(raw.get("noise_level", 0.0)),
+            weekly_amplitude=_finite(raw.get("weekly_amplitude", 0.0)),
+            yearly_amplitude=_finite(raw.get("yearly_amplitude", 0.0)),
+            noise_level=_finite(raw.get("noise_level", 0.0)),
             deterministic_counts=bool(raw.get("deterministic_counts", False)),
         )
     except KeyError as exc:
         raise DataError(f"invalid synth config: missing field {exc.args[0]!r}")
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"invalid synth config: {exc}") from None
     config.validate()
     return config

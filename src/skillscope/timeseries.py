@@ -25,7 +25,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import DataError
 WEEK_PERIOD = 7.0
 YEAR_PERIOD = 365.25
 MIN_FIT_DAYS = 14
-DELTA_EPS = 1e-8  # changepoint deltas below this are reported as zero
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,8 @@ def aggregate_daily(
     start: dt.date,
     end: dt.date,
     label: str = "all",
-    selector: Optional[Callable[[JobAd], bool]] = None,
 ) -> DailySeries:
-    """Count matching ads per calendar day over [start, end] inclusive.
+    """Count ads per calendar day over [start, end] inclusive.
 
     Days with no ads are zeros, not gaps."""
     span = (end - start).days + 1
@@ -90,8 +88,6 @@ def aggregate_daily(
         raise DataError("empty date span")
     counts = np.zeros(span, dtype=np.float64)
     for ad in ads:
-        if selector is not None and not selector(ad):
-            continue
         offset = (ad.posted_date - start).days
         if 0 <= offset < span:
             counts[offset] += 1
@@ -166,14 +162,6 @@ class DecompositionModel:
         t = np.linspace(0.0, WEEK_PERIOD, 1401)
         w = _fourier_block(t, WEEK_PERIOD, self.config.weekly_order) @ self.weekly_coef
         return float((w.max() - w.min()) / 2.0)
-
-    def significant_changepoints(self) -> list[tuple[dt.date, float]]:
-        """Changepoints whose slope delta is meaningfully non-zero."""
-        out = []
-        for c, d in zip(self.changepoints, self.deltas):
-            if abs(d) >= DELTA_EPS:
-                out.append((self.start + dt.timedelta(days=int(c)), float(d)))
-        return out
 
 
 def _design(n: int, config: FitConfig, horizon: int = 0) -> tuple[np.ndarray, np.ndarray, bool]:

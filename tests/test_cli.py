@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -90,6 +91,7 @@ class TestBacktestInputErrors:
         (["--test-days", "0"], 2, "test window of 0 days; needs at least 1"),
         (["--changepoints", "-1"], 1, "--changepoints: must be >= 0"),
         (["--ridge-lambda", "-0.5"], 1, "--ridge-lambda: must be >= 0"),
+        (["--ridge-lambda", "inf"], 1, "--ridge-lambda: must be >= 0 and finite"),
     ])
     def test_out_of_range_flag(self, corpus, tmp_path, capsys, flags, rc, message):
         assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS, *flags,
@@ -111,6 +113,62 @@ class TestBacktestInputErrors:
                      "--holidays", str(holidays), "--out", str(tmp_path / "bt")]) == 2
         err = one_line_error(capsys)
         assert f"{holidays} line 3" in err and "2016-13-01" in err
+
+
+NOT_UTF8 = b"\xff\xfenot text\n"
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize("argv,content", [
+        (["ingest", "--input", "{bad}"], NOT_UTF8),
+        (["ingest", "--format", "csv", "--input", "{bad}"], NOT_UTF8),
+        (["skills", "--input", "{corpus}", "--seeds", "{bad}"], NOT_UTF8),
+        (["backtest", "--input", "{corpus}", *BACKTEST_FLAGS, "--holidays", "{bad}"],
+         NOT_UTF8),
+        (["indicators", "--input", "{corpus}", *BACKTEST_FLAGS, "--category-map", "{bad}"],
+         NOT_UTF8),
+        (["indicators", "--input", "{corpus}", *BACKTEST_FLAGS, "--category-map", "{bad}"],
+         b"Modeler,Data,extra\n"),
+        (["occupations", "--input", "{corpus}", "--skills", "{bad}"], NOT_UTF8),
+        (["occupations", "--input", "{corpus}", "--skills", "{bad}"], b"rank,name\n1,ml\n"),
+        (["occupations", "--input", "{corpus}", "--skills", "{bad}"],
+         b"rank,skill,theta\n1,ml,high\n"),
+        (["synth", "--config", "{bad}"], NOT_UTF8),
+        (["synth", "--config", "{bad}"], b"{not json"),
+        (["report", "--config-file", "{bad}"], NOT_UTF8),
+        (["report", "--config-file", "{bad}"], b"{not json"),
+    ], ids=["input-jsonl", "input-csv", "seeds", "holidays", "category-map",
+            "category-map-3-columns", "skills", "skills-no-columns",
+            "skills-theta-not-a-number", "synth-config", "synth-config-bad-json",
+            "config-file", "config-file-bad-json"])
+    def test_one_line_error_naming_the_file(self, corpus, tmp_path, capsys, argv, content):
+        bad = tmp_path / "bad-file"
+        bad.write_bytes(content)
+        argv = [a.format(bad=bad, corpus=corpus) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) in (1, 2)
+        assert str(bad) in one_line_error(capsys)
+
+    def test_config_file_flag_without_file_exit_1(self, capsys):
+        assert main(["report", "--config-file"]) == 1
+        assert "needs a file name" in one_line_error(capsys)
+
+    def test_config_file_not_an_object_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        assert main(["report", "--config-file", str(cfg)]) == 1
+        assert "JSON object" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("config,message", [
+        ([SCENARIO], "expected a JSON object"),
+        ({**SCENARIO, "n_days": "x"}, "invalid literal"),
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "skills": 5}]},
+         "expected a list of names"),
+    ], ids=["array", "n_days-not-a-number", "skills-not-a-list"])
+    def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in one_line_error(capsys)
 
 
 class TestStages:
@@ -156,6 +214,34 @@ class TestStages:
         payload = json.loads((out / "backtest.json").read_text())
         assert len(payload["scores"]) == 5
         assert all(0 <= s <= 200 for s in payload["scores"])
+
+    def test_backtest_label_with_comma_is_quoted(self, tmp_path, capsys):
+        scenario = {**SCENARIO, "clusters": [
+            {**SCENARIO["clusters"][0], "occupations": ["Analyst, data"]},
+            SCENARIO["clusters"][1],
+        ]}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(scenario))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        out = tmp_path / "bt"
+        assert main(["backtest", "--input", str(tmp_path / "s" / "corpus.jsonl"),
+                     "--occupation", "Analyst, data", *BACKTEST_FLAGS,
+                     "--out", str(out)]) == 0
+        with (out / "boxplot.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["label"] for r in rows] == ["Analyst, data"] * 5
+
+    def test_indicators_provenance_records_backtest_settings(self, corpus, tmp_path,
+                                                              capsys):
+        out = tmp_path / "ind"
+        assert main(["indicators", "--input", str(corpus), *BACKTEST_FLAGS,
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "provenance.json").read_text())["config"]
+        assert {k: config[k] for k in ("train_days", "test_days", "iterations",
+                                       "changepoints", "ridge_lambda", "holidays")} == {
+            "train_days": 60, "test_days": 14, "iterations": 5,
+            "changepoints": 5, "ridge_lambda": 1.0, "holidays": None}
+        assert "out" not in config
 
     def test_backtest_too_short_exit_2(self, corpus, tmp_path, capsys):
         rc = main(["backtest", "--input", str(corpus),
@@ -217,3 +303,31 @@ class TestReport:
         assert str(corpus) in prov["inputs"]
         assert len(list(prov["inputs"].values())[0]) == 64
         assert prov["config"]["train_days"] == 60
+
+    def test_holidays_recorded_in_provenance(self, corpus, tmp_path, capsys):
+        holidays = tmp_path / "holidays.txt"
+        holidays.write_text("2017-01-02\n2017-02-14\n")
+        plain = self.run_report(corpus, tmp_path, "plain")
+        with_h = self.run_report(corpus, tmp_path, "with-h",
+                                 ["--holidays", str(holidays)])
+        p1 = json.loads((plain / "provenance.json").read_text())
+        p2 = json.loads((with_h / "provenance.json").read_text())
+        assert p1["config"] != p2["config"]
+        assert p2["config"]["holidays"] == str(holidays)
+        assert str(holidays) in p2["inputs"] and str(holidays) not in p1["inputs"]
+        assert len(p2["inputs"][str(holidays)]) == 64
+
+    def test_unmapped_occupations_uncategorized_in_indicators_and_report(
+            self, corpus, tmp_path, capsys):
+        mapping = tmp_path / "map.csv"
+        mapping.write_text("Clerk,Office\n")
+        out = tmp_path / "ind"
+        assert main(["indicators", "--input", str(corpus), *BACKTEST_FLAGS,
+                     "--category-map", str(mapping), "--out", str(out)]) == 0
+        ind = json.loads((out / "report.json").read_text())
+        rep = json.loads((self.run_report(corpus, tmp_path, "rep",
+                                          ["--category-map", str(mapping)])
+                          / "report.json").read_text())
+        assert [g["label"] for g in ind["groups"]] == ["Office", "uncategorized"]
+        # the report selects both occupations, so both group the same ads
+        assert rep["groups"] == ind["groups"]

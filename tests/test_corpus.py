@@ -5,6 +5,7 @@ import pytest
 
 from skillscope.corpus import (
     IngestConfig,
+    _record_to_ad,
     JobAd,
     SkillVocabulary,
     build_index,
@@ -126,6 +127,46 @@ class TestIngest:
         a2, _, r2 = ingest(f)
         assert [a.id for a in a1] == [a.id for a in a2]
         assert r1.to_json() == r2.to_json()
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize("field", ["salary_min", "salary_max", "education_years",
+                                       "experience_years"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-Infinity"])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^non-finite {field}$"):
+            _record_to_ad(json.loads(record(0, **{field: value})), IngestConfig())
+
+    def test_whitespace_occupation_rejected(self):
+        with pytest.raises(ValueError, match="^missing occupation$"):
+            _record_to_ad(json.loads(record(0, occupation=" \t ")), IngestConfig())
+
+    @pytest.mark.parametrize("skills", [5, {"sql": 1}, True])
+    def test_skills_must_be_list_or_string(self, skills):
+        with pytest.raises(ValueError, match="^bad skills$"):
+            _record_to_ad(json.loads(record(0, skills=skills)), IngestConfig())
+
+    def test_non_object_lines_rejected(self, tmp_path):
+        f = tmp_path / "ads.jsonl"
+        deep = "[" * 100_000 + "]" * 100_000
+        write_lines(f, [record(i) for i in range(60)] + ["5", '["ad"]', deep])
+        _, _, report = ingest(f)
+        assert report.reasons["bad json"] == 3
+
+    def test_written_corpus_is_standard_json(self, tmp_path):
+        src = tmp_path / "ads.jsonl"
+        write_lines(src, [record(i, salary_min=1.5, education_years=12) for i in range(30)]
+                    + [record(99, salary_max=float("inf"))])
+        ads, _, report = ingest(src)
+        assert report.reasons["non-finite salary_max"] == 1
+        out = tmp_path / "out.jsonl"
+        write_jsonl(ads, out)
+        for line in out.read_text().splitlines():
+            json.loads(line, parse_constant=refuse_constant)
 
 
 def worked_corpus():

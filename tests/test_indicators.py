@@ -8,13 +8,11 @@ from skillscope.corpus import JobAd
 from skillscope.errors import DataError
 from skillscope.indicators import (
     assemble_report,
-    cagr,
     compute_indicators,
     mean_education,
     mean_experience,
     median_salary,
     posting_growth,
-    skill_demand_stats,
     write_report,
     yearly_counts,
 )
@@ -91,51 +89,6 @@ class TestPerYearAggregates:
     def test_permutation_invariance(self):
         ads = [ad(i, 2018, education_years=float(i)) for i in range(9)]
         assert mean_education(ads, 2018) == mean_education(list(reversed(ads)), 2018)
-
-
-class TestCagr:
-    def test_doubling_each_year(self):
-        assert cagr(100, 400, 2) == pytest.approx(100.0)
-
-    def test_flat_is_zero(self):
-        assert cagr(250, 250, 3) == pytest.approx(0.0)
-
-    def test_zero_first_year_undefined(self):
-        with pytest.raises(DataError):
-            cagr(0, 10, 2)
-
-    def test_bad_span(self):
-        with pytest.raises(DataError):
-            cagr(10, 20, 0)
-
-
-class TestSkillDemandStats:
-    def corpus(self):
-        ads = []
-        i = 0
-        for year, n in [(2016, 4), (2017, 8), (2018, 16)]:
-            for _ in range(n):
-                i += 1
-                ads.append(ad(i, year, skills=("hot", "base")))
-        ads.append(ad(999, 2018, skills=("late",)))
-        return ads
-
-    def test_counts_and_cagr(self):
-        stats = skill_demand_stats(self.corpus(), ["hot", "late"])
-        assert stats.counts["hot"] == {2016: 4, 2017: 8, 2018: 16}
-        assert stats.cagr_pct["hot"] == pytest.approx(100.0)
-        assert stats.cagr_pct["late"] is None  # first appears in the final year
-
-    def test_csv_oracle_recompute(self, tmp_path):
-        # exported counts must reproduce the reported CAGR by direct formula
-        stats = skill_demand_stats(self.corpus(), ["hot"])
-        out = tmp_path / "skills.csv"
-        stats.to_csv(out)
-        with out.open() as fh:
-            row = next(csv.DictReader(fh))
-        first, last = int(row["2016"]), int(row["2018"])
-        recomputed = ((last / first) ** (1 / 2) - 1) * 100
-        assert float(row["cagr_pct"]) == pytest.approx(recomputed, rel=1e-12)
 
 
 def shortage_corpus():

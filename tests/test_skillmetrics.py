@@ -4,7 +4,7 @@ import pytest
 
 from skillscope.corpus import JobAd, SkillVocabulary, build_index
 from skillscope.errors import DataError
-from skillscope.skillmetrics import compute_effective_use, compute_rca, dump_csv
+from skillscope.skillmetrics import compute_effective_use, compute_rca
 
 from oracles import brute_effective, brute_rca, jobs_to_ads, random_jobs
 
@@ -114,14 +114,3 @@ class TestEffectiveUse:
 def test_empty_corpus_fatal():
     with pytest.raises(DataError):
         build_index([], SkillVocabulary())
-
-
-def test_audit_csv_dump(tmp_path):
-    index, _ = make_index(WORKED)
-    rca = compute_rca(index)
-    eff = compute_effective_use(rca)
-    out = tmp_path / "audit.csv"
-    dump_csv(rca, eff, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "job_id,skill,rca,effective"
-    assert len(lines) == 1 + index.grand_total
