@@ -88,11 +88,6 @@ class SkillVocabulary:
         """Normalized names in index order."""
         return list(self._names)
 
-    @property
-    def displays(self) -> list[str]:
-        """Canonical display casings in index order."""
-        return list(self._displays)
-
     def add(self, raw: str) -> int:
         key = normalize_skill(raw)
         if not key:

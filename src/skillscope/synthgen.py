@@ -26,6 +26,9 @@ from .errors import DataError
 WEEK_PERIOD = 7.0
 YEAR_PERIOD = 365.25
 DAYS_PER_YEAR = 365.0
+# The largest rate numpy's Poisson sampler accepts (int64 max less ten
+# standard deviations); a larger deterministic count would never finish.
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,9 @@ class SynthConfig:
                 raise DataError(f"invalid ClusterSpec.occupations for {c.name!r}: empty")
             if c.base_daily_rate < 0:
                 raise DataError(f"invalid ClusterSpec.base_daily_rate for {c.name!r}")
+            if min([c.annual_growth, *(g for _, g in c.growth_changepoints)]) < -1:
+                raise DataError(f"invalid ClusterSpec growth for {c.name!r}: "
+                                "must be >= -1")
             if not 0 < c.cohesion <= 1:
                 raise DataError(f"invalid ClusterSpec.cohesion for {c.name!r}: "
                                 "must be in (0, 1]")
@@ -146,6 +152,9 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
         season = max(0.0, season)
         for cluster in config.clusters:
             rate = _daily_rate(cluster, t) * season
+            if not rate <= POISSON_LAM_MAX:
+                raise DataError(f"synth cluster {cluster.name!r}: daily rate {rate:g} "
+                                f"on day {t} is above the limit {POISSON_LAM_MAX:g}")
             if config.deterministic_counts:
                 count = int(round(rate))
             else:

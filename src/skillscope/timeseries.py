@@ -9,17 +9,18 @@ carry a ridge penalty; everything else is unpenalized. The fit is a
 deterministic least-squares solve, so identical inputs give identical
 coefficients.
 
-The sliding-window backtest refits the same model on every window. Without
-holidays the window design depends only on the window length and the
-``FitConfig``, so the backtest builds it once, pseudo-inverts it once and
-scores each window with two matrix-vector products. Holiday columns move
-with the window, so with holidays every window is refit with ``fit`` and
-``forecast``.
+The sliding-window backtest refits the same model on every window along
+one path. The trend and seasonality columns depend only on the window
+length and the ``FitConfig``, so the backtest builds them once per series.
+A window adds one indicator column per holiday inside its training days and
+is re-factored only when that set of in-window holiday days, counted from
+the window's first day, differs from the previous window's; without
+holidays every window shares one pseudo-inverse. Each window is then scored
+with two matrix-vector products.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import warnings
@@ -65,13 +66,6 @@ class DailySeries:
             counts=self.counts[start_offset:start_offset + length],
             label=self.label,
         )
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "value"])
-            for i, v in enumerate(self.counts):
-                writer.writerow([self.date_of(i).isoformat(), repr(float(v))])
 
 
 def aggregate_daily(
@@ -154,9 +148,6 @@ class DecompositionModel:
         """g(t) + s(t) + h(t) at arbitrary day offsets (unclipped)."""
         return self.trend(t) + self.seasonal(t) + self.holiday(t)
 
-    def fitted_values(self) -> np.ndarray:
-        return self.predict(np.arange(self.train_len))
-
     def weekly_amplitude(self) -> float:
         """Half the peak-to-trough range of the weekly component."""
         t = np.linspace(0.0, WEEK_PERIOD, 1401)
@@ -201,6 +192,16 @@ def _ridge_augment(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.nda
     return np.vstack([design, np.diag(penalty)[penalty > 0]])
 
 
+def _holiday_columns(offsets: Sequence[int], n: int) -> np.ndarray:
+    """One indicator column per holiday day offset on a fit over days
+    ``0..n-1``; a holiday outside those days gets an all-zero column."""
+    columns = np.zeros((n, len(offsets)))
+    for k, off in enumerate(offsets):
+        if 0 <= off < n:
+            columns[off, k] = 1.0
+    return columns
+
+
 def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionModel:
     """Deterministic ridge-regularized least-squares decomposition fit.
 
@@ -219,13 +220,8 @@ def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionMo
     n_cp = len(changepoints)
 
     holiday_dates = tuple(sorted(config.holidays))
-    if holiday_dates:
-        hday = np.zeros((n, len(holiday_dates)))
-        for k, date in enumerate(holiday_dates):
-            off = (date - series.start).days
-            if 0 <= off < n:
-                hday[off, k] = 1.0
-        design = np.hstack([design, hday])
+    offsets = [(date - series.start).days for date in holiday_dates]
+    design = np.hstack([design, _holiday_columns(offsets, n)])
 
     # lstsq keeps the solve deterministic and rank-deficiency safe.
     p = design.shape[1]
@@ -329,37 +325,6 @@ class BacktestReport:
         return [(self.label, s) for s in self.scores]
 
 
-def _backtest_iteration(series: DailySeries, shift: int, train_days: int,
-                        test_days: int, config: FitConfig) -> float:
-    train = series.slice(shift, train_days)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = fit(train, config)
-    predicted = forecast(model, test_days)
-    actual = series.counts[shift + train_days:shift + train_days + test_days]
-    return smape(actual, predicted)
-
-
-def _shared_design_scores(y: np.ndarray, train_days: int, test_days: int,
-                          iterations: int, config: FitConfig) -> list[float]:
-    """Backtest scores of a holiday-free model, whose design is the same for
-    every window: one pseudo-inverse, then two mat-vecs per window."""
-    design, changepoints, _ = _design(train_days, config, horizon=test_days)
-    aug = _ridge_augment(design[:train_days], len(changepoints), config.ridge_lambda)
-    # The singular-value cutoff of lstsq(rcond=None), as in fit; the ridge
-    # rows' targets are zero, so only the first train_days columns are kept.
-    cutoff = np.finfo(np.float64).eps * max(aug.shape)
-    solve = np.linalg.pinv(aug, cutoff)[:, :train_days]
-    future = design[train_days:]
-    scores = []
-    for shift in range(iterations):
-        beta = solve @ y[shift:shift + train_days]
-        predicted = np.maximum(future @ beta, 0.0)
-        actual = y[shift + train_days:shift + train_days + test_days]
-        scores.append(smape(actual, predicted))
-    return scores
-
-
 def sliding_window_backtest(
     series: DailySeries,
     train_days: int = 1186,
@@ -371,8 +336,14 @@ def sliding_window_backtest(
     iteration; each iteration fits the train window and scores the forecast
     of the test window with SMAPE.
 
-    Without holidays all windows share one factored design; with holidays
-    each window is refit with ``fit`` and ``forecast``."""
+    The trend and seasonality design is built once. Each window adds one
+    indicator column per holiday inside its training days and re-takes the
+    pseudo-inverse only when that set of in-window holiday days, counted from
+    the window's first day, differs from the previous window's; without
+    holidays every window shares one factor. Holiday coefficients are left
+    out of the forecast: a holiday in the training days is zero on every test
+    day, and one outside them has an all-zero column and a zero min-norm
+    coefficient."""
     if train_days < MIN_FIT_DAYS:
         raise DataError(f"backtest train window of {train_days} days is shorter "
                         "than two weeks; cannot fit")
@@ -387,14 +358,28 @@ def sliding_window_backtest(
             f"needs at least {required} (train {train_days} + test {test_days} "
             f"+ iterations {iterations} - 1)"
         )
-    if config.holidays:
-        scores = [
-            _backtest_iteration(series, shift, train_days, test_days, config)
-            for shift in range(iterations)
-        ]
-    else:
-        scores = _shared_design_scores(series.counts, train_days, test_days,
-                                       iterations, config)
+    design, changepoints, _ = _design(train_days, config, horizon=test_days)
+    train, future = design[:train_days], design[train_days:]
+    p = design.shape[1]
+    holidays = sorted((date - series.start).days for date in config.holidays)
+    y = series.counts
+    in_window = solve = None
+    scores = []
+    for shift in range(iterations):
+        window_holidays = [h - shift for h in holidays if 0 <= h - shift < train_days]
+        if window_holidays != in_window:
+            in_window = window_holidays
+            aug = _ridge_augment(np.hstack([train, _holiday_columns(in_window, train_days)]),
+                                 len(changepoints), config.ridge_lambda)
+            # The singular-value cutoff of lstsq(rcond=None), as in fit. The
+            # ridge rows' targets are zero, so only the first train_days
+            # columns are kept, and only the first p coefficients forecast.
+            cutoff = np.finfo(np.float64).eps * max(aug.shape)
+            solve = np.linalg.pinv(aug, cutoff)[:p, :train_days]
+        beta = solve @ y[shift:shift + train_days]
+        predicted = np.maximum(future @ beta, 0.0)
+        actual = y[shift + train_days:shift + train_days + test_days]
+        scores.append(smape(actual, predicted))
     return BacktestReport(
         scores=scores,
         train_days=train_days,

@@ -163,7 +163,16 @@ class TestInputFileErrors:
         ({**SCENARIO, "n_days": "x"}, "invalid literal"),
         ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "skills": 5}]},
          "expected a list of names"),
-    ], ids=["array", "n_days-not-a-number", "skills-not-a-list"])
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "base_daily_rate": 1e300}]},
+         "synth cluster 'target': daily rate 1e+300 on day 0 is above the limit"),
+        ({**SCENARIO, "deterministic_counts": True,
+          "clusters": [{**SCENARIO["clusters"][0], "base_daily_rate": 1e300}]},
+         "synth cluster 'target': daily rate 1e+300 on day 0 is above the limit"),
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "annual_growth": -2}]},
+         "invalid ClusterSpec growth for 'target'"),
+    ], ids=["array", "n_days-not-a-number", "skills-not-a-list",
+            "rate-above-poisson-limit", "deterministic-rate-above-poisson-limit",
+            "growth-below-minus-one"])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(config))

@@ -46,7 +46,7 @@ class TestNormalization:
         vocab = SkillVocabulary()
         vocab.add("TensorFlow")
         vocab.add("tensorflow")
-        assert vocab.displays == ["TensorFlow"]
+        assert vocab.display(0) == "TensorFlow"
         assert len(vocab) == 1
 
 

@@ -171,7 +171,7 @@ class TestExpandSeeds:
         rng = random.Random(2024)
         jobs = random_jobs(rng, max_ads=20, max_skills=10)
         theta, vocab = theta_from_jobs(jobs)
-        seed = vocab.displays[0]
+        seed = vocab.display(0)
         result = expand_seeds(theta, [seed], per_seed_k=5, cutoff=20)
         tail = [e.score for e in result.entries if not e.is_seed]
         assert tail == sorted(tail, reverse=True)
