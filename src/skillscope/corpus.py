@@ -1,9 +1,11 @@
 """Job-ad corpus loading, validation, and sparse incidence indexing.
 
 A corpus is a list of immutable :class:`JobAd` records plus a
-:class:`SkillVocabulary` mapping normalized skill names to dense indices.
-:func:`build_index` turns them into the job x skill incidence structure the
-downstream relevance and complementarity computations consume.
+:class:`SkillVocabulary` of normalized skill names in first-occurrence
+order; ingest normalizes each distinct raw skill string once (a memo).
+:func:`build_index` interns the ads' skills to integer ids in CSR form (one
+flat array of sorted ids per job, cut by ``indptr``) with the marginals the
+relevance and complementarity computations consume as whole arrays.
 
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
@@ -68,8 +70,10 @@ class JobAd:
 class SkillVocabulary:
     """Ordered skill vocabulary with contiguous indices from 0.
 
-    Display casing is the first occurrence's casing; identity is the
-    normalized (lowercased) form.
+    Identity is the normalized (lowercased) form. The display form is the
+    whitespace-cleaned spelling passed to the first :meth:`add` of a skill;
+    a vocabulary built by :func:`ingest` only sees the ads' normalized
+    names, so there ``display`` returns the normalized name.
     """
 
     def __init__(self) -> None:
@@ -111,10 +115,12 @@ class SkillVocabulary:
 
     @classmethod
     def from_ads(cls, ads: Iterable[JobAd]) -> "SkillVocabulary":
+        """Skills in first-occurrence order over ``ads``."""
         vocab = cls()
         for ad in ads:
             for s in ad.skills:
-                vocab.add(s)
+                if s not in vocab._index:  # normalized names skip normalization
+                    vocab.add(s)
         return vocab
 
 
@@ -152,8 +158,14 @@ def _parse_optional_float(value, field_name: str) -> Optional[float]:
     return number
 
 
-def _record_to_ad(rec: dict, config: IngestConfig) -> JobAd:
-    """Validate one raw record; raises ValueError with a short reason."""
+def _record_to_ad(rec: dict, config: IngestConfig,
+                  normalized: Optional[dict[str, str]] = None) -> JobAd:
+    """Validate one raw record; raises ValueError with a short reason.
+
+    ``normalized`` memoizes raw skill text -> normalized name across calls.
+    """
+    if normalized is None:
+        normalized = {}
     for key in ("id", "date", "occupation", "skills"):
         if key not in rec or rec[key] in (None, ""):
             raise ValueError(f"missing {key}")
@@ -177,7 +189,10 @@ def _record_to_ad(rec: dict, config: IngestConfig) -> JobAd:
     skills: list[str] = []
     seen: set[str] = set()
     for raw in raw_skills:
-        key = normalize_skill(str(raw))
+        text = str(raw)
+        key = normalized.get(text)
+        if key is None:
+            key = normalized[text] = normalize_skill(text)
         if key and key not in seen:
             seen.add(key)
             skills.append(key)
@@ -245,13 +260,14 @@ def ingest(
 
     ads: list[JobAd] = []
     report = IngestReport()
+    normalized: dict[str, str] = {}
     for rec in _iter_records(path, fmt):
         if "__parse_error__" in rec:
             report.rejected += 1
             report.reasons[rec["__parse_error__"]] += 1
             continue
         try:
-            ads.append(_record_to_ad(rec, config))
+            ads.append(_record_to_ad(rec, config, normalized))
             report.accepted += 1
         except ValueError as exc:
             report.rejected += 1
@@ -268,11 +284,28 @@ def ingest(
     return ads, vocab, report
 
 
-class IncidenceIndex:
-    """Sparse binary job x skill incidence with cached marginals.
+class CsrRows:
+    """Rows of a CSR array as views: ``rows[i]`` is
+    ``data[indptr[i]:indptr[i + 1]]``; iterating yields every row."""
 
-    ``job_skills[i]`` holds the sorted skill indices of job ``i``; the
-    per-skill and per-job counts and the grand total are precomputed.
+    def __init__(self, indptr: np.ndarray, data: np.ndarray):
+        self.indptr = indptr
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.data[self.indptr[i]:self.indptr[i + 1]]
+
+
+class IncidenceIndex:
+    """Binary job x skill incidence in CSR form with cached marginals.
+
+    Job ``i``'s sorted skill ids are ``indices[indptr[i]:indptr[i + 1]]``,
+    also readable as the view ``job_skills[i]``; the per-skill and per-job
+    counts and the grand total are precomputed.
     """
 
     def __init__(self, ads: Sequence[JobAd], vocab: SkillVocabulary):
@@ -280,17 +313,16 @@ class IncidenceIndex:
             raise DataError("empty corpus: cannot build incidence index")
         self.vocab = vocab
         self.job_ids: list[str] = [ad.id for ad in ads]
-        self.job_skills: list[np.ndarray] = []
-        skill_counts = np.zeros(len(vocab), dtype=np.int64)
-        for ad in ads:
-            idxs = np.array(sorted(vocab.index_of(s) for s in ad.skills), dtype=np.int64)
-            self.job_skills.append(idxs)
-            skill_counts[idxs] += 1
-        self.skill_job_counts = skill_counts
-        self.job_skill_counts = np.array([len(r) for r in self.job_skills], dtype=np.int64)
-        self.grand_total = int(self.job_skill_counts.sum())
-        if self.grand_total != int(self.skill_job_counts.sum()):
-            raise DataError("incidence marginals disagree")
+        ids, index_of = vocab._index, vocab.index_of
+        skills = np.array([ids[s] if s in ids else index_of(s)
+                           for ad in ads for s in ad.skills], dtype=np.int64)
+        self.job_skill_counts = np.array([len(ad.skills) for ad in ads], dtype=np.int64)
+        self.indptr = np.concatenate(([0], np.cumsum(self.job_skill_counts)))
+        rows = np.repeat(np.arange(len(ads)), self.job_skill_counts)
+        self.indices = skills[np.lexsort((skills, rows))]
+        self.job_skills = CsrRows(self.indptr, self.indices)
+        self.skill_job_counts = np.bincount(self.indices, minlength=len(vocab))
+        self.grand_total = len(self.indices)
 
     @property
     def n_jobs(self) -> int:

@@ -4,6 +4,10 @@ Complementarity between two skills is the number of ads where both are in
 effective use, divided by the larger of the two skills' effective-use
 counts - i.e. the minimum of the two conditional co-use probabilities.
 Pairs never co-effective (or with a zero denominator) are 0 and not stored.
+The co-effective counts come from integer pair codes ``a * V + b`` (V the
+vocabulary size) counted with ``np.unique`` over the effective-use CSR rows,
+one bucket of equal-length rows at a time; the scores are kept as a CSR
+adjacency, so a skill's neighbours cost its degree to read.
 
 Seed expansion grows a target skill set: each seed contributes its top-K
 most complementary skills, the lists are merged, and each unique skill is
@@ -18,57 +22,74 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import normalize_skill
 from .errors import DataError
 from .skillmetrics import EffectiveUseMatrix
 
 
 class ThetaMatrix:
-    """Symmetric sparse complementarity scores over the skill vocabulary."""
+    """Symmetric sparse complementarity scores over the skill vocabulary,
+    built from each unordered pair ``(a[k], b[k])`` once with its positive
+    score and kept as a CSR adjacency: the neighbours of ``s``, sorted by
+    id, are ``_nbrs[_indptr[s]:_indptr[s + 1]]``, scored in ``_scores``."""
 
-    def __init__(self, vocab, skill_counts, pairs: dict[tuple[int, int], float]):
+    def __init__(self, vocab, skill_counts, a, b, scores):
         self.vocab = vocab
         self.skill_counts = skill_counts
-        self._pairs = pairs  # keyed (a, b) with a < b
+        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
+        order = np.lexsort((dst, src))
+        self._nbrs = dst[order]
+        self._scores = np.concatenate((scores, scores))[order]
+        self._indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(src, minlength=len(vocab)))))
 
     def value(self, s: int, s2: int) -> float:
         if s == s2:
             return 1.0 if self.skill_counts[s] > 0 else 0.0
-        key = (s, s2) if s < s2 else (s2, s)
-        return self._pairs.get(key, 0.0)
+        lo, hi = self._indptr[s], self._indptr[s + 1]
+        k = lo + np.searchsorted(self._nbrs[lo:hi], s2)
+        return float(self._scores[k]) if k < hi and self._nbrs[k] == s2 else 0.0
 
     def pairs(self):
-        """Iterate stored (skill_a, skill_b, theta) triples."""
-        for (a, b), v in self._pairs.items():
-            yield a, b, v
+        """Iterate stored (skill_a, skill_b, theta) triples with a < b."""
+        src = np.repeat(np.arange(len(self._indptr) - 1), np.diff(self._indptr))
+        upper = src < self._nbrs
+        return zip(src[upper].tolist(), self._nbrs[upper].tolist(),
+                   self._scores[upper].tolist())
 
     def neighbours(self, s: int) -> list[tuple[int, float]]:
         """All skills with a stored positive score against ``s``."""
-        out = []
-        for (a, b), v in self._pairs.items():
-            if a == s:
-                out.append((b, v))
-            elif b == s:
-                out.append((a, v))
-        return out
+        lo, hi = self._indptr[s], self._indptr[s + 1]
+        return list(zip(self._nbrs[lo:hi].tolist(), self._scores[lo:hi].tolist()))
 
 
 def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
-    """Complementarity for every skill pair with at least one co-effective ad."""
-    co: dict[tuple[int, int], int] = {}
-    for row in eff.rows:
-        n = len(row)
-        for i in range(n):
-            a = int(row[i])
-            for j in range(i + 1, n):
-                key = (a, int(row[j]))
-                co[key] = co.get(key, 0) + 1
+    """Complementarity for every skill pair with at least one co-effective ad.
+
+    Rows are bucketed by length; the rows of length n form an (rows x n)
+    block whose column pairs (i < j) give the pair codes ``a * V + b``,
+    counted per bucket with ``np.unique``, so memory scales with one
+    bucket's pair visits and the number of distinct pairs, never V x V.
+    """
+    n_skills = eff.index.n_skills
+    lengths = np.diff(eff.indptr)
+    codes, joints = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for n in np.unique(lengths[lengths >= 2]):
+        starts = eff.indptr[:-1][lengths == n]
+        block = eff.indices[starts[:, None] + np.arange(n)]
+        i, j = np.triu_indices(n, 1)
+        bucket_codes, bucket_joints = np.unique(block[:, i] * n_skills + block[:, j],
+                                                return_counts=True)
+        codes.append(bucket_codes)
+        joints.append(bucket_joints)
+    pair_codes, which = np.unique(np.concatenate(codes), return_inverse=True)
+    joint = np.bincount(which, weights=np.concatenate(joints), minlength=len(pair_codes))
+    a, b = np.divmod(pair_codes, n_skills)
     counts = eff.skill_counts
-    pairs = {
-        (a, b): joint / float(max(counts[a], counts[b]))
-        for (a, b), joint in co.items()
-    }
-    return ThetaMatrix(eff.index.vocab, counts, pairs)
+    return ThetaMatrix(eff.index.vocab, counts, a, b,
+                       joint / np.maximum(counts[a], counts[b]))
 
 
 @dataclass(frozen=True)
@@ -161,6 +182,7 @@ def expand_seeds(
         raise DataError("duplicate seed skill")
     seed_set = set(seed_idx)
 
+    names = vocab.names
     per_skill_scores: dict[int, list[float]] = {}
     for si in seed_idx:
         nbrs = theta.neighbours(si)
@@ -168,7 +190,7 @@ def expand_seeds(
             warnings.warn(f"seed {vocab.display(si)!r} has no complementarity "
                           "neighbours; it contributes an empty list")
             continue
-        nbrs.sort(key=lambda nv: (-nv[1], vocab.names[nv[0]]))
+        nbrs.sort(key=lambda nv: (-nv[1], names[nv[0]]))
         for idx, v in nbrs[:per_seed_k]:
             per_skill_scores.setdefault(idx, []).append(v)
 
@@ -178,7 +200,7 @@ def expand_seeds(
         if idx in seed_set:
             continue
         score = sum(vals) / (denom_all if avg_over_all_seeds else len(vals))
-        scored.append((vocab.names[idx], score, idx))
+        scored.append((names[idx], score, idx))
     scored.sort(key=lambda t: (-t[1], t[0]))
 
     seed_entries = []

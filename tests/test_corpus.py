@@ -129,6 +129,60 @@ class TestIngest:
         assert r1.to_json() == r2.to_json()
 
 
+class TestInterning:
+    """Skill ids are interned once at ingest; their order is what keeps
+    ``skills.csv`` byte-identical."""
+
+    def ingest_lines(self, tmp_path, lines):
+        f = tmp_path / "ads.jsonl"
+        write_lines(f, lines)
+        return ingest(f, config=IngestConfig(reject_threshold=1.0))
+
+    def test_skill_of_rejected_record_not_in_vocabulary(self, tmp_path):
+        ads, vocab, report = self.ingest_lines(tmp_path, [
+            record(0, skills=["Rust", "SQL"], salary_min=9, salary_max=1),
+            record(1),
+        ])
+        assert report.reasons["salary_min > salary_max"] == 1
+        assert "rust" not in vocab
+        assert vocab.names == ["sql", "python"]
+
+    def test_ids_follow_first_occurrence_in_accepted_ads(self, tmp_path):
+        ads, vocab, _ = self.ingest_lines(tmp_path, [
+            record(0, skills=["Zig", "C"], date="not a date"),
+            record(1, skills=["B", "A"]),
+            record(2, skills=["C", "A", "Zig"]),
+        ])
+        assert vocab.names == ["b", "a", "c", "zig"]
+        index = build_index(ads, vocab)
+        assert [r.tolist() for r in index.job_skills] == [[0, 1], [1, 2, 3]]
+
+    def test_spellings_share_one_id(self, tmp_path):
+        ads, vocab, _ = self.ingest_lines(tmp_path, [
+            record(0, skills=[" Python "]),
+            record(1, skills=["python", "PYTHON", "Machine  Learning"]),
+            record(2, skills=["machine learning"]),
+        ])
+        assert vocab.names == ["python", "machine learning"]
+        assert vocab.display(0) == "python"  # ingest sees normalized names only
+        index = build_index(ads, vocab)
+        assert [r.tolist() for r in index.job_skills] == [[0], [0, 1], [1]]
+
+    def test_jsonl_and_csv_give_the_same_ids(self, tmp_path):
+        rows = [("a1", ["SQL", " Excel", "r"]), ("a2", ["R", "Tableau"]),
+                ("a3", ["excel ", "Power  BI", "sql"])]
+        jsonl = tmp_path / "ads.jsonl"
+        write_lines(jsonl, [record(i, id=ad_id, skills=skills)
+                            for i, (ad_id, skills) in enumerate(rows)])
+        csv_file = tmp_path / "ads.csv"
+        csv_file.write_text("id,date,occupation,skills\n" + "".join(
+            f"{ad_id},2018-03-01,Analyst,{';'.join(skills)}\n" for ad_id, skills in rows))
+        (ads_j, vocab_j, _), (ads_c, vocab_c, _) = ingest(jsonl), ingest(csv_file, fmt="csv")
+        assert vocab_j.names == vocab_c.names == ["sql", "excel", "r", "tableau", "power bi"]
+        rows_j = [r.tolist() for r in build_index(ads_j, vocab_j).job_skills]
+        assert rows_j == [r.tolist() for r in build_index(ads_c, vocab_c).job_skills]
+
+
 def refuse_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

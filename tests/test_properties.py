@@ -1,17 +1,23 @@
 """Property tests: arbitrary JSON input is either accepted or rejected with
-the program's own errors, never with an unexpected exception.
+the program's own errors, never with an unexpected exception; arbitrary
+flag values to ``backtest`` and ``skills`` end with exit 0, 1 or 2 and at
+most one line on stderr.
 
-Only parsing and validation run here. Generating a corpus or running a
-report on arbitrary settings could allocate without bound."""
+Generating a corpus or running a report on arbitrary settings could
+allocate without bound, so the CLI runs here read one tiny fixed corpus and
+draw window sizes, iterations and list lengths from small ranges."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
-from skillscope.cli import apply_config_file
+from skillscope.cli import apply_config_file, main
 from skillscope.corpus import IngestConfig, _record_to_ad
 from skillscope.errors import DataError, UsageError
 from skillscope.synthgen import config_from_dict
@@ -107,3 +113,97 @@ def test_apply_config_file_rejects_only_with_own_errors(tmp_path_factory, doc):
     except (DataError, UsageError):
         return
     assert all(isinstance(a, str) for a in argv)
+
+
+# A 90-day corpus of about 360 ads over two clusters.
+TINY_SCENARIO = {
+    "seed": 3, "n_days": 90, "start_date": "2018-01-01",
+    "clusters": [
+        {"name": "t", "skills": ["ml", "stats", "python"], "occupations": ["Modeler"],
+         "base_daily_rate": 2},
+        {"name": "o", "skills": ["filing", "phones"], "occupations": ["Clerk"],
+         "base_daily_rate": 2},
+    ],
+    "background_skills": [["email", 0.3]],
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "scenario.json"
+    cfg.write_text(json.dumps(TINY_SCENARIO))
+    assert run_cli(["synth", "--config", str(cfg), "--out", str(root / "synth")])[0] == 0
+    return root / "synth" / "corpus.jsonl"
+
+
+def run_cli(argv):
+    """Exit code and stderr of ``main(argv)``; an exception escaping ``main``
+    (a traceback on the command line) fails the test. Warnings are recorded,
+    not printed, so Python's two-line warning display is not checked here."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+MALFORMED = st.sampled_from(["", "x", "1.5", "1e3", "nan", "inf", "-inf", "-0",
+                             "0x10", " 7"])
+
+
+def flag_value(ints):
+    """An integer from ``ints`` as text, or one time in five a malformed one."""
+    return st.integers(0, 4).flatmap(lambda k: ints.map(str) if k else MALFORMED)
+
+
+backtest_flags = st.fixed_dictionaries({
+    "--train-days": flag_value(st.integers(-3, 70)),
+    "--test-days": flag_value(st.integers(-3, 30)),
+    "--iterations": flag_value(st.integers(-3, 20)),
+}, optional={
+    "--changepoints": flag_value(st.integers(-3, 40)),
+    "--ridge-lambda": flag_value(st.integers(-3, 10)) | st.floats().map(repr),
+    "--occupation": st.sampled_from(["Modeler", "Clerk", "nobody"]) | st.text(max_size=6),
+})
+
+skills_flags = st.fixed_dictionaries({
+    "--seed-skill": st.lists(st.integers(0, 4).flatmap(
+        lambda k: st.sampled_from(["ml", "stats", " Email", "filing"]) if k
+        else st.text(max_size=6)), max_size=3),
+}, optional={
+    "--per-seed-k": flag_value(st.integers(-3, 50)),
+    "--cutoff": flag_value(st.integers(-3, 50)),
+    "--avg-over-all-seeds": st.just(None),
+})
+
+
+def flag_argv(flags: dict) -> list[str]:
+    argv = []
+    for flag, value in flags.items():
+        values = value if isinstance(value, list) else [value]
+        argv += [flag] if value is None else [a for v in values for a in (flag, v)]
+    return argv
+
+
+def assert_clean_exit(code, err):
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in err
+
+
+@settings(deadline=None, max_examples=60)
+@given(flags=backtest_flags)
+def test_backtest_flags_exit_cleanly(tiny_corpus, flags):
+    out = tiny_corpus.parent.parent / "backtest-out"
+    assert_clean_exit(*run_cli(["backtest", "--input", str(tiny_corpus),
+                                *flag_argv(flags), "--out", str(out)]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(flags=skills_flags)
+def test_skills_flags_exit_cleanly(tiny_corpus, flags):
+    out = tiny_corpus.parent.parent / "skills-out"
+    assert_clean_exit(*run_cli(["skills", "--input", str(tiny_corpus),
+                                *flag_argv(flags), "--out", str(out)]))

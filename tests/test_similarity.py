@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from skillscope.corpus import JobAd, SkillVocabulary, build_index
@@ -85,18 +86,72 @@ class TestTheta:
                 assert got == pytest.approx(want, abs=1e-12)
 
 
+def dict_pair_theta(eff):
+    """theta by the pair loop that pair-code counting replaced: one dict
+    update per co-effective pair, then joint / max of the two counts."""
+    co = {}
+    for row in eff.rows:
+        row = [int(s) for s in row]
+        for i, a in enumerate(row):
+            for b in row[i + 1:]:
+                co[(a, b)] = co.get((a, b), 0) + 1
+    counts = eff.skill_counts
+    return {(a, b): joint / float(max(counts[a], counts[b]))
+            for (a, b), joint in co.items()}
+
+
+class TestPairCodes:
+    def effective_use(self, jobs):
+        ads = jobs_to_ads(jobs)
+        index = build_index(ads, SkillVocabulary.from_ads(ads))
+        return compute_effective_use(compute_rca(index))
+
+    def test_equals_dict_pair_loop_exactly(self):
+        rng = random.Random(77)
+        seen = {"empty row": False, "one-skill row": False, "no partner": False}
+        for trial in range(150):
+            size = 1 + trial % 3  # mixes row lengths, hence buckets
+            eff = self.effective_use(random_jobs(rng, max_ads=15 * size,
+                                                 max_skills=8 * size))
+            theta = compute_theta(eff)
+            expected = dict_pair_theta(eff)
+            assert {(a, b): v for a, b, v in theta.pairs()} == expected
+            lengths = [len(r) for r in eff.rows]
+            seen["empty row"] |= 0 in lengths
+            seen["one-skill row"] |= 1 in lengths
+            partnered = {s for pair in expected for s in pair}
+            seen["no partner"] |= any(c > 0 and s not in partnered
+                                      for s, c in enumerate(eff.skill_counts))
+        assert all(seen.values()), seen
+
+    def test_no_pairs(self):
+        eff = self.effective_use({"J1": {"A"}, "J2": {"B"}, "J3": {"C"}})
+        theta = compute_theta(eff)
+        assert list(theta.pairs()) == [] and dict_pair_theta(eff) == {}
+        assert all(theta.neighbours(s) == [] for s in range(3))
+
+    def test_neighbours_match_scan_of_pairs(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            eff = self.effective_use(random_jobs(rng, max_ads=40, max_skills=12))
+            theta = compute_theta(eff)
+            triples = list(theta.pairs())
+            for s in range(eff.index.n_skills):
+                scan = [(b, v) for a, b, v in triples if a == s] + \
+                       [(a, v) for a, b, v in triples if b == s]
+                assert sorted(theta.neighbours(s)) == sorted(scan)
+
+
 def manual_theta(names, pairs, counts=None):
     """Hand-built matrix for expansion tests."""
     vocab = SkillVocabulary()
     for n in names:
         vocab.add(n)
-    idx_pairs = {}
-    for (a, b), v in pairs.items():
-        ia, ib = vocab.index_of(a), vocab.index_of(b)
-        idx_pairs[(min(ia, ib), max(ia, ib))] = v
-    import numpy as np
+    a = np.array([vocab.index_of(x) for x, _ in pairs], dtype=np.int64)
+    b = np.array([vocab.index_of(y) for _, y in pairs], dtype=np.int64)
+    v = np.array(list(pairs.values()), dtype=np.float64)
     c = np.ones(len(names), dtype=int) if counts is None else np.asarray(counts)
-    return ThetaMatrix(vocab, c, idx_pairs), vocab
+    return ThetaMatrix(vocab, c, a, b, v), vocab
 
 
 class TestExpandSeeds:
