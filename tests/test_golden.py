@@ -1,0 +1,92 @@
+"""Report outputs pinned against expected files under ``tests/golden``.
+
+The ``tests/test_cli.py`` scenario runs ``report`` plain, with
+``--holidays`` and with ``--default-categories``, and ``indicators`` with
+``--holidays`` (two groups plus the market). SMAPE values (``boxplot.csv``
+and ``median_smape`` in ``report.json``) are compared at 1e-9 abs, because
+a change in how the backtest solves may move them at the ulp level; every
+other file except ``provenance.json`` is compared byte for byte.
+
+The expected files change only with a change that means to change outputs.
+Regenerate them from the current tree with ``python tests/test_golden.py``.
+"""
+
+import csv
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from skillscope.cli import main
+from test_cli import BACKTEST_FLAGS, SCENARIO
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+HOLIDAYS = "2017-01-02\n2017-02-14\n"
+REPORT = ["report", "--seed-skill", "ml", "--per-seed-k", "10", "--cutoff", "5"]
+CASES = {
+    "report-plain": REPORT,
+    "report-holidays": [*REPORT, "--holidays", "{holidays}"],
+    "report-default-categories": [*REPORT, "--default-categories"],
+    "indicators-holidays": ["indicators", "--holidays", "{holidays}"],
+}
+SMAPE_ABS = 1e-9
+
+
+def run_case(name: str, root: Path) -> Path:
+    """Synthesize the scenario under ``root`` and run case ``name`` into
+    ``root/name``; returns that output directory."""
+    corpus = root / "synth" / "corpus.jsonl"
+    if not corpus.is_file():
+        cfg = root / "scenario.json"
+        cfg.write_text(json.dumps(SCENARIO))
+        assert main(["synth", "--config", str(cfg), "--out", str(root / "synth")]) == 0
+        (root / "holidays.txt").write_text(HOLIDAYS)
+    argv = [a.format(holidays=root / "holidays.txt") for a in CASES[name]]
+    out = root / name
+    assert main([*argv, "--input", str(corpus), *BACKTEST_FLAGS, "--out", str(out)]) == 0
+    return out
+
+
+def boxplot_rows(path: Path):
+    with path.open(newline="") as fh:
+        return [(row["label"], float(row["smape"])) for row in csv.DictReader(fh)]
+
+
+def pop_smapes(payload: dict) -> list:
+    """Remove and return every ``median_smape`` of a report.json payload."""
+    return [ind.pop("median_smape") for ind in [payload["baseline"], *payload["groups"]]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_expected(tmp_path, capsys, name):
+    out, expected = run_case(name, tmp_path), GOLDEN / name
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "provenance.json"])
+    for file in names:
+        got, want = out / file, expected / file
+        if file == "boxplot.csv":
+            rows, want_rows = boxplot_rows(got), boxplot_rows(want)
+            assert [r[0] for r in rows] == [r[0] for r in want_rows]
+            assert [r[1] for r in rows] == pytest.approx(
+                [r[1] for r in want_rows], rel=0, abs=SMAPE_ABS)
+        elif file == "report.json":
+            payload, want_payload = json.loads(got.read_text()), json.loads(want.read_text())
+            assert pop_smapes(payload) == pytest.approx(
+                pop_smapes(want_payload), rel=0, abs=SMAPE_ABS)
+            assert payload == want_payload
+        else:
+            assert got.read_bytes() == want.read_bytes(), file
+
+
+if __name__ == "__main__":
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CASES:
+            out = run_case(name, Path(tmp))
+            (out / "provenance.json").unlink()
+            shutil.rmtree(GOLDEN / name, ignore_errors=True)
+            shutil.copytree(out, GOLDEN / name)
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)
