@@ -195,38 +195,33 @@ def _group_ads(ads, category_map, occupations=None) -> dict[str, list]:
     return groups
 
 
-def _backtest(ads, label: str, span, args, cfg):
-    """Daily series of ``ads`` over the corpus span and its backtest."""
-    series = timeseries.aggregate_daily(ads, *span, label=label)
-    return series, timeseries.sliding_window_backtest(
-        series,
-        train_days=args.train_days,
-        test_days=args.test_days,
-        iterations=args.iterations,
-        config=cfg,
-    )
+def _backtest(series, args, cfg):
+    """One backtest report per daily series, in order."""
+    return timeseries.sliding_window_backtest(
+        series, train_days=args.train_days, test_days=args.test_days,
+        iterations=args.iterations, config=cfg)
 
 
 def _indicators_stage(ads, groups: dict[str, list], args, cfg, out: Path) -> None:
     """Backtest the market baseline and every group, fit their trend lines,
     and write the shortage report."""
+    market = indicators_mod.MARKET
+    if market in groups:
+        raise DataError(f"group label {market!r} is reserved for the whole-market "
+                        "baseline; rename that occupation or category")
     span = _corpus_span(ads)
-
-    def run(label, group_ads):
-        series, bt = _backtest(group_ads, label, span, args, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return bt, timeseries.fit(series, cfg)
-
-    market_bt, market_model = run("market", ads)
-    backtests, models = {}, {"market": market_model}
-    for label in sorted(groups):
-        backtests[label], models[label] = run(label, groups[label])
+    series = [timeseries.aggregate_daily(ads if label == market else groups[label],
+                                         *span, label=label)
+              for label in [market, *sorted(groups)]]
+    market_bt, *group_bts = _backtest(series, args, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        models = {s.label: timeseries.fit(s, cfg) for s in series}
 
     report = indicators_mod.assemble_report(
         groups=groups,
         market_ads=ads,
-        backtests=backtests,
+        backtests={bt.label: bt for bt in group_bts},
         market_backtest=market_bt,
         trend_models=models,
         corpus_start=span[0],
@@ -274,7 +269,7 @@ def cmd_backtest(args) -> None:
     label = args.occupation or "all"
     if args.occupation:
         ads = [ad for ad in ads if ad.occupation == args.occupation]
-    _, report = _backtest(ads, label, span, args, cfg)
+    [report] = _backtest([timeseries.aggregate_daily(ads, *span, label=label)], args, cfg)
     out = _out_dir(args)
     report.to_json(out / "backtest.json")
     indicators_mod.write_boxplot({label: report}, out / "boxplot.csv")
@@ -421,12 +416,19 @@ def apply_config_file(argv: list[str]) -> list[str]:
     return argv[:i] + argv[i + 2:] + injected
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as one stderr line, like every other message."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = apply_config_file(argv)
         args = build_parser().parse_args(argv)
-        args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            args.func(args)
         _write_provenance(Path(args.out), args)
         return 0
     except UsageError as exc:

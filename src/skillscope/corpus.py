@@ -126,8 +126,6 @@ class SkillVocabulary:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    date_min: Optional[dt.date] = None
-    date_max: Optional[dt.date] = None
     reject_threshold: float = 0.05
 
 
@@ -176,10 +174,6 @@ def _record_to_ad(rec: dict, config: IngestConfig,
         posted = dt.date.fromisoformat(str(rec["date"]))
     except ValueError:
         raise ValueError("bad date")
-    if config.date_min is not None and posted < config.date_min:
-        raise ValueError("date out of range")
-    if config.date_max is not None and posted > config.date_max:
-        raise ValueError("date out of range")
 
     raw_skills = rec["skills"]
     if isinstance(raw_skills, str):

@@ -28,6 +28,7 @@ from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel
 
 INDICATOR_NAMES = ("growth", "salary", "education", "experience", "predictability")
+MARKET = "market"  # label of the whole-market baseline; no group may use it
 
 
 def yearly_counts(ads: Sequence[JobAd]) -> dict[int, int]:
@@ -166,7 +167,7 @@ def assemble_report(
     if not market_ads:
         raise DataError("missing market baseline: no ads")
     backtests = backtests or {}
-    baseline = compute_indicators("market", market_ads, market_backtest)
+    baseline = compute_indicators(MARKET, market_ads, market_backtest)
     if market_backtest is None and backtests:
         raise DataError("missing market baseline backtest")
 

@@ -10,13 +10,14 @@ deterministic least-squares solve, so identical inputs give identical
 coefficients.
 
 The sliding-window backtest refits the same model on every window along
-one path. The trend and seasonality columns depend only on the window
-length and the ``FitConfig``, so the backtest builds them once per series.
-A window adds one indicator column per holiday inside its training days and
-is re-factored only when that set of in-window holiday days, counted from
-the window's first day, differs from the previous window's; without
-holidays every window shares one pseudo-inverse. Each window is then scored
-with two matrix-vector products.
+one path, for all series of a run at once. They share one span, and the
+trend and seasonality columns depend only on the window length and the
+``FitConfig``, so the backtest builds them once. A window adds one
+indicator column per holiday inside its training days and is re-factored
+only when that set of in-window holiday days, counted from the window's
+first day, differs from the previous window's; without holidays every
+window shares one pseudo-inverse. Every series shares each window's factor
+and is scored in one SMAPE step.
 """
 
 from __future__ import annotations
@@ -270,22 +271,22 @@ def forecast(model: DecompositionModel, horizon: int, clip_negative: bool = True
     return np.maximum(values, 0.0) if clip_negative else values
 
 
-def smape(actual, predicted) -> float:
-    """Symmetric mean absolute percentage error on [0, 200].
+def smape(actual, predicted):
+    """Symmetric mean absolute percentage error on [0, 200] over the last
+    axis: a float for two vectors, an array of scores for stacked rows.
 
     A term with both values zero contributes 0 (perfect prediction of an
     empty day)."""
     a = np.asarray(actual, dtype=np.float64)
     f = np.asarray(predicted, dtype=np.float64)
-    if a.shape != f.shape or a.ndim != 1:
-        raise DataError("smape requires two equal-length vectors")
-    if len(a) == 0:
+    if a.shape != f.shape or a.ndim == 0:
+        raise DataError("smape requires two arrays of equal shape")
+    if a.shape[-1] == 0:
         raise DataError("smape requires at least one observation")
     denom = np.abs(a) + np.abs(f)
-    terms = np.zeros_like(a)
-    nonzero = denom > 0
-    terms[nonzero] = np.abs(f[nonzero] - a[nonzero]) / denom[nonzero]
-    return float(200.0 * terms.mean())
+    terms = np.divide(np.abs(f - a), denom, out=np.zeros_like(denom), where=denom > 0)
+    scores = 200.0 * terms.mean(axis=-1)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 @dataclass
@@ -326,24 +327,28 @@ class BacktestReport:
 
 
 def sliding_window_backtest(
-    series: DailySeries,
+    series: Sequence[DailySeries],
     train_days: int = 1186,
     test_days: int = 365,
     iterations: int = 365,
     config: FitConfig = FitConfig(),
-) -> BacktestReport:
+) -> list[BacktestReport]:
     """Fixed-length train and test windows advance together one day per
     iteration; each iteration fits the train window and scores the forecast
-    of the test window with SMAPE.
+    of the test window with SMAPE. The series share one start and length;
+    each gets one report, in input order.
 
     The trend and seasonality design is built once. Each window adds one
     indicator column per holiday inside its training days and re-takes the
     pseudo-inverse only when that set of in-window holiday days, counted from
     the window's first day, differs from the previous window's; without
-    holidays every window shares one factor. Holiday coefficients are left
-    out of the forecast: a holiday in the training days is zero on every test
-    day, and one outside them has an all-zero column and a zero min-norm
-    coefficient."""
+    holidays every window shares one factor. Every series of a run shares
+    each window's factor. Holiday coefficients are left out of the forecast:
+    a holiday in the training days is zero on every test day, and one
+    outside them has an all-zero column and a zero min-norm coefficient."""
+    if len({(s.start, len(s)) for s in series}) != 1:
+        raise DataError("backtest series must share one start and length")
+    start, n_days = series[0].start, len(series[0])
     if train_days < MIN_FIT_DAYS:
         raise DataError(f"backtest train window of {train_days} days is shorter "
                         "than two weeks; cannot fit")
@@ -352,19 +357,19 @@ def sliding_window_backtest(
     if iterations < 1:
         raise DataError(f"backtest of {iterations} iterations; needs at least 1")
     required = train_days + test_days + iterations - 1
-    if len(series) < required:
+    if n_days < required:
         raise DataError(
-            f"series of {len(series)} days is too short for the backtest; "
+            f"series of {n_days} days is too short for the backtest; "
             f"needs at least {required} (train {train_days} + test {test_days} "
             f"+ iterations {iterations} - 1)"
         )
     design, changepoints, _ = _design(train_days, config, horizon=test_days)
     train, future = design[:train_days], design[train_days:]
     p = design.shape[1]
-    holidays = sorted((date - series.start).days for date in config.holidays)
-    y = series.counts
+    holidays = sorted((date - start).days for date in config.holidays)
+    y = np.column_stack([s.counts for s in series])
     in_window = solve = None
-    scores = []
+    scores = np.empty((len(series), iterations))
     for shift in range(iterations):
         window_holidays = [h - shift for h in holidays if 0 <= h - shift < train_days]
         if window_holidays != in_window:
@@ -379,11 +384,6 @@ def sliding_window_backtest(
         beta = solve @ y[shift:shift + train_days]
         predicted = np.maximum(future @ beta, 0.0)
         actual = y[shift + train_days:shift + train_days + test_days]
-        scores.append(smape(actual, predicted))
-    return BacktestReport(
-        scores=scores,
-        train_days=train_days,
-        test_days=test_days,
-        iterations=iterations,
-        label=series.label,
-    )
+        scores[:, shift] = smape(actual.T, predicted.T)
+    return [BacktestReport(row.tolist(), train_days, test_days, iterations, s.label)
+            for s, row in zip(series, scores)]

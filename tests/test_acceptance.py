@@ -219,14 +219,14 @@ def test_criterion_6_backtest_protocol():
     t = np.arange(n, dtype=float)
 
     constant = DailySeries(START, np.full(n, 50.0), label="stable")
-    report_const = sliding_window_backtest(constant)
+    [report_const] = sliding_window_backtest([constant])
     assert len(report_const.scores) == 365
     assert all(0.0 <= s <= 200.0 for s in report_const.scores)
     assert max(report_const.scores) < 1e-9  # all-zero up to float residue
 
     wave = 50.0 + 35.0 * np.sign(np.sin(2 * np.pi * t / 450.0))
     volatile = DailySeries(START, np.maximum(wave, 0.0), label="volatile")
-    report_vol = sliding_window_backtest(volatile)
+    [report_vol] = sliding_window_backtest([volatile])
     assert len(report_vol.scores) == 365
     assert all(0.0 <= s <= 200.0 for s in report_vol.scores)
     assert report_vol.median > report_const.median
@@ -280,7 +280,7 @@ def run_shortage_report(seed):
 
     def backtest(label, group_ads):
         series = aggregate_daily(group_ads, start, end, label=label)
-        return sliding_window_backtest(series, **bt_kwargs)
+        return sliding_window_backtest([series], **bt_kwargs)[0]
 
     backtests = {label: backtest(label, g) for label, g in groups.items()}
     market_bt = backtest("market", ads)

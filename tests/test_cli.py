@@ -180,6 +180,43 @@ class TestInputFileErrors:
         assert message in one_line_error(capsys)
 
 
+class TestReservedMarketLabel:
+    @pytest.mark.parametrize("occupation,mapping", [
+        ("market", None),
+        ("Analyst", "Analyst,market\n"),
+    ], ids=["occupation", "category"])
+    def test_group_named_market_exit_2(self, tmp_path, capsys, occupation, mapping):
+        scenario = {**SCENARIO, "clusters": [
+            {**SCENARIO["clusters"][0], "occupations": [occupation]},
+            SCENARIO["clusters"][1],
+        ]}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(scenario))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        argv = ["indicators", "--input", str(tmp_path / "s" / "corpus.jsonl"),
+                *BACKTEST_FLAGS, "--out", str(tmp_path / "o")]
+        if mapping:
+            (tmp_path / "map.csv").write_text(mapping)
+            argv += ["--category-map", str(tmp_path / "map.csv")]
+        assert main(argv) == 2
+        assert "group label 'market' is reserved" in one_line_error(capsys)
+        assert not (tmp_path / "o" / "trend_lines.csv").exists()
+
+
+def test_seed_without_neighbours_warns_on_one_line(tmp_path, capsys):
+    corpus = tmp_path / "ads.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": str(i), "date": f"2020-01-0{i}", "occupation": occ,
+                    "skills": skills}) + "\n"
+        for i, occ, skills in [(1, "A", ["x"]), (2, "B", ["y", "z"]),
+                               (3, "B", ["y", "z", "w"])]))
+    assert main(["skills", "--input", str(corpus), "--seed-skill", "x",
+                 "--seed-skill", "y", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: seed 'x' has no complementarity neighbours; "
+        "it contributes an empty list\n")
+
+
 class TestStages:
     def test_ingest_writes_report_and_corpus(self, corpus, tmp_path, capsys):
         out = tmp_path / "ing"

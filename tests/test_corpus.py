@@ -109,13 +109,6 @@ class TestIngest:
         _, _, report = ingest(f)
         assert report.reasons["bad json"] == 1
 
-    def test_date_range_enforced(self, tmp_path):
-        f = tmp_path / "ads.jsonl"
-        write_lines(f, [record(0, date="2030-01-01")] + [record(i) for i in range(1, 30)])
-        cfg = IngestConfig(date_max=dt.date(2020, 1, 1))
-        _, _, report = ingest(f, config=cfg)
-        assert report.reasons["date out of range"] == 1
-
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             ingest(tmp_path / "nope.jsonl")

@@ -1,7 +1,8 @@
 """Property tests: arbitrary JSON input is either accepted or rejected with
 the program's own errors, never with an unexpected exception; arbitrary
-flag values to ``backtest`` and ``skills`` end with exit 0, 1 or 2 and at
-most one line on stderr.
+flag values to ``backtest``, ``skills``, ``occupations``, ``indicators`` and
+``report`` end with exit 0, 1 or 2, one-line warnings and at most one other
+line on stderr.
 
 Generating a corpus or running a report on arbitrary settings could
 allocate without bound, so the CLI runs here read one tiny fixed corpus and
@@ -10,7 +11,6 @@ draw window sizes, iterations and list lengths from small ranges."""
 import contextlib
 import io
 import json
-import warnings
 
 import pytest
 
@@ -139,11 +139,9 @@ def tiny_corpus(tmp_path_factory):
 
 def run_cli(argv):
     """Exit code and stderr of ``main(argv)``; an exception escaping ``main``
-    (a traceback on the command line) fails the test. Warnings are recorded,
-    not printed, so Python's two-line warning display is not checked here."""
+    (a traceback on the command line) fails the test."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
 
@@ -157,30 +155,67 @@ def flag_value(ints):
     return st.integers(0, 4).flatmap(lambda k: ints.map(str) if k else MALFORMED)
 
 
-backtest_flags = st.fixed_dictionaries({
-    "--train-days": flag_value(st.integers(-3, 70)),
-    "--test-days": flag_value(st.integers(-3, 30)),
-    "--iterations": flag_value(st.integers(-3, 20)),
-}, optional={
+def window_flags(value=flag_value):
+    return {"--train-days": value(st.integers(-3, 70)),
+            "--test-days": value(st.integers(-3, 30)),
+            "--iterations": value(st.integers(-3, 20))}
+
+
+fit_flags = {
     "--changepoints": flag_value(st.integers(-3, 40)),
     "--ridge-lambda": flag_value(st.integers(-3, 10)) | st.floats().map(repr),
+}
+
+backtest_flags = st.fixed_dictionaries(window_flags(), optional={
+    **fit_flags,
     "--occupation": st.sampled_from(["Modeler", "Clerk", "nobody"]) | st.text(max_size=6),
 })
 
-skills_flags = st.fixed_dictionaries({
-    "--seed-skill": st.lists(st.integers(0, 4).flatmap(
+
+def seed_flags(min_size=0):
+    return {"--seed-skill": st.lists(st.integers(0, 4).flatmap(
         lambda k: st.sampled_from(["ml", "stats", " Email", "filing"]) if k
-        else st.text(max_size=6)), max_size=3),
-}, optional={
+        else st.text(max_size=6)), min_size=min_size, max_size=3)}
+
+
+expansion_flags = {
     "--per-seed-k": flag_value(st.integers(-3, 50)),
     "--cutoff": flag_value(st.integers(-3, 50)),
     "--avg-over-all-seeds": st.just(None),
-})
+}
+skills_flags = st.fixed_dictionaries(seed_flags(), optional=expansion_flags)
+
+# Thresholds inside and outside (0, 1), the bounds included.
+threshold_flag = {"--threshold": (st.sampled_from([0.0, 1.0]) | st.floats(-0.5, 1.5))
+                  .map(repr) | MALFORMED}
+# Category maps: two-column rows, blank rows, a duplicate occupation, three
+# columns, an empty field and a category named like the market baseline.
+MAP_ROWS = ["Modeler,Data", "Clerk,Office", "", "Modeler,Other", "Clerk,Office,extra",
+            " ,Data", "Clerk,market", "occupation,category"]
+category_flags = {
+    "--category-map": st.lists(st.sampled_from(MAP_ROWS), max_size=4),
+    "--default-categories": st.just(None),
+}
+occupations_flags = st.fixed_dictionaries({}, optional={**threshold_flag,
+                                                        **category_flags})
+indicators_flags = st.fixed_dictionaries(window_flags(), optional={**fit_flags,
+                                                                 **category_flags})
+# Malformed window values are left to the backtest and indicators tests, so
+# that more reports get past parsing.
+report_flags = st.fixed_dictionaries({
+    **seed_flags(1), **window_flags(lambda ints: ints.map(str))}, optional={
+    **expansion_flags, **threshold_flag, **category_flags})
 
 
-def flag_argv(flags: dict) -> list[str]:
+def flag_argv(flags: dict, root) -> list[str]:
+    """Flags as argv; ``--category-map`` rows are written to a file under
+    ``root``."""
     argv = []
     for flag, value in flags.items():
+        if flag == "--category-map":
+            path = root / "categories.csv"
+            path.write_text("".join(row + "\n" for row in value))
+            value = str(path)
         values = value if isinstance(value, list) else [value]
         argv += [flag] if value is None else [a for v in values for a in (flag, v)]
     return argv
@@ -189,21 +224,51 @@ def flag_argv(flags: dict) -> list[str]:
 def assert_clean_exit(code, err):
     event(f"exit {code}")
     assert code in (0, 1, 2)
-    assert len(err.splitlines()) <= 1, err
+    lines = err.splitlines()
+    assert len([line for line in lines if not line.startswith("warning: ")]) <= 1, err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def tiny_skills(tiny_corpus):
+    out = tiny_corpus.parent.parent / "tiny-skills"
+    assert run_cli(["skills", "--input", str(tiny_corpus), "--seed-skill", "ml",
+                    "--per-seed-k", "5", "--cutoff", "3", "--out", str(out)])[0] == 0
+    return out / "skills.csv"
+
+
+def run_command(command, tiny_corpus, flags, *extra):
+    root = tiny_corpus.parent.parent
+    assert_clean_exit(*run_cli([command, "--input", str(tiny_corpus), *extra,
+                                *flag_argv(flags, root), "--out",
+                                str(root / f"{command}-out")]))
 
 
 @settings(deadline=None, max_examples=60)
 @given(flags=backtest_flags)
 def test_backtest_flags_exit_cleanly(tiny_corpus, flags):
-    out = tiny_corpus.parent.parent / "backtest-out"
-    assert_clean_exit(*run_cli(["backtest", "--input", str(tiny_corpus),
-                                *flag_argv(flags), "--out", str(out)]))
+    run_command("backtest", tiny_corpus, flags)
 
 
 @settings(deadline=None, max_examples=60)
 @given(flags=skills_flags)
 def test_skills_flags_exit_cleanly(tiny_corpus, flags):
-    out = tiny_corpus.parent.parent / "skills-out"
-    assert_clean_exit(*run_cli(["skills", "--input", str(tiny_corpus),
-                                *flag_argv(flags), "--out", str(out)]))
+    run_command("skills", tiny_corpus, flags)
+
+
+@settings(deadline=None, max_examples=60)
+@given(flags=occupations_flags)
+def test_occupations_flags_exit_cleanly(tiny_corpus, tiny_skills, flags):
+    run_command("occupations", tiny_corpus, flags, "--skills", str(tiny_skills))
+
+
+@settings(deadline=None, max_examples=100)
+@given(flags=indicators_flags)
+def test_indicators_flags_exit_cleanly(tiny_corpus, flags):
+    run_command("indicators", tiny_corpus, flags)
+
+
+@settings(deadline=None, max_examples=100)
+@given(flags=report_flags)
+def test_report_flags_exit_cleanly(tiny_corpus, flags):
+    run_command("report", tiny_corpus, flags)

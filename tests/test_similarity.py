@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,8 +247,7 @@ class TestSkillSetSerialization:
         assert back.entries[1].score == pytest.approx(0.12)
 
     def test_shipped_appendix_fixture_parses(self):
-        from skillscope.occupations import default_category_map_path
-        fixture = default_category_map_path().parent / "dsa_skills_top150.csv"
+        fixture = Path(__file__).parent / "fixtures" / "dsa_skills_top150.csv"
         result = SkillSetResult.from_csv(fixture)
         assert len(result.entries) == 150
         assert result.entries[0].skill == "Machine Learning"

@@ -119,6 +119,10 @@ class TestSmape:
         with pytest.raises(DataError):
             smape([], [])
 
+    def test_rows_scored_over_last_axis(self):
+        scores = smape([[10, 0], [1, 2], [0, 0]], [[30, 0], [0, 0], [0, 0]])
+        assert scores.tolist() == pytest.approx([50.0, 200.0, 0.0])
+
 
 class TestFit:
     def test_pure_linear_recovery(self):
@@ -209,25 +213,25 @@ class TestForecast:
 class TestBacktest:
     def test_score_count(self):
         s = series([5.0] * 22)
-        report = sliding_window_backtest(s, train_days=14, test_days=5, iterations=4)
+        [report] = sliding_window_backtest([s], train_days=14, test_days=5, iterations=4)
         assert len(report.scores) == 4
         assert report.iterations == 4
 
     def test_constant_series_scores_zero(self):
         s = series([5.0] * 30)
-        report = sliding_window_backtest(s, train_days=20, test_days=5, iterations=6)
+        [report] = sliding_window_backtest([s], train_days=20, test_days=5, iterations=6)
         assert max(report.scores) < 1e-8
 
     def test_insufficient_length_reports_minimum(self):
         with pytest.raises(DataError, match="at least 383"):
-            sliding_window_backtest(series([1.0] * 100), train_days=365,
+            sliding_window_backtest([series([1.0] * 100)], train_days=365,
                                     test_days=14, iterations=5)
 
     def test_scores_in_range(self):
         rng = np.random.default_rng(21)
         y = rng.poisson(4, size=80).astype(float)
-        report = sliding_window_backtest(series(y), train_days=30, test_days=10,
-                                         iterations=10)
+        [report] = sliding_window_backtest([series(y)], train_days=30, test_days=10,
+                                           iterations=10)
         assert all(0.0 <= v <= 200.0 for v in report.scores)
 
     def test_volatile_series_scores_worse(self):
@@ -237,8 +241,8 @@ class TestBacktest:
         wave = 50.0 + 30.0 * np.sign(np.sin(2 * np.pi * t / 60.0))
         volatile = series(np.maximum(wave, 0.0), label="volatile")
         kw = dict(train_days=40, test_days=20, iterations=20)
-        assert (sliding_window_backtest(volatile, **kw).median
-                > sliding_window_backtest(stable, **kw).median)
+        assert (sliding_window_backtest([volatile], **kw)[0].median
+                > sliding_window_backtest([stable], **kw)[0].median)
 
     @pytest.mark.parametrize("train_days,config", [
         (60, FitConfig(n_changepoints=0)),
@@ -263,14 +267,38 @@ class TestBacktest:
         rng = np.random.default_rng(train_days)
         s = series(rng.poisson(6, size=train_days + 40).astype(float))
         kw = dict(train_days=train_days, test_days=30, iterations=11)
-        shared = sliding_window_backtest(s, config=config, **kw).scores
+        shared = sliding_window_backtest([s], config=config, **kw)[0].scores
         assert shared == pytest.approx(per_window_scores(s, config, **kw), rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("config", [
+        FitConfig(),
+        pytest.param(FitConfig(holidays=days(20, 65, 90)), id="holidays"),
+    ])
+    def test_many_series_match_one_series_calls(self, config):
+        rng = np.random.default_rng(8)
+        many = [series(rng.poisson(lam, size=100).astype(float), label=f"s{lam}")
+                for lam in (0.2, 3, 40)] + [series([0.0] * 100, label="empty")]
+        kw = dict(train_days=60, test_days=20, iterations=21, config=config)
+        reports = sliding_window_backtest(many, **kw)
+        assert [r.label for r in reports] == [s.label for s in many]
+        for s, report in zip(many, reports):
+            [alone] = sliding_window_backtest([s], **kw)
+            assert report.scores == pytest.approx(alone.scores, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("other", [
+        DailySeries(START + dt.timedelta(days=1), np.ones(40)),
+        DailySeries(START, np.ones(41)),
+    ], ids=["start", "length"])
+    def test_mismatched_span_fatal(self, other):
+        with pytest.raises(DataError, match="share one start and length"):
+            sliding_window_backtest([series([1.0] * 40), other], train_days=20,
+                                    test_days=5, iterations=3)
 
     @pytest.mark.parametrize("train_days", [10, -5])
     @pytest.mark.parametrize("config", [FitConfig(), FitConfig(holidays=(START,))])
     def test_short_train_window_fatal(self, config, train_days):
         with pytest.raises(DataError, match="two weeks"):
-            sliding_window_backtest(series([1.0] * 40), train_days=train_days,
+            sliding_window_backtest([series([1.0] * 40)], train_days=train_days,
                                     test_days=5, iterations=3, config=config)
 
     @pytest.mark.parametrize("kw,match", [
@@ -279,7 +307,7 @@ class TestBacktest:
     ])
     def test_empty_test_window_or_no_iterations_fatal(self, kw, match):
         with pytest.raises(DataError, match=match):
-            sliding_window_backtest(series([1.0] * 40), train_days=20, **kw)
+            sliding_window_backtest([series([1.0] * 40)], train_days=20, **kw)
 
     def test_report_serialization(self, tmp_path):
         report = BacktestReport(scores=[1.0, 3.0, 2.0], train_days=10,
