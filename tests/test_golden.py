@@ -1,10 +1,13 @@
 """Report outputs pinned against expected files under ``tests/golden``.
 
-The ``tests/test_cli.py`` scenario runs ``report`` plain, with
-``--holidays`` and with ``--default-categories``, and ``indicators`` with
-``--holidays`` (two groups plus the market). SMAPE values (``boxplot.csv``
-and ``median_smape`` in ``report.json``) are compared at 1e-9 abs, because
-a change in how the backtest solves may move them at the ulp level; every
+The ``tests/test_cli.py`` scenario runs every subcommand that reads a
+corpus: ``ingest``, ``skills``, ``occupations`` on a ``skills.csv`` with
+mixed-case names, ``backtest --occupation Modeler --holidays``, ``report``
+plain, with ``--holidays`` and with ``--default-categories``, and
+``indicators`` with ``--holidays`` (two groups plus the market). SMAPE
+values (``boxplot.csv``, ``median_smape`` in ``report.json`` and the scores
+and summary of ``backtest.json``) are compared at 1e-9 abs, because a
+change in how the backtest solves may move them at the ulp level; every
 other file except ``provenance.json`` is compared byte for byte.
 
 The expected files change only with a change that means to change outputs.
@@ -23,12 +26,20 @@ from test_cli import BACKTEST_FLAGS, SCENARIO
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 HOLIDAYS = "2017-01-02\n2017-02-14\n"
-REPORT = ["report", "--seed-skill", "ml", "--per-seed-k", "10", "--cutoff", "5"]
+# Skill names as a user might type them; intensity matches them normalized.
+SKILLS_CSV = "rank,skill,theta\n1,ML,1.0\n2, Stats ,0.5\n3,PyThon,0.25\n"
+SKILLS = ["--seed-skill", "ml", "--per-seed-k", "10", "--cutoff", "5"]
+REPORT = ["report", *SKILLS, *BACKTEST_FLAGS]
 CASES = {
+    "ingest": ["ingest"],
+    "skills": ["skills", *SKILLS],
+    "occupations-mixed-case": ["occupations", "--skills", "{skills}"],
+    "backtest-occupation-holidays": ["backtest", "--occupation", "Modeler",
+                                     "--holidays", "{holidays}", *BACKTEST_FLAGS],
     "report-plain": REPORT,
     "report-holidays": [*REPORT, "--holidays", "{holidays}"],
     "report-default-categories": [*REPORT, "--default-categories"],
-    "indicators-holidays": ["indicators", "--holidays", "{holidays}"],
+    "indicators-holidays": ["indicators", "--holidays", "{holidays}", *BACKTEST_FLAGS],
 }
 SMAPE_ABS = 1e-9
 
@@ -42,9 +53,11 @@ def run_case(name: str, root: Path) -> Path:
         cfg.write_text(json.dumps(SCENARIO))
         assert main(["synth", "--config", str(cfg), "--out", str(root / "synth")]) == 0
         (root / "holidays.txt").write_text(HOLIDAYS)
-    argv = [a.format(holidays=root / "holidays.txt") for a in CASES[name]]
+        (root / "skills.csv").write_text(SKILLS_CSV)
+    argv = [a.format(holidays=root / "holidays.txt", skills=root / "skills.csv")
+            for a in CASES[name]]
     out = root / name
-    assert main([*argv, "--input", str(corpus), *BACKTEST_FLAGS, "--out", str(out)]) == 0
+    assert main([*argv, "--input", str(corpus), "--out", str(out)]) == 0
     return out
 
 
@@ -70,6 +83,12 @@ def test_outputs_match_expected(tmp_path, capsys, name):
             assert [r[0] for r in rows] == [r[0] for r in want_rows]
             assert [r[1] for r in rows] == pytest.approx(
                 [r[1] for r in want_rows], rel=0, abs=SMAPE_ABS)
+        elif file == "backtest.json":
+            payload, want_payload = json.loads(got.read_text()), json.loads(want.read_text())
+            for key in ("scores", "summary"):
+                assert payload.pop(key) == pytest.approx(
+                    want_payload.pop(key), rel=0, abs=SMAPE_ABS)
+            assert payload == want_payload
         elif file == "report.json":
             payload, want_payload = json.loads(got.read_text()), json.loads(want.read_text())
             assert pop_smapes(payload) == pytest.approx(
