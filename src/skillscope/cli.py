@@ -16,9 +16,12 @@ Each subcommand runs a slice of it through the same stage functions:
 ``synth`` writes a synthetic corpus for the chain to read.
 
 Stages communicate through plain CSV/JSON files so every intermediate is
-inspectable and the pipeline is resumable. After every command ``main``
-writes a provenance.json: every parsed flag except ``--out``, the SHA-256 of
-every input file named by a flag, the tool version and a timestamp.
+inspectable and the pipeline is resumable. ``main`` makes the ``--out``
+directory before any stage runs; stage functions only compute, and each
+command writes its files after its last stage, so a failed command writes
+none. After every command ``main`` writes a provenance.json: every parsed
+flag except ``--out``, the SHA-256 of every input file named by a flag,
+the tool version and a timestamp.
 Analysis outputs are byte-identical across runs with equal provenance.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
@@ -127,10 +130,10 @@ def _read_holidays(path) -> tuple[dt.date, ...]:
         if not text:
             continue
         try:
-            holidays.append(dt.date.fromisoformat(text))
+            holidays.append(corpus_mod.parse_date(text))
         except ValueError:
             raise DataError(f"holiday calendar {path} line {lineno}: "
-                            f"not an ISO date: {text!r}") from None
+                            f"not a YYYY-MM-DD date: {text!r}") from None
     return tuple(holidays)
 
 
@@ -142,12 +145,6 @@ def _fit_config(args) -> timeseries.FitConfig:
     )
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _corpus_span(ads):
     if not ads:
         raise DataError("corpus has no accepted ads; nothing to backtest")
@@ -155,30 +152,24 @@ def _corpus_span(ads):
     return min(dates), max(dates)
 
 
-def _skills_stage(ads, vocab, seeds, args, out: Path) -> similarity.SkillSetResult:
-    """Index, RCA, effective use, theta and seed expansion; writes
-    skills.csv and skills.json."""
+def _skills_stage(ads, vocab, seeds, args) -> similarity.SkillSetResult:
+    """Index, RCA, effective use, theta and seed expansion."""
     index = corpus_mod.build_index(ads, vocab)
     eff = skillmetrics.compute_effective_use(skillmetrics.compute_rca(index))
-    skill_set = similarity.expand_seeds(
+    return similarity.expand_seeds(
         similarity.compute_theta(eff),
         seeds,
         per_seed_k=args.per_seed_k,
         cutoff=args.cutoff,
         avg_over_all_seeds=args.avg_over_all_seeds,
     )
-    skill_set.to_csv(out / "skills.csv")
-    skill_set.to_json(out / "skills.json")
-    return skill_set
 
 
-def _occupations_stage(ads, skill_set, category_map, args, out: Path):
-    """Intensity and selection; writes occupations.csv."""
-    profiles = occupations_mod.compute_intensity(ads, skill_set)
-    selection = occupations_mod.select_occupations(
+def _occupations_stage(ads, skill_set, category_map, args):
+    """Intensity and selection."""
+    profiles = occupations_mod.compute_intensity(ads, skill_set.skills)
+    return occupations_mod.select_occupations(
         profiles, threshold=args.threshold, category_map=category_map)
-    occupations_mod.write_selection_csv(selection, out / "occupations.csv")
-    return selection
 
 
 def _group_ads(ads, category_map, occupations=None) -> dict[str, list]:
@@ -202,9 +193,9 @@ def _backtest(series, args, cfg):
         iterations=args.iterations, config=cfg)
 
 
-def _indicators_stage(ads, groups: dict[str, list], args, cfg, out: Path) -> None:
+def _indicators_stage(ads, groups: dict[str, list], args, cfg):
     """Backtest the market baseline and every group, fit their trend lines,
-    and write the shortage report."""
+    and assemble the shortage report."""
     market = indicators_mod.MARKET
     if market in groups:
         raise DataError(f"group label {market!r} is reserved for the whole-market "
@@ -218,7 +209,7 @@ def _indicators_stage(ads, groups: dict[str, list], args, cfg, out: Path) -> Non
         warnings.simplefilter("ignore")
         models = {s.label: timeseries.fit(s, cfg) for s in series}
 
-    report = indicators_mod.assemble_report(
+    return indicators_mod.assemble_report(
         groups=groups,
         market_ads=ads,
         backtests={bt.label: bt for bt in group_bts},
@@ -227,12 +218,11 @@ def _indicators_stage(ads, groups: dict[str, list], args, cfg, out: Path) -> Non
         corpus_start=span[0],
         corpus_end=span[1],
     )
-    indicators_mod.write_report(report, out)
 
 
 def cmd_ingest(args) -> None:
     ads, vocab, report = _load_corpus(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     corpus_mod.write_jsonl(ads, out / "corpus.jsonl")
     (out / "ingest_report.json").write_text(report.to_json() + "\n")
     print(f"accepted {report.accepted}, rejected {report.rejected} "
@@ -241,14 +231,16 @@ def cmd_ingest(args) -> None:
 
 def cmd_synth(args) -> None:
     config = synthgen.config_from_dict(_read_json(args.config, "synth config"))
-    corpus_path, truth_path = synthgen.write_scenario(config, _out_dir(args))
+    corpus_path, truth_path = synthgen.write_scenario(config, Path(args.out))
     print(f"wrote {corpus_path} and {truth_path}")
 
 
 def cmd_skills(args) -> None:
     seeds = _read_seeds(args)
     ads, vocab, _ = _load_corpus(args)
-    skill_set = _skills_stage(ads, vocab, seeds, args, _out_dir(args))
+    skill_set = _skills_stage(ads, vocab, seeds, args)
+    skill_set.to_csv(Path(args.out) / "skills.csv")
+    skill_set.to_json(Path(args.out) / "skills.json")
     print(f"expanded {len(seeds)} seeds into {len(skill_set.entries)} skills")
 
 
@@ -256,9 +248,9 @@ def cmd_occupations(args) -> None:
     ads, _, _ = _load_corpus(args)
     skill_set = similarity.SkillSetResult.from_csv(
         _require_file(args.skills, "skill set CSV"))
-    selection = _occupations_stage(ads, skill_set, _load_category_map(args), args,
-                                   _out_dir(args))
-    print(f"selected {selection.total_occupations} occupations "
+    selection = _occupations_stage(ads, skill_set, _load_category_map(args), args)
+    occupations_mod.write_selection_csv(selection, Path(args.out) / "occupations.csv")
+    print(f"selected {len(selection.profiles)} occupations "
           f"({selection.total_ads} ads) above eta > {args.threshold}")
 
 
@@ -270,7 +262,7 @@ def cmd_backtest(args) -> None:
     if args.occupation:
         ads = [ad for ad in ads if ad.occupation == args.occupation]
     [report] = _backtest([timeseries.aggregate_daily(ads, *span, label=label)], args, cfg)
-    out = _out_dir(args)
+    out = Path(args.out)
     report.to_json(out / "backtest.json")
     indicators_mod.write_boxplot({label: report}, out / "boxplot.csv")
     print(f"backtest {label}: median SMAPE {report.median:.3f} "
@@ -281,8 +273,9 @@ def cmd_indicators(args) -> None:
     cfg = _fit_config(args)
     ads, _, _ = _load_corpus(args)
     groups = _group_ads(ads, _load_category_map(args))
-    out = _out_dir(args)
-    _indicators_stage(ads, groups, args, cfg, out)
+    report = _indicators_stage(ads, groups, args, cfg)
+    out = Path(args.out)
+    indicators_mod.write_report(report, out)
     print(f"wrote indicator report for {len(groups)} groups to {out}")
 
 
@@ -290,18 +283,22 @@ def cmd_report(args) -> None:
     cfg = _fit_config(args)
     seeds = _read_seeds(args)
     ads, vocab, ingest_report = _load_corpus(args)
-    out = _out_dir(args)
-    (out / "ingest_report.json").write_text(ingest_report.to_json() + "\n")
-    skill_set = _skills_stage(ads, vocab, seeds, args, out)
+    skill_set = _skills_stage(ads, vocab, seeds, args)
     category_map = _load_category_map(args)
-    selection = _occupations_stage(ads, skill_set, category_map, args, out)
+    selection = _occupations_stage(ads, skill_set, category_map, args)
     if not selection.profiles:
         raise DataError(f"no occupation exceeds eta > {args.threshold}; "
                         "nothing to report on")
     groups = _group_ads(ads, category_map, {p.occupation for p in selection.profiles})
-    _indicators_stage(ads, groups, args, cfg, out)
+    report = _indicators_stage(ads, groups, args, cfg)
+    out = Path(args.out)
+    (out / "ingest_report.json").write_text(ingest_report.to_json() + "\n")
+    skill_set.to_csv(out / "skills.csv")
+    skill_set.to_json(out / "skills.json")
+    occupations_mod.write_selection_csv(selection, out / "occupations.csv")
+    indicators_mod.write_report(report, out)
     print(f"report written to {out} ({len(groups)} groups, "
-          f"{selection.total_occupations} occupations)")
+          f"{len(selection.profiles)} occupations)")
 
 
 def _add_corpus_args(p):
@@ -426,6 +423,11 @@ def main(argv=None) -> int:
     try:
         argv = apply_config_file(argv)
         args = build_parser().parse_args(argv)
+        try:  # before any stage runs, so a bad --out costs no work
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot make --out directory {args.out}: "
+                             f"{exc.strerror}") from None
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             args.func(args)

@@ -27,7 +27,11 @@ import numpy as np
 
 from .errors import DataError
 
+# Records rejected above this share of the corpus end the run.
+REJECT_THRESHOLD = 0.05
+
 _WS_RUN = re.compile(r"\s+")
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def normalize_skill(raw: str) -> str:
@@ -38,9 +42,14 @@ def normalize_skill(raw: str) -> str:
     return _WS_RUN.sub(" ", raw.strip()).lower()
 
 
-def display_form(raw: str) -> str:
-    """Whitespace-cleaned form preserving the original casing."""
-    return _WS_RUN.sub(" ", raw.strip())
+def parse_date(text: str) -> dt.date:
+    """A ``YYYY-MM-DD`` calendar date; ValueError for any other form.
+
+    ``date.fromisoformat`` alone would also take ``20160101`` and
+    ``2016-W01-1`` from Python 3.11 on, but not on 3.10."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
 
 
 @dataclass(frozen=True)
@@ -70,16 +79,14 @@ class JobAd:
 class SkillVocabulary:
     """Ordered skill vocabulary with contiguous indices from 0.
 
-    Identity is the normalized (lowercased) form. The display form is the
-    whitespace-cleaned spelling passed to the first :meth:`add` of a skill;
-    a vocabulary built by :func:`ingest` only sees the ads' normalized
-    names, so there ``display`` returns the normalized name.
+    Identity and output spelling are both the normalized (lowercased)
+    form: :meth:`add` normalizes, and every name the pipeline shows,
+    including a seed typed in another casing, is read from :attr:`names`.
     """
 
     def __init__(self) -> None:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
-        self._displays: list[str] = []
 
     def __len__(self) -> int:
         return len(self._names)
@@ -101,7 +108,6 @@ class SkillVocabulary:
             idx = len(self._names)
             self._index[key] = idx
             self._names.append(key)
-            self._displays.append(display_form(raw))
         return idx
 
     def index_of(self, name: str) -> int:
@@ -109,9 +115,6 @@ class SkillVocabulary:
         if key not in self._index:
             raise DataError(f"unknown skill: {name!r}")
         return self._index[key]
-
-    def display(self, idx: int) -> str:
-        return self._displays[idx]
 
     @classmethod
     def from_ads(cls, ads: Iterable[JobAd]) -> "SkillVocabulary":
@@ -122,11 +125,6 @@ class SkillVocabulary:
                 if s not in vocab._index:  # normalized names skip normalization
                     vocab.add(s)
         return vocab
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    reject_threshold: float = 0.05
 
 
 @dataclass
@@ -156,14 +154,11 @@ def _parse_optional_float(value, field_name: str) -> Optional[float]:
     return number
 
 
-def _record_to_ad(rec: dict, config: IngestConfig,
-                  normalized: Optional[dict[str, str]] = None) -> JobAd:
+def _record_to_ad(rec: dict, normalized: dict[str, str]) -> JobAd:
     """Validate one raw record; raises ValueError with a short reason.
 
     ``normalized`` memoizes raw skill text -> normalized name across calls.
     """
-    if normalized is None:
-        normalized = {}
     for key in ("id", "date", "occupation", "skills"):
         if key not in rec or rec[key] in (None, ""):
             raise ValueError(f"missing {key}")
@@ -171,7 +166,7 @@ def _record_to_ad(rec: dict, config: IngestConfig,
     if not occupation:
         raise ValueError("missing occupation")
     try:
-        posted = dt.date.fromisoformat(str(rec["date"]))
+        posted = parse_date(str(rec["date"]))
     except ValueError:
         raise ValueError("bad date")
 
@@ -237,15 +232,11 @@ def _iter_records(path: Path, fmt: str):
         raise DataError(f"cannot read input file {path}: {exc}") from None
 
 
-def ingest(
-    path,
-    fmt: str = "jsonl",
-    config: IngestConfig = IngestConfig(),
-) -> tuple[list[JobAd], SkillVocabulary, IngestReport]:
+def ingest(path, fmt: str = "jsonl") -> tuple[list[JobAd], SkillVocabulary, IngestReport]:
     """Load a corpus file, validate every record, and build the vocabulary.
 
     Malformed records are rejected with a per-record reason and never abort
-    the run unless the rejected fraction exceeds ``config.reject_threshold``.
+    the run unless the rejected fraction exceeds ``REJECT_THRESHOLD``.
     Deterministic: the returned ad order is file order.
     """
     path = Path(path)
@@ -261,17 +252,17 @@ def ingest(
             report.reasons[rec["__parse_error__"]] += 1
             continue
         try:
-            ads.append(_record_to_ad(rec, config, normalized))
+            ads.append(_record_to_ad(rec, normalized))
             report.accepted += 1
         except ValueError as exc:
             report.rejected += 1
             report.reasons[str(exc)] += 1
 
     total = report.accepted + report.rejected
-    if total > 0 and report.rejected / total > config.reject_threshold:
+    if total > 0 and report.rejected / total > REJECT_THRESHOLD:
         raise DataError(
             f"rejected {report.rejected}/{total} records "
-            f"(threshold {config.reject_threshold:.0%}); reasons: "
+            f"(threshold {REJECT_THRESHOLD:.0%}); reasons: "
             + ", ".join(f"{r}={n}" for r, n in sorted(report.reasons.items()))
         )
     vocab = SkillVocabulary.from_ads(ads)

@@ -17,7 +17,7 @@ import csv
 import datetime as dt
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -89,7 +89,7 @@ class ShortageIndicators:
     salary_by_year: dict[int, Optional[float]]
     education_by_year: dict[int, Optional[float]]
     experience_by_year: dict[int, Optional[float]]
-    median_smape: Optional[float] = None
+    median_smape: float
 
     def _defined_mean(self, per_year: dict[int, Optional[float]]) -> Optional[float]:
         vals = [v for v in per_year.values() if v is not None]
@@ -108,11 +108,8 @@ class ShortageIndicators:
         return self._defined_mean(self.experience_by_year)
 
 
-def compute_indicators(
-    label: str,
-    ads: Sequence[JobAd],
-    backtest: Optional[BacktestReport] = None,
-) -> ShortageIndicators:
+def compute_indicators(label: str, ads: Sequence[JobAd],
+                       backtest: BacktestReport) -> ShortageIndicators:
     counts = yearly_counts(ads)
     if len(counts) >= 2:
         growth, mean_growth = posting_growth(counts)
@@ -127,7 +124,7 @@ def compute_indicators(
         salary_by_year={y: median_salary(ads, y) for y in years},
         education_by_year={y: mean_education(ads, y) for y in years},
         experience_by_year={y: mean_experience(ads, y) for y in years},
-        median_smape=backtest.median if backtest is not None else None,
+        median_smape=backtest.median,
     )
 
 
@@ -136,9 +133,9 @@ class ShortageReport:
     baseline: ShortageIndicators
     groups: list[ShortageIndicators]
     flags: dict[str, dict[str, bool]]
-    partial_years: list[int] = field(default_factory=list)
-    backtests: dict[str, BacktestReport] = field(default_factory=dict)
-    trend_models: dict[str, DecompositionModel] = field(default_factory=dict)
+    partial_years: list[int]
+    backtests: dict[str, BacktestReport]
+    trend_models: dict[str, DecompositionModel]
 
     def flag_count(self, label: str) -> int:
         return sum(self.flags[label].values())
@@ -155,26 +152,28 @@ def _flag(group_value, baseline_value, higher_is_shortage: bool) -> bool:
 def assemble_report(
     groups: dict[str, Sequence[JobAd]],
     market_ads: Sequence[JobAd],
-    backtests: Optional[dict[str, BacktestReport]] = None,
-    market_backtest: Optional[BacktestReport] = None,
-    trend_models: Optional[dict[str, DecompositionModel]] = None,
-    corpus_start=None,
-    corpus_end=None,
+    backtests: dict[str, BacktestReport],
+    market_backtest: BacktestReport,
+    trend_models: dict[str, DecompositionModel],
+    corpus_start: dt.date,
+    corpus_end: dt.date,
 ) -> ShortageReport:
     """Score every group against the whole-market baseline on all five
     indicators. Experience flags in the low direction; everything else
-    flags when strictly above baseline."""
+    flags when strictly above baseline.
+
+    ``backtests`` holds one report per group label, ``market_backtest`` the
+    market's, and ``trend_models`` the fits ``trend_lines.csv`` draws. A
+    year the corpus span [``corpus_start``, ``corpus_end``] covers only in
+    part is listed in ``partial_years``."""
     if not market_ads:
         raise DataError("missing market baseline: no ads")
-    backtests = backtests or {}
     baseline = compute_indicators(MARKET, market_ads, market_backtest)
-    if market_backtest is None and backtests:
-        raise DataError("missing market baseline backtest")
 
     report_groups: list[ShortageIndicators] = []
     flags: dict[str, dict[str, bool]] = {}
     for label in sorted(groups):
-        ind = compute_indicators(label, groups[label], backtests.get(label))
+        ind = compute_indicators(label, groups[label], backtests[label])
         report_groups.append(ind)
         flags[label] = {
             "growth": _flag(ind.mean_growth, baseline.mean_growth, True),
@@ -187,9 +186,9 @@ def assemble_report(
         }
 
     partial = []
-    if corpus_start is not None and (corpus_start.month, corpus_start.day) != (1, 1):
+    if (corpus_start.month, corpus_start.day) != (1, 1):
         partial.append(corpus_start.year)
-    if corpus_end is not None and (corpus_end.month, corpus_end.day) != (12, 31):
+    if (corpus_end.month, corpus_end.day) != (12, 31):
         partial.append(corpus_end.year)
 
     return ShortageReport(
@@ -198,7 +197,7 @@ def assemble_report(
         flags=flags,
         partial_years=sorted(set(partial)),
         backtests=backtests,
-        trend_models=trend_models or {},
+        trend_models=trend_models,
     )
 
 
@@ -206,7 +205,7 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_indicator_csv(path: Path, name: str, baseline, groups, getter) -> None:
+def _write_indicator_csv(path: Path, baseline, groups, getter) -> None:
     years = sorted(baseline.counts_by_year)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -226,21 +225,20 @@ def write_boxplot(backtests: dict[str, BacktestReport], path) -> None:
 
 
 def write_report(report: ShortageReport, out_dir) -> None:
-    """Emit the report directory: one CSV per indicator, report.json,
-    boxplot.csv, and trend_lines.csv."""
+    """Emit the report into the existing directory ``out_dir``: one CSV per
+    indicator, report.json, boxplot.csv, and trend_lines.csv."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base, groups = report.baseline, report.groups
 
-    _write_indicator_csv(out_dir / "posting_counts.csv", "counts", base, groups,
+    _write_indicator_csv(out_dir / "posting_counts.csv", base, groups,
                          lambda ind, y: ind.counts_by_year.get(y))
-    _write_indicator_csv(out_dir / "posting_growth.csv", "growth", base, groups,
+    _write_indicator_csv(out_dir / "posting_growth.csv", base, groups,
                          lambda ind, y: ind.growth_by_year.get(y))
-    _write_indicator_csv(out_dir / "median_salary.csv", "salary", base, groups,
+    _write_indicator_csv(out_dir / "median_salary.csv", base, groups,
                          lambda ind, y: ind.salary_by_year.get(y))
-    _write_indicator_csv(out_dir / "education_years.csv", "education", base, groups,
+    _write_indicator_csv(out_dir / "education_years.csv", base, groups,
                          lambda ind, y: ind.education_by_year.get(y))
-    _write_indicator_csv(out_dir / "experience_years.csv", "experience", base, groups,
+    _write_indicator_csv(out_dir / "experience_years.csv", base, groups,
                          lambda ind, y: ind.experience_by_year.get(y))
 
     write_boxplot(report.backtests, out_dir / "boxplot.csv")
@@ -262,7 +260,7 @@ def write_report(report: ShortageReport, out_dir) -> None:
         "flags": {
             label: {
                 **{k: bool(v) for k, v in per.items()},
-                "shortage_consistent": f"{sum(per.values())}/5",
+                "shortage_consistent": f"{report.flag_count(label)}/5",
             }
             for label, per in sorted(report.flags.items())
         },

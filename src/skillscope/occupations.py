@@ -15,9 +15,10 @@ from typing import Iterable, Optional, Sequence
 
 from .corpus import JobAd, normalize_skill
 from .errors import DataError
-from .similarity import SkillSetResult
 
 UNCATEGORIZED = "uncategorized"
+# Selected occupations with fewer ads than this are flagged low-support.
+LOW_SUPPORT_FLOOR = 10
 
 
 @dataclass
@@ -34,24 +35,17 @@ class OccupationProfile:
 @dataclass
 class SelectionResult:
     profiles: list[OccupationProfile]
-    threshold: float
-    total_occupations: int
     total_ads: int
 
 
-def _target_keys(skill_set) -> set[str]:
-    if isinstance(skill_set, SkillSetResult):
-        return skill_set.skill_keys()
-    return {normalize_skill(s) for s in skill_set}
-
-
-def compute_intensity(ads: Sequence[JobAd], skill_set) -> list[OccupationProfile]:
+def compute_intensity(ads: Sequence[JobAd],
+                      skills: Iterable[str]) -> list[OccupationProfile]:
     """One profile per distinct occupation, sorted by intensity descending
-    then name ascending. ``skill_set`` is a SkillSetResult or any iterable
-    of skill names."""
+    then name ascending. ``skills`` names the target set in any casing and
+    spacing; each name is normalized before it is matched."""
     if not ads:
         raise DataError("empty corpus: cannot compute skill intensity")
-    targets = _target_keys(skill_set)
+    targets = {normalize_skill(s) for s in skills}
     if not targets:
         raise DataError("empty target skill set")
 
@@ -112,24 +106,19 @@ def select_occupations(
     profiles: Iterable[OccupationProfile],
     threshold: float = 0.15,
     category_map: Optional[dict[str, str]] = None,
-    low_support_floor: int = 10,
 ) -> SelectionResult:
     """Keep profiles with intensity strictly above ``threshold``; attach
-    category labels; flag (but keep) occupations with few ads."""
+    category labels; flag (but keep) occupations with fewer than
+    ``LOW_SUPPORT_FLOOR`` ads."""
     if not 0 < threshold < 1:
         raise DataError("threshold must be in (0, 1)")
     selected = []
     for p in profiles:
         if p.eta > threshold:
             p.category = (category_map or {}).get(p.occupation, UNCATEGORIZED)
-            p.low_support = p.ads < low_support_floor
+            p.low_support = p.ads < LOW_SUPPORT_FLOOR
             selected.append(p)
-    return SelectionResult(
-        profiles=selected,
-        threshold=threshold,
-        total_occupations=len(selected),
-        total_ads=sum(p.ads for p in selected),
-    )
+    return SelectionResult(profiles=selected, total_ads=sum(p.ads for p in selected))
 
 
 def write_selection_csv(result: SelectionResult, path) -> None:
@@ -147,7 +136,7 @@ def write_selection_csv(result: SelectionResult, path) -> None:
             ])
         writer.writerow([
             "TOTALS",
-            f"{result.total_occupations} occupations",
+            f"{len(result.profiles)} occupations",
             result.total_ads,
             "",
             "",

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import normalize_skill
 from .errors import DataError
 from .skillmetrics import EffectiveUseMatrix
 
@@ -94,7 +93,7 @@ def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
 
 @dataclass(frozen=True)
 class SkillScore:
-    skill: str          # display name
+    skill: str          # normalized name
     score: float
     is_seed: bool = False
 
@@ -113,9 +112,6 @@ class SkillSetResult:
     @property
     def skills(self) -> list[str]:
         return [e.skill for e in self.entries]
-
-    def skill_keys(self) -> set[str]:
-        return {normalize_skill(e.skill) for e in self.entries}
 
     def to_csv(self, path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
@@ -165,8 +161,9 @@ def expand_seeds(
     Per seed: the ``per_seed_k`` highest-scoring neighbours (the seed itself
     excluded). Merged scores are averaged over the lists in which a skill
     appears, or over all seeds when ``avg_over_all_seeds`` is set. Seeds are
-    prepended to the result, displayed with their maximum pairwise score to
+    prepended to the result, scored with their maximum pairwise score to
     the other seeds (1.0 when there is a single seed). Ties break by name.
+    Every skill, seeds included, is named by its normalized form.
     """
     if per_seed_k < 1:
         raise DataError("per_seed_k must be >= 1")
@@ -187,7 +184,7 @@ def expand_seeds(
     for si in seed_idx:
         nbrs = theta.neighbours(si)
         if not nbrs:
-            warnings.warn(f"seed {vocab.display(si)!r} has no complementarity "
+            warnings.warn(f"seed {names[si]!r} has no complementarity "
                           "neighbours; it contributes an empty list")
             continue
         nbrs.sort(key=lambda nv: (-nv[1], names[nv[0]]))
@@ -207,15 +204,15 @@ def expand_seeds(
     for si in seed_idx:
         others = [theta.value(si, sj) for sj in seed_idx if sj != si]
         sentinel = max(others) if others else 1.0
-        seed_entries.append(SkillScore(vocab.display(si), sentinel, is_seed=True))
-    seed_entries.sort(key=lambda e: (-e.score, normalize_skill(e.skill)))
+        seed_entries.append(SkillScore(names[si], sentinel, is_seed=True))
+    seed_entries.sort(key=lambda e: (-e.score, e.skill))
 
     entries = seed_entries + [
-        SkillScore(vocab.display(idx), score) for _, score, idx in scored
+        SkillScore(names[idx], score) for _, score, idx in scored
     ]
     return SkillSetResult(
         entries=entries[:cutoff],
-        seeds=[vocab.display(si) for si in seed_idx],
+        seeds=[names[si] for si in seed_idx],
         per_seed_k=per_seed_k,
         cutoff=cutoff,
         avg_over_all_seeds=avg_over_all_seeds,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import JobAd, normalize_skill, write_jsonl
+from .corpus import JobAd, normalize_skill, parse_date, write_jsonl
 from .errors import DataError
 
 WEEK_PERIOD = 7.0
@@ -306,7 +306,7 @@ def config_from_dict(raw) -> SynthConfig:
             background_skills=tuple(
                 (str(n), _finite(p)) for n, p in raw.get("background_skills", [])
             ),
-            start_date=dt.date.fromisoformat(raw.get("start_date", "2015-01-01")),
+            start_date=parse_date(raw.get("start_date", "2015-01-01")),
             weekly_amplitude=_finite(raw.get("weekly_amplitude", 0.0)),
             yearly_amplitude=_finite(raw.get("yearly_amplitude", 0.0)),
             noise_level=_finite(raw.get("noise_level", 0.0)),

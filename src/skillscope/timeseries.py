@@ -25,7 +25,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,6 +36,9 @@ from .errors import DataError
 
 WEEK_PERIOD = 7.0
 YEAR_PERIOD = 365.25
+WEEKLY_ORDER = 3
+YEARLY_ORDER = 10          # on from two yearly periods of data
+CHANGEPOINT_RANGE = 0.8    # changepoints live in the first 80% of the span
 MIN_FIT_DAYS = 14
 
 
@@ -57,16 +60,6 @@ class DailySeries:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def date_of(self, offset: int) -> dt.date:
-        return self.start + dt.timedelta(days=int(offset))
-
-    def slice(self, start_offset: int, length: int) -> "DailySeries":
-        return DailySeries(
-            start=self.date_of(start_offset),
-            counts=self.counts[start_offset:start_offset + length],
-            label=self.label,
-        )
 
 
 def aggregate_daily(
@@ -92,10 +85,7 @@ def aggregate_daily(
 @dataclass(frozen=True)
 class FitConfig:
     n_changepoints: int = 25
-    changepoint_range: float = 0.8   # changepoints live in the first 80% of the span
     ridge_lambda: float = 1.0        # penalty on changepoint slope deltas only
-    weekly_order: int = 3
-    yearly_order: int = 10
     holidays: tuple[dt.date, ...] = ()
 
 
@@ -121,7 +111,6 @@ class DecompositionModel:
     holiday_dates: tuple[dt.date, ...]
     holiday_effects: np.ndarray
     residual_var: float
-    config: FitConfig = field(repr=False, default=FitConfig())
 
     def trend(self, t: np.ndarray) -> np.ndarray:
         """Continuous piecewise-linear trend at day offsets ``t``."""
@@ -133,9 +122,9 @@ class DecompositionModel:
 
     def seasonal(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        s = _fourier_block(t, WEEK_PERIOD, self.config.weekly_order) @ self.weekly_coef
+        s = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.weekly_coef
         if self.yearly_coef is not None:
-            s = s + _fourier_block(t, YEAR_PERIOD, self.config.yearly_order) @ self.yearly_coef
+            s = s + _fourier_block(t, YEAR_PERIOD, YEARLY_ORDER) @ self.yearly_coef
         return s
 
     def holiday(self, t: np.ndarray) -> np.ndarray:
@@ -152,7 +141,7 @@ class DecompositionModel:
     def weekly_amplitude(self) -> float:
         """Half the peak-to-trough range of the weekly component."""
         t = np.linspace(0.0, WEEK_PERIOD, 1401)
-        w = _fourier_block(t, WEEK_PERIOD, self.config.weekly_order) @ self.weekly_coef
+        w = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.weekly_coef
         return float((w.max() - w.min()) / 2.0)
 
 
@@ -169,7 +158,7 @@ def _design(n: int, config: FitConfig, horizon: int = 0) -> tuple[np.ndarray, np
         raise DataError(f"series of {n} days is shorter than two weeks; cannot fit")
     t = np.arange(n + horizon, dtype=np.float64)
     use_yearly = n >= 2 * YEAR_PERIOD
-    cp_limit = config.changepoint_range * (n - 1)
+    cp_limit = CHANGEPOINT_RANGE * (n - 1)
     n_cp = max(0, int(config.n_changepoints))
     changepoints = (
         np.linspace(cp_limit / (n_cp + 1), cp_limit, n_cp) if n_cp else np.empty(0)
@@ -178,9 +167,9 @@ def _design(n: int, config: FitConfig, horizon: int = 0) -> tuple[np.ndarray, np
     blocks = [np.ones((len(t), 1)), t.reshape(-1, 1)]
     if n_cp:
         blocks.append(np.maximum(0.0, t.reshape(-1, 1) - changepoints.reshape(1, -1)))
-    blocks.append(_fourier_block(t, WEEK_PERIOD, config.weekly_order))
+    blocks.append(_fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER))
     if use_yearly:
-        blocks.append(_fourier_block(t, YEAR_PERIOD, config.yearly_order))
+        blocks.append(_fourier_block(t, YEAR_PERIOD, YEARLY_ORDER))
     return np.hstack(blocks), changepoints, use_yearly
 
 
@@ -213,7 +202,7 @@ def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionMo
     n = len(series)
     design, changepoints, use_yearly = _design(n, config)
     y = series.counts
-    if not use_yearly and config.yearly_order > 0:
+    if not use_yearly:
         warnings.warn(
             f"series of {n} days is shorter than two yearly periods; "
             "yearly seasonality disabled"
@@ -231,19 +220,19 @@ def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionMo
     beta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
 
     pos = 2 + n_cp
-    weekly_dim = 2 * config.weekly_order
+    weekly_dim = 2 * WEEKLY_ORDER
     weekly_coef = beta[pos:pos + weekly_dim]
     pos += weekly_dim
     yearly_coef = None
     if use_yearly:
-        yearly_dim = 2 * config.yearly_order
+        yearly_dim = 2 * YEARLY_ORDER
         yearly_coef = beta[pos:pos + yearly_dim]
         pos += yearly_dim
     holiday_effects = beta[pos:pos + len(holiday_dates)]
 
     residuals = y - design @ beta
     dof = max(1, n - p)
-    model = DecompositionModel(
+    return DecompositionModel(
         start=series.start,
         train_len=n,
         changepoints=changepoints,
@@ -255,20 +244,17 @@ def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionMo
         holiday_dates=holiday_dates,
         holiday_effects=holiday_effects.copy(),
         residual_var=float(residuals @ residuals / dof),
-        config=config,
     )
-    return model
 
 
-def forecast(model: DecompositionModel, horizon: int, clip_negative: bool = True) -> np.ndarray:
+def forecast(model: DecompositionModel, horizon: int) -> np.ndarray:
     """Extend the fitted decomposition ``horizon`` days past the training
-    end. Negative predictions are clipped to 0 by default (a negative daily
-    ad count is meaningless)."""
+    end. Negative predictions are clipped to 0 (a negative daily ad count
+    is meaningless)."""
     if horizon < 1:
         raise DataError("forecast horizon must be >= 1")
     t = np.arange(model.train_len, model.train_len + horizon, dtype=np.float64)
-    values = model.predict(t)
-    return np.maximum(values, 0.0) if clip_negative else values
+    return np.maximum(model.predict(t), 0.0)
 
 
 def smape(actual, predicted):

@@ -284,7 +284,7 @@ def run_shortage_report(seed):
 
     backtests = {label: backtest(label, g) for label, g in groups.items()}
     market_bt = backtest("market", ads)
-    return assemble_report(groups, ads, backtests, market_bt,
+    return assemble_report(groups, ads, backtests, market_bt, trend_models={},
                            corpus_start=start, corpus_end=end)
 
 

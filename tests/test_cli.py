@@ -114,6 +114,14 @@ class TestBacktestInputErrors:
         err = one_line_error(capsys)
         assert f"{holidays} line 3" in err and "2016-13-01" in err
 
+    @pytest.mark.parametrize("date", ["20170102", "2017-W01-1", "2017-1-2"])
+    def test_holiday_date_not_yyyy_mm_dd_exit_2(self, corpus, tmp_path, capsys, date):
+        holidays = tmp_path / "holidays.txt"
+        holidays.write_text(f"{date}\n")
+        assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS,
+                     "--holidays", str(holidays), "--out", str(tmp_path / "bt")]) == 2
+        assert f"line 1: not a YYYY-MM-DD date: {date!r}" in one_line_error(capsys)
+
 
 NOT_UTF8 = b"\xff\xfenot text\n"
 
@@ -148,6 +156,16 @@ class TestInputFileErrors:
         assert main([*argv, "--out", str(tmp_path / "o")]) in (1, 2)
         assert str(bad) in one_line_error(capsys)
 
+    @pytest.mark.parametrize("out", ["{file}", "{file}/o"], ids=["file", "under-a-file"])
+    def test_out_not_a_directory_exit_1(self, corpus, tmp_path, capsys, out):
+        existing = tmp_path / "existing-file"
+        existing.write_text("keep me\n")
+        out = out.format(file=existing)
+        assert main(["ingest", "--input", str(corpus), "--out", out]) == 1
+        err = one_line_error(capsys)
+        assert err.startswith(f"usage error: cannot make --out directory {out}: ")
+        assert existing.read_text() == "keep me\n"
+
     def test_config_file_flag_without_file_exit_1(self, capsys):
         assert main(["report", "--config-file"]) == 1
         assert "needs a file name" in one_line_error(capsys)
@@ -170,9 +188,10 @@ class TestInputFileErrors:
          "synth cluster 'target': daily rate 1e+300 on day 0 is above the limit"),
         ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "annual_growth": -2}]},
          "invalid ClusterSpec growth for 'target'"),
+        ({**SCENARIO, "start_date": "2017-W01-1"}, "not a YYYY-MM-DD date: '2017-W01-1'"),
     ], ids=["array", "n_days-not-a-number", "skills-not-a-list",
             "rate-above-poisson-limit", "deterministic-rate-above-poisson-limit",
-            "growth-below-minus-one"])
+            "growth-below-minus-one", "start-date-iso-week"])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(config))
@@ -201,6 +220,21 @@ class TestReservedMarketLabel:
         assert main(argv) == 2
         assert "group label 'market' is reserved" in one_line_error(capsys)
         assert not (tmp_path / "o" / "trend_lines.csv").exists()
+
+
+@pytest.mark.parametrize("flags,mapping,message", [
+    ([], "Modeler,market\n", "group label 'market' is reserved"),
+    (["--train-days", "700"], None, "too short for the backtest"),
+], ids=["category-market", "train-days-above-span"])
+def test_failed_report_writes_no_file(corpus, tmp_path, capsys, flags, mapping, message):
+    argv = ["report", "--input", str(corpus), "--seed-skill", "ml", "--per-seed-k", "10",
+            "--cutoff", "5", *BACKTEST_FLAGS, *flags, "--out", str(tmp_path / "o")]
+    if mapping:
+        (tmp_path / "map.csv").write_text(mapping)
+        argv += ["--category-map", str(tmp_path / "map.csv")]
+    assert main(argv) == 2
+    assert message in one_line_error(capsys)
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
 def test_seed_without_neighbours_warns_on_one_line(tmp_path, capsys):

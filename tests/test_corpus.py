@@ -3,8 +3,8 @@ import json
 
 import pytest
 
+from skillscope import corpus as corpus_mod
 from skillscope.corpus import (
-    IngestConfig,
     _record_to_ad,
     JobAd,
     SkillVocabulary,
@@ -42,13 +42,6 @@ class TestNormalization:
             once = normalize_skill(raw)
             assert normalize_skill(once) == once
 
-    def test_display_casing_first_occurrence_wins(self):
-        vocab = SkillVocabulary()
-        vocab.add("TensorFlow")
-        vocab.add("tensorflow")
-        assert vocab.display(0) == "TensorFlow"
-        assert len(vocab) == 1
-
 
 class TestIngest:
     def test_three_clean_records(self, tmp_path):
@@ -70,7 +63,7 @@ class TestIngest:
     def test_skill_dedup_after_normalization(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(0, skills=["SQL", " sql "])])
-        ads, _, _ = ingest(f, config=IngestConfig(reject_threshold=1.0))
+        ads, _, _ = ingest(f)
         assert ads[0].skills == ("sql",)
 
     def test_csv_roundtrip(self, tmp_path):
@@ -90,18 +83,21 @@ class TestIngest:
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(0, salary_min=90000, salary_max=10000)])
         with pytest.raises(DataError):
-            ingest(f)  # 1/1 rejected exceeds the default 5% threshold
-        _, _, report = ingest(f, config=IngestConfig(reject_threshold=1.0))
+            ingest(f)  # 1/1 rejected exceeds the 5% threshold
+        write_lines(f, [record(0, salary_min=90000, salary_max=10000)]
+                    + [record(i) for i in range(1, 20)])
+        _, _, report = ingest(f)  # 1/20 is at the threshold, not above it
         assert report.reasons["salary_min > salary_max"] == 1
 
     def test_reject_fraction_threshold_fatal(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         good = [record(i) for i in range(9)]
         write_lines(f, good + [record(9, skills=[])])
-        with pytest.raises(DataError, match="rejected 1/10"):
+        with pytest.raises(DataError, match=r"rejected 1/10 records \(threshold 5%\)"):
             ingest(f)
-        ads, _, _ = ingest(f, config=IngestConfig(reject_threshold=0.2))
-        assert len(ads) == 9
+        write_lines(f, [record(i) for i in range(19)] + [record(19, skills=[])])
+        ads, _, _ = ingest(f)
+        assert len(ads) == 19
 
     def test_bad_json_line_rejected(self, tmp_path):
         f = tmp_path / "ads.jsonl"
@@ -126,10 +122,14 @@ class TestInterning:
     """Skill ids are interned once at ingest; their order is what keeps
     ``skills.csv`` byte-identical."""
 
+    @pytest.fixture(autouse=True)
+    def accept_any_reject_share(self, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
+
     def ingest_lines(self, tmp_path, lines):
         f = tmp_path / "ads.jsonl"
         write_lines(f, lines)
-        return ingest(f, config=IngestConfig(reject_threshold=1.0))
+        return ingest(f)
 
     def test_skill_of_rejected_record_not_in_vocabulary(self, tmp_path):
         ads, vocab, report = self.ingest_lines(tmp_path, [
@@ -157,7 +157,6 @@ class TestInterning:
             record(2, skills=["machine learning"]),
         ])
         assert vocab.names == ["python", "machine learning"]
-        assert vocab.display(0) == "python"  # ingest sees normalized names only
         index = build_index(ads, vocab)
         assert [r.tolist() for r in index.job_skills] == [[0], [0, 1], [1]]
 
@@ -186,16 +185,25 @@ class TestRecordValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-Infinity"])
     def test_non_finite_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^non-finite {field}$"):
-            _record_to_ad(json.loads(record(0, **{field: value})), IngestConfig())
+            _record_to_ad(json.loads(record(0, **{field: value})), {})
 
     def test_whitespace_occupation_rejected(self):
         with pytest.raises(ValueError, match="^missing occupation$"):
-            _record_to_ad(json.loads(record(0, occupation=" \t ")), IngestConfig())
+            _record_to_ad(json.loads(record(0, occupation=" \t ")), {})
 
     @pytest.mark.parametrize("skills", [5, {"sql": 1}, True])
     def test_skills_must_be_list_or_string(self, skills):
         with pytest.raises(ValueError, match="^bad skills$"):
-            _record_to_ad(json.loads(record(0, skills=skills)), IngestConfig())
+            _record_to_ad(json.loads(record(0, skills=skills)), {})
+
+    @pytest.mark.parametrize("date", ["20160101", "2016-W01-1", "2016-001", "2016-1-4",
+                                      " 2016-01-04", "2016-01-04\n", "2016-01-04T00:00",
+                                      "\uff12016-01-04", "2016-02-30"])
+    def test_only_yyyy_mm_dd_dates_accepted(self, date):
+        with pytest.raises(ValueError, match="^bad date$"):
+            _record_to_ad(json.loads(record(0, date=date)), {})
+        ad = _record_to_ad(json.loads(record(0, date="2016-01-04")), {})
+        assert ad.posted_date == dt.date(2016, 1, 4)
 
     def test_non_object_lines_rejected(self, tmp_path):
         f = tmp_path / "ads.jsonl"

@@ -127,41 +127,30 @@ class TestAssembleReport:
             groups.setdefault(a.occupation, []).append(a)
         return groups
 
-    def test_flags_five_of_five_and_zero_of_five(self):
-        ads = shortage_corpus()
+    def assemble(self, ads, start=dt.date(2016, 1, 1), end=dt.date(2018, 12, 31)):
         backtests, market_bt = self.backtests()
-        report = assemble_report(self.groups(ads), ads, backtests, market_bt)
+        return assemble_report(self.groups(ads), ads, backtests, market_bt,
+                               trend_models={}, corpus_start=start, corpus_end=end)
+
+    def test_flags_five_of_five_and_zero_of_five(self):
+        report = self.assemble(shortage_corpus())
         assert report.flag_count("Hot") == 5
         assert report.flag_count("Cold") == 0
         assert report.flags["Hot"]["experience"] is True  # low side flags
 
-    def test_missing_baseline_backtest_fatal(self):
-        ads = shortage_corpus()
-        backtests, _ = self.backtests()
-        with pytest.raises(DataError, match="baseline"):
-            assemble_report(self.groups(ads), ads, backtests, None)
-
     def test_baseline_counts_dominate_groups(self):
-        ads = shortage_corpus()
-        backtests, market_bt = self.backtests()
-        report = assemble_report(self.groups(ads), ads, backtests, market_bt)
+        report = self.assemble(shortage_corpus())
         for g in report.groups:
             for year, count in g.counts_by_year.items():
                 assert count <= report.baseline.counts_by_year[year]
 
     def test_partial_year_flagging(self):
-        ads = shortage_corpus()
-        backtests, market_bt = self.backtests()
-        report = assemble_report(
-            self.groups(ads), ads, backtests, market_bt,
-            corpus_start=dt.date(2016, 3, 1), corpus_end=dt.date(2018, 12, 31))
+        report = self.assemble(shortage_corpus(), start=dt.date(2016, 3, 1))
         assert report.partial_years == [2016]
+        assert self.assemble(shortage_corpus()).partial_years == []
 
     def test_written_report_directory(self, tmp_path):
-        ads = shortage_corpus()
-        backtests, market_bt = self.backtests()
-        report = assemble_report(self.groups(ads), ads, backtests, market_bt)
-        write_report(report, tmp_path)
+        write_report(self.assemble(shortage_corpus()), tmp_path)
         for name in ["posting_counts.csv", "posting_growth.csv", "median_salary.csv",
                      "education_years.csv", "experience_years.csv",
                      "boxplot.csv", "trend_lines.csv", "report.json"]:
@@ -172,10 +161,7 @@ class TestAssembleReport:
 
     def test_growth_csv_oracle_recompute(self, tmp_path):
         # growth CSV must match a spreadsheet-style recompute from the counts CSV
-        ads = shortage_corpus()
-        backtests, market_bt = self.backtests()
-        report = assemble_report(self.groups(ads), ads, backtests, market_bt)
-        write_report(report, tmp_path)
+        write_report(self.assemble(shortage_corpus()), tmp_path)
         with (tmp_path / "posting_counts.csv").open() as fh:
             counts = {row["label"]: row for row in csv.DictReader(fh)}
         with (tmp_path / "posting_growth.csv").open() as fh:
@@ -188,8 +174,10 @@ class TestAssembleReport:
 
 def test_compute_indicators_fields():
     ads = shortage_corpus()
-    ind = compute_indicators("all", ads)
+    backtest = BacktestReport(scores=[3.0, 1.0, 2.0], train_days=10, test_days=5,
+                              iterations=3, label="all")
+    ind = compute_indicators("all", ads, backtest)
     assert ind.counts_by_year == {2016: 60, 2017: 70, 2018: 90}
-    assert ind.median_smape is None
+    assert ind.median_smape == 2.0
     assert ind.mean_growth == pytest.approx(
         ((70 / 60 - 1) + (90 / 70 - 1)) / 2)

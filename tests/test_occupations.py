@@ -147,7 +147,7 @@ class TestSelection:
             ad(10 + i, "Big", ["t", "x"]) for i in range(15)
         ]
         profiles = compute_intensity(ads, ["t"])
-        selected = select_occupations(profiles, threshold=0.2, low_support_floor=10)
+        selected = select_occupations(profiles, threshold=0.2)  # floor of 10 ads
         flags = {p.occupation: p.low_support for p in selected.profiles}
         assert flags == {"Tiny": True, "Big": False}
 
@@ -158,7 +158,7 @@ class TestSelection:
     def test_summary_and_csv(self, tmp_path):
         ads = [ad(1, "High", ["t", "x"]), ad(2, "High", ["t"]), ad(3, "Mid", ["t", "x", "y"])]
         selected = select_occupations(compute_intensity(ads, ["t"]), threshold=0.25)
-        assert selected.total_occupations == 2
+        assert len(selected.profiles) == 2
         assert selected.total_ads == 3
         out = tmp_path / "occ.csv"
         write_selection_csv(selected, out)

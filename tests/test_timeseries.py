@@ -38,7 +38,9 @@ def per_window_scores(s, config, train_days, test_days, iterations):
     """Reference backtest: refit every window with fit and forecast."""
     scores = []
     for shift in range(iterations):
-        model = quiet_fit(s.slice(shift, train_days), config)
+        window = DailySeries(s.start + dt.timedelta(days=shift),
+                             s.counts[shift:shift + train_days])
+        model = quiet_fit(window, config)
         actual = s.counts[shift + train_days:shift + train_days + test_days]
         scores.append(smape(actual, forecast(model, test_days)))
     return scores
