@@ -38,6 +38,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import corpus as corpus_mod
 from . import indicators as indicators_mod
@@ -145,16 +147,9 @@ def _fit_config(args) -> timeseries.FitConfig:
     )
 
 
-def _corpus_span(ads):
-    if not ads:
-        raise DataError("corpus has no accepted ads; nothing to backtest")
-    dates = [ad.posted_date for ad in ads]
-    return min(dates), max(dates)
-
-
-def _skills_stage(ads, vocab, seeds, args) -> similarity.SkillSetResult:
+def _skills_stage(corpus, seeds, args) -> similarity.SkillSetResult:
     """Index, RCA, effective use, theta and seed expansion."""
-    index = corpus_mod.build_index(ads, vocab)
+    index = corpus_mod.build_index(corpus)
     eff = skillmetrics.compute_effective_use(skillmetrics.compute_rca(index))
     return similarity.expand_seeds(
         similarity.compute_theta(eff),
@@ -165,25 +160,25 @@ def _skills_stage(ads, vocab, seeds, args) -> similarity.SkillSetResult:
     )
 
 
-def _occupations_stage(ads, skill_set, category_map, args):
+def _occupations_stage(corpus, skill_set, category_map, args):
     """Intensity and selection."""
-    profiles = occupations_mod.compute_intensity(ads, skill_set.skills)
+    profiles = occupations_mod.compute_intensity(corpus, skill_set.skills)
     return occupations_mod.select_occupations(
         profiles, threshold=args.threshold, category_map=category_map)
 
 
-def _group_ads(ads, category_map, occupations=None) -> dict[str, list]:
-    """Ads by category when a map is given, else by occupation; with
-    ``occupations``, only the ads of those occupations. Occupations the map
-    does not name fall into the ``uncategorized`` group."""
-    groups: dict[str, list] = {}
-    for ad in ads:
-        if occupations is not None and ad.occupation not in occupations:
-            continue
-        label = (category_map.get(ad.occupation, occupations_mod.UNCATEGORIZED)
-                 if category_map else ad.occupation)
-        groups.setdefault(label, []).append(ad)
-    return groups
+def _group_ads(corpus, category_map, occupations=None) -> dict[str, np.ndarray]:
+    """Ascending row positions of each category's ads when a map is given,
+    else of each occupation's; with ``occupations``, only theirs. Occupations
+    the map does not name fall into the ``uncategorized`` group."""
+    codes: dict[str, list[int]] = {}
+    for code, occ in enumerate(corpus.occupations):
+        if occupations is None or occ in occupations:
+            label = (category_map.get(occ, occupations_mod.UNCATEGORIZED)
+                     if category_map else occ)
+            codes.setdefault(label, []).append(code)
+    return {label: np.flatnonzero(np.isin(corpus.occupation_codes, c))
+            for label, c in codes.items()}
 
 
 def _backtest(series, args, cfg):
@@ -193,25 +188,24 @@ def _backtest(series, args, cfg):
         iterations=args.iterations, config=cfg)
 
 
-def _indicators_stage(ads, groups: dict[str, list], args, cfg):
+def _indicators_stage(corpus, groups: dict[str, np.ndarray], args, cfg):
     """Backtest the market baseline and every group, fit their trend lines,
     and assemble the shortage report."""
     market = indicators_mod.MARKET
     if market in groups:
         raise DataError(f"group label {market!r} is reserved for the whole-market "
                         "baseline; rename that occupation or category")
-    span = _corpus_span(ads)
-    series = [timeseries.aggregate_daily(ads if label == market else groups[label],
-                                         *span, label=label)
-              for label in [market, *sorted(groups)]]
+    span = corpus.span()
+    series = [timeseries.aggregate_daily(corpus.ordinals[rows], *span, label=label)
+              for label, rows in [(market, slice(None)), *sorted(groups.items())]]
     market_bt, *group_bts = _backtest(series, args, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         models = {s.label: timeseries.fit(s, cfg) for s in series}
 
     return indicators_mod.assemble_report(
+        corpus,
         groups=groups,
-        market_ads=ads,
         backtests={bt.label: bt for bt in group_bts},
         market_backtest=market_bt,
         trend_models=models,
@@ -221,12 +215,12 @@ def _indicators_stage(ads, groups: dict[str, list], args, cfg):
 
 
 def cmd_ingest(args) -> None:
-    ads, vocab, report = _load_corpus(args)
+    corpus, report = _load_corpus(args)
     out = Path(args.out)
-    corpus_mod.write_jsonl(ads, out / "corpus.jsonl")
+    corpus_mod.write_jsonl(corpus.rows(), out / "corpus.jsonl")
     (out / "ingest_report.json").write_text(report.to_json() + "\n")
     print(f"accepted {report.accepted}, rejected {report.rejected} "
-          f"({len(vocab)} distinct skills)")
+          f"({len(corpus.skill_names)} distinct skills)")
 
 
 def cmd_synth(args) -> None:
@@ -237,18 +231,18 @@ def cmd_synth(args) -> None:
 
 def cmd_skills(args) -> None:
     seeds = _read_seeds(args)
-    ads, vocab, _ = _load_corpus(args)
-    skill_set = _skills_stage(ads, vocab, seeds, args)
+    corpus, _ = _load_corpus(args)
+    skill_set = _skills_stage(corpus, seeds, args)
     skill_set.to_csv(Path(args.out) / "skills.csv")
     skill_set.to_json(Path(args.out) / "skills.json")
     print(f"expanded {len(seeds)} seeds into {len(skill_set.entries)} skills")
 
 
 def cmd_occupations(args) -> None:
-    ads, _, _ = _load_corpus(args)
+    corpus, _ = _load_corpus(args)
     skill_set = similarity.SkillSetResult.from_csv(
         _require_file(args.skills, "skill set CSV"))
-    selection = _occupations_stage(ads, skill_set, _load_category_map(args), args)
+    selection = _occupations_stage(corpus, skill_set, _load_category_map(args), args)
     occupations_mod.write_selection_csv(selection, Path(args.out) / "occupations.csv")
     print(f"selected {len(selection.profiles)} occupations "
           f"({selection.total_ads} ads) above eta > {args.threshold}")
@@ -256,12 +250,15 @@ def cmd_occupations(args) -> None:
 
 def cmd_backtest(args) -> None:
     cfg = _fit_config(args)
-    ads, _, _ = _load_corpus(args)
-    span = _corpus_span(ads)
+    corpus, _ = _load_corpus(args)
+    span = corpus.span()
     label = args.occupation or "all"
+    days = corpus.ordinals
     if args.occupation:
-        ads = [ad for ad in ads if ad.occupation == args.occupation]
-    [report] = _backtest([timeseries.aggregate_daily(ads, *span, label=label)], args, cfg)
+        if args.occupation not in corpus.occupations:
+            raise DataError(f"no accepted ad has occupation {args.occupation!r}")
+        days = days[corpus.occupation_codes == corpus.occupations.index(args.occupation)]
+    [report] = _backtest([timeseries.aggregate_daily(days, *span, label=label)], args, cfg)
     out = Path(args.out)
     report.to_json(out / "backtest.json")
     indicators_mod.write_boxplot({label: report}, out / "boxplot.csv")
@@ -271,9 +268,9 @@ def cmd_backtest(args) -> None:
 
 def cmd_indicators(args) -> None:
     cfg = _fit_config(args)
-    ads, _, _ = _load_corpus(args)
-    groups = _group_ads(ads, _load_category_map(args))
-    report = _indicators_stage(ads, groups, args, cfg)
+    corpus, _ = _load_corpus(args)
+    groups = _group_ads(corpus, _load_category_map(args))
+    report = _indicators_stage(corpus, groups, args, cfg)
     out = Path(args.out)
     indicators_mod.write_report(report, out)
     print(f"wrote indicator report for {len(groups)} groups to {out}")
@@ -282,15 +279,15 @@ def cmd_indicators(args) -> None:
 def cmd_report(args) -> None:
     cfg = _fit_config(args)
     seeds = _read_seeds(args)
-    ads, vocab, ingest_report = _load_corpus(args)
-    skill_set = _skills_stage(ads, vocab, seeds, args)
+    corpus, ingest_report = _load_corpus(args)
+    skill_set = _skills_stage(corpus, seeds, args)
     category_map = _load_category_map(args)
-    selection = _occupations_stage(ads, skill_set, category_map, args)
+    selection = _occupations_stage(corpus, skill_set, category_map, args)
     if not selection.profiles:
         raise DataError(f"no occupation exceeds eta > {args.threshold}; "
                         "nothing to report on")
-    groups = _group_ads(ads, category_map, {p.occupation for p in selection.profiles})
-    report = _indicators_stage(ads, groups, args, cfg)
+    groups = _group_ads(corpus, category_map, {p.occupation for p in selection.profiles})
+    report = _indicators_stage(corpus, groups, args, cfg)
     out = Path(args.out)
     (out / "ingest_report.json").write_text(ingest_report.to_json() + "\n")
     skill_set.to_csv(out / "skills.csv")

@@ -1,11 +1,12 @@
 """Job-ad corpus loading, validation, and sparse incidence indexing.
 
-A corpus is a list of immutable :class:`JobAd` records plus a
-:class:`SkillVocabulary` of normalized skill names in first-occurrence
-order; ingest normalizes each distinct raw skill string once (a memo).
-:func:`build_index` interns the ads' skills to integer ids in CSR form (one
-flat array of sorted ids per job, cut by ``indptr``) with the marginals the
-relevance and complementarity computations consume as whole arrays.
+Ingest validates each record into a :class:`JobAd` row, normalizing each
+distinct raw skill string once (a memo), and folds the accepted rows one at
+a time into a :class:`Corpus`: one array per column instead of one object
+per ad, with skills, occupations and dates interned once. :func:`build_index`
+sorts each ad's skill ids into the CSR incidence (one flat array of sorted
+ids per job, cut by ``indptr``) with the marginals the relevance and
+complementarity computations consume as whole arrays.
 
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
@@ -18,10 +19,11 @@ import datetime as dt
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -32,6 +34,7 @@ REJECT_THRESHOLD = 0.05
 
 _WS_RUN = re.compile(r"\s+")
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
 def normalize_skill(raw: str) -> str:
@@ -54,8 +57,8 @@ def parse_date(text: str) -> dt.date:
 
 @dataclass(frozen=True)
 class JobAd:
-    """One advertisement. ``skills`` holds normalized names, deduplicated,
-    in first-occurrence order."""
+    """One advertisement as read or written. ``skills`` holds normalized
+    names, deduplicated, in first-occurrence order."""
 
     id: str
     posted_date: dt.date
@@ -66,65 +69,65 @@ class JobAd:
     education_years: Optional[float] = None
     experience_years: Optional[float] = None
 
-    def salary_midpoint(self) -> Optional[float]:
-        if self.salary_min is not None and self.salary_max is not None:
-            return (self.salary_min + self.salary_max) / 2.0
-        if self.salary_min is not None:
-            return float(self.salary_min)
-        if self.salary_max is not None:
-            return float(self.salary_max)
-        return None
 
+class Corpus:
+    """Ads as columns, row ``i`` being the ``i``-th ad given.
 
-class SkillVocabulary:
-    """Ordered skill vocabulary with contiguous indices from 0.
-
-    Identity and output spelling are both the normalized (lowercased)
-    form: :meth:`add` normalizes, and every name the pipeline shows,
-    including a seed typed in another casing, is read from :attr:`names`.
+    Per ad: ``ids``, int64 ``ordinals`` and ``years``, and
+    ``occupation_codes`` into ``occupations`` (names in first-occurrence
+    order). Ad ``i``'s skill ids, in its own order, are
+    ``slots[indptr[i]:indptr[i + 1]]``, naming ``skill_names[id]``;
+    ``skill_ids`` maps a name to its id. ``salary_min``, ``salary_max``,
+    ``education_years`` and ``experience_years`` are float64, NaN where
+    missing. Names are kept as spelled: ingest gives normalized ones.
     """
 
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self._names: list[str] = []
+    def __init__(self, ads: Iterable[JobAd]):
+        self.ids: list[str] = []
+        self.skill_ids: dict[str, int] = {}
+        skill_ids, occupation_codes = self.skill_ids, {}
+        ordinals, codes, slots, lengths = array("q"), array("q"), array("q"), array("q")
+        numbers = array("d")
+        for ad in ads:
+            self.ids.append(ad.id)
+            ordinals.append(ad.posted_date.toordinal())
+            codes.append(occupation_codes.setdefault(ad.occupation, len(occupation_codes)))
+            slots.extend([skill_ids.setdefault(s, len(skill_ids)) for s in ad.skills])
+            lengths.append(len(ad.skills))
+            numbers.extend([math.nan if v is None else v for v in (
+                ad.salary_min, ad.salary_max, ad.education_years, ad.experience_years)])
+        self.occupations = list(occupation_codes)
+        self.skill_names = list(skill_ids)
+        self.ordinals = np.array(ordinals, dtype=np.int64)
+        self.years = (self.ordinals - _EPOCH).astype("datetime64[D]").astype(
+            "datetime64[Y]").astype(np.int64) + 1970
+        self.occupation_codes = np.array(codes, dtype=np.int64)
+        self.slots = np.array(slots, dtype=np.int64)
+        self.indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        columns = np.array(numbers, dtype=np.float64).reshape(-1, 4)
+        (self.salary_min, self.salary_max, self.education_years,
+         self.experience_years) = columns.T.copy()
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self.ids)
 
-    def __contains__(self, name: str) -> bool:
-        return normalize_skill(name) in self._index
+    def span(self) -> tuple[dt.date, dt.date]:
+        """First and last posting date."""
+        if not len(self):
+            raise DataError("corpus has no accepted ads; nothing to backtest")
+        return (dt.date.fromordinal(int(self.ordinals.min())),
+                dt.date.fromordinal(int(self.ordinals.max())))
 
-    @property
-    def names(self) -> list[str]:
-        """Normalized names in index order."""
-        return list(self._names)
-
-    def add(self, raw: str) -> int:
-        key = normalize_skill(raw)
-        if not key:
-            raise DataError("cannot add empty skill name")
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self._names)
-            self._index[key] = idx
-            self._names.append(key)
-        return idx
-
-    def index_of(self, name: str) -> int:
-        key = normalize_skill(name)
-        if key not in self._index:
-            raise DataError(f"unknown skill: {name!r}")
-        return self._index[key]
-
-    @classmethod
-    def from_ads(cls, ads: Iterable[JobAd]) -> "SkillVocabulary":
-        """Skills in first-occurrence order over ``ads``."""
-        vocab = cls()
-        for ad in ads:
-            for s in ad.skills:
-                if s not in vocab._index:  # normalized names skip normalization
-                    vocab.add(s)
-        return vocab
+    def rows(self) -> Iterator[JobAd]:
+        """The ads back as :class:`JobAd` rows, in order."""
+        numbers = np.column_stack([self.salary_min, self.salary_max, self.education_years,
+                                   self.experience_years]).tolist()
+        for i, ad_id in enumerate(self.ids):
+            skills = self.slots[self.indptr[i]:self.indptr[i + 1]].tolist()
+            yield JobAd(ad_id, dt.date.fromordinal(int(self.ordinals[i])),
+                        self.occupations[self.occupation_codes[i]],
+                        tuple(self.skill_names[s] for s in skills),
+                        *(None if math.isnan(v) else v for v in numbers[i]))
 
 
 @dataclass
@@ -145,6 +148,8 @@ class IngestReport:
 def _parse_optional_float(value, field_name: str) -> Optional[float]:
     if value is None or value == "":
         return None
+    if isinstance(value, bool):
+        raise ValueError(f"bad number in {field_name}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -162,6 +167,9 @@ def _record_to_ad(rec: dict, normalized: dict[str, str]) -> JobAd:
     for key in ("id", "date", "occupation", "skills"):
         if key not in rec or rec[key] in (None, ""):
             raise ValueError(f"missing {key}")
+    for key in ("id", "occupation"):  # text, or an integer code
+        if not isinstance(rec[key], (str, int)) or isinstance(rec[key], bool):
+            raise ValueError(f"bad {key}")
     occupation = str(rec["occupation"]).strip()
     if not occupation:
         raise ValueError("missing occupation")
@@ -175,16 +183,15 @@ def _record_to_ad(rec: dict, normalized: dict[str, str]) -> JobAd:
         raw_skills = raw_skills.split(";")
     elif not isinstance(raw_skills, list):
         raise ValueError("bad skills")
-    skills: list[str] = []
-    seen: set[str] = set()
-    for raw in raw_skills:
-        text = str(raw)
+    skills: dict[str, None] = {}  # an ordered set
+    for text in raw_skills:
+        if not isinstance(text, str):
+            raise ValueError("bad skills")
         key = normalized.get(text)
         if key is None:
             key = normalized[text] = normalize_skill(text)
-        if key and key not in seen:
-            seen.add(key)
-            skills.append(key)
+        if key:
+            skills[key] = None
     if not skills:
         raise ValueError("empty skills")
 
@@ -192,23 +199,13 @@ def _record_to_ad(rec: dict, normalized: dict[str, str]) -> JobAd:
     salary_max = _parse_optional_float(rec.get("salary_max"), "salary_max")
     if salary_min is not None and salary_max is not None and salary_min > salary_max:
         raise ValueError("salary_min > salary_max")
-    education = _parse_optional_float(rec.get("education_years"), "education_years")
-    if education is not None and education < 0:
-        raise ValueError("negative education_years")
-    experience = _parse_optional_float(rec.get("experience_years"), "experience_years")
-    if experience is not None and experience < 0:
-        raise ValueError("negative experience_years")
-
-    return JobAd(
-        id=str(rec["id"]),
-        posted_date=posted,
-        occupation=occupation,
-        skills=tuple(skills),
-        salary_min=salary_min,
-        salary_max=salary_max,
-        education_years=education,
-        experience_years=experience,
-    )
+    years = {}
+    for key in ("education_years", "experience_years"):
+        years[key] = _parse_optional_float(rec.get(key), key)
+        if years[key] is not None and years[key] < 0:
+            raise ValueError(f"negative {key}")
+    return JobAd(str(rec["id"]), posted, occupation, tuple(skills),
+                 salary_min, salary_max, **years)
 
 
 def _iter_records(path: Path, fmt: str):
@@ -232,19 +229,8 @@ def _iter_records(path: Path, fmt: str):
         raise DataError(f"cannot read input file {path}: {exc}") from None
 
 
-def ingest(path, fmt: str = "jsonl") -> tuple[list[JobAd], SkillVocabulary, IngestReport]:
-    """Load a corpus file, validate every record, and build the vocabulary.
-
-    Malformed records are rejected with a per-record reason and never abort
-    the run unless the rejected fraction exceeds ``REJECT_THRESHOLD``.
-    Deterministic: the returned ad order is file order.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"cannot read input file: {path}")
-
-    ads: list[JobAd] = []
-    report = IngestReport()
+def _accepted_ads(path: Path, fmt: str, report: IngestReport) -> Iterator[JobAd]:
+    """Each valid record as a row; every other one is counted in ``report``."""
     normalized: dict[str, str] = {}
     for rec in _iter_records(path, fmt):
         if "__parse_error__" in rec:
@@ -252,12 +238,29 @@ def ingest(path, fmt: str = "jsonl") -> tuple[list[JobAd], SkillVocabulary, Inge
             report.reasons[rec["__parse_error__"]] += 1
             continue
         try:
-            ads.append(_record_to_ad(rec, normalized))
-            report.accepted += 1
+            ad = _record_to_ad(rec, normalized)
         except ValueError as exc:
             report.rejected += 1
             report.reasons[str(exc)] += 1
+            continue
+        report.accepted += 1
+        yield ad
 
+
+def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
+    """Load a corpus file, validate every record, and intern the accepted
+    ones into a :class:`Corpus` in one pass.
+
+    Malformed records are rejected with a per-record reason and never abort
+    the run unless the rejected fraction exceeds ``REJECT_THRESHOLD``.
+    Deterministic: the corpus rows are in file order.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"cannot read input file: {path}")
+
+    report = IngestReport()
+    corpus = Corpus(_accepted_ads(path, fmt, report))
     total = report.accepted + report.rejected
     if total > 0 and report.rejected / total > REJECT_THRESHOLD:
         raise DataError(
@@ -265,8 +268,7 @@ def ingest(path, fmt: str = "jsonl") -> tuple[list[JobAd], SkillVocabulary, Inge
             f"(threshold {REJECT_THRESHOLD:.0%}); reasons: "
             + ", ".join(f"{r}={n}" for r, n in sorted(report.reasons.items()))
         )
-    vocab = SkillVocabulary.from_ads(ads)
-    return ads, vocab, report
+    return corpus, report
 
 
 class CsrRows:
@@ -293,20 +295,18 @@ class IncidenceIndex:
     counts and the grand total are precomputed.
     """
 
-    def __init__(self, ads: Sequence[JobAd], vocab: SkillVocabulary):
-        if len(ads) == 0:
+    def __init__(self, corpus: Corpus):
+        if len(corpus) == 0:
             raise DataError("empty corpus: cannot build incidence index")
-        self.vocab = vocab
-        self.job_ids: list[str] = [ad.id for ad in ads]
-        ids, index_of = vocab._index, vocab.index_of
-        skills = np.array([ids[s] if s in ids else index_of(s)
-                           for ad in ads for s in ad.skills], dtype=np.int64)
-        self.job_skill_counts = np.array([len(ad.skills) for ad in ads], dtype=np.int64)
-        self.indptr = np.concatenate(([0], np.cumsum(self.job_skill_counts)))
-        rows = np.repeat(np.arange(len(ads)), self.job_skill_counts)
-        self.indices = skills[np.lexsort((skills, rows))]
+        self.job_ids = corpus.ids
+        self.skill_ids = corpus.skill_ids
+        self.indptr = corpus.indptr
+        self.job_skill_counts = np.diff(corpus.indptr)
+        # Sorting row * V + id keeps the rows in order and sorts within each.
+        offsets = np.repeat(np.arange(len(corpus)) * self.n_skills, self.job_skill_counts)
+        self.indices = np.sort(offsets + corpus.slots) - offsets
         self.job_skills = CsrRows(self.indptr, self.indices)
-        self.skill_job_counts = np.bincount(self.indices, minlength=len(vocab))
+        self.skill_job_counts = np.bincount(self.indices, minlength=self.n_skills)
         self.grand_total = len(self.indices)
 
     @property
@@ -315,13 +315,12 @@ class IncidenceIndex:
 
     @property
     def n_skills(self) -> int:
-        return len(self.vocab)
+        return len(self.skill_ids)
 
 
-def build_index(ads: Sequence[JobAd], vocab: SkillVocabulary) -> IncidenceIndex:
-    """Build the incidence structure; fatal if an ad names a skill missing
-    from ``vocab`` (the vocabulary must come from the same corpus)."""
-    return IncidenceIndex(ads, vocab)
+def build_index(corpus: Corpus) -> IncidenceIndex:
+    """Build the incidence structure: every ad's skill ids, sorted."""
+    return IncidenceIndex(corpus)
 
 
 def write_jsonl(ads: Iterable[JobAd], path) -> None:
@@ -334,12 +333,7 @@ def write_jsonl(ads: Iterable[JobAd], path) -> None:
                 "occupation": ad.occupation,
                 "skills": list(ad.skills),
             }
-            if ad.salary_min is not None:
-                rec["salary_min"] = ad.salary_min
-            if ad.salary_max is not None:
-                rec["salary_max"] = ad.salary_max
-            if ad.education_years is not None:
-                rec["education_years"] = ad.education_years
-            if ad.experience_years is not None:
-                rec["experience_years"] = ad.experience_years
+            for key in ("salary_min", "salary_max", "education_years", "experience_years"):
+                if getattr(ad, key) is not None:
+                    rec[key] = getattr(ad, key)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -7,6 +7,10 @@ backtest). Each indicator is compared against the whole-market baseline;
 the shortage-consistent direction is "above baseline" for everything
 except experience, where low demands signal shortage.
 
+A group is a set of row positions into the corpus columns; the market is
+every row. Yearly medians use ``statistics.median`` and yearly means sum
+left to right in row order, so no figure depends on NumPy's summation order.
+
 No scalar shortage score is computed; the report keeps the per-indicator
 flags side by side.
 """
@@ -19,11 +23,11 @@ import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .corpus import JobAd
+from .corpus import Corpus
 from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel
 
@@ -31,11 +35,10 @@ INDICATOR_NAMES = ("growth", "salary", "education", "experience", "predictabilit
 MARKET = "market"  # label of the whole-market baseline; no group may use it
 
 
-def yearly_counts(ads: Sequence[JobAd]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for ad in ads:
-        counts[ad.posted_date.year] = counts.get(ad.posted_date.year, 0) + 1
-    return dict(sorted(counts.items()))
+def yearly_counts(years: np.ndarray) -> dict[int, int]:
+    """Ads per year, from one year per ad."""
+    found, counts = np.unique(years, return_counts=True)
+    return dict(zip(found.tolist(), counts.tolist()))
 
 
 def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Optional[float]]:
@@ -54,28 +57,19 @@ def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Op
     return growth, mean
 
 
-def _ads_in_year(ads: Sequence[JobAd], year: int):
-    return [ad for ad in ads if ad.posted_date.year == year]
+def _mean(values: list[float]) -> Optional[float]:
+    return sum(values) / len(values) if values else None
 
 
-def median_salary(ads: Sequence[JobAd], year: int) -> Optional[float]:
-    """Median of salary midpoints over the year's salaried ads; absent when
-    none carry a salary."""
-    mids = [ad.salary_midpoint() for ad in _ads_in_year(ads, year)]
-    mids = [m for m in mids if m is not None]
-    return statistics.median(mids) if mids else None
-
-
-def mean_education(ads: Sequence[JobAd], year: int) -> Optional[float]:
-    vals = [ad.education_years for ad in _ads_in_year(ads, year)
-            if ad.education_years is not None]
-    return sum(vals) / len(vals) if vals else None
-
-
-def mean_experience(ads: Sequence[JobAd], year: int) -> Optional[float]:
-    vals = [ad.experience_years for ad in _ads_in_year(ads, year)
-            if ad.experience_years is not None]
-    return sum(vals) / len(vals) if vals else None
+def _by_year(values: np.ndarray, years: np.ndarray,
+             reduce) -> dict[int, Optional[float]]:
+    """``reduce`` of each year's defined (non-NaN) values, taken in row
+    order; None for a year where every value is missing."""
+    out = {}
+    for year in np.unique(years).tolist():
+        defined = values[(years == year) & ~np.isnan(values)].tolist()
+        out[year] = reduce(defined) if defined else None
+    return out
 
 
 @dataclass
@@ -92,8 +86,7 @@ class ShortageIndicators:
     median_smape: float
 
     def _defined_mean(self, per_year: dict[int, Optional[float]]) -> Optional[float]:
-        vals = [v for v in per_year.values() if v is not None]
-        return sum(vals) / len(vals) if vals else None
+        return _mean([v for v in per_year.values() if v is not None])
 
     @property
     def mean_salary_level(self) -> Optional[float]:
@@ -108,22 +101,26 @@ class ShortageIndicators:
         return self._defined_mean(self.experience_by_year)
 
 
-def compute_indicators(label: str, ads: Sequence[JobAd],
+def compute_indicators(label: str, corpus: Corpus, rows: np.ndarray,
                        backtest: BacktestReport) -> ShortageIndicators:
-    counts = yearly_counts(ads)
+    """The indicators of the ads at row positions ``rows`` of ``corpus``. An
+    ad's salary is the midpoint of its range, or its one bound."""
+    years = corpus.years[rows]
+    low, high = corpus.salary_min[rows], corpus.salary_max[rows]
+    mids = np.where(np.isnan(high), low, np.where(np.isnan(low), high, (low + high) / 2.0))
+    counts = yearly_counts(years)
     if len(counts) >= 2:
         growth, mean_growth = posting_growth(counts)
     else:
         growth, mean_growth = {}, None
-    years = sorted(counts)
     return ShortageIndicators(
         label=label,
         counts_by_year=counts,
         growth_by_year=growth,
         mean_growth=mean_growth,
-        salary_by_year={y: median_salary(ads, y) for y in years},
-        education_by_year={y: mean_education(ads, y) for y in years},
-        experience_by_year={y: mean_experience(ads, y) for y in years},
+        salary_by_year=_by_year(mids, years, statistics.median),
+        education_by_year=_by_year(corpus.education_years[rows], years, _mean),
+        experience_by_year=_by_year(corpus.experience_years[rows], years, _mean),
         median_smape=backtest.median,
     )
 
@@ -150,30 +147,32 @@ def _flag(group_value, baseline_value, higher_is_shortage: bool) -> bool:
 
 
 def assemble_report(
-    groups: dict[str, Sequence[JobAd]],
-    market_ads: Sequence[JobAd],
+    corpus: Corpus,
+    groups: dict[str, np.ndarray],
     backtests: dict[str, BacktestReport],
     market_backtest: BacktestReport,
     trend_models: dict[str, DecompositionModel],
     corpus_start: dt.date,
     corpus_end: dt.date,
 ) -> ShortageReport:
-    """Score every group against the whole-market baseline on all five
-    indicators. Experience flags in the low direction; everything else
-    flags when strictly above baseline.
+    """Score every group, given as row positions of ``corpus``, against the
+    whole corpus as the market baseline on all five indicators. Experience
+    flags in the low direction; everything else flags when strictly above
+    baseline.
 
     ``backtests`` holds one report per group label, ``market_backtest`` the
     market's, and ``trend_models`` the fits ``trend_lines.csv`` draws. A
     year the corpus span [``corpus_start``, ``corpus_end``] covers only in
     part is listed in ``partial_years``."""
-    if not market_ads:
+    if not len(corpus):
         raise DataError("missing market baseline: no ads")
-    baseline = compute_indicators(MARKET, market_ads, market_backtest)
+    baseline = compute_indicators(MARKET, corpus, np.arange(len(corpus)),
+                                  market_backtest)
 
     report_groups: list[ShortageIndicators] = []
     flags: dict[str, dict[str, bool]] = {}
     for label in sorted(groups):
-        ind = compute_indicators(label, groups[label], backtests[label])
+        ind = compute_indicators(label, corpus, groups[label], backtests[label])
         report_groups.append(ind)
         flags[label] = {
             "growth": _flag(ind.mean_growth, baseline.mean_growth, True),

@@ -1,9 +1,11 @@
 """Per-occupation skill intensity against a target skill set.
 
 Intensity is the share of an occupation's skill slots (one slot per
-distinct skill per ad) that belong to the target set. Occupations above a
-strict threshold are selected and labelled via a user-supplied
-occupation -> category CSV mapping.
+distinct skill per ad) that belong to the target set. Ads, slots and target
+slots are counted for every occupation at once, each by a ``bincount`` over
+the corpus's occupation codes. Occupations above a strict threshold are
+selected and labelled via a user-supplied occupation -> category CSV
+mapping.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .corpus import JobAd, normalize_skill
+import numpy as np
+
+from .corpus import Corpus, normalize_skill
 from .errors import DataError
 
 UNCATEGORIZED = "uncategorized"
@@ -38,34 +42,25 @@ class SelectionResult:
     total_ads: int
 
 
-def compute_intensity(ads: Sequence[JobAd],
+def compute_intensity(corpus: Corpus,
                       skills: Iterable[str]) -> list[OccupationProfile]:
     """One profile per distinct occupation, sorted by intensity descending
     then name ascending. ``skills`` names the target set in any casing and
     spacing; each name is normalized before it is matched."""
-    if not ads:
+    if not len(corpus):
         raise DataError("empty corpus: cannot compute skill intensity")
     targets = {normalize_skill(s) for s in skills}
     if not targets:
         raise DataError("empty target skill set")
 
-    stats: dict[str, list[int]] = {}  # occupation -> [ads, total, target]
-    for ad in ads:
-        rec = stats.setdefault(ad.occupation, [0, 0, 0])
-        rec[0] += 1
-        rec[1] += len(ad.skills)
-        rec[2] += sum(1 for s in ad.skills if s in targets)
-
-    profiles = [
-        OccupationProfile(
-            occupation=occ,
-            ads=n_ads,
-            total_slots=total,
-            target_slots=target,
-            eta=target / total,
-        )
-        for occ, (n_ads, total, target) in stats.items()
-    ]
+    is_target = np.zeros(len(corpus.skill_names), dtype=bool)
+    is_target[[corpus.skill_ids[s] for s in targets if s in corpus.skill_ids]] = True
+    slot_codes = np.repeat(corpus.occupation_codes, np.diff(corpus.indptr))
+    counts = zip(*(np.bincount(codes, minlength=len(corpus.occupations)).tolist() for codes in
+                   (corpus.occupation_codes, slot_codes, slot_codes[is_target[corpus.slots]])))
+    profiles = [OccupationProfile(occupation=occ, ads=n_ads, total_slots=total,
+                                  target_slots=target, eta=target / total)
+                for occ, (n_ads, total, target) in zip(corpus.occupations, counts)]
     profiles.sort(key=lambda p: (-p.eta, p.occupation))
     return profiles
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import normalize_skill
 from .errors import DataError
 from .skillmetrics import EffectiveUseMatrix
 
@@ -34,15 +35,15 @@ class ThetaMatrix:
     score and kept as a CSR adjacency: the neighbours of ``s``, sorted by
     id, are ``_nbrs[_indptr[s]:_indptr[s + 1]]``, scored in ``_scores``."""
 
-    def __init__(self, vocab, skill_counts, a, b, scores):
-        self.vocab = vocab
+    def __init__(self, skill_ids: dict[str, int], skill_counts, a, b, scores):
+        self.skill_ids = skill_ids
         self.skill_counts = skill_counts
         src, dst = np.concatenate((a, b)), np.concatenate((b, a))
         order = np.lexsort((dst, src))
         self._nbrs = dst[order]
         self._scores = np.concatenate((scores, scores))[order]
         self._indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(src, minlength=len(vocab)))))
+            ([0], np.cumsum(np.bincount(src, minlength=len(skill_ids)))))
 
     def value(self, s: int, s2: int) -> float:
         if s == s2:
@@ -87,7 +88,7 @@ def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
     joint = np.bincount(which, weights=np.concatenate(joints), minlength=len(pair_codes))
     a, b = np.divmod(pair_codes, n_skills)
     counts = eff.skill_counts
-    return ThetaMatrix(eff.index.vocab, counts, a, b,
+    return ThetaMatrix(eff.index.skill_ids, counts, a, b,
                        joint / np.maximum(counts[a], counts[b]))
 
 
@@ -169,17 +170,17 @@ def expand_seeds(
         raise DataError("per_seed_k must be >= 1")
     if cutoff < 1:
         raise DataError("cutoff must be >= 1")
-    vocab = theta.vocab
     seed_idx: list[int] = []
     for s in seeds:
-        if s not in vocab:
+        idx = theta.skill_ids.get(normalize_skill(s))
+        if idx is None:
             raise DataError(f"unknown seed skill: {s!r}")
-        seed_idx.append(vocab.index_of(s))
+        seed_idx.append(idx)
     if len(set(seed_idx)) != len(seed_idx):
         raise DataError("duplicate seed skill")
     seed_set = set(seed_idx)
 
-    names = vocab.names
+    names = list(theta.skill_ids)
     per_skill_scores: dict[int, list[float]] = {}
     for si in seed_idx:
         nbrs = theta.neighbours(si)

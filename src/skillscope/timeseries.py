@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import JobAd
 from .errors import DataError
 
 WEEK_PERIOD = 7.0
@@ -63,22 +62,21 @@ class DailySeries:
 
 
 def aggregate_daily(
-    ads: Sequence[JobAd],
+    days: np.ndarray,
     start: dt.date,
     end: dt.date,
     label: str = "all",
 ) -> DailySeries:
-    """Count ads per calendar day over [start, end] inclusive.
+    """Count ads per calendar day over [start, end] inclusive, from their
+    posting dates as ordinals (``Corpus.ordinals``), in one ``bincount``.
 
     Days with no ads are zeros, not gaps."""
     span = (end - start).days + 1
     if span < 1:
         raise DataError("empty date span")
-    counts = np.zeros(span, dtype=np.float64)
-    for ad in ads:
-        offset = (ad.posted_date - start).days
-        if 0 <= offset < span:
-            counts[offset] += 1
+    offsets = np.asarray(days, dtype=np.int64) - start.toordinal()
+    offsets = offsets[(offsets >= 0) & (offsets < span)]
+    counts = np.bincount(offsets, minlength=span).astype(np.float64)
     return DailySeries(start=start, counts=counts, label=label)
 
 

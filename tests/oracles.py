@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import random
+import statistics
 
 from skillscope.corpus import JobAd
 
@@ -63,6 +64,34 @@ def brute_eta(ads: list[JobAd], targets: set[str]) -> dict[str, float]:
             if s in targets:
                 hit[ad.occupation] += 1
     return {occ: hit[occ] / total[occ] for occ in total}
+
+
+def brute_indicators(ads: list[JobAd]) -> dict[str, dict]:
+    """Per-year ad counts, median salary midpoint and mean education and
+    experience, each over the year's ads that carry the value, in list
+    order and summed left to right; None for a year where none does."""
+    def midpoint(ad):
+        if ad.salary_min is not None and ad.salary_max is not None:
+            return (ad.salary_min + ad.salary_max) / 2.0
+        return ad.salary_min if ad.salary_min is not None else ad.salary_max
+
+    def mean(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values) if values else None
+
+    out = {"counts": {}, "salary": {}, "education": {}, "experience": {}}
+    for year in sorted({ad.posted_date.year for ad in ads}):
+        in_year = [ad for ad in ads if ad.posted_date.year == year]
+        mids = [m for m in map(midpoint, in_year) if m is not None]
+        out["counts"][year] = len(in_year)
+        out["salary"][year] = statistics.median(mids) if mids else None
+        out["education"][year] = mean([ad.education_years for ad in in_year
+                                       if ad.education_years is not None])
+        out["experience"][year] = mean([ad.experience_years for ad in in_year
+                                        if ad.experience_years is not None])
+    return out
 
 
 def random_jobs(rng: random.Random, max_ads: int = 20, max_skills: int = 10) -> dict[str, set[str]]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skillscope.cli import main
-from skillscope.corpus import JobAd, SkillVocabulary, build_index
+from skillscope.corpus import Corpus, JobAd, build_index
 from skillscope.indicators import assemble_report
 from skillscope.occupations import compute_intensity, select_occupations
 from skillscope.similarity import compute_theta, expand_seeds
@@ -33,10 +33,10 @@ START = dt.date(2012, 1, 1)
 
 
 def pipeline(ads):
-    vocab = SkillVocabulary.from_ads(ads)
-    index = build_index(ads, vocab)
+    corpus = Corpus(ads)
+    index = build_index(corpus)
     eff = compute_effective_use(compute_rca(index))
-    return vocab, index, compute_theta(eff)
+    return corpus, index, compute_theta(eff)
 
 
 def test_criterion_1_formula_oracles():
@@ -51,21 +51,21 @@ def test_criterion_1_formula_oracles():
                   occupation=f"occ{i % 3}", skills=a.skills)
             for i, a in enumerate(jobs_to_ads(jobs))
         ]
-        vocab, index, theta = pipeline(ads)
+        corpus, index, theta = pipeline(ads)
         rca = compute_rca(index)
 
         for (j, s), want in brute_rca(jobs).items():
             pos = index.job_ids.index(j)
-            got = rca.value(pos, vocab.index_of(s))
+            got = rca.value(pos, corpus.skill_ids[s])
             assert got == pytest.approx(want, rel=1e-12)
             checked += 1
         for (a, b), want in brute_theta(jobs).items():
-            got = theta.value(vocab.index_of(a), vocab.index_of(b))
+            got = theta.value(corpus.skill_ids[a], corpus.skill_ids[b])
             assert got == pytest.approx(want, abs=1e-12)
             checked += 1
         skills = sorted({s for skills in jobs.values() for s in skills})
         targets = set(rng.sample(skills, max(1, len(skills) // 2)))
-        etas = {p.occupation: p.eta for p in compute_intensity(ads, targets)}
+        etas = {p.occupation: p.eta for p in compute_intensity(corpus, targets)}
         for occ, want in brute_eta(ads, targets).items():
             assert etas[occ] == pytest.approx(want, rel=1e-12)
             checked += 1
@@ -86,8 +86,8 @@ def test_criterion_2_invariance_suite():
                   occupation=a.occupation, skills=a.skills)
             for a in ads
         ]
-        vocab, index, theta = pipeline(ads)
-        _, index2, theta2 = pipeline(doubled)
+        corpus, index, theta = pipeline(ads)
+        corpus2, index2, theta2 = pipeline(doubled)
         rca, rca2 = compute_rca(index), compute_rca(index2)
         for pos, j in enumerate(index.job_ids):
             for s in index.job_skills[pos]:
@@ -99,8 +99,8 @@ def test_criterion_2_invariance_suite():
             assert theta2.value(a, b) == pytest.approx(v, abs=1e-12)
         skills = sorted({s for sk in jobs.values() for s in sk})
         targets = set(skills[: max(1, len(skills) // 2)])
-        e1 = {p.occupation: p.eta for p in compute_intensity(ads, targets)}
-        e2 = {p.occupation: p.eta for p in compute_intensity(doubled, targets)}
+        e1 = {p.occupation: p.eta for p in compute_intensity(corpus, targets)}
+        e2 = {p.occupation: p.eta for p in compute_intensity(corpus2, targets)}
         for occ in e1:
             assert e2[occ] == pytest.approx(e1[occ], rel=1e-12)
 
@@ -140,7 +140,7 @@ def test_criterion_3_cluster_recovery():
     t0 = time.time()
     for seed in range(10):
         ads, truth = generate(cluster_scenario(seed))
-        vocab, _, theta = pipeline(ads)
+        _, _, theta = pipeline(ads)
         members = truth.clusters["planted"]
         background = set(truth.background_skills)
         for seed_skill in members:
@@ -183,7 +183,7 @@ def test_criterion_4_occupation_selection():
     for seed in range(20):
         ads, truth = generate(intensity_scenario(seed))
         targets = truth.clusters["planted"]
-        profiles = compute_intensity(ads, targets)
+        profiles = compute_intensity(Corpus(ads), targets)
         etas = {p.occupation: p.eta for p in profiles}
         assert etas["Planted"] == pytest.approx(0.50, abs=0.02)
         for occ in ("Back1", "Back2", "Back3"):
@@ -269,22 +269,21 @@ def shortage_scenario(seed):
 
 def run_shortage_report(seed):
     ads, _ = generate(shortage_scenario(seed))
-    start = min(a.posted_date for a in ads)
-    end = max(a.posted_date for a in ads)
-    groups = {}
-    for a in ads:
-        groups.setdefault(a.occupation, []).append(a)
+    corpus = Corpus(ads)
+    start, end = corpus.span()
+    groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
+              for code, occ in enumerate(corpus.occupations)}
 
     cfg = FitConfig(n_changepoints=10)
     bt_kwargs = dict(train_days=180, test_days=60, iterations=30, config=cfg)
 
-    def backtest(label, group_ads):
-        series = aggregate_daily(group_ads, start, end, label=label)
+    def backtest(label, rows):
+        series = aggregate_daily(corpus.ordinals[rows], start, end, label=label)
         return sliding_window_backtest([series], **bt_kwargs)[0]
 
-    backtests = {label: backtest(label, g) for label, g in groups.items()}
-    market_bt = backtest("market", ads)
-    return assemble_report(groups, ads, backtests, market_bt, trend_models={},
+    backtests = {label: backtest(label, rows) for label, rows in groups.items()}
+    market_bt = backtest("market", np.arange(len(corpus)))
+    return assemble_report(corpus, groups, backtests, market_bt, trend_models={},
                            corpus_start=start, corpus_end=end)
 
 

@@ -98,6 +98,13 @@ class TestBacktestInputErrors:
                      "--out", str(tmp_path / "bt")]) == rc
         assert message in one_line_error(capsys)
 
+    def test_unknown_occupation_exit_2_writes_no_file(self, corpus, tmp_path, capsys):
+        out = tmp_path / "bt"
+        assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS,
+                     "--occupation", "No Such Job", "--out", str(out)]) == 2
+        assert "no accepted ad has occupation 'No Such Job'" in one_line_error(capsys)
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["backtest", "indicators"])
     def test_empty_corpus_exit_2(self, tmp_path, capsys, command):
         empty = tmp_path / "empty.jsonl"

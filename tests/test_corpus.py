@@ -1,21 +1,25 @@
 import datetime as dt
 import json
+import math
+import random
 
+import numpy as np
 import pytest
 
 from skillscope import corpus as corpus_mod
 from skillscope.corpus import (
     _record_to_ad,
+    Corpus,
     JobAd,
-    SkillVocabulary,
     build_index,
     ingest,
     normalize_skill,
     write_jsonl,
 )
 from skillscope.errors import DataError
+from skillscope.occupations import compute_intensity
 
-from oracles import jobs_to_ads
+from oracles import brute_eta, jobs_to_ads
 
 
 def write_lines(path, lines):
@@ -47,24 +51,24 @@ class TestIngest:
     def test_three_clean_records(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(i) for i in range(3)])
-        ads, vocab, report = ingest(f)
-        assert len(ads) == 3
+        corpus, report = ingest(f)
+        assert len(corpus) == 3
         assert report.accepted == 3
         assert report.rejected == 0
-        assert vocab.names == ["sql", "python"]
+        assert corpus.skill_names == ["sql", "python"]
 
     def test_empty_skills_rejected_with_reason(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(0), record(1, skills=[])] + [record(i) for i in range(2, 40)])
-        ads, _, report = ingest(f)
-        assert len(ads) == 39
+        corpus, report = ingest(f)
+        assert len(corpus) == 39
         assert report.reasons["empty skills"] == 1
 
     def test_skill_dedup_after_normalization(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(0, skills=["SQL", " sql "])])
-        ads, _, _ = ingest(f)
-        assert ads[0].skills == ("sql",)
+        corpus, _ = ingest(f)
+        assert next(corpus.rows()).skills == ("sql",)
 
     def test_csv_roundtrip(self, tmp_path):
         f = tmp_path / "ads.csv"
@@ -73,11 +77,13 @@ class TestIngest:
             "a1,2018-01-02,Analyst,SQL;Python,50000,70000\n"
             "a2,2018-01-03,Engineer,C++,,\n"
         )
-        ads, _, report = ingest(f, fmt="csv")
+        corpus, report = ingest(f, fmt="csv")
+        ads = list(corpus.rows())
         assert report.accepted == 2
         assert ads[0].skills == ("sql", "python")
-        assert ads[0].salary_midpoint() == 60000
+        assert (ads[0].salary_min, ads[0].salary_max) == (50000, 70000)
         assert ads[1].salary_min is None
+        assert math.isnan(corpus.salary_min[1])
 
     def test_salary_inversion_rejected(self, tmp_path):
         f = tmp_path / "ads.jsonl"
@@ -86,7 +92,7 @@ class TestIngest:
             ingest(f)  # 1/1 rejected exceeds the 5% threshold
         write_lines(f, [record(0, salary_min=90000, salary_max=10000)]
                     + [record(i) for i in range(1, 20)])
-        _, _, report = ingest(f)  # 1/20 is at the threshold, not above it
+        _, report = ingest(f)  # 1/20 is at the threshold, not above it
         assert report.reasons["salary_min > salary_max"] == 1
 
     def test_reject_fraction_threshold_fatal(self, tmp_path):
@@ -96,13 +102,13 @@ class TestIngest:
         with pytest.raises(DataError, match=r"rejected 1/10 records \(threshold 5%\)"):
             ingest(f)
         write_lines(f, [record(i) for i in range(19)] + [record(19, skills=[])])
-        ads, _, _ = ingest(f)
-        assert len(ads) == 19
+        corpus, _ = ingest(f)
+        assert len(corpus) == 19
 
     def test_bad_json_line_rejected(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(i) for i in range(30)] + ["{not json"])
-        _, _, report = ingest(f)
+        _, report = ingest(f)
         assert report.reasons["bad json"] == 1
 
     def test_missing_file_fatal(self, tmp_path):
@@ -112,9 +118,9 @@ class TestIngest:
     def test_deterministic(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(i) for i in range(20)] + [record(99, skills=[""])])
-        a1, _, r1 = ingest(f)
-        a2, _, r2 = ingest(f)
-        assert [a.id for a in a1] == [a.id for a in a2]
+        c1, r1 = ingest(f)
+        c2, r2 = ingest(f)
+        assert c1.ids == c2.ids
         assert r1.to_json() == r2.to_json()
 
 
@@ -132,32 +138,33 @@ class TestInterning:
         return ingest(f)
 
     def test_skill_of_rejected_record_not_in_vocabulary(self, tmp_path):
-        ads, vocab, report = self.ingest_lines(tmp_path, [
+        corpus, report = self.ingest_lines(tmp_path, [
             record(0, skills=["Rust", "SQL"], salary_min=9, salary_max=1),
             record(1),
         ])
         assert report.reasons["salary_min > salary_max"] == 1
-        assert "rust" not in vocab
-        assert vocab.names == ["sql", "python"]
+        assert "rust" not in corpus.skill_ids
+        assert corpus.skill_names == ["sql", "python"]
 
     def test_ids_follow_first_occurrence_in_accepted_ads(self, tmp_path):
-        ads, vocab, _ = self.ingest_lines(tmp_path, [
+        corpus, _ = self.ingest_lines(tmp_path, [
             record(0, skills=["Zig", "C"], date="not a date"),
             record(1, skills=["B", "A"]),
             record(2, skills=["C", "A", "Zig"]),
         ])
-        assert vocab.names == ["b", "a", "c", "zig"]
-        index = build_index(ads, vocab)
+        assert corpus.skill_names == ["b", "a", "c", "zig"]
+        assert corpus.slots.tolist() == [0, 1, 2, 1, 3]  # each ad's own order
+        index = build_index(corpus)
         assert [r.tolist() for r in index.job_skills] == [[0, 1], [1, 2, 3]]
 
     def test_spellings_share_one_id(self, tmp_path):
-        ads, vocab, _ = self.ingest_lines(tmp_path, [
+        corpus, _ = self.ingest_lines(tmp_path, [
             record(0, skills=[" Python "]),
             record(1, skills=["python", "PYTHON", "Machine  Learning"]),
             record(2, skills=["machine learning"]),
         ])
-        assert vocab.names == ["python", "machine learning"]
-        index = build_index(ads, vocab)
+        assert corpus.skill_names == ["python", "machine learning"]
+        index = build_index(corpus)
         assert [r.tolist() for r in index.job_skills] == [[0], [0, 1], [1]]
 
     def test_jsonl_and_csv_give_the_same_ids(self, tmp_path):
@@ -169,10 +176,11 @@ class TestInterning:
         csv_file = tmp_path / "ads.csv"
         csv_file.write_text("id,date,occupation,skills\n" + "".join(
             f"{ad_id},2018-03-01,Analyst,{';'.join(skills)}\n" for ad_id, skills in rows))
-        (ads_j, vocab_j, _), (ads_c, vocab_c, _) = ingest(jsonl), ingest(csv_file, fmt="csv")
-        assert vocab_j.names == vocab_c.names == ["sql", "excel", "r", "tableau", "power bi"]
-        rows_j = [r.tolist() for r in build_index(ads_j, vocab_j).job_skills]
-        assert rows_j == [r.tolist() for r in build_index(ads_c, vocab_c).job_skills]
+        (corpus_j, _), (corpus_c, _) = ingest(jsonl), ingest(csv_file, fmt="csv")
+        assert corpus_j.skill_names == corpus_c.skill_names == [
+            "sql", "excel", "r", "tableau", "power bi"]
+        rows_j = [r.tolist() for r in build_index(corpus_j).job_skills]
+        assert rows_j == [r.tolist() for r in build_index(corpus_c).job_skills]
 
 
 def refuse_constant(name):
@@ -196,6 +204,29 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match="^bad skills$"):
             _record_to_ad(json.loads(record(0, skills=skills)), {})
 
+    @pytest.mark.parametrize("skills", [[None, "SQL"], [["x"]], [{"k": 1}], [True],
+                                        ["SQL", 5]])
+    def test_skill_that_is_not_a_string_rejected(self, skills):
+        with pytest.raises(ValueError, match="^bad skills$"):
+            _record_to_ad(json.loads(record(0, skills=skills)), {})
+
+    @pytest.mark.parametrize("field", ["id", "occupation"])
+    @pytest.mark.parametrize("value", [["Dev"], {"x": 1}, True, False, 1.5])
+    def test_id_and_occupation_must_be_text_or_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^bad {field}$"):
+            _record_to_ad(json.loads(record(0, **{field: value})), {})
+
+    def test_integer_id_and_occupation_kept_as_codes(self):
+        ad = _record_to_ad(json.loads(record(0, id=17, occupation=2512)), {})
+        assert (ad.id, ad.occupation) == ("17", "2512")
+
+    @pytest.mark.parametrize("field", ["salary_min", "salary_max", "education_years",
+                                       "experience_years"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^bad number in {field}$"):
+            _record_to_ad(json.loads(record(0, **{field: value})), {})
+
     @pytest.mark.parametrize("date", ["20160101", "2016-W01-1", "2016-001", "2016-1-4",
                                       " 2016-01-04", "2016-01-04\n", "2016-01-04T00:00",
                                       "\uff12016-01-04", "2016-02-30"])
@@ -209,19 +240,95 @@ class TestRecordValidation:
         f = tmp_path / "ads.jsonl"
         deep = "[" * 100_000 + "]" * 100_000
         write_lines(f, [record(i) for i in range(60)] + ["5", '["ad"]', deep])
-        _, _, report = ingest(f)
+        _, report = ingest(f)
         assert report.reasons["bad json"] == 3
 
     def test_written_corpus_is_standard_json(self, tmp_path):
         src = tmp_path / "ads.jsonl"
         write_lines(src, [record(i, salary_min=1.5, education_years=12) for i in range(30)]
                     + [record(99, salary_max=float("inf"))])
-        ads, _, report = ingest(src)
+        corpus, report = ingest(src)
         assert report.reasons["non-finite salary_max"] == 1
         out = tmp_path / "out.jsonl"
-        write_jsonl(ads, out)
+        write_jsonl(corpus.rows(), out)
         for line in out.read_text().splitlines():
             json.loads(line, parse_constant=refuse_constant)
+
+
+def random_records(rng: random.Random, n: int) -> list[str]:
+    """JSONL records in mixed skill spellings, with optional fields sometimes
+    missing and a few records that ingest rejects."""
+    spellings = ["SQL", " sql", "Python", "Machine  Learning", "machine learning",
+                 "R", "Excel ", "Power BI"]
+    lines = []
+    for i in range(n):
+        fields = {k: round(rng.uniform(0, 1e5), rng.randint(0, 3))
+                  for k in ("salary_min", "education_years", "experience_years")
+                  if rng.random() < 0.5}
+        if "salary_min" in fields and rng.random() < 0.7:
+            fields["salary_max"] = fields["salary_min"] + rng.uniform(0, 1e4)
+        lines.append(record(i, date=f"{rng.randint(2014, 2019)}-0{rng.randint(1, 9)}-1"
+                               f"{rng.randint(0, 9)}",
+                            occupation=rng.choice(["Analyst", "Dev", "QA", 4132]),
+                            skills=rng.sample(spellings, rng.randint(0, 5)), **fields))
+    return lines
+
+
+class TestCorpusColumns:
+    def test_rows_give_back_the_ingested_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
+        rng = random.Random(5)
+        for trial in range(20):
+            lines = random_records(rng, 40)
+            f = tmp_path / f"ads{trial}.jsonl"
+            write_lines(f, lines)
+            corpus, report = ingest(f)
+            expected = []
+            for line in lines:
+                try:
+                    expected.append(_record_to_ad(json.loads(line), {}))
+                except ValueError:
+                    pass
+            assert report.accepted == len(expected) == len(corpus)
+            assert list(corpus.rows()) == expected
+            assert list(Corpus(expected).rows()) == expected
+
+    def test_columns_hold_each_field(self):
+        ads = [
+            JobAd("a", dt.date(2016, 12, 31), "Dev", ("sql", "r"), salary_max=5.0),
+            JobAd("b", dt.date(2017, 1, 1), "QA", ("r",), 1.0, 2.0, 12.0, 0.0),
+            JobAd("c", dt.date(1969, 12, 31), "Dev", ("c", "sql")),
+        ]
+        corpus = Corpus(ads)
+        assert corpus.ordinals.tolist() == [a.posted_date.toordinal() for a in ads]
+        assert corpus.years.tolist() == [2016, 2017, 1969]
+        assert corpus.occupations == ["Dev", "QA"]
+        assert corpus.occupation_codes.tolist() == [0, 1, 0]
+        assert corpus.skill_names == ["sql", "r", "c"]
+        assert corpus.skill_ids == {"sql": 0, "r": 1, "c": 2}
+        assert corpus.slots.tolist() == [0, 1, 1, 2, 0]
+        assert corpus.indptr.tolist() == [0, 2, 3, 5]
+        np.testing.assert_array_equal(corpus.salary_max, [5.0, 2.0, np.nan])
+        np.testing.assert_array_equal(corpus.experience_years, [np.nan, 0.0, np.nan])
+        assert corpus.span() == (dt.date(1969, 12, 31), dt.date(2017, 1, 1))
+
+    def test_empty_corpus_has_no_span(self):
+        corpus = Corpus([])
+        assert len(corpus) == 0 and list(corpus.rows()) == []
+        with pytest.raises(DataError, match="no accepted ads"):
+            corpus.span()
+
+    def test_intensity_equals_brute_force_exactly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
+        rng = random.Random(9)
+        for trial in range(20):
+            f = tmp_path / f"ads{trial}.jsonl"
+            write_lines(f, random_records(rng, 60))
+            corpus, _ = ingest(f)
+            targets = set(rng.sample(corpus.skill_names,
+                                     rng.randint(1, len(corpus.skill_names))))
+            want = brute_eta(list(corpus.rows()), targets)
+            assert {p.occupation: p.eta for p in compute_intensity(corpus, targets)} == want
 
 
 def worked_corpus():
@@ -230,32 +337,23 @@ def worked_corpus():
 
 class TestIncidenceIndex:
     def test_worked_marginals(self):
-        ads = jobs_to_ads(worked_corpus())
-        vocab = SkillVocabulary.from_ads(ads)
-        index = build_index(ads, vocab)
+        corpus = Corpus(jobs_to_ads(worked_corpus()))
+        index = build_index(corpus)
         assert index.grand_total == 5
-        assert index.skill_job_counts[vocab.index_of("A")] == 2
+        assert index.skill_job_counts[corpus.skill_ids["A"]] == 2
         assert index.grand_total == int(index.job_skill_counts.sum())
 
     def test_single_job_single_skill(self):
-        ads = jobs_to_ads({"J1": {"A"}})
-        index = build_index(ads, SkillVocabulary.from_ads(ads))
+        index = build_index(Corpus(jobs_to_ads({"J1": {"A"}})))
         assert index.grand_total == 1
 
     def test_empty_corpus_fatal(self):
         with pytest.raises(DataError, match="empty corpus"):
-            build_index([], SkillVocabulary())
-
-    def test_unknown_skill_fatal(self):
-        ads = jobs_to_ads(worked_corpus())
-        vocab = SkillVocabulary()
-        vocab.add("A")
-        with pytest.raises(DataError, match="unknown skill"):
-            build_index(ads, vocab)
+            build_index(Corpus([]))
 
     def test_grand_total_is_sum_of_skill_counts(self):
         ads = jobs_to_ads({"J1": {"A", "B", "C"}, "J2": {"B"}})
-        index = build_index(ads, SkillVocabulary.from_ads(ads))
+        index = build_index(Corpus(ads))
         assert index.grand_total == sum(len(a.skills) for a in ads)
 
     def test_duplicating_ads_doubles_marginals(self):
@@ -265,9 +363,8 @@ class TestIncidenceIndex:
                   occupation=a.occupation, skills=a.skills)
             for a in ads
         ]
-        vocab = SkillVocabulary.from_ads(ads)
-        i1 = build_index(ads, vocab)
-        i2 = build_index(doubled, vocab)
+        i1 = build_index(Corpus(ads))
+        i2 = build_index(Corpus(doubled))
         assert i2.grand_total == 2 * i1.grand_total
         assert (i2.skill_job_counts == 2 * i1.skill_job_counts).all()
 
@@ -280,5 +377,5 @@ def test_jsonl_writer_roundtrips(tmp_path):
     ]
     path = tmp_path / "out.jsonl"
     write_jsonl(ads, path)
-    back, _, _ = ingest(path)
-    assert back[0] == ads[0]
+    back, _ = ingest(path)
+    assert list(back.rows()) == ads

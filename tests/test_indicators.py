@@ -2,26 +2,37 @@ import csv
 import datetime as dt
 import json
 
+import random
+
+import numpy as np
 import pytest
 
-from skillscope.corpus import JobAd
+from skillscope.corpus import Corpus, JobAd
 from skillscope.errors import DataError
 from skillscope.indicators import (
     assemble_report,
     compute_indicators,
-    mean_education,
-    mean_experience,
-    median_salary,
     posting_growth,
     write_report,
     yearly_counts,
 )
 from skillscope.timeseries import BacktestReport
 
+from oracles import brute_indicators
+
 
 def ad(i, year, occupation="Dev", skills=("x",), **fields):
     return JobAd(id=f"a{i}", posted_date=dt.date(year, 6, 15),
                  occupation=occupation, skills=tuple(skills), **fields)
+
+
+def backtest_of(label, scores=(1.0,)):
+    return BacktestReport(scores=list(scores), train_days=10, test_days=5,
+                          iterations=len(scores), label=label)
+
+
+def indicators_of(ads):
+    return compute_indicators("g", Corpus(ads), np.arange(len(ads)), backtest_of("g"))
 
 
 class TestPostingGrowth:
@@ -53,7 +64,7 @@ class TestPostingGrowth:
                                   base_daily_rate=200.0, annual_growth=0.28),),
         )
         ads, _ = generate(config)
-        counts = yearly_counts(ads)
+        counts = yearly_counts(Corpus(ads).years)
         full_years = {y: c for y, c in counts.items() if y < 2017}  # 2017 partial
         _, mean = posting_growth(full_years)
         assert mean == pytest.approx(0.28, abs=0.03)
@@ -66,29 +77,78 @@ class TestPerYearAggregates:
             ad(2, 2018, salary_min=90_000, salary_max=110_000),
             ad(3, 2018, salary_min=110_000, salary_max=130_000),
         ]
-        assert median_salary(ads, 2018) == pytest.approx(100_000)
+        assert indicators_of(ads).salary_by_year[2018] == pytest.approx(100_000)
 
     def test_single_range_midpoint(self):
         ads = [ad(1, 2018, salary_min=90_000, salary_max=110_000)]
-        assert median_salary(ads, 2018) == pytest.approx(100_000)
+        assert indicators_of(ads).salary_by_year[2018] == pytest.approx(100_000)
+
+    def test_one_bound_is_the_midpoint(self):
+        ads = [ad(1, 2018, salary_min=90_000), ad(2, 2018, salary_max=50_000)]
+        assert indicators_of(ads).salary_by_year[2018] == 70_000
 
     def test_no_salaried_ads_absent(self):
-        assert median_salary([ad(1, 2018)], 2018) is None
+        assert indicators_of([ad(1, 2018)]).salary_by_year[2018] is None
 
     def test_mean_education(self):
         ads = [ad(i, 2018, education_years=y) for i, y in enumerate([12, 16, 20])]
-        assert mean_education(ads, 2018) == pytest.approx(16.0)
+        assert indicators_of(ads).education_by_year[2018] == pytest.approx(16.0)
 
     def test_all_absent_education(self):
-        assert mean_education([ad(1, 2018)], 2018) is None
+        assert indicators_of([ad(1, 2018)]).education_by_year[2018] is None
 
     def test_mean_experience_subset_only(self):
         ads = [ad(1, 2018, experience_years=2.0), ad(2, 2018)]
-        assert mean_experience(ads, 2018) == pytest.approx(2.0)
+        assert indicators_of(ads).experience_by_year[2018] == pytest.approx(2.0)
 
     def test_permutation_invariance(self):
         ads = [ad(i, 2018, education_years=float(i)) for i in range(9)]
-        assert mean_education(ads, 2018) == mean_education(list(reversed(ads)), 2018)
+        assert (indicators_of(ads).education_by_year
+                == indicators_of(list(reversed(ads))).education_by_year)
+
+
+def random_ads(rng: random.Random) -> list[JobAd]:
+    """Ads over a few years with every optional field sometimes missing;
+    some years have no salaried ad."""
+    years = rng.sample(range(2010, 2020), rng.randint(1, 4))
+    unsalaried = set(rng.sample(years, rng.randint(0, len(years))))
+    ads = []
+    for i in range(rng.randint(1, 60)):
+        year = rng.choice(years)
+        low = rng.uniform(1e4, 2e5) if year not in unsalaried and rng.random() < 0.7 else None
+        high = (low or 1e4) + rng.uniform(0, 5e4) if year not in unsalaried \
+            and rng.random() < 0.7 else None
+        ads.append(JobAd(
+            id=f"a{i}", posted_date=dt.date(year, rng.randint(1, 12), rng.randint(1, 28)),
+            occupation=f"occ{rng.randint(0, 2)}", skills=("x",),
+            salary_min=low, salary_max=high,
+            education_years=rng.uniform(8, 22) if rng.random() < 0.6 else None,
+            experience_years=rng.uniform(0, 15) if rng.random() < 0.6 else None,
+        ))
+    return ads
+
+
+def test_yearly_figures_equal_brute_force_exactly():
+    """Medians and left-to-right means, bit for bit, for the whole corpus
+    and for each occupation's rows."""
+    rng = random.Random(2718)
+    seen_unsalaried_year = False
+    for _ in range(200):
+        ads = random_ads(rng)
+        corpus = Corpus(ads)
+        groups = [(ads, np.arange(len(ads)))] + [
+            ([a for a in ads if a.occupation == occ],
+             np.flatnonzero(corpus.occupation_codes == code))
+            for code, occ in enumerate(corpus.occupations)]
+        for group_ads, rows in groups:
+            ind = compute_indicators("g", corpus, rows, backtest_of("g"))
+            want = brute_indicators(group_ads)
+            assert ind.counts_by_year == want["counts"]
+            assert ind.salary_by_year == want["salary"]
+            assert ind.education_by_year == want["education"]
+            assert ind.experience_by_year == want["experience"]
+            seen_unsalaried_year |= None in want["salary"].values()
+    assert seen_unsalaried_year
 
 
 def shortage_corpus():
@@ -112,24 +172,18 @@ def shortage_corpus():
 
 class TestAssembleReport:
     def backtests(self):
-        mk = lambda label, scores: BacktestReport(
-            scores=scores, train_days=10, test_days=5,
-            iterations=len(scores), label=label)
         return (
-            {"Hot": mk("Hot", [40.0, 50.0, 60.0]),
-             "Cold": mk("Cold", [5.0, 6.0, 7.0])},
-            mk("market", [10.0, 12.0, 14.0]),
+            {"Hot": backtest_of("Hot", [40.0, 50.0, 60.0]),
+             "Cold": backtest_of("Cold", [5.0, 6.0, 7.0])},
+            backtest_of("market", [10.0, 12.0, 14.0]),
         )
 
-    def groups(self, ads):
-        groups = {}
-        for a in ads:
-            groups.setdefault(a.occupation, []).append(a)
-        return groups
-
     def assemble(self, ads, start=dt.date(2016, 1, 1), end=dt.date(2018, 12, 31)):
+        corpus = Corpus(ads)
+        groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
+                  for code, occ in enumerate(corpus.occupations)}
         backtests, market_bt = self.backtests()
-        return assemble_report(self.groups(ads), ads, backtests, market_bt,
+        return assemble_report(corpus, groups, backtests, market_bt,
                                trend_models={}, corpus_start=start, corpus_end=end)
 
     def test_flags_five_of_five_and_zero_of_five(self):
@@ -174,9 +228,8 @@ class TestAssembleReport:
 
 def test_compute_indicators_fields():
     ads = shortage_corpus()
-    backtest = BacktestReport(scores=[3.0, 1.0, 2.0], train_days=10, test_days=5,
-                              iterations=3, label="all")
-    ind = compute_indicators("all", ads, backtest)
+    ind = compute_indicators("all", Corpus(ads), np.arange(len(ads)),
+                             backtest_of("all", [3.0, 1.0, 2.0]))
     assert ind.counts_by_year == {2016: 60, 2017: 70, 2018: 90}
     assert ind.median_smape == 2.0
     assert ind.mean_growth == pytest.approx(

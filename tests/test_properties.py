@@ -44,9 +44,9 @@ names = st.lists(st.text(max_size=6), max_size=4)
 name_lists = names | json_values
 
 records = objects({
-    "id": st.text(min_size=1, max_size=6),
+    "id": st.text(min_size=1, max_size=6) | json_values,
     "date": st.dates().map(str) | st.sampled_from(["2019-02-30", 20190101]),
-    "occupation": st.sampled_from(["Dev", " \t "]) | st.text(max_size=6),
+    "occupation": st.sampled_from(["Dev", " \t "]) | st.text(max_size=6) | json_values,
     "skills": names | st.text(max_size=12) | json_values,
 }, {
     "salary_min": numbers,
@@ -90,8 +90,10 @@ def test_record_to_ad_rejects_only_with_value_error(rec):
     except ValueError:
         return
     assert ad.occupation and ad.skills
-    json.dumps([ad.salary_min, ad.salary_max, ad.education_years,
-                ad.experience_years], allow_nan=False)
+    assert all(isinstance(v, str) for v in (ad.id, ad.occupation, *ad.skills))
+    numbers = [ad.salary_min, ad.salary_max, ad.education_years, ad.experience_years]
+    assert all(v is None or type(v) is float for v in numbers)
+    json.dumps(numbers, allow_nan=False)
 
 
 @settings(deadline=None)

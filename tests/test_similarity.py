@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skillscope.corpus import JobAd, SkillVocabulary, build_index
+from skillscope.corpus import Corpus, JobAd, build_index, normalize_skill
 from skillscope.errors import DataError
 from skillscope.similarity import (
     SkillScore,
@@ -19,11 +19,9 @@ from oracles import brute_theta, jobs_to_ads, random_jobs
 
 
 def theta_from_jobs(jobs):
-    ads = jobs_to_ads(jobs)
-    vocab = SkillVocabulary.from_ads(ads)
-    index = build_index(ads, vocab)
-    eff = compute_effective_use(compute_rca(index))
-    return compute_theta(eff), vocab
+    corpus = Corpus(jobs_to_ads(jobs))
+    eff = compute_effective_use(compute_rca(build_index(corpus)))
+    return compute_theta(eff), corpus
 
 
 WORKED = {"J1": {"A", "B"}, "J2": {"A"}, "J3": {"B", "C"}}
@@ -31,19 +29,19 @@ WORKED = {"J1": {"A", "B"}, "J2": {"A"}, "J3": {"B", "C"}}
 
 class TestTheta:
     def test_worked_value(self):
-        theta, vocab = theta_from_jobs(WORKED)
-        assert theta.value(vocab.index_of("A"), vocab.index_of("B")) == \
+        theta, corpus = theta_from_jobs(WORKED)
+        assert theta.value(corpus.skill_ids["A"], corpus.skill_ids["B"]) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_cooccurrence_is_one(self):
         # P and Q always together, never with others; distinct other ads
         jobs = {"J1": {"P", "Q"}, "J2": {"P", "Q"}, "J3": {"X"}, "J4": {"X", "Y"}}
-        theta, vocab = theta_from_jobs(jobs)
-        assert theta.value(vocab.index_of("P"), vocab.index_of("Q")) == 1.0
+        theta, corpus = theta_from_jobs(jobs)
+        assert theta.value(corpus.skill_ids["P"], corpus.skill_ids["Q"]) == 1.0
 
     def test_never_coeffective_is_zero(self):
-        theta, vocab = theta_from_jobs(WORKED)
-        assert theta.value(vocab.index_of("A"), vocab.index_of("C")) == 0.0
+        theta, corpus = theta_from_jobs(WORKED)
+        assert theta.value(corpus.skill_ids["A"], corpus.skill_ids["C"]) == 0.0
 
     def test_symmetry_and_range(self):
         rng = random.Random(5)
@@ -57,10 +55,10 @@ class TestTheta:
         rng = random.Random(11)
         for _ in range(30):
             jobs = random_jobs(rng)
-            theta, vocab = theta_from_jobs(jobs)
+            theta, corpus = theta_from_jobs(jobs)
             eff = brute_theta(jobs)  # oracle-side effective sets via names
             for a, b, v in theta.pairs():
-                want = eff[tuple(sorted((vocab.names[a], vocab.names[b])))]
+                want = eff[tuple(sorted((corpus.skill_names[a], corpus.skill_names[b])))]
                 assert v == pytest.approx(want, rel=1e-12)
 
     def test_duplication_invariance(self):
@@ -70,9 +68,8 @@ class TestTheta:
                   occupation=a.occupation, skills=a.skills)
             for a in ads
         ]
-        vocab = SkillVocabulary.from_ads(ads)
-        t1 = compute_theta(compute_effective_use(compute_rca(build_index(ads, vocab))))
-        t2 = compute_theta(compute_effective_use(compute_rca(build_index(doubled, vocab))))
+        t1 = compute_theta(compute_effective_use(compute_rca(build_index(Corpus(ads)))))
+        t2 = compute_theta(compute_effective_use(compute_rca(build_index(Corpus(doubled)))))
         for a, b, v in t1.pairs():
             assert t2.value(a, b) == pytest.approx(v, rel=1e-12)
 
@@ -80,10 +77,10 @@ class TestTheta:
         rng = random.Random(321)
         for _ in range(100):
             jobs = random_jobs(rng)
-            theta, vocab = theta_from_jobs(jobs)
+            theta, corpus = theta_from_jobs(jobs)
             expected = brute_theta(jobs)
             for (a, b), want in expected.items():
-                got = theta.value(vocab.index_of(a), vocab.index_of(b))
+                got = theta.value(corpus.skill_ids[a], corpus.skill_ids[b])
                 assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -103,9 +100,7 @@ def dict_pair_theta(eff):
 
 class TestPairCodes:
     def effective_use(self, jobs):
-        ads = jobs_to_ads(jobs)
-        index = build_index(ads, SkillVocabulary.from_ads(ads))
-        return compute_effective_use(compute_rca(index))
+        return compute_effective_use(compute_rca(build_index(Corpus(jobs_to_ads(jobs)))))
 
     def test_equals_dict_pair_loop_exactly(self):
         rng = random.Random(77)
@@ -145,14 +140,12 @@ class TestPairCodes:
 
 def manual_theta(names, pairs, counts=None):
     """Hand-built matrix for expansion tests."""
-    vocab = SkillVocabulary()
-    for n in names:
-        vocab.add(n)
-    a = np.array([vocab.index_of(x) for x, _ in pairs], dtype=np.int64)
-    b = np.array([vocab.index_of(y) for _, y in pairs], dtype=np.int64)
+    skill_ids = {normalize_skill(n): i for i, n in enumerate(names)}
+    a = np.array([skill_ids[normalize_skill(x)] for x, _ in pairs], dtype=np.int64)
+    b = np.array([skill_ids[normalize_skill(y)] for _, y in pairs], dtype=np.int64)
     v = np.array(list(pairs.values()), dtype=np.float64)
     c = np.ones(len(names), dtype=int) if counts is None else np.asarray(counts)
-    return ThetaMatrix(vocab, c, a, b, v), vocab
+    return ThetaMatrix(skill_ids, c, a, b, v), skill_ids
 
 
 class TestExpandSeeds:
@@ -227,8 +220,8 @@ class TestExpandSeeds:
     def test_expanded_tail_scores_non_increasing(self):
         rng = random.Random(2024)
         jobs = random_jobs(rng, max_ads=20, max_skills=10)
-        theta, vocab = theta_from_jobs(jobs)
-        seed = vocab.names[0]
+        theta, corpus = theta_from_jobs(jobs)
+        seed = corpus.skill_names[0]
         result = expand_seeds(theta, [seed], per_seed_k=5, cutoff=20)
         tail = [e.score for e in result.entries if not e.is_seed]
         assert tail == sorted(tail, reverse=True)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skillscope.corpus import JobAd, SkillVocabulary, build_index
+from skillscope.corpus import Corpus, JobAd, build_index
 from skillscope.errors import DataError
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 
@@ -10,14 +10,13 @@ from oracles import brute_effective, brute_rca, jobs_to_ads, random_jobs
 
 
 def make_index(jobs):
-    ads = jobs_to_ads(jobs)
-    vocab = SkillVocabulary.from_ads(ads)
-    return build_index(ads, vocab), vocab
+    corpus = Corpus(jobs_to_ads(jobs))
+    return build_index(corpus), corpus
 
 
-def rca_value(rca, vocab, job_id, skill):
+def rca_value(rca, corpus, job_id, skill):
     pos = rca.index.job_ids.index(job_id)
-    return rca.value(pos, vocab.index_of(skill))
+    return rca.value(pos, corpus.skill_ids[skill])
 
 
 WORKED = {"J1": {"A", "B"}, "J2": {"A"}, "J3": {"B", "C"}}
@@ -25,20 +24,20 @@ WORKED = {"J1": {"A", "B"}, "J2": {"A"}, "J3": {"B", "C"}}
 
 class TestRca:
     def test_worked_values(self):
-        index, vocab = make_index(WORKED)
+        index, corpus = make_index(WORKED)
         rca = compute_rca(index)
-        assert rca_value(rca, vocab, "J1", "A") == pytest.approx(1.25, abs=1e-12)
-        assert rca_value(rca, vocab, "J2", "A") == pytest.approx(2.5, abs=1e-12)
+        assert rca_value(rca, corpus, "J1", "A") == pytest.approx(1.25, abs=1e-12)
+        assert rca_value(rca, corpus, "J2", "A") == pytest.approx(2.5, abs=1e-12)
 
     def test_single_job_single_skill_is_one(self):
-        index, vocab = make_index({"J1": {"A"}})
+        index, corpus = make_index({"J1": {"A"}})
         rca = compute_rca(index)
-        assert rca_value(rca, vocab, "J1", "A") == 1.0
+        assert rca_value(rca, corpus, "J1", "A") == 1.0
 
     def test_absent_entry_reads_zero(self):
-        index, vocab = make_index(WORKED)
+        index, corpus = make_index(WORKED)
         rca = compute_rca(index)
-        assert rca_value(rca, vocab, "J2", "B") == 0.0
+        assert rca_value(rca, corpus, "J2", "B") == 0.0
 
     def test_stored_entries_positive(self):
         index, _ = make_index(WORKED)
@@ -52,9 +51,8 @@ class TestRca:
                   occupation=a.occupation, skills=a.skills)
             for a in ads
         ]
-        vocab = SkillVocabulary.from_ads(ads)
-        r1 = compute_rca(build_index(ads, vocab))
-        r2 = compute_rca(build_index(doubled, vocab))
+        r1 = compute_rca(build_index(Corpus(ads)))
+        r2 = compute_rca(build_index(Corpus(doubled)))
         for pos, job_id in enumerate(r1.index.job_ids):
             pos2 = r2.index.job_ids.index(job_id)
             for k, s in enumerate(r1.index.job_skills[pos]):
@@ -65,30 +63,30 @@ class TestRca:
         rng = random.Random(1234)
         for _ in range(100):
             jobs = random_jobs(rng)
-            index, vocab = make_index(jobs)
+            index, corpus = make_index(jobs)
             rca = compute_rca(index)
             expected = brute_rca(jobs)
             for (j, s), want in expected.items():
-                assert rca_value(rca, vocab, j, s) == pytest.approx(want, rel=1e-12)
+                assert rca_value(rca, corpus, j, s) == pytest.approx(want, rel=1e-12)
 
 
 class TestEffectiveUse:
     def test_strictly_above_one_is_effective(self):
-        index, vocab = make_index(WORKED)
+        index, corpus = make_index(WORKED)
         eff = compute_effective_use(compute_rca(index))
         pos = index.job_ids.index("J1")
-        assert eff.is_effective(pos, vocab.index_of("A"))
+        assert eff.is_effective(pos, corpus.skill_ids["A"])
 
     def test_exactly_one_is_not_effective(self):
-        index, vocab = make_index({"J1": {"A"}})
+        index, corpus = make_index({"J1": {"A"}})
         eff = compute_effective_use(compute_rca(index))
-        assert not eff.is_effective(0, vocab.index_of("A"))
+        assert not eff.is_effective(0, corpus.skill_ids["A"])
 
     def test_absent_incidence_not_effective(self):
-        index, vocab = make_index(WORKED)
+        index, corpus = make_index(WORKED)
         eff = compute_effective_use(compute_rca(index))
         pos = index.job_ids.index("J2")
-        assert not eff.is_effective(pos, vocab.index_of("C"))
+        assert not eff.is_effective(pos, corpus.skill_ids["C"])
 
     def test_counts_consistent_with_entries(self):
         rng = random.Random(7)
@@ -103,14 +101,14 @@ class TestEffectiveUse:
         rng = random.Random(99)
         for _ in range(50):
             jobs = random_jobs(rng)
-            index, vocab = make_index(jobs)
+            index, corpus = make_index(jobs)
             eff = compute_effective_use(compute_rca(index))
             expected = brute_effective(jobs)
             for pos, job_id in enumerate(index.job_ids):
-                got = {vocab.names[int(s)] for s in eff.rows[pos]}
+                got = {corpus.skill_names[int(s)] for s in eff.rows[pos]}
                 assert got == expected[job_id]
 
 
 def test_empty_corpus_fatal():
     with pytest.raises(DataError):
-        build_index([], SkillVocabulary())
+        build_index(Corpus([]))

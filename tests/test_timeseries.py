@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from skillscope.corpus import JobAd
+from skillscope.corpus import Corpus
 from skillscope.errors import DataError
 from skillscope.timeseries import (
     BacktestReport,
@@ -47,15 +47,12 @@ def per_window_scores(s, config, train_days, test_days, iterations):
 
 
 class TestAggregateDaily:
-    def ads_on(self, dates, occupation="Dev"):
-        return [
-            JobAd(id=f"a{i}", posted_date=d, occupation=occupation, skills=("x",))
-            for i, d in enumerate(dates)
-        ]
+    def days_on(self, dates):
+        return np.array([d.toordinal() for d in dates], dtype=np.int64)
 
     def test_placement(self):
         day = START + dt.timedelta(days=2)
-        s = aggregate_daily(self.ads_on([day, day, day]), START,
+        s = aggregate_daily(self.days_on([day, day, day]), START,
                             START + dt.timedelta(days=4))
         assert s.counts.tolist() == [0, 0, 3, 0, 0]
 
@@ -65,7 +62,7 @@ class TestAggregateDaily:
 
     def test_sum_equals_matching_ads(self):
         dates = [START + dt.timedelta(days=i % 5) for i in range(17)]
-        s = aggregate_daily(self.ads_on(dates), START, START + dt.timedelta(days=9))
+        s = aggregate_daily(self.days_on(dates), START, START + dt.timedelta(days=9))
         assert s.counts.sum() == 17
 
     def test_empty_span_fatal(self):
@@ -80,7 +77,7 @@ class TestAggregateDaily:
                                   base_daily_rate=7.0),),
         )
         ads, _ = generate(config)
-        s = aggregate_daily(ads, config.start_date,
+        s = aggregate_daily(Corpus(ads).ordinals, config.start_date,
                             config.start_date + dt.timedelta(days=9))
         assert s.counts.tolist() == [7.0] * 10
 
