@@ -2,9 +2,10 @@
 
 The chain runs ingest, then the skills stage (incidence index, RCA,
 effective use, theta, seed expansion), then the occupations stage
-(intensity, selection), then ad grouping, then the indicators stage
-(backtest of the market and of every group, trend fits, assembled report).
-Each subcommand runs a slice of it through the same stage functions:
+(intensity, selection), then ad grouping, then the indicators stage (one
+backtest and one trend fit of the market and every group together, and the
+assembled report). Each subcommand runs a slice of it through the same
+stage functions:
 
     ingest       ingest
     skills       ingest, skills
@@ -23,6 +24,9 @@ none. After every command ``main`` writes a provenance.json: every parsed
 flag except ``--out``, the SHA-256 of every input file named by a flag,
 the tool version and a timestamp.
 Analysis outputs are byte-identical across runs with equal provenance.
+
+Every text input is read as UTF-8; a leading byte-order mark, as
+spreadsheet programs write, is skipped.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.
@@ -86,7 +90,7 @@ def _require_file(path, what: str) -> Path:
 def _read_text(path, what: str) -> str:
     p = _require_file(path, what)
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {p} is not UTF-8 text: {exc.reason}") from None
 
@@ -199,18 +203,13 @@ def _indicators_stage(corpus, groups: dict[str, np.ndarray], args, cfg):
     series = [timeseries.aggregate_daily(corpus.ordinals[rows], *span, label=label)
               for label, rows in [(market, slice(None)), *sorted(groups.items())]]
     market_bt, *group_bts = _backtest(series, args, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        models = {s.label: timeseries.fit(s, cfg) for s in series}
-
+    models = timeseries.fit(series, cfg)
     return indicators_mod.assemble_report(
         corpus,
         groups=groups,
         backtests={bt.label: bt for bt in group_bts},
         market_backtest=market_bt,
-        trend_models=models,
-        corpus_start=span[0],
-        corpus_end=span[1],
+        trend_models={s.label: model for s, model in zip(series, models)},
     )
 
 
@@ -385,10 +384,13 @@ def build_parser() -> _Parser:
 
 
 def apply_config_file(argv: list[str]) -> list[str]:
-    """Expand ``--config-file file.json`` into flags; explicit CLI flags win."""
-    if "--config-file" not in argv:
+    """Expand ``--config-file FILE`` (or ``--config-file=FILE``) into flags;
+    explicit CLI flags win, as ``--flag value`` or ``--flag=value``."""
+    flags = [arg.split("=", 1)[0] for arg in argv]
+    if "--config-file" not in flags:
         return argv
-    i = argv.index("--config-file")
+    i = flags.index("--config-file")
+    argv = argv[:i] + argv[i].split("=", 1) + argv[i + 1:]
     if i + 1 == len(argv):
         raise UsageError("--config-file needs a file name")
     raw = _read_json(argv[i + 1], "config file")
@@ -397,7 +399,7 @@ def apply_config_file(argv: list[str]) -> list[str]:
     injected: list[str] = []
     for key, value in raw.items():
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
+        if flag in flags:
             continue
         if isinstance(value, bool):
             if value:

@@ -212,7 +212,7 @@ def _iter_records(path: Path, fmt: str):
     if fmt not in ("jsonl", "csv"):
         raise DataError(f"unknown input format: {fmt!r}")
     try:
-        with path.open("r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+        with path.open("r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as fh:
             if fmt == "csv":
                 yield from csv.DictReader(fh)
                 return

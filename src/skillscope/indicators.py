@@ -22,6 +22,7 @@ import datetime as dt
 import json
 import statistics
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -152,8 +153,6 @@ def assemble_report(
     backtests: dict[str, BacktestReport],
     market_backtest: BacktestReport,
     trend_models: dict[str, DecompositionModel],
-    corpus_start: dt.date,
-    corpus_end: dt.date,
 ) -> ShortageReport:
     """Score every group, given as row positions of ``corpus``, against the
     whole corpus as the market baseline on all five indicators. Experience
@@ -162,8 +161,8 @@ def assemble_report(
 
     ``backtests`` holds one report per group label, ``market_backtest`` the
     market's, and ``trend_models`` the fits ``trend_lines.csv`` draws. A
-    year the corpus span [``corpus_start``, ``corpus_end``] covers only in
-    part is listed in ``partial_years``."""
+    year that the span from the first to the last posting date covers only
+    in part is listed in ``partial_years``."""
     if not len(corpus):
         raise DataError("missing market baseline: no ads")
     baseline = compute_indicators(MARKET, corpus, np.arange(len(corpus)),
@@ -184,11 +183,12 @@ def assemble_report(
             "predictability": _flag(ind.median_smape, baseline.median_smape, True),
         }
 
+    first, last = corpus.span()
     partial = []
-    if (corpus_start.month, corpus_start.day) != (1, 1):
-        partial.append(corpus_start.year)
-    if (corpus_end.month, corpus_end.day) != (12, 31):
-        partial.append(corpus_end.year)
+    if (first.month, first.day) != (1, 1):
+        partial.append(first.year)
+    if (last.month, last.day) != (12, 31):
+        partial.append(last.year)
 
     return ShortageReport(
         baseline=baseline,
@@ -245,13 +245,15 @@ def write_report(report: ShortageReport, out_dir) -> None:
     with (out_dir / "trend_lines.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "date", "trend"])
+        dates: dict[tuple[dt.date, int], list[str]] = {}  # formatted once per span
         for label in sorted(report.trend_models):
             model = report.trend_models[label]
-            t = np.arange(model.train_len)
-            g = model.trend(t)
-            for off, value in zip(t, g):
-                date = model.start + dt.timedelta(days=int(off))
-                writer.writerow([label, date.isoformat(), repr(float(value))])
+            span = (model.start, model.train_len)
+            if span not in dates:
+                dates[span] = [(model.start + dt.timedelta(days=k)).isoformat()
+                               for k in range(model.train_len)]
+            trend = model.trend(np.arange(model.train_len)).tolist()
+            writer.writerows(zip(repeat(label), dates[span], map(repr, trend)))
 
     payload = {
         "baseline": _indicators_dict(base),

@@ -72,7 +72,7 @@ def load_category_map(path) -> dict[str, str]:
         raise DataError(f"cannot read category map: {path}")
     mapping: dict[str, str] = {}
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read category map {path}: {exc}") from None

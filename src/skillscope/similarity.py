@@ -139,7 +139,7 @@ class SkillSetResult:
         """Read a ``skills.csv``; only its ``skill`` and ``theta`` columns
         are used."""
         try:
-            with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
                 entries = [SkillScore(row["skill"], float(row["theta"]))
                            for row in csv.DictReader(fh, restval="")]
         except KeyError as exc:

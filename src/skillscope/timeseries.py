@@ -5,26 +5,23 @@ The decomposition y(t) = g(t) + s(t) + h(t) + eps_t is fit as one linear
 regression: a continuous piecewise-linear trend over evenly spaced
 changepoints, weekly (order 3) and yearly (order 10) Fourier seasonality,
 and one indicator column per holiday date. The changepoint slope deltas
-carry a ridge penalty; everything else is unpenalized. The fit is a
-deterministic least-squares solve, so identical inputs give identical
-coefficients.
+carry a ridge penalty; everything else is unpenalized. Every fit is one
+deterministic solve: the pseudo-inverse of the ridge-augmented design, at
+the cutoff of ``lstsq(rcond=None)``, times the counts of all series of a
+run, which share one span and so one design. ``fit`` solves the full span.
 
-The sliding-window backtest refits the same model on every window along
-one path, for all series of a run at once. They share one span, and the
-trend and seasonality columns depend only on the window length and the
-``FitConfig``, so the backtest builds them once. A window adds one
-indicator column per holiday inside its training days and is re-factored
-only when that set of in-window holiday days, counted from the window's
-first day, differs from the previous window's; without holidays every
-window shares one pseudo-inverse. Every series shares each window's factor
-and is scored in one SMAPE step.
+The sliding-window backtest solves every window along one path. It builds
+the trend and seasonality columns once. A window adds one indicator column
+per holiday inside its training days and is re-factored only when that set
+of in-window holiday days, counted from the window's first day, differs
+from the previous window's; without holidays every window shares one
+pseudo-inverse. Every series is scored in one SMAPE step per window.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -171,15 +168,6 @@ def _design(n: int, config: FitConfig, horizon: int = 0) -> tuple[np.ndarray, np
     return np.hstack(blocks), changepoints, use_yearly
 
 
-def _ridge_augment(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.ndarray:
-    """The design with one row per penalized column appended. Against zero
-    targets these rows implement the ridge penalty on the changepoint delta
-    columns (2..2+n_cp) only."""
-    penalty = np.zeros(design.shape[1])
-    penalty[2:2 + n_cp] = np.sqrt(ridge_lambda)
-    return np.vstack([design, np.diag(penalty)[penalty > 0]])
-
-
 def _holiday_columns(offsets: Sequence[int], n: int) -> np.ndarray:
     """One indicator column per holiday day offset on a fit over days
     ``0..n-1``; a holiday outside those days gets an all-zero column."""
@@ -190,59 +178,65 @@ def _holiday_columns(offsets: Sequence[int], n: int) -> np.ndarray:
     return columns
 
 
-def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionModel:
-    """Deterministic ridge-regularized least-squares decomposition fit.
+def _shared_span(series: Sequence[DailySeries]) -> tuple[dt.date, np.ndarray]:
+    """The common start of ``series`` and their counts as columns."""
+    if len({(s.start, len(s)) for s in series}) != 1:
+        raise DataError("series must share one start and length")
+    return series[0].start, np.column_stack([s.counts for s in series])
 
-    Yearly seasonality needs at least two yearly periods of data and is
-    otherwise disabled with a warning. Series shorter than two weeks are
-    rejected.
+
+def _solve(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.ndarray:
+    """The map from targets on the design's rows to the min-norm ridge
+    least-squares coefficients. One row per penalized changepoint column,
+    against a zero target, implements the ridge penalty; those targets are
+    zero, so only the design-row columns of the pseudo-inverse are kept. Its
+    singular-value cutoff is that of ``lstsq(rcond=None)``."""
+    penalty = np.zeros(design.shape[1])
+    penalty[2:2 + n_cp] = np.sqrt(ridge_lambda)
+    aug = np.vstack([design, np.diag(penalty)[penalty > 0]])
+    cutoff = np.finfo(np.float64).eps * max(aug.shape)
+    return np.linalg.pinv(aug, cutoff)[:, :len(design)]
+
+
+def fit(series: Sequence[DailySeries],
+        config: FitConfig = FitConfig()) -> list[DecompositionModel]:
+    """Ridge-regularized least-squares decomposition fit of every series,
+    which share one start and length, in one solve; one model per series,
+    in input order.
+
+    Yearly seasonality is on from two yearly periods of data
+    (``model.yearly_coef`` is None below that). Series shorter than two
+    weeks are rejected.
     """
-    n = len(series)
+    start, y = _shared_span(series)
+    n = len(y)
     design, changepoints, use_yearly = _design(n, config)
-    y = series.counts
-    if not use_yearly:
-        warnings.warn(
-            f"series of {n} days is shorter than two yearly periods; "
-            "yearly seasonality disabled"
-        )
     n_cp = len(changepoints)
-
     holiday_dates = tuple(sorted(config.holidays))
-    offsets = [(date - series.start).days for date in holiday_dates]
+    offsets = [(date - start).days for date in holiday_dates]
     design = np.hstack([design, _holiday_columns(offsets, n)])
+    beta = _solve(design, n_cp, config.ridge_lambda) @ y
 
-    # lstsq keeps the solve deterministic and rank-deficiency safe.
-    p = design.shape[1]
-    aug = _ridge_augment(design, n_cp, config.ridge_lambda)
-    rhs = np.concatenate([y, np.zeros(len(aug) - n)])
-    beta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+    residuals = design @ beta
+    residuals -= y
+    dof = max(1, n - design.shape[1])
+    residual_var = np.einsum("ij,ij->j", residuals, residuals) / dof
 
-    pos = 2 + n_cp
-    weekly_dim = 2 * WEEKLY_ORDER
-    weekly_coef = beta[pos:pos + weekly_dim]
-    pos += weekly_dim
-    yearly_coef = None
-    if use_yearly:
-        yearly_dim = 2 * YEARLY_ORDER
-        yearly_coef = beta[pos:pos + yearly_dim]
-        pos += yearly_dim
-    holiday_effects = beta[pos:pos + len(holiday_dates)]
-
-    residuals = y - design @ beta
-    dof = max(1, n - p)
-    return DecompositionModel(
-        start=series.start,
+    weekly_end = 2 + n_cp + 2 * WEEKLY_ORDER
+    holiday_start = weekly_end + (2 * YEARLY_ORDER if use_yearly else 0)
+    return [DecompositionModel(
+        start=start,
         train_len=n,
         changepoints=changepoints,
-        offset=float(beta[0]),
-        base_slope=float(beta[1]),
-        deltas=beta[2:2 + n_cp].copy(),
-        weekly_coef=weekly_coef.copy(),
-        yearly_coef=None if yearly_coef is None else yearly_coef.copy(),
+        offset=float(b[0]),
+        base_slope=float(b[1]),
+        deltas=b[2:2 + n_cp],
+        weekly_coef=b[2 + n_cp:weekly_end],
+        yearly_coef=b[weekly_end:holiday_start] if use_yearly else None,
         holiday_dates=holiday_dates,
-        holiday_effects=holiday_effects.copy(),
-        residual_var=float(residuals @ residuals / dof),
-    )
+        holiday_effects=b[holiday_start:],
+        residual_var=var,
+    ) for b, var in zip(beta.T.copy(), residual_var.tolist())]
 
 
 def forecast(model: DecompositionModel, horizon: int) -> np.ndarray:
@@ -330,9 +324,7 @@ def sliding_window_backtest(
     each window's factor. Holiday coefficients are left out of the forecast:
     a holiday in the training days is zero on every test day, and one
     outside them has an all-zero column and a zero min-norm coefficient."""
-    if len({(s.start, len(s)) for s in series}) != 1:
-        raise DataError("backtest series must share one start and length")
-    start, n_days = series[0].start, len(series[0])
+    start, y = _shared_span(series)
     if train_days < MIN_FIT_DAYS:
         raise DataError(f"backtest train window of {train_days} days is shorter "
                         "than two weeks; cannot fit")
@@ -341,9 +333,9 @@ def sliding_window_backtest(
     if iterations < 1:
         raise DataError(f"backtest of {iterations} iterations; needs at least 1")
     required = train_days + test_days + iterations - 1
-    if n_days < required:
+    if len(y) < required:
         raise DataError(
-            f"series of {n_days} days is too short for the backtest; "
+            f"series of {len(y)} days is too short for the backtest; "
             f"needs at least {required} (train {train_days} + test {test_days} "
             f"+ iterations {iterations} - 1)"
         )
@@ -351,20 +343,15 @@ def sliding_window_backtest(
     train, future = design[:train_days], design[train_days:]
     p = design.shape[1]
     holidays = sorted((date - start).days for date in config.holidays)
-    y = np.column_stack([s.counts for s in series])
     in_window = solve = None
     scores = np.empty((len(series), iterations))
     for shift in range(iterations):
         window_holidays = [h - shift for h in holidays if 0 <= h - shift < train_days]
         if window_holidays != in_window:
             in_window = window_holidays
-            aug = _ridge_augment(np.hstack([train, _holiday_columns(in_window, train_days)]),
-                                 len(changepoints), config.ridge_lambda)
-            # The singular-value cutoff of lstsq(rcond=None), as in fit. The
-            # ridge rows' targets are zero, so only the first train_days
-            # columns are kept, and only the first p coefficients forecast.
-            cutoff = np.finfo(np.float64).eps * max(aug.shape)
-            solve = np.linalg.pinv(aug, cutoff)[:p, :train_days]
+            # Only the first p coefficients forecast.
+            solve = _solve(np.hstack([train, _holiday_columns(in_window, train_days)]),
+                           len(changepoints), config.ridge_lambda)[:p]
         beta = solve @ y[shift:shift + train_days]
         predicted = np.maximum(future @ beta, 0.0)
         actual = y[shift + train_days:shift + train_days + test_days]

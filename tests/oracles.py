@@ -1,8 +1,9 @@
 """Independent brute-force evaluations used as oracles in the tests.
 
-Everything here works on plain job->skills dicts and deliberately avoids
-the package's sparse data structures: quadruple loops straight off the
-formula definitions.
+Everything here works on plain job->skills dicts, ad lists or count
+vectors and deliberately avoids the package's data structures and solves:
+loops straight off the formula definitions, and ``np.linalg.lstsq`` for the
+decomposition fit.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import datetime as dt
 import random
 import statistics
+
+import numpy as np
 
 from skillscope.corpus import JobAd
 
@@ -92,6 +95,39 @@ def brute_indicators(ads: list[JobAd]) -> dict[str, dict]:
         out["experience"][year] = mean([ad.experience_years for ad in in_year
                                         if ad.experience_years is not None])
     return out
+
+
+def lstsq_decomposition(counts, n_changepoints: int = 25, ridge_lambda: float = 1.0,
+                        holiday_offsets=(), horizon: int = 0):
+    """Coefficients of the trend + seasonality + holiday regression on the
+    daily ``counts``, solved by ``np.linalg.lstsq``, and its unclipped
+    prediction over the fit days and ``horizon`` days after them.
+
+    The design follows the model's formulas: ones, the day offset, one hinge
+    at each of k changepoints spaced evenly from L/(k+1) to L, where L is
+    80% of the last fit day's offset, weekly Fourier terms of order 3, yearly
+    ones of order 10 from two years of data on, and one indicator per
+    holiday day offset in ascending order, zero outside the fit days. A
+    positive ridge penalty is one row of sqrt(lambda) per hinge column
+    against a zero target."""
+    y = np.asarray(counts, dtype=np.float64)
+    n = len(y)
+    t = np.arange(n + horizon, dtype=np.float64)
+    limit = 0.8 * (n - 1)
+    changepoints = np.linspace(limit / (n_changepoints + 1), limit, n_changepoints)
+    cols = [np.ones_like(t), t] + [np.maximum(0.0, t - c) for c in changepoints]
+    seasons = [(7.0, 3)] + ([(365.25, 10)] if n >= 2 * 365.25 else [])
+    for period, order in seasons:
+        for k in range(1, order + 1):
+            arg = 2.0 * np.pi * k * t / period
+            cols += [np.sin(arg), np.cos(arg)]
+    cols += [(t == off) & (t < n) for off in sorted(holiday_offsets)]
+    full = np.column_stack(cols).astype(np.float64)
+    penalized = n_changepoints if ridge_lambda > 0 else 0
+    ridge = np.sqrt(ridge_lambda) * np.eye(full.shape[1])[2:2 + penalized]
+    beta, *_ = np.linalg.lstsq(np.vstack([full[:n], ridge]),
+                               np.concatenate([y, np.zeros(penalized)]), rcond=None)
+    return beta, full @ beta
 
 
 def random_jobs(rng: random.Random, max_ads: int = 20, max_skills: int = 10) -> dict[str, set[str]]:

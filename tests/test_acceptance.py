@@ -197,14 +197,14 @@ def test_criterion_5_trend_seasonality_recovery():
     """Planted slope and weekly amplitude within 1%; pure linear to 1e-6."""
     t = np.arange(1095, dtype=float)
     y = 10 + 0.05 * t + 3 * np.sin(2 * np.pi * t / 7)
-    model = fit(DailySeries(START, y))
+    [model] = fit([DailySeries(START, y)])
     g = model.trend(np.array([0.0, 1.0]))
     slope = g[1] - g[0]
     amp = model.weekly_amplitude()
     assert slope == pytest.approx(0.05, rel=0.01)
     assert amp == pytest.approx(3.0, rel=0.01)
 
-    linear = fit(DailySeries(START, 2.0 + 0.5 * t))
+    [linear] = fit([DailySeries(START, 2.0 + 0.5 * t)])
     gl = linear.trend(np.array([0.0, 1.0]))
     assert gl[1] - gl[0] == pytest.approx(0.5, abs=1e-6)
     print(f"\nPASS criterion 5: slope {slope:.6f} (true 0.05), weekly amplitude "
@@ -283,8 +283,7 @@ def run_shortage_report(seed):
 
     backtests = {label: backtest(label, rows) for label, rows in groups.items()}
     market_bt = backtest("market", np.arange(len(corpus)))
-    return assemble_report(corpus, groups, backtests, market_bt, trend_models={},
-                           corpus_start=start, corpus_end=end)
+    return assemble_report(corpus, groups, backtests, market_bt, trend_models={})
 
 
 def test_criterion_7_end_to_end_shortage_detection():

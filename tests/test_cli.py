@@ -418,3 +418,84 @@ class TestReport:
         assert [g["label"] for g in ind["groups"]] == ["Office", "uncategorized"]
         # the report selects both occupations, so both group the same ads
         assert rep["groups"] == ind["groups"]
+
+
+class TestConfigFile:
+    def run_skills(self, corpus, tmp_path, *flags) -> dict:
+        """Run ``skills`` with ``flags`` and a config file setting cutoff 3;
+        returns the parsed flags from provenance.json."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"cutoff": 3, "per_seed_k": 10}))
+        out = tmp_path / "o"
+        assert main(["skills", "--input", str(corpus), "--seed-skill", "ml",
+                     *[f.format(cfg=cfg) for f in flags], "--out", str(out)]) == 0
+        return json.loads((out / "provenance.json").read_text())["config"]
+
+    @pytest.mark.parametrize("flags", [["--cutoff", "2"], ["--cutoff=2"]],
+                             ids=["flag-value", "flag=value"])
+    def test_explicit_flag_beats_config_file(self, corpus, tmp_path, capsys, flags):
+        config = self.run_skills(corpus, tmp_path, *flags, "--config-file", "{cfg}")
+        assert (config["cutoff"], config["per_seed_k"]) == (2, 10)
+
+    def test_config_file_given_with_equals(self, corpus, tmp_path, capsys):
+        config = self.run_skills(corpus, tmp_path, "--config-file={cfg}")
+        assert (config["cutoff"], config["per_seed_k"]) == (3, 10)
+
+
+def write_inputs(corpus: Path, folder: Path, bom_in: str = "") -> dict[str, Path]:
+    """Every kind of text input file a command reads, written into ``folder``;
+    the one named ``bom_in`` starts with a UTF-8 byte-order mark."""
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    fields = ["id", "date", "occupation", "skills", "salary_min", "salary_max",
+              "education_years", "experience_years"]
+    csv_rows = [",".join(fields)] + [
+        ",".join(";".join(r[f]) if f == "skills" else str(r[f]) for f in fields)
+        for r in records]
+    texts = {
+        "jsonl": corpus.read_text(),
+        "csv": "\n".join(csv_rows) + "\n",
+        "seeds": "ml\nstats\n",
+        "holidays": "2017-01-02\n2017-02-14\n",
+        "map": "Modeler,Data\nClerk,Office\n",
+        "skills": "skill,theta\nml,1.0\nstats,0.5\n",
+        "config": json.dumps({"seed_skill": ["ml"], "per_seed_k": 10, "cutoff": 5}),
+        "synth": json.dumps(SCENARIO),
+    }
+    folder.mkdir()
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = folder / name
+        paths[name].write_text(("\ufeff" if name == bom_in else "") + text, encoding="utf-8")
+    return paths
+
+
+# One command per kind of input file, reading it from ``write_inputs``.
+BOM_CASES = {
+    "jsonl": ["ingest", "--input", "{jsonl}"],
+    "csv": ["ingest", "--format", "csv", "--input", "{csv}"],
+    "seeds": ["skills", "--input", "{jsonl}", "--seeds", "{seeds}",
+              "--per-seed-k", "10", "--cutoff", "5"],
+    "holidays": ["backtest", "--input", "{jsonl}", *BACKTEST_FLAGS,
+                 "--holidays", "{holidays}"],
+    "map": ["indicators", "--input", "{jsonl}", *BACKTEST_FLAGS,
+            "--category-map", "{map}"],
+    "skills": ["occupations", "--input", "{jsonl}", "--skills", "{skills}"],
+    "config": ["skills", "--input", "{jsonl}", "--config-file", "{config}"],
+    "synth": ["synth", "--config", "{synth}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOM_CASES))
+def test_byte_order_mark_gives_the_same_outputs(corpus, tmp_path, capsys, name):
+    argv = BOM_CASES[name]
+    outs = []
+    for run, bom_in in [("plain", ""), ("bom", name)]:
+        paths = write_inputs(corpus, tmp_path / f"{run}-in", bom_in)
+        out = tmp_path / run
+        assert main([*[a.format(**paths) for a in argv], "--out", str(out)]) == 0
+        outs.append(out)
+    plain, bom = outs
+    files = sorted(p.name for p in plain.iterdir() if p.name != "provenance.json")
+    assert files == sorted(p.name for p in bom.iterdir() if p.name != "provenance.json")
+    for file in files:
+        assert (plain / file).read_bytes() == (bom / file).read_bytes(), file

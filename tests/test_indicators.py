@@ -178,13 +178,12 @@ class TestAssembleReport:
             backtest_of("market", [10.0, 12.0, 14.0]),
         )
 
-    def assemble(self, ads, start=dt.date(2016, 1, 1), end=dt.date(2018, 12, 31)):
+    def assemble(self, ads):
         corpus = Corpus(ads)
         groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
                   for code, occ in enumerate(corpus.occupations)}
         backtests, market_bt = self.backtests()
-        return assemble_report(corpus, groups, backtests, market_bt,
-                               trend_models={}, corpus_start=start, corpus_end=end)
+        return assemble_report(corpus, groups, backtests, market_bt, trend_models={})
 
     def test_flags_five_of_five_and_zero_of_five(self):
         report = self.assemble(shortage_corpus())
@@ -199,9 +198,15 @@ class TestAssembleReport:
                 assert count <= report.baseline.counts_by_year[year]
 
     def test_partial_year_flagging(self):
-        report = self.assemble(shortage_corpus(), start=dt.date(2016, 3, 1))
-        assert report.partial_years == [2016]
-        assert self.assemble(shortage_corpus()).partial_years == []
+        def spanning(first, last):  # the first and last ads fall on these dates
+            return shortage_corpus() + [
+                JobAd(id=f"edge{i}", posted_date=date, occupation="Cold", skills=("x",))
+                for i, date in enumerate((first, last))]
+
+        full_start, full_end = dt.date(2016, 1, 1), dt.date(2018, 12, 31)
+        assert self.assemble(spanning(full_start, full_end)).partial_years == []
+        assert self.assemble(spanning(dt.date(2016, 3, 1), full_end)).partial_years == [2016]
+        assert self.assemble(spanning(full_start, dt.date(2018, 12, 30))).partial_years == [2018]
 
     def test_written_report_directory(self, tmp_path):
         write_report(self.assemble(shortage_corpus()), tmp_path)

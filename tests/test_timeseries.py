@@ -1,5 +1,4 @@
 import datetime as dt
-import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from skillscope.timeseries import (
     smape,
 )
 
+from oracles import lstsq_decomposition
+
 START = dt.date(2015, 1, 1)
 
 
@@ -28,22 +29,53 @@ def days(*offsets):
     return tuple(START + dt.timedelta(days=d) for d in offsets)
 
 
-def quiet_fit(s, config=FitConfig()):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fit(s, config)
+def coefficients(model):
+    """Every fitted coefficient in design-column order."""
+    yearly = [] if model.yearly_coef is None else model.yearly_coef
+    return np.concatenate([[model.offset, model.base_slope], model.deltas,
+                           model.weekly_coef, yearly, model.holiday_effects])
+
+
+def reference(counts, config, first_day=0, horizon=0):
+    """``lstsq_decomposition`` of daily ``counts`` whose first day lies
+    ``first_day`` days after START."""
+    offsets = [(date - START).days - first_day for date in config.holidays]
+    return lstsq_decomposition(counts, config.n_changepoints, config.ridge_lambda,
+                               offsets, horizon)
 
 
 def per_window_scores(s, config, train_days, test_days, iterations):
-    """Reference backtest: refit every window with fit and forecast."""
+    """Reference backtest: solve every window with the lstsq oracle."""
     scores = []
     for shift in range(iterations):
-        window = DailySeries(s.start + dt.timedelta(days=shift),
-                             s.counts[shift:shift + train_days])
-        model = quiet_fit(window, config)
+        _, predicted = reference(s.counts[shift:shift + train_days], config, shift,
+                                 horizon=test_days)
         actual = s.counts[shift + train_days:shift + train_days + test_days]
-        scores.append(smape(actual, forecast(model, test_days)))
+        scores.append(smape(actual, np.maximum(predicted[train_days:], 0.0)))
     return scores
+
+
+# Fit configs over which the solve is checked against the lstsq oracle:
+# (train days, config).
+SOLVE_CASES = [
+    (60, FitConfig(n_changepoints=0)),
+    (60, FitConfig()),
+    (200, FitConfig(ridge_lambda=0.05)),
+    (200, FitConfig(ridge_lambda=10.0)),
+    (20, FitConfig(ridge_lambda=0.0)),   # more columns than rows
+    (730, FitConfig()),                  # yearly seasonality off
+    (731, FitConfig(n_changepoints=0)),  # yearly seasonality on
+    pytest.param(40, FitConfig(holidays=days(20, 65)), id="holidays"),
+    pytest.param(20, FitConfig(ridge_lambda=0.0, holidays=days(5, 22)),
+                 id="holidays-rank-deficient"),
+    # day 65 enters the training days at the seventh window
+    pytest.param(60, FitConfig(holidays=days(30, 30, 65)), id="holiday-duplicated"),
+    pytest.param(60, FitConfig(holidays=days(85)), id="holiday-test-window-only"),
+    pytest.param(60, FitConfig(holidays=days(-10)), id="holiday-before-start"),
+    pytest.param(731, FitConfig(holidays=tuple(
+        dt.date(2015 + m // 12, m % 12 + 1, 1) for m in range(24))),
+                 id="holidays-monthly-yearly-on"),
+]
 
 
 class TestAggregateDaily:
@@ -126,7 +158,7 @@ class TestSmape:
 class TestFit:
     def test_pure_linear_recovery(self):
         t = np.arange(100, dtype=float)
-        model = quiet_fit(series(2 + 0.5 * t))
+        [model] = fit([series(2 + 0.5 * t)])
         # piecewise trend: total slope past all changepoints
         g = model.trend(np.array([90.0, 91.0]))
         assert g[1] - g[0] == pytest.approx(0.5, abs=1e-6)
@@ -135,7 +167,7 @@ class TestFit:
     def test_planted_weekly_seasonality(self):
         t = np.arange(3 * 365, dtype=float)
         y = 10 + 0.05 * t + 3 * np.sin(2 * np.pi * t / 7)
-        model = quiet_fit(series(y))
+        [model] = fit([series(y)])
         g = model.trend(np.array([0.0, 1.0]))
         assert g[1] - g[0] == pytest.approx(0.05, rel=0.01)
         assert model.weekly_amplitude() == pytest.approx(3.0, rel=0.01)
@@ -145,7 +177,7 @@ class TestFit:
         t = np.arange(n, dtype=float)
         y = 5 + 0.2 * t
         y[200:] = y[199] + 0.8 * (t[200:] - 199)
-        model = quiet_fit(series(y), FitConfig(n_changepoints=40, ridge_lambda=0.01))
+        [model] = fit([series(y)], FitConfig(n_changepoints=40, ridge_lambda=0.01))
         g = model.trend(t)
         left = (g[150] - g[100]) / 50
         right = (g[310] - g[260]) / 50  # inside the changepoint span
@@ -153,24 +185,57 @@ class TestFit:
         assert right == pytest.approx(0.8, rel=0.05)
 
     def test_constant_series_degenerate_fit(self):
-        model = quiet_fit(series([4.0] * 60))
+        [model] = fit([series([4.0] * 60)])
         assert model.predict(np.arange(60)) == pytest.approx(np.full(60, 4.0), abs=1e-8)
         assert model.weekly_amplitude() == pytest.approx(0.0, abs=1e-8)
 
     def test_short_series_fatal(self):
         with pytest.raises(DataError, match="two weeks"):
-            fit(series([1.0] * 10))
+            fit([series([1.0] * 10)])
 
-    def test_yearly_disabled_with_warning(self):
-        with pytest.warns(UserWarning, match="yearly seasonality disabled"):
-            model = fit(series([1.0] * 100))
+    @pytest.mark.parametrize("other", [
+        DailySeries(START + dt.timedelta(days=1), np.ones(40)),
+        DailySeries(START, np.ones(41)),
+    ], ids=["start", "length"])
+    def test_mismatched_span_fatal(self, other):
+        with pytest.raises(DataError, match="share one start and length"):
+            fit([series([1.0] * 40), other])
+
+    @pytest.mark.parametrize("train_days,config", SOLVE_CASES)
+    def test_coefficients_match_lstsq_reference(self, train_days, config):
+        rng = np.random.default_rng(train_days)
+        s = series(rng.poisson(6, size=train_days).astype(float))
+        [model] = fit([s], config)
+        beta, _ = reference(s.counts, config)
+        assert coefficients(model) == pytest.approx(beta, rel=0, abs=1e-9)
+        assert (model.yearly_coef is None) == (train_days < 2 * 365.25)
+
+    @pytest.mark.parametrize("config", [
+        FitConfig(),
+        pytest.param(FitConfig(holidays=days(20, 65, 90)), id="holidays"),
+    ])
+    def test_many_series_match_one_series_calls(self, config):
+        rng = np.random.default_rng(9)
+        many = [series(rng.poisson(lam, size=100).astype(float), label=f"s{lam}")
+                for lam in (0.2, 3, 40)] + [series([0.0] * 100, label="empty")]
+        models = fit(many, config)
+        assert len(models) == len(many)
+        for s, model in zip(many, models):
+            [alone] = fit([s], config)
+            assert coefficients(model) == pytest.approx(coefficients(alone),
+                                                        rel=0, abs=1e-12)
+            assert model.residual_var == pytest.approx(alone.residual_var,
+                                                       rel=1e-12, abs=1e-12)
+
+    def test_yearly_disabled_below_two_years(self):
+        [model] = fit([series([1.0] * 100)])
         assert model.yearly_coef is None
 
     def test_deterministic_refit(self):
         rng = np.random.default_rng(8)
         y = 10 + rng.poisson(5, size=200).astype(float)
-        m1 = quiet_fit(series(y))
-        m2 = quiet_fit(series(y))
+        [m1] = fit([series(y)])
+        [m2] = fit([series(y)])
         assert m1.offset == m2.offset
         assert m1.base_slope == m2.base_slope
         assert (m1.deltas == m2.deltas).all()
@@ -181,7 +246,7 @@ class TestFit:
         y = np.full(120, 10.0)
         holiday = START + dt.timedelta(days=60)
         y[60] += 8.0
-        model = quiet_fit(series(y), FitConfig(holidays=(holiday,)))
+        [model] = fit([series(y)], FitConfig(holidays=(holiday,)))
         assert model.holiday_effects[0] == pytest.approx(8.0, rel=0.05)
         pred = model.predict(np.array([59.0, 60.0, 61.0]))
         assert pred[1] == pytest.approx(18.0, rel=0.02)
@@ -189,22 +254,22 @@ class TestFit:
 
 class TestForecast:
     def test_flat_model(self):
-        model = quiet_fit(series([6.0] * 50))
+        [model] = fit([series([6.0] * 50)])
         assert forecast(model, 10) == pytest.approx(np.full(10, 6.0), abs=1e-6)
 
     def test_linear_extrapolation(self):
         t = np.arange(50, dtype=float)
-        model = quiet_fit(series(3 + 2 * t))
+        [model] = fit([series(3 + 2 * t)])
         expected = 3 + 2 * np.arange(50, 60, dtype=float)
         assert forecast(model, 10) == pytest.approx(expected, rel=1e-4)
 
     def test_negative_clip(self):
         t = np.arange(50, dtype=float)
-        model = quiet_fit(series(np.maximum(0.0, 20 - 1.0 * t)))
+        [model] = fit([series(np.maximum(0.0, 20 - 1.0 * t))])
         assert (forecast(model, 30) >= 0.0).all()
 
     def test_bad_horizon(self):
-        model = quiet_fit(series([1.0] * 20))
+        [model] = fit([series([1.0] * 20)])
         with pytest.raises(DataError):
             forecast(model, 0)
 
@@ -243,25 +308,7 @@ class TestBacktest:
         assert (sliding_window_backtest([volatile], **kw)[0].median
                 > sliding_window_backtest([stable], **kw)[0].median)
 
-    @pytest.mark.parametrize("train_days,config", [
-        (60, FitConfig(n_changepoints=0)),
-        (60, FitConfig()),
-        (200, FitConfig(ridge_lambda=0.05)),
-        (200, FitConfig(ridge_lambda=10.0)),
-        (20, FitConfig(ridge_lambda=0.0)),   # more columns than rows
-        (730, FitConfig()),                  # yearly seasonality off
-        (731, FitConfig(n_changepoints=0)),  # yearly seasonality on
-        pytest.param(40, FitConfig(holidays=days(20, 65)), id="holidays"),
-        pytest.param(20, FitConfig(ridge_lambda=0.0, holidays=days(5, 22)),
-                     id="holidays-rank-deficient"),
-        # day 65 enters the training days at the seventh window
-        pytest.param(60, FitConfig(holidays=days(30, 30, 65)), id="holiday-duplicated"),
-        pytest.param(60, FitConfig(holidays=days(85)), id="holiday-test-window-only"),
-        pytest.param(60, FitConfig(holidays=days(-10)), id="holiday-before-start"),
-        pytest.param(731, FitConfig(holidays=tuple(
-            dt.date(2015 + m // 12, m % 12 + 1, 1) for m in range(24))),
-                     id="holidays-monthly-yearly-on"),
-    ])
+    @pytest.mark.parametrize("train_days,config", SOLVE_CASES)
     def test_shared_design_matches_per_window_fit(self, train_days, config):
         rng = np.random.default_rng(train_days)
         s = series(rng.poisson(6, size=train_days + 40).astype(float))
