@@ -348,13 +348,14 @@ def _add_threshold_arg(p):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="skillscope",
+    # No abbreviated flags: --config-file tells explicit flags by whole name.
+    parser = _Parser(prog="skillscope", allow_abbrev=False,
                      description="Skill-shortage analytics for job-ad corpora")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help, func, *add_args):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         for add in add_args:
             add(p)
         p.add_argument("--out", required=True)

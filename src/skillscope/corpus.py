@@ -4,9 +4,9 @@ Ingest validates each record into a :class:`JobAd` row, normalizing each
 distinct raw skill string once (a memo), and folds the accepted rows one at
 a time into a :class:`Corpus`: one array per column instead of one object
 per ad, with skills, occupations and dates interned once. :func:`build_index`
-sorts each ad's skill ids into the CSR incidence (one flat array of sorted
-ids per job, cut by ``indptr``) with the marginals the relevance and
-complementarity computations consume as whole arrays.
+reads the corpus's own CSR in place as the incidence (one flat array of
+skill ids, each ad's in ad order, cut by ``indptr``) and adds the marginals
+the relevance and complementarity computations consume as whole arrays.
 
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
@@ -159,11 +159,13 @@ def _parse_optional_float(value, field_name: str) -> Optional[float]:
     return number
 
 
-def _record_to_ad(rec: dict, normalized: dict[str, str]) -> JobAd:
+def _record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
     """Validate one raw record; raises ValueError with a short reason.
 
     ``normalized`` memoizes raw skill text -> normalized name across calls.
     """
+    if not isinstance(rec, dict):
+        raise ValueError("bad json")
     for key in ("id", "date", "occupation", "skills"):
         if key not in rec or rec[key] in (None, ""):
             raise ValueError(f"missing {key}")
@@ -224,7 +226,7 @@ def _iter_records(path: Path, fmt: str):
                     rec = json.loads(line)
                 except (json.JSONDecodeError, RecursionError):
                     rec = None
-                yield rec if isinstance(rec, dict) else {"__parse_error__": "bad json"}
+                yield rec  # any non-object is rejected as bad json
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read input file {path}: {exc}") from None
 
@@ -233,10 +235,6 @@ def _accepted_ads(path: Path, fmt: str, report: IngestReport) -> Iterator[JobAd]
     """Each valid record as a row; every other one is counted in ``report``."""
     normalized: dict[str, str] = {}
     for rec in _iter_records(path, fmt):
-        if "__parse_error__" in rec:
-            report.rejected += 1
-            report.reasons[rec["__parse_error__"]] += 1
-            continue
         try:
             ad = _record_to_ad(rec, normalized)
         except ValueError as exc:
@@ -290,7 +288,8 @@ class CsrRows:
 class IncidenceIndex:
     """Binary job x skill incidence in CSR form with cached marginals.
 
-    Job ``i``'s sorted skill ids are ``indices[indptr[i]:indptr[i + 1]]``,
+    The corpus's CSR read in place: job ``i``'s skill ids, in ad order, are
+    ``indices[indptr[i]:indptr[i + 1]]`` (``indices`` is ``corpus.slots``),
     also readable as the view ``job_skills[i]``; the per-skill and per-job
     counts and the grand total are precomputed.
     """
@@ -301,10 +300,8 @@ class IncidenceIndex:
         self.job_ids = corpus.ids
         self.skill_ids = corpus.skill_ids
         self.indptr = corpus.indptr
+        self.indices = corpus.slots
         self.job_skill_counts = np.diff(corpus.indptr)
-        # Sorting row * V + id keeps the rows in order and sorts within each.
-        offsets = np.repeat(np.arange(len(corpus)) * self.n_skills, self.job_skill_counts)
-        self.indices = np.sort(offsets + corpus.slots) - offsets
         self.job_skills = CsrRows(self.indptr, self.indices)
         self.skill_job_counts = np.bincount(self.indices, minlength=self.n_skills)
         self.grand_total = len(self.indices)
@@ -319,7 +316,7 @@ class IncidenceIndex:
 
 
 def build_index(corpus: Corpus) -> IncidenceIndex:
-    """Build the incidence structure: every ad's skill ids, sorted."""
+    """Build the incidence structure over every ad's skill ids, in ad order."""
     return IncidenceIndex(corpus)
 
 

@@ -5,9 +5,10 @@ effective use, divided by the larger of the two skills' effective-use
 counts - i.e. the minimum of the two conditional co-use probabilities.
 Pairs never co-effective (or with a zero denominator) are 0 and not stored.
 The co-effective counts come from integer pair codes ``a * V + b`` (V the
-vocabulary size) counted with ``np.unique`` over the effective-use CSR rows,
-one bucket of equal-length rows at a time; the scores are kept as a CSR
-adjacency, so a skill's neighbours cost its degree to read.
+vocabulary size, ``a < b``) counted with ``np.unique`` over the effective-use
+CSR rows, one bucket of equal-length rows at a time, each bucket's rows
+sorted as it is gathered; the scores are kept against the sorted pair codes,
+one entry per pair.
 
 Seed expansion grows a target skill set: each seed contributes its top-K
 most complementary skills, the lists are merged, and each unique skill is
@@ -31,54 +32,55 @@ from .skillmetrics import EffectiveUseMatrix
 
 class ThetaMatrix:
     """Symmetric sparse complementarity scores over the skill vocabulary,
-    built from each unordered pair ``(a[k], b[k])`` once with its positive
-    score and kept as a CSR adjacency: the neighbours of ``s``, sorted by
-    id, are ``_nbrs[_indptr[s]:_indptr[s + 1]]``, scored in ``_scores``."""
+    built from each unordered pair ``(a[k], b[k])``, in either orientation,
+    with its positive score. Kept as the sorted pair codes
+    ``min * V + max`` (V the vocabulary size), one per pair, scored in
+    ``_scores``."""
 
     def __init__(self, skill_ids: dict[str, int], skill_counts, a, b, scores):
         self.skill_ids = skill_ids
         self.skill_counts = skill_counts
-        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
-        order = np.lexsort((dst, src))
-        self._nbrs = dst[order]
-        self._scores = np.concatenate((scores, scores))[order]
-        self._indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(src, minlength=len(skill_ids)))))
+        codes = np.minimum(a, b) * len(skill_ids) + np.maximum(a, b)
+        order = np.argsort(codes, kind="stable")
+        self._codes = codes[order]
+        self._scores = np.asarray(scores, dtype=np.float64)[order]
 
     def value(self, s: int, s2: int) -> float:
         if s == s2:
             return 1.0 if self.skill_counts[s] > 0 else 0.0
-        lo, hi = self._indptr[s], self._indptr[s + 1]
-        k = lo + np.searchsorted(self._nbrs[lo:hi], s2)
-        return float(self._scores[k]) if k < hi and self._nbrs[k] == s2 else 0.0
+        code = min(s, s2) * len(self.skill_ids) + max(s, s2)
+        k = np.searchsorted(self._codes, code)
+        found = k < len(self._codes) and self._codes[k] == code
+        return float(self._scores[k]) if found else 0.0
 
     def pairs(self):
         """Iterate stored (skill_a, skill_b, theta) triples with a < b."""
-        src = np.repeat(np.arange(len(self._indptr) - 1), np.diff(self._indptr))
-        upper = src < self._nbrs
-        return zip(src[upper].tolist(), self._nbrs[upper].tolist(),
-                   self._scores[upper].tolist())
+        a, b = np.divmod(self._codes, len(self.skill_ids))
+        return zip(a.tolist(), b.tolist(), self._scores.tolist())
 
     def neighbours(self, s: int) -> list[tuple[int, float]]:
-        """All skills with a stored positive score against ``s``."""
-        lo, hi = self._indptr[s], self._indptr[s + 1]
-        return list(zip(self._nbrs[lo:hi].tolist(), self._scores[lo:hi].tolist()))
+        """All skills with a stored positive score against ``s``, by id:
+        the pairs ``(a, s)`` come before the pairs ``(s, b)`` in code order."""
+        a, b = np.divmod(self._codes, len(self.skill_ids))
+        hit = (a == s) | (b == s)
+        return list(zip((a[hit] + b[hit] - s).tolist(), self._scores[hit].tolist()))
 
 
 def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
     """Complementarity for every skill pair with at least one co-effective ad.
 
     Rows are bucketed by length; the rows of length n form an (rows x n)
-    block whose column pairs (i < j) give the pair codes ``a * V + b``,
-    counted per bucket with ``np.unique``, so memory scales with one
-    bucket's pair visits and the number of distinct pairs, never V x V.
+    block, sorted along each row, whose column pairs (i < j) give the pair
+    codes ``a * V + b`` with ``a < b``, counted per bucket with
+    ``np.unique``, so memory scales with one bucket's pair visits and the
+    number of distinct pairs, never V x V.
     """
     n_skills = eff.index.n_skills
     lengths = np.diff(eff.indptr)
     codes, joints = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for n in np.unique(lengths[lengths >= 2]):
         starts = eff.indptr[:-1][lengths == n]
-        block = eff.indices[starts[:, None] + np.arange(n)]
+        block = np.sort(eff.indices[starts[:, None] + np.arange(n)], axis=1)
         i, j = np.triu_indices(n, 1)
         bucket_codes, bucket_joints = np.unique(block[:, i] * n_skills + block[:, j],
                                                 return_counts=True)

@@ -33,16 +33,13 @@ class RcaMatrix:
 
     def value(self, job_pos: int, skill_idx: int) -> float:
         """Ratio at (job, skill); 0.0 where the skill is absent from the ad."""
-        row = self.index.job_skills[job_pos]
-        k = np.searchsorted(row, skill_idx)
-        if k < len(row) and row[k] == skill_idx:
-            return float(self.values[job_pos][k])
-        return 0.0
+        k = np.flatnonzero(self.index.job_skills[job_pos] == skill_idx)
+        return float(self.values[job_pos][k[0]]) if len(k) else 0.0
 
 
 class EffectiveUseMatrix:
     """Binary effective-use entries in CSR form plus per-skill effective
-    counts: job ``i`` effectively uses the sorted skill ids
+    counts: job ``i`` effectively uses the skill ids, in ad order,
     ``indices[indptr[i]:indptr[i + 1]]``, also readable as ``rows[i]``."""
 
     def __init__(self, index: IncidenceIndex, indptr: np.ndarray, indices: np.ndarray):
@@ -53,9 +50,7 @@ class EffectiveUseMatrix:
         self.skill_counts = np.bincount(indices, minlength=index.n_skills)
 
     def is_effective(self, job_pos: int, skill_idx: int) -> bool:
-        row = self.rows[job_pos]
-        k = np.searchsorted(row, skill_idx)
-        return bool(k < len(row) and row[k] == skill_idx)
+        return bool(np.any(self.rows[job_pos] == skill_idx))
 
 
 def compute_rca(index: IncidenceIndex) -> RcaMatrix:

@@ -141,6 +141,7 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
     ad_no = 0
     bg_names = [normalize_skill(n) for n, _ in config.background_skills]
     bg_probs = np.array([p for _, p in config.background_skills], dtype=np.float64)
+    cluster_names = [[normalize_skill(s) for s in c.skills] for c in config.clusters]
 
     for t in range(config.n_days):
         date = config.start_date + dt.timedelta(days=t)
@@ -150,7 +151,7 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
         if config.yearly_amplitude:
             season += config.yearly_amplitude * np.sin(2 * np.pi * t / YEAR_PERIOD)
         season = max(0.0, season)
-        for cluster in config.clusters:
+        for cluster, names in zip(config.clusters, cluster_names):
             rate = _daily_rate(cluster, t) * season
             if not rate <= POISSON_LAM_MAX:
                 raise DataError(f"synth cluster {cluster.name!r}: daily rate {rate:g} "
@@ -163,19 +164,14 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
                 ad_no += 1
                 occ = cluster.occupations[int(rng.integers(len(cluster.occupations)))]
 
-                skills = []
                 if cluster.cohesion >= 1.0:
-                    skills.extend(normalize_skill(s) for s in cluster.skills)
+                    skills = list(names)
                 else:
-                    keep = rng.random(len(cluster.skills)) < cluster.cohesion
-                    skills.extend(
-                        normalize_skill(s)
-                        for s, k in zip(cluster.skills, keep) if k
-                    )
+                    keep = rng.random(len(names)) < cluster.cohesion
+                    skills = [n for n, k in zip(names, keep) if k]
                     if not skills:
                         # an ad must demand at least one skill
-                        pick = int(rng.integers(len(cluster.skills)))
-                        skills.append(normalize_skill(cluster.skills[pick]))
+                        skills.append(names[int(rng.integers(len(names)))])
                 if len(bg_names):
                     keep = rng.random(len(bg_names)) < bg_probs
                     skills.extend(n for n, k in zip(bg_names, keep) if k)
@@ -214,8 +210,7 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
                 ))
 
     truth = GroundTruth(
-        clusters={c.name: [normalize_skill(s) for s in c.skills]
-                  for c in config.clusters},
+        clusters={c.name: names for c, names in zip(config.clusters, cluster_names)},
         occupations={occ: c.name for c in config.clusters for occ in c.occupations},
         params={
             c.name: {

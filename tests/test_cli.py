@@ -441,6 +441,15 @@ class TestConfigFile:
         config = self.run_skills(corpus, tmp_path, "--config-file={cfg}")
         assert (config["cutoff"], config["per_seed_k"]) == (3, 10)
 
+    @pytest.mark.parametrize("flags", [["--cut", "2"], ["--cut", "2", "--config-file", "{cfg}"]],
+                             ids=["alone", "with-config-file"])
+    def test_abbreviated_flag_is_a_usage_error(self, corpus, tmp_path, capsys, flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"cutoff": 3}))
+        assert main(["skills", "--input", str(corpus), "--seed-skill", "ml",
+                     *[f.format(cfg=cfg) for f in flags], "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --cut 2" in capsys.readouterr().err
+
 
 def write_inputs(corpus: Path, folder: Path, bom_in: str = "") -> dict[str, Path]:
     """Every kind of text input file a command reads, written into ``folder``;

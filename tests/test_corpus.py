@@ -111,6 +111,20 @@ class TestIngest:
         _, report = ingest(f)
         assert report.reasons["bad json"] == 1
 
+    def test_parse_error_field_is_an_ordinary_field(self, tmp_path):
+        f = tmp_path / "ads.jsonl"
+        write_lines(f, [record(0, **{"__parse_error__": ["a", "list"]}),
+                        record(1, **{"__parse_error__": "bad date"})])
+        corpus, report = ingest(f)
+        assert (corpus.ids, report.rejected) == (["ad-0", "ad-1"], 0)
+
+    def test_parse_error_column_is_an_ordinary_column(self, tmp_path):
+        f = tmp_path / "ads.csv"
+        f.write_text("id,date,occupation,skills,__parse_error__\n"
+                     "a1,2018-01-02,Analyst,SQL,bad json\n")
+        corpus, report = ingest(f, fmt="csv")
+        assert (corpus.ids, report.rejected) == (["a1"], 0)
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             ingest(tmp_path / "nope.jsonl")
@@ -155,7 +169,7 @@ class TestInterning:
         assert corpus.skill_names == ["b", "a", "c", "zig"]
         assert corpus.slots.tolist() == [0, 1, 2, 1, 3]  # each ad's own order
         index = build_index(corpus)
-        assert [r.tolist() for r in index.job_skills] == [[0, 1], [1, 2, 3]]
+        assert [r.tolist() for r in index.job_skills] == [[0, 1], [2, 1, 3]]
 
     def test_spellings_share_one_id(self, tmp_path):
         corpus, _ = self.ingest_lines(tmp_path, [
@@ -350,6 +364,10 @@ class TestIncidenceIndex:
     def test_empty_corpus_fatal(self):
         with pytest.raises(DataError, match="empty corpus"):
             build_index(Corpus([]))
+
+    def test_reads_the_corpus_slots_in_place(self):
+        corpus = Corpus(jobs_to_ads(worked_corpus()))
+        assert np.shares_memory(build_index(corpus).indices, corpus.slots)
 
     def test_grand_total_is_sum_of_skill_counts(self):
         ads = jobs_to_ads({"J1": {"A", "B", "C"}, "J2": {"B"}})

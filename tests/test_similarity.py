@@ -1,3 +1,4 @@
+import copy
 import random
 from pathlib import Path
 
@@ -92,7 +93,8 @@ def dict_pair_theta(eff):
         row = [int(s) for s in row]
         for i, a in enumerate(row):
             for b in row[i + 1:]:
-                co[(a, b)] = co.get((a, b), 0) + 1
+                pair = (min(a, b), max(a, b))
+                co[pair] = co.get(pair, 0) + 1
     counts = eff.skill_counts
     return {(a, b): joint / float(max(counts[a], counts[b]))
             for (a, b), joint in co.items()}
@@ -135,7 +137,34 @@ class TestPairCodes:
             for s in range(eff.index.n_skills):
                 scan = [(b, v) for a, b, v in triples if a == s] + \
                        [(a, v) for a, b, v in triples if b == s]
-                assert sorted(theta.neighbours(s)) == sorted(scan)
+                assert theta.neighbours(s) == sorted(scan)  # in id order
+
+
+def flip_rows(corpus):
+    """The corpus with each ad's skill ids in reverse order, ids kept."""
+    flipped = copy.copy(corpus)
+    flipped.slots = np.concatenate([corpus.slots[lo:hi][::-1] for lo, hi
+                                    in zip(corpus.indptr[:-1], corpus.indptr[1:])])
+    return flipped
+
+
+def test_skill_order_within_ads_changes_nothing():
+    rng = random.Random(19)
+    for _ in range(40):
+        corpus = Corpus(jobs_to_ads(random_jobs(rng, max_ads=30, max_skills=12)))
+        views = []
+        for c in (corpus, flip_rows(corpus)):
+            rca = compute_rca(build_index(c))
+            eff = compute_effective_use(rca)
+            theta = compute_theta(eff)
+            views.append((
+                {(i, s): rca.value(i, s) for i in range(len(c))
+                 for s in c.slots[c.indptr[i]:c.indptr[i + 1]].tolist()},
+                [set(row.tolist()) for row in eff.rows],
+                list(theta.pairs()),
+                [theta.neighbours(s) for s in range(len(c.skill_ids))],
+            ))
+        assert views[0] == views[1]
 
 
 def manual_theta(names, pairs, counts=None):
