@@ -302,13 +302,11 @@ def _add_corpus_args(p):
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
 
-# Defaults follow the reference workflow: top-300 neighbour lists cut to a
-# 150-skill set, a 15% intensity threshold, and a 1186/365/365 backtest.
 def _add_skills_args(p):
     p.add_argument("--seeds", help="newline-delimited seed skills file")
     p.add_argument("--seed-skill", action="append", help="seed skill (repeatable)")
-    p.add_argument("--per-seed-k", type=int, default=300)
-    p.add_argument("--cutoff", type=int, default=150)
+    p.add_argument("--per-seed-k", type=int, default=similarity.PER_SEED_K)
+    p.add_argument("--cutoff", type=int, default=similarity.CUTOFF)
     p.add_argument("--avg-over-all-seeds", action="store_true",
                    help="average merged scores over all seeds, not appearances")
 
@@ -327,13 +325,13 @@ def _non_negative(kind):
 
 
 def _add_backtest_args(p):
-    p.add_argument("--train-days", type=int, default=1186)
-    p.add_argument("--test-days", type=int, default=365)
-    p.add_argument("--iterations", type=int, default=365)
+    p.add_argument("--train-days", type=int, default=timeseries.TRAIN_DAYS)
+    p.add_argument("--test-days", type=int, default=timeseries.TEST_DAYS)
+    p.add_argument("--iterations", type=int, default=timeseries.ITERATIONS)
     p.add_argument("--changepoints", type=_non_negative(int),
-                   default=25)
+                   default=timeseries.N_CHANGEPOINTS)
     p.add_argument("--ridge-lambda", type=_non_negative(float),
-                   default=1.0)
+                   default=timeseries.RIDGE_LAMBDA)
     p.add_argument("--holidays", help="file of ISO holiday dates, one per line")
 
 
@@ -344,7 +342,7 @@ def _add_category_args(p):
 
 
 def _add_threshold_arg(p):
-    p.add_argument("--threshold", type=float, default=0.15)
+    p.add_argument("--threshold", type=float, default=occupations_mod.THRESHOLD)
 
 
 def build_parser() -> _Parser:

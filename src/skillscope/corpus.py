@@ -1,9 +1,11 @@
 """Job-ad corpus loading, validation, and sparse incidence indexing.
 
-Ingest validates each record into a :class:`JobAd` row, normalizing each
-distinct raw skill string once (a memo), and folds the accepted rows one at
-a time into a :class:`Corpus`: one array per column instead of one object
-per ad, with skills, occupations and dates interned once. :func:`build_index`
+Ingest validates each record straight into the columns of a
+:class:`Corpus`, one array per column instead of one object per ad: one
+appender checks a record, then interns its skills and occupation and appends
+it, so a rejected record leaves no trace. Memos parse each distinct date
+text and normalize each distinct raw skill text once. :class:`JobAd` is the
+row type for reading a corpus back and writing one. :func:`build_index`
 reads the corpus's own CSR in place as the incidence (one flat array of
 skill ids, each ad's in ad order, cut by ``indptr``) and adds the marginals
 the relevance and complementarity computations consume as whole arrays.
@@ -70,6 +72,88 @@ class JobAd:
     experience_years: Optional[float] = None
 
 
+class _Columns:
+    """Corpus columns as they grow: :meth:`add_record` validates a raw record
+    straight into them, :meth:`append` takes a row already checked. Skills
+    are interned only as a row is appended, in first-occurrence order."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.skill_ids: dict[str, int] = {}
+        self.occupation_codes: dict[str, int] = {}
+        self.ordinals, self.codes, self.slots, self.lengths = (array("q") for _ in range(4))
+        self.numbers = array("d")  # four per ad, NaN where missing
+        self.dates: dict[str, int] = {}  # date text -> ordinal
+        self.names: dict[str, str] = {}  # raw skill text -> normalized name
+
+    def append(self, ad_id: str, ordinal: int, occupation: str, names: Iterable[str],
+               numbers: list[float]) -> None:
+        self.ids.append(ad_id)
+        self.ordinals.append(ordinal)
+        self.codes.append(self.occupation_codes.setdefault(occupation,
+                                                           len(self.occupation_codes)))
+        skill_ids = self.skill_ids
+        ids = list(map(skill_ids.get, names))
+        if None in ids:
+            ids = [skill_ids.setdefault(s, len(skill_ids)) for s in names]
+        self.slots.fromlist(ids)
+        self.lengths.append(len(ids))
+        self.numbers.fromlist(numbers)
+
+    def add_record(self, rec) -> None:
+        """Validate one raw record and append it; raises ValueError with a
+        short reason, having appended nothing."""
+        if not isinstance(rec, dict):
+            raise ValueError("bad json")
+        for key in ("id", "date", "occupation", "skills"):
+            if rec.get(key) in (None, ""):
+                raise ValueError(f"missing {key}")
+        for key in ("id", "occupation"):  # text, or an integer code
+            if not isinstance(rec[key], (str, int)) or isinstance(rec[key], bool):
+                raise ValueError(f"bad {key}")
+        occupation = str(rec["occupation"]).strip()
+        if not occupation:
+            raise ValueError("missing occupation")
+        try:
+            ordinal = self.dates[rec["date"]]
+        except (KeyError, TypeError):  # a new or an unhashable date
+            try:
+                ordinal = self.dates[rec["date"]] = parse_date(str(rec["date"])).toordinal()
+            except ValueError:
+                raise ValueError("bad date")
+        names = self._skill_names(rec["skills"])
+        numbers = [_parse_number(rec.get("salary_min"), "salary_min"),
+                   _parse_number(rec.get("salary_max"), "salary_max")]
+        if numbers[0] > numbers[1]:  # False when either is NaN
+            raise ValueError("salary_min > salary_max")
+        for key in ("education_years", "experience_years"):
+            numbers.append(_parse_number(rec.get(key), key))
+            if numbers[-1] < 0:
+                raise ValueError(f"negative {key}")
+        self.append(str(rec["id"]), ordinal, occupation, names, numbers)
+
+    def _skill_names(self, raw) -> dict[str, None]:
+        """The ordered set of ``raw``'s normalized names."""
+        if isinstance(raw, str):
+            raw = raw.split(";")
+        elif not isinstance(raw, list):
+            raise ValueError("bad skills")
+        memo = self.names
+        try:
+            names = dict.fromkeys(map(memo.__getitem__, raw))
+        except (KeyError, TypeError):  # a new text, or one that is not a string
+            for text in raw:
+                if not isinstance(text, str):
+                    raise ValueError("bad skills")
+                if text not in memo:
+                    memo[text] = normalize_skill(text)
+            names = dict.fromkeys(map(memo.__getitem__, raw))
+        names.pop("", None)
+        if not names:
+            raise ValueError("empty skills")
+        return names
+
+
 class Corpus:
     """Ads as columns, row ``i`` being the ``i``-th ad given.
 
@@ -80,33 +164,29 @@ class Corpus:
     ``skill_ids`` maps a name to its id. ``salary_min``, ``salary_max``,
     ``education_years`` and ``experience_years`` are float64, NaN where
     missing. Names are kept as spelled: ingest gives normalized ones.
+
+    ``ads`` are appended after the rows already in ``columns``, if given.
     """
 
-    def __init__(self, ads: Iterable[JobAd]):
-        self.ids: list[str] = []
-        self.skill_ids: dict[str, int] = {}
-        skill_ids, occupation_codes = self.skill_ids, {}
-        ordinals, codes, slots, lengths = array("q"), array("q"), array("q"), array("q")
-        numbers = array("d")
+    def __init__(self, ads: Iterable[JobAd] = (), columns: Optional[_Columns] = None):
+        columns = _Columns() if columns is None else columns
         for ad in ads:
-            self.ids.append(ad.id)
-            ordinals.append(ad.posted_date.toordinal())
-            codes.append(occupation_codes.setdefault(ad.occupation, len(occupation_codes)))
-            slots.extend([skill_ids.setdefault(s, len(skill_ids)) for s in ad.skills])
-            lengths.append(len(ad.skills))
-            numbers.extend([math.nan if v is None else v for v in (
-                ad.salary_min, ad.salary_max, ad.education_years, ad.experience_years)])
-        self.occupations = list(occupation_codes)
-        self.skill_names = list(skill_ids)
-        self.ordinals = np.array(ordinals, dtype=np.int64)
+            columns.append(ad.id, ad.posted_date.toordinal(), ad.occupation, ad.skills, [
+                math.nan if v is None else v for v in (
+                    ad.salary_min, ad.salary_max, ad.education_years, ad.experience_years)])
+        self.ids = columns.ids
+        self.skill_ids = columns.skill_ids
+        self.occupations = list(columns.occupation_codes)
+        self.skill_names = list(columns.skill_ids)
+        self.ordinals = np.array(columns.ordinals, dtype=np.int64)
         self.years = (self.ordinals - _EPOCH).astype("datetime64[D]").astype(
             "datetime64[Y]").astype(np.int64) + 1970
-        self.occupation_codes = np.array(codes, dtype=np.int64)
-        self.slots = np.array(slots, dtype=np.int64)
-        self.indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        columns = np.array(numbers, dtype=np.float64).reshape(-1, 4)
+        self.occupation_codes = np.array(columns.codes, dtype=np.int64)
+        self.slots = np.array(columns.slots, dtype=np.int64)
+        self.indptr = np.concatenate(([0], np.cumsum(columns.lengths, dtype=np.int64)))
+        numbers = np.array(columns.numbers, dtype=np.float64).reshape(-1, 4)
         (self.salary_min, self.salary_max, self.education_years,
-         self.experience_years) = columns.T.copy()
+         self.experience_years) = numbers.T.copy()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -137,77 +217,26 @@ class IngestReport:
     reasons: Counter = field(default_factory=Counter)
 
     def to_json(self) -> str:
-        payload = {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "reasons": dict(sorted(self.reasons.items())),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
-def _parse_optional_float(value, field_name: str) -> Optional[float]:
-    if value is None or value == "":
-        return None
-    if isinstance(value, bool):
+def _parse_number(value, field_name: str) -> float:
+    """A finite number as a float, or NaN for a missing one (None or empty
+    text); ValueError otherwise."""
+    if type(value) is float:  # a JSON number, the usual form
+        number = value
+    elif value is None or value == "":
+        return math.nan
+    elif isinstance(value, bool):
         raise ValueError(f"bad number in {field_name}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"bad number in {field_name}")
+    else:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"bad number in {field_name}")
     if not math.isfinite(number):
         raise ValueError(f"non-finite {field_name}")
     return number
-
-
-def _record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
-    """Validate one raw record; raises ValueError with a short reason.
-
-    ``normalized`` memoizes raw skill text -> normalized name across calls.
-    """
-    if not isinstance(rec, dict):
-        raise ValueError("bad json")
-    for key in ("id", "date", "occupation", "skills"):
-        if key not in rec or rec[key] in (None, ""):
-            raise ValueError(f"missing {key}")
-    for key in ("id", "occupation"):  # text, or an integer code
-        if not isinstance(rec[key], (str, int)) or isinstance(rec[key], bool):
-            raise ValueError(f"bad {key}")
-    occupation = str(rec["occupation"]).strip()
-    if not occupation:
-        raise ValueError("missing occupation")
-    try:
-        posted = parse_date(str(rec["date"]))
-    except ValueError:
-        raise ValueError("bad date")
-
-    raw_skills = rec["skills"]
-    if isinstance(raw_skills, str):
-        raw_skills = raw_skills.split(";")
-    elif not isinstance(raw_skills, list):
-        raise ValueError("bad skills")
-    skills: dict[str, None] = {}  # an ordered set
-    for text in raw_skills:
-        if not isinstance(text, str):
-            raise ValueError("bad skills")
-        key = normalized.get(text)
-        if key is None:
-            key = normalized[text] = normalize_skill(text)
-        if key:
-            skills[key] = None
-    if not skills:
-        raise ValueError("empty skills")
-
-    salary_min = _parse_optional_float(rec.get("salary_min"), "salary_min")
-    salary_max = _parse_optional_float(rec.get("salary_max"), "salary_max")
-    if salary_min is not None and salary_max is not None and salary_min > salary_max:
-        raise ValueError("salary_min > salary_max")
-    years = {}
-    for key in ("education_years", "experience_years"):
-        years[key] = _parse_optional_float(rec.get(key), key)
-        if years[key] is not None and years[key] < 0:
-            raise ValueError(f"negative {key}")
-    return JobAd(str(rec["id"]), posted, occupation, tuple(skills),
-                 salary_min, salary_max, **years)
 
 
 def _iter_records(path: Path, fmt: str):
@@ -231,23 +260,9 @@ def _iter_records(path: Path, fmt: str):
         raise DataError(f"cannot read input file {path}: {exc}") from None
 
 
-def _accepted_ads(path: Path, fmt: str, report: IngestReport) -> Iterator[JobAd]:
-    """Each valid record as a row; every other one is counted in ``report``."""
-    normalized: dict[str, str] = {}
-    for rec in _iter_records(path, fmt):
-        try:
-            ad = _record_to_ad(rec, normalized)
-        except ValueError as exc:
-            report.rejected += 1
-            report.reasons[str(exc)] += 1
-            continue
-        report.accepted += 1
-        yield ad
-
-
 def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
-    """Load a corpus file, validate every record, and intern the accepted
-    ones into a :class:`Corpus` in one pass.
+    """Load a corpus file, validate every record, and append the accepted
+    ones to the corpus columns in one pass.
 
     Malformed records are rejected with a per-record reason and never abort
     the run unless the rejected fraction exceeds ``REJECT_THRESHOLD``.
@@ -258,7 +273,15 @@ def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
         raise DataError(f"cannot read input file: {path}")
 
     report = IngestReport()
-    corpus = Corpus(_accepted_ads(path, fmt, report))
+    columns = _Columns()
+    for rec in _iter_records(path, fmt):
+        try:
+            columns.add_record(rec)
+        except ValueError as exc:
+            report.rejected += 1
+            report.reasons[str(exc)] += 1
+    report.accepted = len(columns.ids)
+    corpus = Corpus(columns=columns)
     total = report.accepted + report.rejected
     if total > 0 and report.rejected / total > REJECT_THRESHOLD:
         raise DataError(

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import statistics
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +32,6 @@ from .corpus import Corpus
 from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel
 
-INDICATOR_NAMES = ("growth", "salary", "education", "experience", "predictability")
 MARKET = "market"  # label of the whole-market baseline; no group may use it
 
 
@@ -86,21 +85,6 @@ class ShortageIndicators:
     experience_by_year: dict[int, Optional[float]]
     median_smape: float
 
-    def _defined_mean(self, per_year: dict[int, Optional[float]]) -> Optional[float]:
-        return _mean([v for v in per_year.values() if v is not None])
-
-    @property
-    def mean_salary_level(self) -> Optional[float]:
-        return self._defined_mean(self.salary_by_year)
-
-    @property
-    def mean_education_level(self) -> Optional[float]:
-        return self._defined_mean(self.education_by_year)
-
-    @property
-    def mean_experience_level(self) -> Optional[float]:
-        return self._defined_mean(self.experience_by_year)
-
 
 def compute_indicators(label: str, corpus: Corpus, rows: np.ndarray,
                        backtest: BacktestReport) -> ShortageIndicators:
@@ -139,6 +123,17 @@ class ShortageReport:
         return sum(self.flags[label].values())
 
 
+def _levels(ind: ShortageIndicators) -> dict[str, Optional[float]]:
+    """The figure each flag compares: mean growth, the means of the defined
+    yearly salary, education and experience figures, and the median SMAPE."""
+    def mean_level(per_year: dict[int, Optional[float]]) -> Optional[float]:
+        return _mean([v for v in per_year.values() if v is not None])
+    return {"growth": ind.mean_growth, "salary": mean_level(ind.salary_by_year),
+            "education": mean_level(ind.education_by_year),
+            "experience": mean_level(ind.experience_by_year),
+            "predictability": ind.median_smape}
+
+
 def _flag(group_value, baseline_value, higher_is_shortage: bool) -> bool:
     if group_value is None or baseline_value is None:
         return False
@@ -168,20 +163,14 @@ def assemble_report(
     baseline = compute_indicators(MARKET, corpus, np.arange(len(corpus)),
                                   market_backtest)
 
+    base_levels = _levels(baseline)
     report_groups: list[ShortageIndicators] = []
     flags: dict[str, dict[str, bool]] = {}
     for label in sorted(groups):
         ind = compute_indicators(label, corpus, groups[label], backtests[label])
         report_groups.append(ind)
-        flags[label] = {
-            "growth": _flag(ind.mean_growth, baseline.mean_growth, True),
-            "salary": _flag(ind.mean_salary_level, baseline.mean_salary_level, True),
-            "education": _flag(ind.mean_education_level,
-                               baseline.mean_education_level, True),
-            "experience": _flag(ind.mean_experience_level,
-                                baseline.mean_experience_level, False),
-            "predictability": _flag(ind.median_smape, baseline.median_smape, True),
-        }
+        flags[label] = {name: _flag(level, base_levels[name], name != "experience")
+                        for name, level in _levels(ind).items()}
 
     first, last = corpus.span()
     partial = []
@@ -204,13 +193,20 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_indicator_csv(path: Path, baseline, groups, getter) -> None:
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row."""
+    csv.writer(buf := io.StringIO()).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def _write_indicator_csv(path: Path, baseline, groups, by_year: str) -> None:
+    """One row per group of its ``by_year`` field, the baseline's first."""
     years = sorted(baseline.counts_by_year)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [str(y) for y in years])
         for ind in [baseline] + groups:
-            writer.writerow([ind.label] + [_fmt(getter(ind, y)) for y in years])
+            writer.writerow([ind.label] + [_fmt(getattr(ind, by_year).get(y)) for y in years])
 
 
 def write_boxplot(backtests: dict[str, BacktestReport], path) -> None:
@@ -229,22 +225,19 @@ def write_report(report: ShortageReport, out_dir) -> None:
     out_dir = Path(out_dir)
     base, groups = report.baseline, report.groups
 
-    _write_indicator_csv(out_dir / "posting_counts.csv", base, groups,
-                         lambda ind, y: ind.counts_by_year.get(y))
-    _write_indicator_csv(out_dir / "posting_growth.csv", base, groups,
-                         lambda ind, y: ind.growth_by_year.get(y))
-    _write_indicator_csv(out_dir / "median_salary.csv", base, groups,
-                         lambda ind, y: ind.salary_by_year.get(y))
-    _write_indicator_csv(out_dir / "education_years.csv", base, groups,
-                         lambda ind, y: ind.education_by_year.get(y))
-    _write_indicator_csv(out_dir / "experience_years.csv", base, groups,
-                         lambda ind, y: ind.experience_by_year.get(y))
+    for name, by_year in (("posting_counts", "counts_by_year"),
+                          ("posting_growth", "growth_by_year"),
+                          ("median_salary", "salary_by_year"),
+                          ("education_years", "education_by_year"),
+                          ("experience_years", "experience_by_year")):
+        _write_indicator_csv(out_dir / f"{name}.csv", base, groups, by_year)
 
     write_boxplot(report.backtests, out_dir / "boxplot.csv")
 
+    # The rows csv.writer would write: only a label can need quoting, so
+    # each is quoted once and its block joined as text.
     with (out_dir / "trend_lines.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "date", "trend"])
+        fh.write("label,date,trend\r\n")
         dates: dict[tuple[dt.date, int], list[str]] = {}  # formatted once per span
         for label in sorted(report.trend_models):
             model = report.trend_models[label]
@@ -253,7 +246,9 @@ def write_report(report: ShortageReport, out_dir) -> None:
                 dates[span] = [(model.start + dt.timedelta(days=k)).isoformat()
                                for k in range(model.train_len)]
             trend = model.trend(np.arange(model.train_len)).tolist()
-            writer.writerows(zip(repeat(label), dates[span], map(repr, trend)))
+            quoted = _csv_field(label)
+            fh.write("".join([f"{quoted},{date},{value!r}\r\n"
+                              for date, value in zip(dates[span], trend)]))
 
     payload = {
         "baseline": _indicators_dict(base),
@@ -273,13 +268,6 @@ def write_report(report: ShortageReport, out_dir) -> None:
 
 
 def _indicators_dict(ind: ShortageIndicators) -> dict:
-    return {
-        "label": ind.label,
-        "counts_by_year": {str(y): c for y, c in ind.counts_by_year.items()},
-        "growth_by_year": {str(y): g for y, g in ind.growth_by_year.items()},
-        "mean_growth": ind.mean_growth,
-        "salary_by_year": {str(y): s for y, s in ind.salary_by_year.items()},
-        "education_by_year": {str(y): e for y, e in ind.education_by_year.items()},
-        "experience_by_year": {str(y): e for y, e in ind.experience_by_year.items()},
-        "median_smape": ind.median_smape,
-    }
+    """Every field, with the years of the per-year ones as text keys."""
+    return {name: {str(y): v for y, v in value.items()} if isinstance(value, dict) else value
+            for name, value in vars(ind).items()}

@@ -21,6 +21,8 @@ from .corpus import Corpus, normalize_skill
 from .errors import DataError
 
 UNCATEGORIZED = "uncategorized"
+# Occupations with intensity above this share are selected by default.
+THRESHOLD = 0.15
 # Selected occupations with fewer ads than this are flagged low-support.
 LOW_SUPPORT_FLOOR = 10
 
@@ -99,7 +101,7 @@ def default_category_map_path() -> Path:
 
 def select_occupations(
     profiles: Iterable[OccupationProfile],
-    threshold: float = 0.15,
+    threshold: float = THRESHOLD,
     category_map: Optional[dict[str, str]] = None,
 ) -> SelectionResult:
     """Keep profiles with intensity strictly above ``threshold``; attach
@@ -122,17 +124,7 @@ def write_selection_csv(result: SelectionResult, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["category", "occupation", "ads", "eta", "low_support"])
         for p in result.profiles:
-            writer.writerow([
-                p.category or UNCATEGORIZED,
-                p.occupation,
-                p.ads,
-                repr(p.eta),
-                int(p.low_support),
-            ])
-        writer.writerow([
-            "TOTALS",
-            f"{len(result.profiles)} occupations",
-            result.total_ads,
-            "",
-            "",
-        ])
+            writer.writerow([p.category or UNCATEGORIZED, p.occupation, p.ads, repr(p.eta),
+                             int(p.low_support)])
+        writer.writerow(["TOTALS", f"{len(result.profiles)} occupations", result.total_ads,
+                         "", ""])

@@ -29,6 +29,9 @@ from .corpus import normalize_skill
 from .errors import DataError
 from .skillmetrics import EffectiveUseMatrix
 
+# The reference workflow cuts top-300 neighbour lists to a 150-skill set.
+PER_SEED_K, CUTOFF = 300, 150
+
 
 class ThetaMatrix:
     """Symmetric sparse complementarity scores over the skill vocabulary,
@@ -155,8 +158,8 @@ class SkillSetResult:
 def expand_seeds(
     theta: ThetaMatrix,
     seeds: list[str],
-    per_seed_k: int = 300,
-    cutoff: int = 150,
+    per_seed_k: int = PER_SEED_K,
+    cutoff: int = CUTOFF,
     avg_over_all_seeds: bool = False,
 ) -> SkillSetResult:
     """Grow a skill set from seed skills via complementarity ranking.

@@ -36,6 +36,8 @@ WEEKLY_ORDER = 3
 YEARLY_ORDER = 10          # on from two yearly periods of data
 CHANGEPOINT_RANGE = 0.8    # changepoints live in the first 80% of the span
 MIN_FIT_DAYS = 14
+TRAIN_DAYS, TEST_DAYS, ITERATIONS = 1186, 365, 365  # the reference backtest
+N_CHANGEPOINTS, RIDGE_LAMBDA = 25, 1.0
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ def aggregate_daily(
 
 @dataclass(frozen=True)
 class FitConfig:
-    n_changepoints: int = 25
-    ridge_lambda: float = 1.0        # penalty on changepoint slope deltas only
+    n_changepoints: int = N_CHANGEPOINTS
+    ridge_lambda: float = RIDGE_LAMBDA  # penalty on changepoint slope deltas only
     holidays: tuple[dt.date, ...] = ()
 
 
@@ -290,14 +292,8 @@ class BacktestReport:
         return float(np.median(self.scores))
 
     def to_json(self, path) -> None:
-        payload = {
-            "label": self.label,
-            "train_days": self.train_days,
-            "test_days": self.test_days,
-            "iterations": self.iterations,
-            "scores": self.scores,
-            "summary": self.quantiles(),
-        }
+        """Every field and the ``quantiles`` as ``summary``."""
+        payload = {**vars(self), "summary": self.quantiles()}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def boxplot_rows(self) -> list[tuple[str, float]]:
@@ -306,9 +302,9 @@ class BacktestReport:
 
 def sliding_window_backtest(
     series: Sequence[DailySeries],
-    train_days: int = 1186,
-    test_days: int = 365,
-    iterations: int = 365,
+    train_days: int = TRAIN_DAYS,
+    test_days: int = TEST_DAYS,
+    iterations: int = ITERATIONS,
     config: FitConfig = FitConfig(),
 ) -> list[BacktestReport]:
     """Fixed-length train and test windows advance together one day per

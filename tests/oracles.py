@@ -2,19 +2,25 @@
 
 Everything here works on plain job->skills dicts, ad lists or count
 vectors and deliberately avoids the package's data structures and solves:
-loops straight off the formula definitions, and ``np.linalg.lstsq`` for the
-decomposition fit.
+loops straight off the formula definitions, ``np.linalg.lstsq`` for the
+decomposition fit, and for ingest one :class:`JobAd` per record folded into
+plain lists one skill slot at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import json
+import math
 import random
 import statistics
+from collections import Counter
+from typing import Optional
 
 import numpy as np
 
-from skillscope.corpus import JobAd
+from skillscope.corpus import JobAd, normalize_skill, parse_date
 
 
 def brute_rca(jobs: dict[str, set[str]]) -> dict[tuple[str, str], float]:
@@ -150,3 +156,118 @@ def jobs_to_ads(jobs: dict[str, set[str]],
               skills=tuple(sorted(skills)))
         for j, skills in sorted(jobs.items())
     ]
+
+
+def _parse_optional_float(value, field_name: str) -> Optional[float]:
+    if value is None or value == "":
+        return None
+    if isinstance(value, bool):
+        raise ValueError(f"bad number in {field_name}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"bad number in {field_name}")
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite {field_name}")
+    return number
+
+
+def brute_record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
+    """Validate one raw record into a row, each check in turn; raises
+    ValueError with a short reason. ``normalized`` memoizes raw skill text ->
+    normalized name across calls."""
+    if not isinstance(rec, dict):
+        raise ValueError("bad json")
+    for key in ("id", "date", "occupation", "skills"):
+        if key not in rec or rec[key] in (None, ""):
+            raise ValueError(f"missing {key}")
+    for key in ("id", "occupation"):  # text, or an integer code
+        if not isinstance(rec[key], (str, int)) or isinstance(rec[key], bool):
+            raise ValueError(f"bad {key}")
+    occupation = str(rec["occupation"]).strip()
+    if not occupation:
+        raise ValueError("missing occupation")
+    try:
+        posted = parse_date(str(rec["date"]))
+    except ValueError:
+        raise ValueError("bad date")
+
+    raw_skills = rec["skills"]
+    if isinstance(raw_skills, str):
+        raw_skills = raw_skills.split(";")
+    elif not isinstance(raw_skills, list):
+        raise ValueError("bad skills")
+    skills: dict[str, None] = {}  # an ordered set
+    for text in raw_skills:
+        if not isinstance(text, str):
+            raise ValueError("bad skills")
+        key = normalized.get(text)
+        if key is None:
+            key = normalized[text] = normalize_skill(text)
+        if key:
+            skills[key] = None
+    if not skills:
+        raise ValueError("empty skills")
+
+    salary_min = _parse_optional_float(rec.get("salary_min"), "salary_min")
+    salary_max = _parse_optional_float(rec.get("salary_max"), "salary_max")
+    if salary_min is not None and salary_max is not None and salary_min > salary_max:
+        raise ValueError("salary_min > salary_max")
+    years = {}
+    for key in ("education_years", "experience_years"):
+        years[key] = _parse_optional_float(rec.get(key), key)
+        if years[key] is not None and years[key] < 0:
+            raise ValueError(f"negative {key}")
+    return JobAd(str(rec["id"]), posted, occupation, tuple(skills),
+                 salary_min, salary_max, **years)
+
+
+def brute_ingest(path, fmt: str) -> tuple[dict, dict]:
+    """The corpus columns and the ingest report of a JSONL or CSV file.
+
+    Every record is validated into a :class:`JobAd` first; the accepted rows
+    are then folded into plain lists one skill slot at a time, interning
+    skills and occupations in first-occurrence order. Returns the columns
+    by ``Corpus`` attribute name and the report as ``accepted``,
+    ``rejected`` and ``reasons``."""
+    with open(path, encoding="utf-8-sig", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "csv":
+            records = list(csv.DictReader(fh))
+        else:
+            records = []
+            for line in fh:
+                if line.strip():
+                    try:
+                        records.append(json.loads(line))
+                    except (json.JSONDecodeError, RecursionError):
+                        records.append(None)
+    normalized: dict[str, str] = {}
+    ads, reasons = [], Counter()
+    for rec in records:
+        try:
+            ads.append(brute_record_to_ad(rec, normalized))
+        except ValueError as exc:
+            reasons[str(exc)] += 1
+
+    number_fields = ("salary_min", "salary_max", "education_years", "experience_years")
+    columns = {key: [] for key in ("ids", "ordinals", "years", "occupation_codes", "slots",
+                                   *number_fields)}
+    skill_ids: dict[str, int] = {}
+    occupation_codes: dict[str, int] = {}
+    columns.update(skill_ids=skill_ids, indptr=[0])
+    for ad in ads:
+        columns["ids"].append(ad.id)
+        columns["ordinals"].append(ad.posted_date.toordinal())
+        columns["years"].append(ad.posted_date.year)
+        columns["occupation_codes"].append(
+            occupation_codes.setdefault(ad.occupation, len(occupation_codes)))
+        for s in ad.skills:
+            columns["slots"].append(skill_ids.setdefault(s, len(skill_ids)))
+        columns["indptr"].append(len(columns["slots"]))
+        for key in number_fields:
+            value = getattr(ad, key)
+            columns[key].append(math.nan if value is None else value)
+    columns["occupations"] = list(occupation_codes)
+    columns["skill_names"] = list(columns["skill_ids"])
+    report = {"accepted": len(ads), "rejected": sum(reasons.values()), "reasons": dict(reasons)}
+    return columns, report

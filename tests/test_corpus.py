@@ -8,7 +8,7 @@ import pytest
 
 from skillscope import corpus as corpus_mod
 from skillscope.corpus import (
-    _record_to_ad,
+    _Columns,
     Corpus,
     JobAd,
     build_index,
@@ -19,7 +19,14 @@ from skillscope.corpus import (
 from skillscope.errors import DataError
 from skillscope.occupations import compute_intensity
 
-from oracles import brute_eta, jobs_to_ads
+from oracles import brute_eta, brute_record_to_ad, jobs_to_ads
+
+
+def validate(rec) -> JobAd:
+    """The row ingest appends for ``rec``; its ValueError if it rejects it."""
+    columns = _Columns()
+    columns.add_record(rec)
+    return next(Corpus(columns=columns).rows())
 
 
 def write_lines(path, lines):
@@ -207,31 +214,31 @@ class TestRecordValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "-Infinity"])
     def test_non_finite_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^non-finite {field}$"):
-            _record_to_ad(json.loads(record(0, **{field: value})), {})
+            validate(json.loads(record(0, **{field: value})))
 
     def test_whitespace_occupation_rejected(self):
         with pytest.raises(ValueError, match="^missing occupation$"):
-            _record_to_ad(json.loads(record(0, occupation=" \t ")), {})
+            validate(json.loads(record(0, occupation=" \t ")))
 
     @pytest.mark.parametrize("skills", [5, {"sql": 1}, True])
     def test_skills_must_be_list_or_string(self, skills):
         with pytest.raises(ValueError, match="^bad skills$"):
-            _record_to_ad(json.loads(record(0, skills=skills)), {})
+            validate(json.loads(record(0, skills=skills)))
 
     @pytest.mark.parametrize("skills", [[None, "SQL"], [["x"]], [{"k": 1}], [True],
                                         ["SQL", 5]])
     def test_skill_that_is_not_a_string_rejected(self, skills):
         with pytest.raises(ValueError, match="^bad skills$"):
-            _record_to_ad(json.loads(record(0, skills=skills)), {})
+            validate(json.loads(record(0, skills=skills)))
 
     @pytest.mark.parametrize("field", ["id", "occupation"])
     @pytest.mark.parametrize("value", [["Dev"], {"x": 1}, True, False, 1.5])
     def test_id_and_occupation_must_be_text_or_integer(self, field, value):
         with pytest.raises(ValueError, match=f"^bad {field}$"):
-            _record_to_ad(json.loads(record(0, **{field: value})), {})
+            validate(json.loads(record(0, **{field: value})))
 
     def test_integer_id_and_occupation_kept_as_codes(self):
-        ad = _record_to_ad(json.loads(record(0, id=17, occupation=2512)), {})
+        ad = validate(json.loads(record(0, id=17, occupation=2512)))
         assert (ad.id, ad.occupation) == ("17", "2512")
 
     @pytest.mark.parametrize("field", ["salary_min", "salary_max", "education_years",
@@ -239,15 +246,15 @@ class TestRecordValidation:
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^bad number in {field}$"):
-            _record_to_ad(json.loads(record(0, **{field: value})), {})
+            validate(json.loads(record(0, **{field: value})))
 
     @pytest.mark.parametrize("date", ["20160101", "2016-W01-1", "2016-001", "2016-1-4",
                                       " 2016-01-04", "2016-01-04\n", "2016-01-04T00:00",
                                       "\uff12016-01-04", "2016-02-30"])
     def test_only_yyyy_mm_dd_dates_accepted(self, date):
         with pytest.raises(ValueError, match="^bad date$"):
-            _record_to_ad(json.loads(record(0, date=date)), {})
-        ad = _record_to_ad(json.loads(record(0, date="2016-01-04")), {})
+            validate(json.loads(record(0, date=date)))
+        ad = validate(json.loads(record(0, date="2016-01-04")))
         assert ad.posted_date == dt.date(2016, 1, 4)
 
     def test_non_object_lines_rejected(self, tmp_path):
@@ -267,6 +274,46 @@ class TestRecordValidation:
         write_jsonl(corpus.rows(), out)
         for line in out.read_text().splitlines():
             json.loads(line, parse_constant=refuse_constant)
+
+
+class TestRejectPrecedence:
+    """A record that fails two checks is counted under the earlier one, in
+    the order: type, required keys, id and occupation, occupation text,
+    date, skills, salary_min, salary_max, salary order, education,
+    experience."""
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"salary_min": 9, "salary_max": 1, "experience_years": -1}, "salary_min > salary_max"),
+        ({"salary_min": 9, "salary_max": 1, "education_years": "x"}, "salary_min > salary_max"),
+        ({"education_years": -1, "experience_years": "x"}, "negative education_years"),
+        ({"salary_max": "x", "salary_min": float("nan")}, "non-finite salary_min"),
+        ({"date": "2016-02-30", "skills": []}, "bad date"),
+        ({"date": ["2016-02-01"], "skills": 5}, "bad date"),
+        # "SQL" is already normalized from the record before
+        ({"skills": ["SQL", 5]}, "bad skills"),
+        ({"skills": ["SQL", None], "salary_min": "x"}, "bad skills"),
+        ({"skills": ["SQL", ["Python"]]}, "bad skills"),
+        ({"occupation": " ", "date": "bad"}, "missing occupation"),
+        ({"id": True, "skills": 5}, "bad id"),
+        ({"id": "", "occupation": None}, "missing id"),
+    ])
+    def test_first_failed_check_names_the_reason(self, tmp_path, monkeypatch, fields, reason):
+        monkeypatch.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
+        f = tmp_path / "ads.jsonl"
+        write_lines(f, [record(0), record(1, **fields), record(2)])
+        corpus, report = ingest(f)
+        assert dict(report.reasons) == {reason: 1}
+        assert corpus.ids == ["ad-0", "ad-2"]
+        assert corpus.slots.tolist() == [0, 1, 0, 1]
+
+    def test_rejected_record_appends_nothing(self):
+        columns = _Columns()
+        columns.add_record(json.loads(record(0)))
+        with pytest.raises(ValueError, match="^bad skills$"):
+            columns.add_record(json.loads(record(1, skills=["Rust", "SQL", 5])))
+        corpus = Corpus(columns=columns)
+        assert (corpus.ids, corpus.skill_names) == (["ad-0"], ["sql", "python"])
+        assert corpus.slots.tolist() == [0, 1] and len(corpus.salary_min) == 1
 
 
 def random_records(rng: random.Random, n: int) -> list[str]:
@@ -300,7 +347,7 @@ class TestCorpusColumns:
             expected = []
             for line in lines:
                 try:
-                    expected.append(_record_to_ad(json.loads(line), {}))
+                    expected.append(brute_record_to_ad(json.loads(line), {}))
                 except ValueError:
                     pass
             assert report.accepted == len(expected) == len(corpus)

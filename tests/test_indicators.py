@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import io
 import json
 
 import random
@@ -239,3 +240,25 @@ def test_compute_indicators_fields():
     assert ind.median_smape == 2.0
     assert ind.mean_growth == pytest.approx(
         ((70 / 60 - 1) + (90 / 70 - 1)) / 2)
+
+
+def test_trend_lines_quote_labels_as_csv_writer_does(tmp_path, capsys):
+    from skillscope.cli import main
+    from skillscope.corpus import write_jsonl
+
+    label = 'Ré, "Chef"'
+    start = dt.date(2017, 12, 1)
+    ads = [JobAd(id=f"a{i}", posted_date=start + dt.timedelta(days=i // 3),
+                 occupation=(label, "Dev")[i % 2], skills=("x",)) for i in range(270)]
+    write_jsonl(ads, tmp_path / "ads.jsonl")
+    out = tmp_path / "out"
+    assert main(["indicators", "--input", str(tmp_path / "ads.jsonl"), "--out", str(out),
+                 "--train-days", "30", "--test-days", "10", "--iterations", "3"]) == 0
+    text = (out / "trend_lines.csv").read_bytes().decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["label", "date", "trend"]
+    assert [r[0] for r in rows[1::90]] == ["Dev", label, "market"]  # sorted
+    assert f'\r\n"Ré, ""Chef""",2017-12-01,' in text
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(rows)
+    assert text == expected.getvalue()

@@ -1,26 +1,39 @@
 """Property tests: arbitrary JSON input is either accepted or rejected with
-the program's own errors, never with an unexpected exception; arbitrary
-flag values to ``backtest``, ``skills``, ``occupations``, ``indicators`` and
-``report`` end with exit 0, 1 or 2, one-line warnings and at most one other
-line on stderr.
+the program's own errors, never with an unexpected exception; ingest of any
+list of records, as JSONL or CSV, gives the columns and the report of the
+record-at-a-time oracle; arbitrary flag values to ``backtest``, ``skills``,
+``occupations``, ``indicators`` and ``report`` end with exit 0, 1 or 2,
+one-line warnings and at most one other line on stderr.
 
 Generating a corpus or running a report on arbitrary settings could
 allocate without bound, so the CLI runs here read one tiny fixed corpus and
 draw window sizes, iterations and list lengths from small ranges."""
 
 import contextlib
+import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
+from skillscope import corpus as corpus_mod
 from skillscope.cli import apply_config_file, main
-from skillscope.corpus import _record_to_ad
+from skillscope.corpus import Corpus, _Columns, ingest
 from skillscope.errors import DataError, UsageError
 from skillscope.synthgen import config_from_dict
+
+from oracles import brute_ingest
+
+
+def examples(n: int) -> int:
+    """``n`` examples under the default profile, scaled with the profile
+    loaded (ten times as many under ``ci``)."""
+    return n * settings.default.max_examples // 100
+
 
 # Every value json.loads can return, NaN and the infinities included.
 json_values = st.recursive(
@@ -85,15 +98,85 @@ synth_configs = objects({
 @settings(deadline=None)
 @given(records)
 def test_record_to_ad_rejects_only_with_value_error(rec):
+    columns = _Columns()
     try:
-        ad = _record_to_ad(rec, {})
+        columns.add_record(rec)
     except ValueError:
+        assert not (columns.ids or columns.skill_ids or columns.slots or columns.numbers)
         return
+    ad = next(Corpus(columns=columns).rows())
     assert ad.occupation and ad.skills
     assert all(isinstance(v, str) for v in (ad.id, ad.occupation, *ad.skills))
     numbers = [ad.salary_min, ad.salary_max, ad.education_years, ad.experience_years]
     assert all(v is None or type(v) is float for v in numbers)
     json.dumps(numbers, allow_nan=False)
+
+
+# Few distinct skill texts, dates and numbers, so that records share them;
+# about a third of the records are drawn from these alone.
+shared_skills = st.sampled_from(["SQL", " sql", "Python", "Machine  Learning",
+                                 "machine learning", "", " ", "R"])
+shared_dates = st.sampled_from(["2018-03-01", "2018-03-02", "2020-02-29"])
+shared_numbers = st.sampled_from([-1.0, 0.0, 1.5, 2, 10**400, "3.5", "", None])
+NUMBER_FIELDS = ("salary_min", "salary_max", "education_years", "experience_years")
+record_lists = st.lists(
+    st.fixed_dictionaries({
+        "id": st.sampled_from(["a", "b", 7]),
+        "date": shared_dates,
+        "occupation": st.sampled_from(["Dev", " QA ", 4132]),
+        "skills": st.lists(shared_skills, min_size=1, max_size=5) | shared_skills,
+    }, optional=dict.fromkeys(NUMBER_FIELDS, shared_numbers))
+    | objects({
+        "id": st.sampled_from(["a", ""]) | json_values,
+        "date": shared_dates | st.sampled_from(["2019-02-30", 20190101]) | json_values,
+        "occupation": st.sampled_from(["Dev", " \t "]) | json_values,
+        "skills": st.lists(shared_skills | json_values, max_size=5) | shared_skills,
+    }, dict.fromkeys(NUMBER_FIELDS, shared_numbers | numbers))
+    | json_values,
+    max_size=12)
+
+
+def csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+@settings(deadline=None)
+@given(record_lists)
+def test_ingest_equals_record_at_a_time_oracle(tmp_path_factory, recs):
+    root = tmp_path_factory.getbasetemp()
+    jsonl, csv_path = root / "oracle.jsonl", root / "oracle.csv"
+    jsonl.write_text("".join(json.dumps(rec) + "\n" for rec in recs), encoding="utf-8")
+    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "date", "occupation", "skills", *NUMBER_FIELDS])
+        writer.writerows([csv_cell(rec.get(key)) for key in
+                          ("id", "date", "occupation", "skills", *NUMBER_FIELDS)]
+                         for rec in recs if isinstance(rec, dict))
+    for path, fmt in ((jsonl, "jsonl"), (csv_path, "csv")):
+        try:
+            columns, want = brute_ingest(path, fmt)
+        except csv.Error:  # a NUL byte, on Python 3.10
+            with pytest.raises(DataError):
+                ingest(path, fmt)
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
+            corpus, report = ingest(path, fmt)
+        event(f"{fmt}: {'some' if report.accepted else 'no'} records accepted")
+        assert (report.accepted, report.rejected, dict(report.reasons)) == (
+            want["accepted"], want["rejected"], want["reasons"])
+        assert list(corpus.skill_ids.items()) == list(columns["skill_ids"].items())
+        for name in ("ids", "occupations", "skill_names"):
+            assert getattr(corpus, name) == columns[name], name
+        for name in ("ordinals", "years", "occupation_codes", "slots", "indptr",
+                     *NUMBER_FIELDS):
+            got = getattr(corpus, name)
+            assert got.dtype == (np.float64 if name in NUMBER_FIELDS else np.int64), name
+            np.testing.assert_array_equal(got, columns[name], err_msg=name)
 
 
 @settings(deadline=None)
@@ -246,31 +329,31 @@ def run_command(command, tiny_corpus, flags, *extra):
                                 str(root / f"{command}-out")]))
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(flags=backtest_flags)
 def test_backtest_flags_exit_cleanly(tiny_corpus, flags):
     run_command("backtest", tiny_corpus, flags)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(flags=skills_flags)
 def test_skills_flags_exit_cleanly(tiny_corpus, flags):
     run_command("skills", tiny_corpus, flags)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(flags=occupations_flags)
 def test_occupations_flags_exit_cleanly(tiny_corpus, tiny_skills, flags):
     run_command("occupations", tiny_corpus, flags, "--skills", str(tiny_skills))
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=examples(100))
 @given(flags=indicators_flags)
 def test_indicators_flags_exit_cleanly(tiny_corpus, flags):
     run_command("indicators", tiny_corpus, flags)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=examples(100))
 @given(flags=report_flags)
 def test_report_flags_exit_cleanly(tiny_corpus, flags):
     run_command("report", tiny_corpus, flags)
