@@ -114,6 +114,8 @@ class _Columns:
         occupation = str(rec["occupation"]).strip()
         if not occupation:
             raise ValueError("missing occupation")
+        if occupation not in self.occupation_codes:
+            _check_utf8(occupation, "bad occupation")
         try:
             ordinal = self.dates[rec["date"]]
         except (KeyError, TypeError):  # a new or an unhashable date
@@ -146,7 +148,7 @@ class _Columns:
                 if not isinstance(text, str):
                     raise ValueError("bad skills")
                 if text not in memo:
-                    memo[text] = normalize_skill(text)
+                    memo[text] = normalize_skill(_check_utf8(text, "bad skills"))
             names = dict.fromkeys(map(memo.__getitem__, raw))
         names.pop("", None)
         if not names:
@@ -220,6 +222,16 @@ class IngestReport:
         return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
+def _check_utf8(text: str, reason: str) -> str:
+    """``text`` itself; ValueError(reason) if it holds a lone surrogate
+    (a JSON escape such as ``"\\ud800"``), which no UTF-8 output can take."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(reason) from None
+    return text
+
+
 def _parse_number(value, field_name: str) -> float:
     """A finite number as a float, or NaN for a missing one (None or empty
     text); ValueError otherwise."""
@@ -253,8 +265,8 @@ def _iter_records(path: Path, fmt: str):
                     continue
                 try:
                     rec = json.loads(line)
-                except (json.JSONDecodeError, RecursionError):
-                    rec = None
+                except (ValueError, RecursionError):  # ValueError: not JSON, or an
+                    rec = None  # integer over the interpreter's digit limit
                 yield rec  # any non-object is rejected as bad json
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read input file {path}: {exc}") from None

@@ -35,18 +35,15 @@ PER_SEED_K, CUTOFF = 300, 150
 
 class ThetaMatrix:
     """Symmetric sparse complementarity scores over the skill vocabulary,
-    built from each unordered pair ``(a[k], b[k])``, in either orientation,
-    with its positive score. Kept as the sorted pair codes
-    ``min * V + max`` (V the vocabulary size), one per pair, scored in
-    ``_scores``."""
+    kept as given: ``codes`` holds each pair ``a < b`` as the int64 code
+    ``a * V + b`` (V the vocabulary size), strictly ascending, and
+    ``scores[k]`` is the positive score of ``codes[k]``."""
 
-    def __init__(self, skill_ids: dict[str, int], skill_counts, a, b, scores):
+    def __init__(self, skill_ids: dict[str, int], skill_counts, codes, scores):
         self.skill_ids = skill_ids
         self.skill_counts = skill_counts
-        codes = np.minimum(a, b) * len(skill_ids) + np.maximum(a, b)
-        order = np.argsort(codes, kind="stable")
-        self._codes = codes[order]
-        self._scores = np.asarray(scores, dtype=np.float64)[order]
+        self._codes = codes
+        self._scores = scores
 
     def value(self, s: int, s2: int) -> float:
         if s == s2:
@@ -93,7 +90,7 @@ def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
     joint = np.bincount(which, weights=np.concatenate(joints), minlength=len(pair_codes))
     a, b = np.divmod(pair_codes, n_skills)
     counts = eff.skill_counts
-    return ThetaMatrix(eff.index.skill_ids, counts, a, b,
+    return ThetaMatrix(eff.index.skill_ids, counts, pair_codes,
                        joint / np.maximum(counts[a], counts[b]))
 
 

@@ -6,13 +6,12 @@ N total skill slots in the corpus, the relevance ratio is
 
     rca(j, s) = (1 / n_j) / (c_s / N)
 
-stored only where the skill actually appears in the ad. A skill is in
+defined only where the skill actually appears in the ad. A skill is in
 "effective use" in an ad when the ratio is strictly above 1.
 
-Both matrices live in the incidence index's CSR layout: the ratios are one
-flat array parallel to ``index.indices``, computed in a single vectorised
-pass, and the effective-use matrix is its own ``indptr``/``indices`` pair
-cut from the incidence by one boolean mask.
+No ratio is stored: :class:`RcaMatrix` computes one on demand, and the
+effective-use matrix is decided from the integer counts alone, as its own
+``indptr``/``indices`` pair cut from the incidence by one boolean mask.
 """
 
 from __future__ import annotations
@@ -20,21 +19,22 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import CsrRows, IncidenceIndex
-from .errors import DataError, InvariantError
+from .errors import InvariantError
 
 
 class RcaMatrix:
-    """Sparse per-job relevance ratios, parallel to the incidence index."""
+    """Per-job relevance ratios over the incidence index, computed on demand."""
 
-    def __init__(self, index: IncidenceIndex, data: np.ndarray):
+    def __init__(self, index: IncidenceIndex):
         self.index = index
-        self.data = data  # data[k] pairs with index.indices[k]
-        self.values = CsrRows(index.indptr, data)  # values[i] pairs with job_skills[i]
 
     def value(self, job_pos: int, skill_idx: int) -> float:
         """Ratio at (job, skill); 0.0 where the skill is absent from the ad."""
-        k = np.flatnonzero(self.index.job_skills[job_pos] == skill_idx)
-        return float(self.values[job_pos][k[0]]) if len(k) else 0.0
+        index = self.index
+        if not np.any(index.job_skills[job_pos] == skill_idx):
+            return 0.0
+        return float(index.grand_total) / (float(index.job_skill_counts[job_pos])
+                                           * float(index.skill_job_counts[skill_idx]))
 
 
 class EffectiveUseMatrix:
@@ -54,21 +54,20 @@ class EffectiveUseMatrix:
 
 
 def compute_rca(index: IncidenceIndex) -> RcaMatrix:
-    """Relevance ratio for every stored (job, skill) incidence entry."""
-    if index.n_jobs == 0 or index.grand_total == 0:
-        raise DataError("empty corpus: cannot compute relevance ratios")
-    n_j = np.repeat(index.job_skill_counts, index.job_skill_counts).astype(np.float64)
-    skill_counts = index.skill_job_counts.astype(np.float64)
-    data = float(index.grand_total) / (n_j * skill_counts[index.indices])
-    if np.any(data <= 0):
-        raise InvariantError("relevance ratio must be positive where incidence is 1")
-    return RcaMatrix(index, data)
+    """Relevance ratios over every (job, skill) incidence entry."""
+    if not index.job_skill_counts.all():
+        raise InvariantError("every ad must have at least one skill")
+    return RcaMatrix(index)
 
 
 def compute_effective_use(rca: RcaMatrix) -> EffectiveUseMatrix:
     """Strict thresholding: a skill counts as effectively used only when its
-    ratio exceeds 1; a ratio of exactly 1.0 drops out."""
-    keep = rca.data > 1.0
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return EffectiveUseMatrix(rca.index, kept_before[rca.index.indptr],
-                              rca.index.indices[keep])
+    ratio exceeds 1; a ratio of exactly 1.0 drops out. Decided in integers as
+    ``c_s <= (N - 1) // n_j``, the same test while ``n_j * c_s < 2**52``."""
+    index = rca.index
+    n_j = index.job_skill_counts
+    keep = index.skill_job_counts[index.indices] <= np.repeat(
+        (index.grand_total - 1) // n_j, n_j)
+    kept = np.add.reduceat(keep, index.indptr[:-1], dtype=np.int64)
+    return EffectiveUseMatrix(index, np.concatenate(([0], np.cumsum(kept))),
+                              index.indices[keep])

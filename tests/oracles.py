@@ -172,6 +172,11 @@ def _parse_optional_float(value, field_name: str) -> Optional[float]:
     return number
 
 
+def utf8_encodable(text: str) -> bool:
+    """False for text holding a lone surrogate, which UTF-8 cannot encode."""
+    return not any(0xD800 <= ord(c) <= 0xDFFF for c in text)
+
+
 def brute_record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
     """Validate one raw record into a row, each check in turn; raises
     ValueError with a short reason. ``normalized`` memoizes raw skill text ->
@@ -187,6 +192,8 @@ def brute_record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
     occupation = str(rec["occupation"]).strip()
     if not occupation:
         raise ValueError("missing occupation")
+    if not utf8_encodable(occupation):
+        raise ValueError("bad occupation")
     try:
         posted = parse_date(str(rec["date"]))
     except ValueError:
@@ -199,7 +206,7 @@ def brute_record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
         raise ValueError("bad skills")
     skills: dict[str, None] = {}  # an ordered set
     for text in raw_skills:
-        if not isinstance(text, str):
+        if not isinstance(text, str) or not utf8_encodable(text):
             raise ValueError("bad skills")
         key = normalized.get(text)
         if key is None:

@@ -267,6 +267,15 @@ class TestStages:
         assert (out / "corpus.jsonl").is_file()
         assert (out / "provenance.json").is_file()
 
+    def test_ingest_rejects_an_integer_over_the_digit_limit(self, corpus, tmp_path,
+                                                              capsys):
+        with corpus.open("a") as fh:
+            fh.write('{"id": "big", "salary_min": ' + "9" * 5000 + "}\n")
+        assert main(["ingest", "--input", str(corpus), "--out", str(tmp_path / "ing")]) == 0
+        captured = capsys.readouterr()
+        assert "rejected 1 " in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_skills_stage(self, corpus, tmp_path, capsys):
         out = tmp_path / "skills"
         rc = main(["skills", "--input", str(corpus),

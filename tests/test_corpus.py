@@ -118,6 +118,25 @@ class TestIngest:
         _, report = ingest(f)
         assert report.reasons["bad json"] == 1
 
+    def test_integer_over_the_digit_limit_is_bad_json(self, tmp_path):
+        f = tmp_path / "ads.jsonl"
+        write_lines(f, [record(i) for i in range(30)]
+                    + ['{"id": "big", "salary_min": ' + "9" * 5000 + "}"])
+        corpus, report = ingest(f)
+        assert (len(corpus), dict(report.reasons)) == (30, {"bad json": 1})
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("occupation", "\ud800bad", "bad occupation"),
+        ("skills", ["SQL", "\ud800bad"], "bad skills"),
+        ("skills", "SQL;bad\udfff", "bad skills")])
+    def test_lone_surrogate_rejected_appending_nothing(self, field, value, reason):
+        columns = _Columns()
+        for _ in range(2):  # the second time past the memos too
+            with pytest.raises(ValueError, match=f"^{reason}$"):
+                columns.add_record(json.loads(record(0, **{field: value})))
+        assert not (columns.ids or columns.occupation_codes or columns.skill_ids
+                    or columns.slots)
+
     def test_parse_error_field_is_an_ordinary_field(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(0, **{"__parse_error__": ["a", "list"]}),

@@ -172,9 +172,11 @@ def manual_theta(names, pairs, counts=None):
     skill_ids = {normalize_skill(n): i for i, n in enumerate(names)}
     a = np.array([skill_ids[normalize_skill(x)] for x, _ in pairs], dtype=np.int64)
     b = np.array([skill_ids[normalize_skill(y)] for _, y in pairs], dtype=np.int64)
+    codes = np.minimum(a, b) * len(names) + np.maximum(a, b)
+    order = np.argsort(codes)
     v = np.array(list(pairs.values()), dtype=np.float64)
     c = np.ones(len(names), dtype=int) if counts is None else np.asarray(counts)
-    return ThetaMatrix(skill_ids, c, a, b, v), skill_ids
+    return ThetaMatrix(skill_ids, c, codes[order], v[order]), skill_ids
 
 
 class TestExpandSeeds:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from skillscope.corpus import Corpus, JobAd, build_index
-from skillscope.errors import DataError
+from skillscope.errors import DataError, InvariantError
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 
 from oracles import brute_effective, brute_rca, jobs_to_ads, random_jobs
@@ -42,7 +42,8 @@ class TestRca:
     def test_stored_entries_positive(self):
         index, _ = make_index(WORKED)
         rca = compute_rca(index)
-        assert all((vals > 0).all() for vals in rca.values)
+        assert all(rca.value(pos, int(s)) > 0 for pos in range(index.n_jobs)
+                   for s in index.job_skills[pos])
 
     def test_duplication_invariance(self):
         ads = jobs_to_ads(WORKED)
@@ -55,9 +56,15 @@ class TestRca:
         r2 = compute_rca(build_index(Corpus(doubled)))
         for pos, job_id in enumerate(r1.index.job_ids):
             pos2 = r2.index.job_ids.index(job_id)
-            for k, s in enumerate(r1.index.job_skills[pos]):
+            for s in r1.index.job_skills[pos]:
                 assert r2.value(pos2, int(s)) == pytest.approx(
-                    float(r1.values[pos][k]), rel=1e-12)
+                    r1.value(pos, int(s)), rel=1e-12)
+
+    def test_ad_without_skills_is_an_invariant_error(self):
+        ads = jobs_to_ads(WORKED)
+        ads.append(JobAd(id="J4", posted_date=ads[0].posted_date, occupation="O", skills=()))
+        with pytest.raises(InvariantError, match="at least one skill"):
+            compute_rca(build_index(Corpus(ads)))
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = random.Random(1234)
@@ -81,6 +88,15 @@ class TestEffectiveUse:
         index, corpus = make_index({"J1": {"A"}})
         eff = compute_effective_use(compute_rca(index))
         assert not eff.is_effective(0, corpus.skill_ids["A"])
+
+    def test_boundary_just_above_one_is_effective(self):
+        # N = 5, n_j = 2, c_s = 2: the ratio is 5/4, c_s == (N - 1) // n_j
+        index, corpus = make_index({"J1": {"A", "B"}, "J2": {"A"}, "J3": {"C", "D"}})
+        assert (index.grand_total, index.skill_job_counts[corpus.skill_ids["A"]]) == (5, 2)
+        assert compute_rca(index).value(0, corpus.skill_ids["A"]) == 1.25
+        eff = compute_effective_use(compute_rca(index))
+        assert eff.is_effective(0, corpus.skill_ids["A"])
+        assert eff.is_effective(0, corpus.skill_ids["B"])  # 5/2
 
     def test_absent_incidence_not_effective(self):
         index, corpus = make_index(WORKED)
