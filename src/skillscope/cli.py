@@ -254,9 +254,10 @@ def cmd_backtest(args) -> None:
     label = args.occupation or "all"
     days = corpus.ordinals
     if args.occupation:
-        if args.occupation not in corpus.occupations:
+        rows = _group_ads(corpus, None, {args.occupation}).get(args.occupation)
+        if rows is None:
             raise DataError(f"no accepted ad has occupation {args.occupation!r}")
-        days = days[corpus.occupation_codes == corpus.occupations.index(args.occupation)]
+        days = days[rows]
     [report] = _backtest([timeseries.aggregate_daily(days, *span, label=label)], args, cfg)
     out = Path(args.out)
     report.to_json(out / "backtest.json")
@@ -427,6 +428,7 @@ def main(argv=None) -> int:
             raise UsageError(f"cannot make --out directory {args.out}: "
                              f"{exc.strerror}") from None
         with warnings.catch_warnings():
+            warnings.simplefilter("default")  # not the caller's, which may make them errors
             warnings.showwarning = _show_warning
             args.func(args)
         _write_provenance(Path(args.out), args)

@@ -6,9 +6,10 @@ appender checks a record, then interns its skills and occupation and appends
 it, so a rejected record leaves no trace. Memos parse each distinct date
 text and normalize each distinct raw skill text once. :class:`JobAd` is the
 row type for reading a corpus back and writing one. :func:`build_index`
-reads the corpus's own CSR in place as the incidence (one flat array of
-skill ids, each ad's in ad order, cut by ``indptr``) and adds the marginals
-the relevance and complementarity computations consume as whole arrays.
+reads the corpus's own CSR in place as the incidence, an
+:class:`IncidenceIndex`: one flat array of skill ids, each ad's in ad order,
+cut by ``indptr``, plus the ads per skill. The effective-use matrix is the
+same type, cut from it.
 
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
@@ -304,55 +305,28 @@ def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
     return corpus, report
 
 
-class CsrRows:
-    """Rows of a CSR array as views: ``rows[i]`` is
-    ``data[indptr[i]:indptr[i + 1]]``; iterating yields every row."""
-
-    def __init__(self, indptr: np.ndarray, data: np.ndarray):
-        self.indptr = indptr
-        self.data = data
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        i = range(len(self))[i]
-        return self.data[self.indptr[i]:self.indptr[i + 1]]
-
-
 class IncidenceIndex:
-    """Binary job x skill incidence in CSR form with cached marginals.
+    """A binary job x skill matrix in CSR form over one skill vocabulary.
 
-    The corpus's CSR read in place: job ``i``'s skill ids, in ad order, are
-    ``indices[indptr[i]:indptr[i + 1]]`` (``indices`` is ``corpus.slots``),
-    also readable as the view ``job_skills[i]``; the per-skill and per-job
-    counts and the grand total are precomputed.
+    Job ``i``'s skill ids, in ad order, are
+    ``indices[indptr[i]:indptr[i + 1]]``; ``skill_job_counts[s]`` is the
+    number of jobs holding skill ``s``. The incidence and its effective-use
+    sub-matrix are both of this type.
     """
 
-    def __init__(self, corpus: Corpus):
-        if len(corpus) == 0:
-            raise DataError("empty corpus: cannot build incidence index")
-        self.job_ids = corpus.ids
-        self.skill_ids = corpus.skill_ids
-        self.indptr = corpus.indptr
-        self.indices = corpus.slots
-        self.job_skill_counts = np.diff(corpus.indptr)
-        self.job_skills = CsrRows(self.indptr, self.indices)
-        self.skill_job_counts = np.bincount(self.indices, minlength=self.n_skills)
-        self.grand_total = len(self.indices)
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.job_ids)
-
-    @property
-    def n_skills(self) -> int:
-        return len(self.skill_ids)
+    def __init__(self, skill_ids: dict[str, int], indptr: np.ndarray, indices: np.ndarray):
+        self.skill_ids = skill_ids
+        self.indptr = indptr
+        self.indices = indices
+        self.skill_job_counts = np.bincount(indices, minlength=len(skill_ids))
 
 
 def build_index(corpus: Corpus) -> IncidenceIndex:
-    """Build the incidence structure over every ad's skill ids, in ad order."""
-    return IncidenceIndex(corpus)
+    """The incidence: the corpus's own CSR read in place, so ``indices`` is
+    ``corpus.slots`` and each ad's skill ids are in ad order."""
+    if len(corpus) == 0:
+        raise DataError("empty corpus: cannot build incidence index")
+    return IncidenceIndex(corpus.skill_ids, corpus.indptr, corpus.slots)
 
 
 def write_jsonl(ads: Iterable[JobAd], path) -> None:

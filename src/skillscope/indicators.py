@@ -21,6 +21,7 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,11 @@ from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel
 
 MARKET = "market"  # label of the whole-market baseline; no group may use it
+
+# Each yearly figure's file name and its ShortageIndicators field.
+_YEARLY = (("posting_counts", "counts_by_year"), ("posting_growth", "growth_by_year"),
+          ("median_salary", "salary_by_year"), ("education_years", "education_by_year"),
+          ("experience_years", "experience_by_year"))
 
 
 def yearly_counts(years: np.ndarray) -> dict[int, int]:
@@ -92,7 +98,8 @@ def compute_indicators(label: str, corpus: Corpus, rows: np.ndarray,
     ad's salary is the midpoint of its range, or its one bound."""
     years = corpus.years[rows]
     low, high = corpus.salary_min[rows], corpus.salary_max[rows]
-    mids = np.where(np.isnan(high), low, np.where(np.isnan(low), high, (low + high) / 2.0))
+    with np.errstate(over="ignore"):  # an infinite midpoint is reported by assemble_report
+        mids = np.where(np.isnan(high), low, np.where(np.isnan(low), high, (low + high) / 2.0))
     counts = yearly_counts(years)
     if len(counts) >= 2:
         growth, mean_growth = posting_growth(counts)
@@ -134,6 +141,16 @@ def _levels(ind: ShortageIndicators) -> dict[str, Optional[float]]:
             "predictability": ind.median_smape}
 
 
+def _check_finite(ind: ShortageIndicators) -> None:
+    """DataError naming ``ind``'s first yearly figure that is not finite, as
+    a sum or midpoint of huge inputs can be: JSON cannot hold it."""
+    for name, by_year in _YEARLY:
+        for year, value in getattr(ind, by_year).items():
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"group {ind.label!r}: {name} in {year} is {value!r}; "
+                                "its ads' figures overflow a float")
+
+
 def _flag(group_value, baseline_value, higher_is_shortage: bool) -> bool:
     if group_value is None or baseline_value is None:
         return False
@@ -157,17 +174,20 @@ def assemble_report(
     ``backtests`` holds one report per group label, ``market_backtest`` the
     market's, and ``trend_models`` the fits ``trend_lines.csv`` draws. A
     year that the span from the first to the last posting date covers only
-    in part is listed in ``partial_years``."""
+    in part is listed in ``partial_years``. A yearly figure that is not
+    finite is a DataError."""
     if not len(corpus):
         raise DataError("missing market baseline: no ads")
     baseline = compute_indicators(MARKET, corpus, np.arange(len(corpus)),
                                   market_backtest)
+    _check_finite(baseline)
 
     base_levels = _levels(baseline)
     report_groups: list[ShortageIndicators] = []
     flags: dict[str, dict[str, bool]] = {}
     for label in sorted(groups):
         ind = compute_indicators(label, corpus, groups[label], backtests[label])
+        _check_finite(ind)
         report_groups.append(ind)
         flags[label] = {name: _flag(level, base_levels[name], name != "experience")
                         for name, level in _levels(ind).items()}
@@ -225,11 +245,7 @@ def write_report(report: ShortageReport, out_dir) -> None:
     out_dir = Path(out_dir)
     base, groups = report.baseline, report.groups
 
-    for name, by_year in (("posting_counts", "counts_by_year"),
-                          ("posting_growth", "growth_by_year"),
-                          ("median_salary", "salary_by_year"),
-                          ("education_years", "education_by_year"),
-                          ("experience_years", "experience_by_year")):
+    for name, by_year in _YEARLY:
         _write_indicator_csv(out_dir / f"{name}.csv", base, groups, by_year)
 
     write_boxplot(report.backtests, out_dir / "boxplot.csv")
@@ -238,17 +254,15 @@ def write_report(report: ShortageReport, out_dir) -> None:
     # each is quoted once and its block joined as text.
     with (out_dir / "trend_lines.csv").open("w", encoding="utf-8", newline="") as fh:
         fh.write("label,date,trend\r\n")
-        dates: dict[tuple[dt.date, int], list[str]] = {}  # formatted once per span
-        for label in sorted(report.trend_models):
+        for k, label in enumerate(sorted(report.trend_models)):
             model = report.trend_models[label]
-            span = (model.start, model.train_len)
-            if span not in dates:
-                dates[span] = [(model.start + dt.timedelta(days=k)).isoformat()
-                               for k in range(model.train_len)]
+            if k == 0:  # the models come from one fit, so share one span
+                dates = [(model.start + dt.timedelta(days=d)).isoformat()
+                         for d in range(model.train_len)]
             trend = model.trend(np.arange(model.train_len)).tolist()
             quoted = _csv_field(label)
             fh.write("".join([f"{quoted},{date},{value!r}\r\n"
-                              for date, value in zip(dates[span], trend)]))
+                              for date, value in zip(dates, trend)]))
 
     payload = {
         "baseline": _indicators_dict(base),

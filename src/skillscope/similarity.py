@@ -4,11 +4,13 @@ Complementarity between two skills is the number of ads where both are in
 effective use, divided by the larger of the two skills' effective-use
 counts - i.e. the minimum of the two conditional co-use probabilities.
 Pairs never co-effective (or with a zero denominator) are 0 and not stored.
-The co-effective counts come from integer pair codes ``a * V + b`` (V the
-vocabulary size, ``a < b``) counted with ``np.unique`` over the effective-use
-CSR rows, one bucket of equal-length rows at a time, each bucket's rows
-sorted as it is gathered; the scores are kept against the sorted pair codes,
-one entry per pair.
+Both counts are read from the effective-use matrix, an
+:class:`~skillscope.corpus.IncidenceIndex`: the effective-use counts are its
+``skill_job_counts``, and the co-effective counts come from integer pair
+codes ``a * V + b`` (V the vocabulary size ``len(skill_ids)``, ``a < b``)
+counted with ``np.unique`` over its CSR rows, one bucket of equal-length rows
+at a time, each bucket's rows sorted as it is gathered; the scores are kept
+against the sorted pair codes, one entry per pair.
 
 Seed expansion grows a target skill set: each seed contributes its top-K
 most complementary skills, the lists are merged, and each unique skill is
@@ -25,9 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import normalize_skill
+from .corpus import IncidenceIndex, normalize_skill
 from .errors import DataError
-from .skillmetrics import EffectiveUseMatrix
 
 # The reference workflow cuts top-300 neighbour lists to a 150-skill set.
 PER_SEED_K, CUTOFF = 300, 150
@@ -66,7 +67,7 @@ class ThetaMatrix:
         return list(zip((a[hit] + b[hit] - s).tolist(), self._scores[hit].tolist()))
 
 
-def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
+def compute_theta(eff: IncidenceIndex) -> ThetaMatrix:
     """Complementarity for every skill pair with at least one co-effective ad.
 
     Rows are bucketed by length; the rows of length n form an (rows x n)
@@ -75,7 +76,7 @@ def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
     ``np.unique``, so memory scales with one bucket's pair visits and the
     number of distinct pairs, never V x V.
     """
-    n_skills = eff.index.n_skills
+    n_skills = len(eff.skill_ids)
     lengths = np.diff(eff.indptr)
     codes, joints = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for n in np.unique(lengths[lengths >= 2]):
@@ -89,8 +90,8 @@ def compute_theta(eff: EffectiveUseMatrix) -> ThetaMatrix:
     pair_codes, which = np.unique(np.concatenate(codes), return_inverse=True)
     joint = np.bincount(which, weights=np.concatenate(joints), minlength=len(pair_codes))
     a, b = np.divmod(pair_codes, n_skills)
-    counts = eff.skill_counts
-    return ThetaMatrix(eff.index.skill_ids, counts, pair_codes,
+    counts = eff.skill_job_counts
+    return ThetaMatrix(eff.skill_ids, counts, pair_codes,
                        joint / np.maximum(counts[a], counts[b]))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -212,20 +212,9 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
     truth = GroundTruth(
         clusters={c.name: names for c, names in zip(config.clusters, cluster_names)},
         occupations={occ: c.name for c in config.clusters for occ in c.occupations},
-        params={
-            c.name: {
-                "base_daily_rate": c.base_daily_rate,
-                "annual_growth": c.annual_growth,
-                "growth_changepoints": [list(p) for p in c.growth_changepoints],
-                "cohesion": c.cohesion,
-                "salary_level": c.salary_level,
-                "salary_trend": c.salary_trend,
-                "education_mean": c.education_mean,
-                "experience_mean": c.experience_mean,
-                "experience_trend": c.experience_trend,
-            }
-            for c in config.clusters
-        },
+        params={c.name: {k: v for k, v in asdict(c).items()
+                         if k not in ("name", "skills", "occupations")}
+                for c in config.clusters},
         background_skills=list(bg_names),
         seasonality={
             "weekly_amplitude": config.weekly_amplitude,
@@ -270,43 +259,51 @@ def _names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _build(cls, raw, parsers: dict):
+    """A ``cls`` from the fields ``raw`` gives, each parsed in field order;
+    an absent field takes its default, so each default is stated once, on
+    ``cls``. KeyError names the first absent required field."""
+    given = {}
+    for f in fields(cls):
+        try:
+            value = raw[f.name]
+        except KeyError:
+            if f.default is MISSING:
+                raise
+            continue
+        given[f.name] = parsers[f.name](value)
+    return cls(**given)
+
+
+_CLUSTER_PARSERS = {
+    "name": str, "skills": _names, "occupations": _names, "base_daily_rate": _finite,
+    "annual_growth": _finite,
+    "growth_changepoints": lambda v: tuple((int(d), _finite(g)) for d, g in v),
+    "cohesion": _finite, "salary_level": _optional_number, "salary_trend": _finite,
+    "education_mean": _optional_number, "experience_mean": _optional_number,
+    "experience_trend": _finite,
+}
+_CONFIG_PARSERS = {
+    "seed": int, "n_days": int, "clusters": tuple,
+    "background_skills": lambda v: tuple((str(n), _finite(p)) for n, p in v),
+    "start_date": parse_date, "weekly_amplitude": _finite, "yearly_amplitude": _finite,
+    "noise_level": _finite, "deterministic_counts": _boolean,
+}
+
+
 def config_from_dict(raw) -> SynthConfig:
     """Build a SynthConfig from a parsed JSON document (the CLI format)."""
     if not isinstance(raw, dict):
         raise DataError("invalid synth config: expected a JSON object")
     try:
-        clusters = tuple(
-            ClusterSpec(
-                name=str(c["name"]),
-                skills=_names(c["skills"]),
-                occupations=_names(c["occupations"]),
-                base_daily_rate=_finite(c["base_daily_rate"]),
-                annual_growth=_finite(c.get("annual_growth", 0.0)),
-                growth_changepoints=tuple(
-                    (int(d), _finite(g)) for d, g in c.get("growth_changepoints", [])
-                ),
-                cohesion=_finite(c.get("cohesion", 1.0)),
-                salary_level=_optional_number(c.get("salary_level")),
-                salary_trend=_finite(c.get("salary_trend", 0.0)),
-                education_mean=_optional_number(c.get("education_mean")),
-                experience_mean=_optional_number(c.get("experience_mean")),
-                experience_trend=_finite(c.get("experience_trend", 0.0)),
-            )
-            for c in raw["clusters"]
-        )
-        config = SynthConfig(
-            seed=int(raw["seed"]),
-            n_days=int(raw["n_days"]),
-            clusters=clusters,
-            background_skills=tuple(
-                (str(n), _finite(p)) for n, p in raw.get("background_skills", [])
-            ),
-            start_date=parse_date(raw.get("start_date", "2015-01-01")),
-            weekly_amplitude=_finite(raw.get("weekly_amplitude", 0.0)),
-            yearly_amplitude=_finite(raw.get("yearly_amplitude", 0.0)),
-            noise_level=_finite(raw.get("noise_level", 0.0)),
-            deterministic_counts=bool(raw.get("deterministic_counts", False)),
-        )
+        clusters = [_build(ClusterSpec, c, _CLUSTER_PARSERS) for c in raw["clusters"]]
+        config = _build(SynthConfig, {**raw, "clusters": clusters}, _CONFIG_PARSERS)
     except KeyError as exc:
         raise DataError(f"invalid synth config: missing field {exc.args[0]!r}")
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:

@@ -148,6 +148,11 @@ def random_jobs(rng: random.Random, max_ads: int = 20, max_skills: int = 10) -> 
     return jobs
 
 
+def csr_rows(m) -> list[list[int]]:
+    """Each row of a CSR matrix (``indptr``, ``indices``) as a list of ids."""
+    return [m.indices[lo:hi].tolist() for lo, hi in zip(m.indptr[:-1], m.indptr[1:])]
+
+
 def jobs_to_ads(jobs: dict[str, set[str]],
                 occupation: str = "generic",
                 date: dt.date = dt.date(2018, 6, 1)) -> list[JobAd]:

@@ -27,7 +27,7 @@ from skillscope.timeseries import (
     smape,
 )
 
-from oracles import brute_eta, brute_rca, brute_theta, jobs_to_ads, random_jobs
+from oracles import brute_eta, brute_rca, brute_theta, csr_rows, jobs_to_ads, random_jobs
 
 START = dt.date(2012, 1, 1)
 
@@ -55,7 +55,7 @@ def test_criterion_1_formula_oracles():
         rca = compute_rca(index)
 
         for (j, s), want in brute_rca(jobs).items():
-            pos = index.job_ids.index(j)
+            pos = corpus.ids.index(j)
             got = rca.value(pos, corpus.skill_ids[s])
             assert got == pytest.approx(want, rel=1e-12)
             checked += 1
@@ -89,10 +89,10 @@ def test_criterion_2_invariance_suite():
         corpus, index, theta = pipeline(ads)
         corpus2, index2, theta2 = pipeline(doubled)
         rca, rca2 = compute_rca(index), compute_rca(index2)
-        for pos, j in enumerate(index.job_ids):
-            for s in index.job_skills[pos]:
-                assert rca2.value(index2.job_ids.index(j), int(s)) == pytest.approx(
-                    rca.value(pos, int(s)), rel=1e-12)
+        for pos, (j, row) in enumerate(zip(corpus.ids, csr_rows(index))):
+            for s in row:
+                assert rca2.value(corpus2.ids.index(j), s) == pytest.approx(
+                    rca.value(pos, s), rel=1e-12)
         for a, b, v in theta.pairs():
             assert 0.0 <= v <= 1.0
             assert theta.value(b, a) == v

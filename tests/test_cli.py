@@ -196,9 +196,10 @@ class TestInputFileErrors:
         ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "annual_growth": -2}]},
          "invalid ClusterSpec growth for 'target'"),
         ({**SCENARIO, "start_date": "2017-W01-1"}, "not a YYYY-MM-DD date: '2017-W01-1'"),
+        ({**SCENARIO, "deterministic_counts": "false"}, "expected true or false, got 'false'"),
     ], ids=["array", "n_days-not-a-number", "skills-not-a-list",
             "rate-above-poisson-limit", "deterministic-rate-above-poisson-limit",
-            "growth-below-minus-one", "start-date-iso-week"])
+            "growth-below-minus-one", "start-date-iso-week", "deterministic-counts-text"])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(config))
@@ -242,6 +243,19 @@ def test_failed_report_writes_no_file(corpus, tmp_path, capsys, flags, mapping, 
     assert main(argv) == 2
     assert message in one_line_error(capsys)
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_overflowing_yearly_figure_exit_2_writes_no_file(corpus, tmp_path, capsys):
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    for rec in records[:3]:  # all posted in 2017; their sum overflows a float
+        rec["education_years"] = 1.7e308
+    huge = tmp_path / "huge.jsonl"
+    huge.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = tmp_path / "o"
+    assert main(["indicators", "--input", str(huge), *BACKTEST_FLAGS,
+                 "--out", str(out)]) == 2
+    assert "group 'market': education_years in 2017 is inf" in one_line_error(capsys)
+    assert not any(out.iterdir())
 
 
 def test_seed_without_neighbours_warns_on_one_line(tmp_path, capsys):

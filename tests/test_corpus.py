@@ -19,7 +19,7 @@ from skillscope.corpus import (
 from skillscope.errors import DataError
 from skillscope.occupations import compute_intensity
 
-from oracles import brute_eta, brute_record_to_ad, jobs_to_ads
+from oracles import brute_eta, brute_record_to_ad, csr_rows, jobs_to_ads
 
 
 def validate(rec) -> JobAd:
@@ -195,7 +195,7 @@ class TestInterning:
         assert corpus.skill_names == ["b", "a", "c", "zig"]
         assert corpus.slots.tolist() == [0, 1, 2, 1, 3]  # each ad's own order
         index = build_index(corpus)
-        assert [r.tolist() for r in index.job_skills] == [[0, 1], [2, 1, 3]]
+        assert csr_rows(index) == [[0, 1], [2, 1, 3]]
 
     def test_spellings_share_one_id(self, tmp_path):
         corpus, _ = self.ingest_lines(tmp_path, [
@@ -205,7 +205,7 @@ class TestInterning:
         ])
         assert corpus.skill_names == ["python", "machine learning"]
         index = build_index(corpus)
-        assert [r.tolist() for r in index.job_skills] == [[0], [0, 1], [1]]
+        assert csr_rows(index) == [[0], [0, 1], [1]]
 
     def test_jsonl_and_csv_give_the_same_ids(self, tmp_path):
         rows = [("a1", ["SQL", " Excel", "r"]), ("a2", ["R", "Tableau"]),
@@ -219,8 +219,7 @@ class TestInterning:
         (corpus_j, _), (corpus_c, _) = ingest(jsonl), ingest(csv_file, fmt="csv")
         assert corpus_j.skill_names == corpus_c.skill_names == [
             "sql", "excel", "r", "tableau", "power bi"]
-        rows_j = [r.tolist() for r in build_index(corpus_j).job_skills]
-        assert rows_j == [r.tolist() for r in build_index(corpus_c).job_skills]
+        assert csr_rows(build_index(corpus_j)) == csr_rows(build_index(corpus_c))
 
 
 def refuse_constant(name):
@@ -419,13 +418,13 @@ class TestIncidenceIndex:
     def test_worked_marginals(self):
         corpus = Corpus(jobs_to_ads(worked_corpus()))
         index = build_index(corpus)
-        assert index.grand_total == 5
+        assert len(index.indices) == 5
         assert index.skill_job_counts[corpus.skill_ids["A"]] == 2
-        assert index.grand_total == int(index.job_skill_counts.sum())
+        assert len(index.indices) == int(np.diff(index.indptr).sum())
 
     def test_single_job_single_skill(self):
         index = build_index(Corpus(jobs_to_ads({"J1": {"A"}})))
-        assert index.grand_total == 1
+        assert len(index.indices) == 1
 
     def test_empty_corpus_fatal(self):
         with pytest.raises(DataError, match="empty corpus"):
@@ -438,7 +437,7 @@ class TestIncidenceIndex:
     def test_grand_total_is_sum_of_skill_counts(self):
         ads = jobs_to_ads({"J1": {"A", "B", "C"}, "J2": {"B"}})
         index = build_index(Corpus(ads))
-        assert index.grand_total == sum(len(a.skills) for a in ads)
+        assert len(index.indices) == sum(len(a.skills) for a in ads)
 
     def test_duplicating_ads_doubles_marginals(self):
         ads = jobs_to_ads(worked_corpus())
@@ -449,7 +448,7 @@ class TestIncidenceIndex:
         ]
         i1 = build_index(Corpus(ads))
         i2 = build_index(Corpus(doubled))
-        assert i2.grand_total == 2 * i1.grand_total
+        assert len(i2.indices) == 2 * len(i1.indices)
         assert (i2.skill_job_counts == 2 * i1.skill_job_counts).all()
 
 

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import datetime as dt
 import io
 import json
+import re
 
 import random
 
@@ -208,6 +210,21 @@ class TestAssembleReport:
         assert self.assemble(spanning(full_start, full_end)).partial_years == []
         assert self.assemble(spanning(dt.date(2016, 3, 1), full_end)).partial_years == [2016]
         assert self.assemble(spanning(full_start, dt.date(2018, 12, 30))).partial_years == [2018]
+
+    @pytest.mark.parametrize("n,numbers,message", [
+        (3, {"education_years": 1.7e308}, "group 'market': education_years in 2017 is inf"),
+        (20, {"salary_min": 1.7e308, "salary_max": 1.7e308},
+         "group 'Hot': median_salary in 2017 is inf"),
+    ], ids=["market-mean-overflows", "group-midpoints-overflow"])
+    def test_yearly_figure_that_is_not_finite_is_a_data_error(self, n, numbers, message):
+        ads = shortage_corpus()
+        hot = [i for i, a in enumerate(ads)
+               if a.occupation == "Hot" and a.posted_date.year == 2017]
+        assert len(hot) == 20
+        for i in hot[:n]:
+            ads[i] = dataclasses.replace(ads[i], **numbers)
+        with pytest.raises(DataError, match=re.escape(message)):
+            self.assemble(ads)
 
     def test_written_report_directory(self, tmp_path):
         write_report(self.assemble(shortage_corpus()), tmp_path)

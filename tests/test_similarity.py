@@ -16,7 +16,7 @@ from skillscope.similarity import (
 )
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 
-from oracles import brute_theta, jobs_to_ads, random_jobs
+from oracles import brute_theta, csr_rows, jobs_to_ads, random_jobs
 
 
 def theta_from_jobs(jobs):
@@ -89,13 +89,12 @@ def dict_pair_theta(eff):
     """theta by the pair loop that pair-code counting replaced: one dict
     update per co-effective pair, then joint / max of the two counts."""
     co = {}
-    for row in eff.rows:
-        row = [int(s) for s in row]
+    for row in csr_rows(eff):
         for i, a in enumerate(row):
             for b in row[i + 1:]:
                 pair = (min(a, b), max(a, b))
                 co[pair] = co.get(pair, 0) + 1
-    counts = eff.skill_counts
+    counts = eff.skill_job_counts
     return {(a, b): joint / float(max(counts[a], counts[b]))
             for (a, b), joint in co.items()}
 
@@ -114,12 +113,12 @@ class TestPairCodes:
             theta = compute_theta(eff)
             expected = dict_pair_theta(eff)
             assert {(a, b): v for a, b, v in theta.pairs()} == expected
-            lengths = [len(r) for r in eff.rows]
+            lengths = [len(r) for r in csr_rows(eff)]
             seen["empty row"] |= 0 in lengths
             seen["one-skill row"] |= 1 in lengths
             partnered = {s for pair in expected for s in pair}
             seen["no partner"] |= any(c > 0 and s not in partnered
-                                      for s, c in enumerate(eff.skill_counts))
+                                      for s, c in enumerate(eff.skill_job_counts))
         assert all(seen.values()), seen
 
     def test_no_pairs(self):
@@ -134,7 +133,7 @@ class TestPairCodes:
             eff = self.effective_use(random_jobs(rng, max_ads=40, max_skills=12))
             theta = compute_theta(eff)
             triples = list(theta.pairs())
-            for s in range(eff.index.n_skills):
+            for s in range(len(eff.skill_ids)):
                 scan = [(b, v) for a, b, v in triples if a == s] + \
                        [(a, v) for a, b, v in triples if b == s]
                 assert theta.neighbours(s) == sorted(scan)  # in id order
@@ -160,7 +159,7 @@ def test_skill_order_within_ads_changes_nothing():
             views.append((
                 {(i, s): rca.value(i, s) for i in range(len(c))
                  for s in c.slots[c.indptr[i]:c.indptr[i + 1]].tolist()},
-                [set(row.tolist()) for row in eff.rows],
+                [set(row) for row in csr_rows(eff)],
                 list(theta.pairs()),
                 [theta.neighbours(s) for s in range(len(c.skill_ids))],
             ))

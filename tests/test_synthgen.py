@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 
@@ -183,3 +184,17 @@ def test_config_from_dict_full():
     assert config.clusters[0].growth_changepoints == ((7, -0.1),)
     ads, _ = generate(config)
     assert ads
+
+
+def test_config_from_dict_leaves_absent_fields_at_their_defaults():
+    raw = {"seed": 42, "n_days": 30, "clusters": [
+        {"name": "pq", "skills": ["P", "Q"], "occupations": ["Planted"],
+         "base_daily_rate": 3.0},
+        {"name": "bg", "skills": ["X", "Y", "Z"], "occupations": ["Back"],
+         "base_daily_rate": 5.0, "cohesion": 0.7}]}
+    config = config_from_dict(raw)
+    assert config == basic_config()
+    _, truth = generate(config)
+    assert set(truth.params["bg"]) == {
+        f.name for f in dataclasses.fields(ClusterSpec)} - {"name", "skills", "occupations"}
+    assert truth.params["bg"]["cohesion"] == 0.7
