@@ -28,8 +28,9 @@ Analysis outputs are byte-identical across runs with equal provenance.
 Every text input is read as UTF-8; a leading byte-order mark, as
 spreadsheet programs write, is skipped.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation.
+Exit codes: 0 success, 1 usage error or a file that cannot be read or
+written, 2 data error, 3 internal invariant violation. A failed write can
+leave the files the command wrote before it.
 """
 
 from __future__ import annotations
@@ -144,6 +145,9 @@ def _read_holidays(path) -> tuple[dt.date, ...]:
 
 
 def _fit_config(args) -> timeseries.FitConfig:
+    if args.changepoints > args.train_days:  # each fit has one column per changepoint
+        raise UsageError(f"--changepoints {args.changepoints} is above "
+                         f"--train-days {args.train_days}")
     return timeseries.FitConfig(
         n_changepoints=args.changepoints,
         ridge_lambda=args.ridge_lambda,
@@ -304,8 +308,9 @@ def _add_corpus_args(p):
 
 
 def _add_skills_args(p):
-    p.add_argument("--seeds", help="newline-delimited seed skills file")
-    p.add_argument("--seed-skill", action="append", help="seed skill (repeatable)")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", help="newline-delimited seed skills file")
+    seeds.add_argument("--seed-skill", action="append", help="seed skill (repeatable)")
     p.add_argument("--per-seed-k", type=int, default=similarity.PER_SEED_K)
     p.add_argument("--cutoff", type=int, default=similarity.CUTOFF)
     p.add_argument("--avg-over-all-seeds", action="store_true",
@@ -337,9 +342,10 @@ def _add_backtest_args(p):
 
 
 def _add_category_args(p):
-    p.add_argument("--category-map", help="occupation,category CSV")
-    p.add_argument("--default-categories", action="store_true",
-                   help="use the shipped four-category occupation map")
+    categories = p.add_mutually_exclusive_group()
+    categories.add_argument("--category-map", help="occupation,category CSV")
+    categories.add_argument("--default-categories", action="store_true",
+                            help="use the shipped four-category occupation map")
 
 
 def _add_threshold_arg(p):
@@ -383,9 +389,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Flags of which at most one may be given; an explicit one of a pair also
+# keeps the config file from setting the other.
+_EITHER_OR = {"--seeds": "--seed-skill", "--seed-skill": "--seeds",
+              "--category-map": "--default-categories",
+              "--default-categories": "--category-map"}
+
+
 def apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config-file FILE`` (or ``--config-file=FILE``) into flags;
-    explicit CLI flags win, as ``--flag value`` or ``--flag=value``."""
+    explicit CLI flags win, as ``--flag value`` or ``--flag=value``, and an
+    explicit flag of an either/or pair also wins over the other one."""
     flags = [arg.split("=", 1)[0] for arg in argv]
     if "--config-file" not in flags:
         return argv
@@ -399,7 +413,7 @@ def apply_config_file(argv: list[str]) -> list[str]:
     injected: list[str] = []
     for key, value in raw.items():
         flag = "--" + key.replace("_", "-")
-        if flag in flags:
+        if flag in flags or _EITHER_OR.get(flag) in flags:
             continue
         if isinstance(value, bool):
             if value:
@@ -442,6 +456,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error (invariant violated): {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a file the command cannot read or write
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"file error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
 """Job-ad corpus loading, validation, and sparse incidence indexing.
 
-Ingest validates each record straight into the columns of a
-:class:`Corpus`, one array per column instead of one object per ad: one
-appender checks a record, then interns its skills and occupation and appends
-it, so a rejected record leaves no trace. Memos parse each distinct date
-text and normalize each distinct raw skill text once. :class:`JobAd` is the
-row type for reading a corpus back and writing one. :func:`build_index`
-reads the corpus's own CSR in place as the incidence, an
-:class:`IncidenceIndex`: one flat array of skill ids, each ad's in ad order,
-cut by ``indptr``, plus the ads per skill. The effective-use matrix is the
-same type, cut from it.
+An ad is a record on the way in and out (id, ``YYYY-MM-DD`` date,
+occupation, skills, and optional salary, education and experience numbers)
+and a row of columns in between. :func:`ingest_records` is the only way to
+build a :class:`Corpus`: one appender validates each record straight into
+the columns, one array per column instead of one object per ad, interning
+its skills and occupation as it appends it, so a rejected record leaves no
+trace. Memos parse each distinct date text and normalize each distinct raw
+skill text once. :meth:`Corpus.rows` gives the records back, and
+:func:`write_jsonl` writes them. :func:`build_index` reads the corpus's
+own CSR in place as the incidence, an :class:`IncidenceIndex`: one flat
+array of skill ids, each ad's in ad order, cut by ``indptr``, plus the ads
+per skill. The effective-use matrix is the same type, cut from it.
 
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
@@ -26,7 +28,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +40,7 @@ REJECT_THRESHOLD = 0.05
 _WS_RUN = re.compile(r"\s+")
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _EPOCH = dt.date(1970, 1, 1).toordinal()
+_NUMBER_FIELDS = ("salary_min", "salary_max", "education_years", "experience_years")
 
 
 def normalize_skill(raw: str) -> str:
@@ -58,25 +61,10 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-@dataclass(frozen=True)
-class JobAd:
-    """One advertisement as read or written. ``skills`` holds normalized
-    names, deduplicated, in first-occurrence order."""
-
-    id: str
-    posted_date: dt.date
-    occupation: str
-    skills: tuple[str, ...]
-    salary_min: Optional[float] = None
-    salary_max: Optional[float] = None
-    education_years: Optional[float] = None
-    experience_years: Optional[float] = None
-
-
 class _Columns:
-    """Corpus columns as they grow: :meth:`add_record` validates a raw record
-    straight into them, :meth:`append` takes a row already checked. Skills
-    are interned only as a row is appended, in first-occurrence order."""
+    """Corpus columns as they grow: :meth:`add_record` validates a raw
+    record straight into them. Skills are interned only as a record is
+    appended, in first-occurrence order."""
 
     def __init__(self):
         self.ids: list[str] = []
@@ -86,20 +74,6 @@ class _Columns:
         self.numbers = array("d")  # four per ad, NaN where missing
         self.dates: dict[str, int] = {}  # date text -> ordinal
         self.names: dict[str, str] = {}  # raw skill text -> normalized name
-
-    def append(self, ad_id: str, ordinal: int, occupation: str, names: Iterable[str],
-               numbers: list[float]) -> None:
-        self.ids.append(ad_id)
-        self.ordinals.append(ordinal)
-        self.codes.append(self.occupation_codes.setdefault(occupation,
-                                                           len(self.occupation_codes)))
-        skill_ids = self.skill_ids
-        ids = list(map(skill_ids.get, names))
-        if None in ids:
-            ids = [skill_ids.setdefault(s, len(skill_ids)) for s in names]
-        self.slots.fromlist(ids)
-        self.lengths.append(len(ids))
-        self.numbers.fromlist(numbers)
 
     def add_record(self, rec) -> None:
         """Validate one raw record and append it; raises ValueError with a
@@ -133,7 +107,17 @@ class _Columns:
             numbers.append(_parse_number(rec.get(key), key))
             if numbers[-1] < 0:
                 raise ValueError(f"negative {key}")
-        self.append(str(rec["id"]), ordinal, occupation, names, numbers)
+        self.ids.append(str(rec["id"]))
+        self.ordinals.append(ordinal)
+        self.codes.append(self.occupation_codes.setdefault(occupation,
+                                                           len(self.occupation_codes)))
+        skill_ids = self.skill_ids
+        ids = list(map(skill_ids.get, names))
+        if None in ids:
+            ids = [skill_ids.setdefault(s, len(skill_ids)) for s in names]
+        self.slots.fromlist(ids)
+        self.lengths.append(len(ids))
+        self.numbers.fromlist(numbers)
 
     def _skill_names(self, raw) -> dict[str, None]:
         """The ordered set of ``raw``'s normalized names."""
@@ -158,7 +142,7 @@ class _Columns:
 
 
 class Corpus:
-    """Ads as columns, row ``i`` being the ``i``-th ad given.
+    """Ads as columns, row ``i`` being the ``i``-th record accepted.
 
     Per ad: ``ids``, int64 ``ordinals`` and ``years``, and
     ``occupation_codes`` into ``occupations`` (names in first-occurrence
@@ -166,17 +150,10 @@ class Corpus:
     ``slots[indptr[i]:indptr[i + 1]]``, naming ``skill_names[id]``;
     ``skill_ids`` maps a name to its id. ``salary_min``, ``salary_max``,
     ``education_years`` and ``experience_years`` are float64, NaN where
-    missing. Names are kept as spelled: ingest gives normalized ones.
-
-    ``ads`` are appended after the rows already in ``columns``, if given.
+    missing.
     """
 
-    def __init__(self, ads: Iterable[JobAd] = (), columns: Optional[_Columns] = None):
-        columns = _Columns() if columns is None else columns
-        for ad in ads:
-            columns.append(ad.id, ad.posted_date.toordinal(), ad.occupation, ad.skills, [
-                math.nan if v is None else v for v in (
-                    ad.salary_min, ad.salary_max, ad.education_years, ad.experience_years)])
+    def __init__(self, columns: _Columns):
         self.ids = columns.ids
         self.skill_ids = columns.skill_ids
         self.occupations = list(columns.occupation_codes)
@@ -201,16 +178,19 @@ class Corpus:
         return (dt.date.fromordinal(int(self.ordinals.min())),
                 dt.date.fromordinal(int(self.ordinals.max())))
 
-    def rows(self) -> Iterator[JobAd]:
-        """The ads back as :class:`JobAd` rows, in order."""
-        numbers = np.column_stack([self.salary_min, self.salary_max, self.education_years,
-                                   self.experience_years]).tolist()
+    def rows(self) -> Iterator[dict]:
+        """The ads back as records in order: ISO date text, a ``skills``
+        list, and only the numbers that are present."""
+        numbers = np.column_stack([getattr(self, key) for key in _NUMBER_FIELDS]).tolist()
         for i, ad_id in enumerate(self.ids):
-            skills = self.slots[self.indptr[i]:self.indptr[i + 1]].tolist()
-            yield JobAd(ad_id, dt.date.fromordinal(int(self.ordinals[i])),
-                        self.occupations[self.occupation_codes[i]],
-                        tuple(self.skill_names[s] for s in skills),
-                        *(None if math.isnan(v) else v for v in numbers[i]))
+            rec = {"id": ad_id,
+                   "date": dt.date.fromordinal(int(self.ordinals[i])).isoformat(),
+                   "occupation": self.occupations[self.occupation_codes[i]],
+                   "skills": [self.skill_names[s]
+                              for s in self.slots[self.indptr[i]:self.indptr[i + 1]].tolist()]}
+            rec.update((key, v) for key, v in zip(_NUMBER_FIELDS, numbers[i])
+                       if not math.isnan(v))
+            yield rec
 
 
 @dataclass
@@ -273,28 +253,24 @@ def _iter_records(path: Path, fmt: str):
         raise DataError(f"cannot read input file {path}: {exc}") from None
 
 
-def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
-    """Load a corpus file, validate every record, and append the accepted
-    ones to the corpus columns in one pass.
+def ingest_records(records: Iterable) -> tuple[Corpus, IngestReport]:
+    """Validate every record and append the accepted ones to the corpus
+    columns in one pass.
 
     Malformed records are rejected with a per-record reason and never abort
     the run unless the rejected fraction exceeds ``REJECT_THRESHOLD``.
-    Deterministic: the corpus rows are in file order.
+    Deterministic: the corpus rows are in record order.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"cannot read input file: {path}")
-
     report = IngestReport()
     columns = _Columns()
-    for rec in _iter_records(path, fmt):
+    for rec in records:
         try:
             columns.add_record(rec)
         except ValueError as exc:
             report.rejected += 1
             report.reasons[str(exc)] += 1
     report.accepted = len(columns.ids)
-    corpus = Corpus(columns=columns)
+    corpus = Corpus(columns)
     total = report.accepted + report.rejected
     if total > 0 and report.rejected / total > REJECT_THRESHOLD:
         raise DataError(
@@ -303,6 +279,14 @@ def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
             + ", ".join(f"{r}={n}" for r, n in sorted(report.reasons.items()))
         )
     return corpus, report
+
+
+def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
+    """:func:`ingest_records` over a JSONL or CSV corpus file."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"cannot read input file: {path}")
+    return ingest_records(_iter_records(path, fmt))
 
 
 class IncidenceIndex:
@@ -329,17 +313,7 @@ def build_index(corpus: Corpus) -> IncidenceIndex:
     return IncidenceIndex(corpus.skill_ids, corpus.indptr, corpus.slots)
 
 
-def write_jsonl(ads: Iterable[JobAd], path) -> None:
-    """Serialize ads in the canonical JSONL interchange format."""
+def write_jsonl(records: Iterable[dict], path) -> None:
+    """Write records as JSONL, one object with sorted keys per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for ad in ads:
-            rec = {
-                "id": ad.id,
-                "date": ad.posted_date.isoformat(),
-                "occupation": ad.occupation,
-                "skills": list(ad.skills),
-            }
-            for key in ("salary_min", "salary_max", "education_years", "experience_years"):
-                if getattr(ad, key) is not None:
-                    rec[key] = getattr(ad, key)
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import JobAd, normalize_skill, parse_date, write_jsonl
+from .corpus import normalize_skill, parse_date, write_jsonl
 from .errors import DataError
 
 WEEK_PERIOD = 7.0
@@ -85,6 +85,9 @@ class SynthConfig:
             if min([c.annual_growth, *(g for _, g in c.growth_changepoints)]) < -1:
                 raise DataError(f"invalid ClusterSpec growth for {c.name!r}: "
                                 "must be >= -1")
+            if any(day < 0 for day, _ in c.growth_changepoints):
+                raise DataError(f"invalid ClusterSpec.growth_changepoints for {c.name!r}: "
+                                "days must be >= 0")
             if not 0 < c.cohesion <= 1:
                 raise DataError(f"invalid ClusterSpec.cohesion for {c.name!r}: "
                                 "must be in (0, 1]")
@@ -131,20 +134,20 @@ def _daily_rate(cluster: ClusterSpec, t: int) -> float:
     return rate
 
 
-def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
-    """Generate the corpus and its ground-truth sidecar. Deterministic for
-    a fixed seed."""
+def generate(config: SynthConfig) -> tuple[list[dict], GroundTruth]:
+    """Generate the corpus, as input records, and its ground-truth sidecar.
+    Deterministic for a fixed seed."""
     config.validate()
     rng = np.random.default_rng(config.seed)
 
-    ads: list[JobAd] = []
+    records: list[dict] = []
     ad_no = 0
     bg_names = [normalize_skill(n) for n, _ in config.background_skills]
     bg_probs = np.array([p for _, p in config.background_skills], dtype=np.float64)
     cluster_names = [[normalize_skill(s) for s in c.skills] for c in config.clusters]
 
     for t in range(config.n_days):
-        date = config.start_date + dt.timedelta(days=t)
+        date = (config.start_date + dt.timedelta(days=t)).isoformat()
         season = 1.0
         if config.weekly_amplitude:
             season += config.weekly_amplitude * np.sin(2 * np.pi * t / WEEK_PERIOD)
@@ -176,38 +179,27 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
                     keep = rng.random(len(bg_names)) < bg_probs
                     skills.extend(n for n, k in zip(bg_names, keep) if k)
 
+                rec = {"id": f"ad-{ad_no:08d}", "date": date, "occupation": occ,
+                       "skills": list(dict.fromkeys(skills))}
                 years = t / DAYS_PER_YEAR
-                salary_min = salary_max = None
                 if cluster.salary_level is not None:
                     mid = cluster.salary_level * (1.0 + cluster.salary_trend * years)
                     if config.noise_level:
                         mid *= 1.0 + config.noise_level * rng.standard_normal()
                     mid = max(1.0, mid)
-                    salary_min, salary_max = 0.9 * mid, 1.1 * mid
-                education = None
+                    rec["salary_min"], rec["salary_max"] = 0.9 * mid, 1.1 * mid
                 if cluster.education_mean is not None:
                     education = cluster.education_mean
                     if config.noise_level:
                         education += config.noise_level * rng.standard_normal()
-                    education = max(0.0, education)
-                experience = None
+                    rec["education_years"] = max(0.0, education)
                 if cluster.experience_mean is not None:
                     experience = (cluster.experience_mean
                                   + cluster.experience_trend * years)
                     if config.noise_level:
                         experience += config.noise_level * rng.standard_normal()
-                    experience = max(0.0, experience)
-
-                ads.append(JobAd(
-                    id=f"ad-{ad_no:08d}",
-                    posted_date=date,
-                    occupation=occ,
-                    skills=tuple(dict.fromkeys(skills)),
-                    salary_min=salary_min,
-                    salary_max=salary_max,
-                    education_years=education,
-                    experience_years=experience,
-                ))
+                    rec["experience_years"] = max(0.0, experience)
+                records.append(rec)
 
     truth = GroundTruth(
         clusters={c.name: names for c, names in zip(config.clusters, cluster_names)},
@@ -224,17 +216,17 @@ def generate(config: SynthConfig) -> tuple[list[JobAd], GroundTruth]:
         n_days=config.n_days,
         start_date=config.start_date.isoformat(),
     )
-    return ads, truth
+    return records, truth
 
 
 def write_scenario(config: SynthConfig, out_dir) -> tuple[Path, Path]:
     """Generate and write ``corpus.jsonl`` plus ``ground_truth.json``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ads, truth = generate(config)
+    records, truth = generate(config)
     corpus_path = out_dir / "corpus.jsonl"
     truth_path = out_dir / "ground_truth.json"
-    write_jsonl(ads, corpus_path)
+    write_jsonl(records, corpus_path)
     truth.to_json(truth_path)
     return corpus_path, truth_path
 
@@ -257,6 +249,12 @@ def _names(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"expected a list of names, got {value!r}")
     return tuple(value)
+
+
+def _integer(value) -> int:
+    if type(value) is not int:  # not a bool either
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _boolean(value) -> bool:
@@ -284,13 +282,13 @@ def _build(cls, raw, parsers: dict):
 _CLUSTER_PARSERS = {
     "name": str, "skills": _names, "occupations": _names, "base_daily_rate": _finite,
     "annual_growth": _finite,
-    "growth_changepoints": lambda v: tuple((int(d), _finite(g)) for d, g in v),
+    "growth_changepoints": lambda v: tuple((_integer(d), _finite(g)) for d, g in v),
     "cohesion": _finite, "salary_level": _optional_number, "salary_trend": _finite,
     "education_mean": _optional_number, "experience_mean": _optional_number,
     "experience_trend": _finite,
 }
 _CONFIG_PARSERS = {
-    "seed": int, "n_days": int, "clusters": tuple,
+    "seed": _integer, "n_days": _integer, "clusters": tuple,
     "background_skills": lambda v: tuple((str(n), _finite(p)) for n, p in v),
     "start_date": parse_date, "weekly_amplitude": _finite, "yearly_amplitude": _finite,
     "noise_level": _finite, "deterministic_counts": _boolean,

@@ -1,16 +1,16 @@
 """Independent brute-force evaluations used as oracles in the tests.
 
-Everything here works on plain job->skills dicts, ad lists or count
-vectors and deliberately avoids the package's data structures and solves:
-loops straight off the formula definitions, ``np.linalg.lstsq`` for the
-decomposition fit, and for ingest one :class:`JobAd` per record folded into
-plain lists one skill slot at a time.
+Everything here works on plain job->skills dicts, lists of records or
+count vectors and deliberately avoids the package's data structures and
+solves: loops straight off the formula definitions, ``np.linalg.lstsq`` for
+the decomposition fit, and for ingest each input record validated into a
+record of the interchange form (ISO date text, a ``skills`` list, only the
+numbers present), then folded into plain lists one skill slot at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import json
 import math
 import random
@@ -20,7 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from skillscope.corpus import JobAd, normalize_skill, parse_date
+from skillscope.corpus import normalize_skill, parse_date
+
+NUMBER_FIELDS = ("salary_min", "salary_max", "education_years", "experience_years")
 
 
 def brute_rca(jobs: dict[str, set[str]]) -> dict[tuple[str, str], float]:
@@ -61,28 +63,30 @@ def brute_theta(jobs: dict[str, set[str]]) -> dict[tuple[str, str], float]:
     return out
 
 
-def brute_eta(ads: list[JobAd], targets: set[str]) -> dict[str, float]:
+def brute_eta(records: list[dict], targets: set[str]) -> dict[str, float]:
     """Per-occupation intensity by direct double loop over ads and skills."""
     total: dict[str, int] = {}
     hit: dict[str, int] = {}
-    for ad in ads:
-        total[ad.occupation] = total.get(ad.occupation, 0)
-        hit[ad.occupation] = hit.get(ad.occupation, 0)
-        for s in ad.skills:
-            total[ad.occupation] += 1
+    for rec in records:
+        occupation = rec["occupation"]
+        total[occupation] = total.get(occupation, 0)
+        hit[occupation] = hit.get(occupation, 0)
+        for s in rec["skills"]:
+            total[occupation] += 1
             if s in targets:
-                hit[ad.occupation] += 1
+                hit[occupation] += 1
     return {occ: hit[occ] / total[occ] for occ in total}
 
 
-def brute_indicators(ads: list[JobAd]) -> dict[str, dict]:
+def brute_indicators(records: list[dict]) -> dict[str, dict]:
     """Per-year ad counts, median salary midpoint and mean education and
     experience, each over the year's ads that carry the value, in list
     order and summed left to right; None for a year where none does."""
-    def midpoint(ad):
-        if ad.salary_min is not None and ad.salary_max is not None:
-            return (ad.salary_min + ad.salary_max) / 2.0
-        return ad.salary_min if ad.salary_min is not None else ad.salary_max
+    def midpoint(rec):
+        low, high = rec.get("salary_min"), rec.get("salary_max")
+        if low is not None and high is not None:
+            return (low + high) / 2.0
+        return low if low is not None else high
 
     def mean(values):
         total = 0.0
@@ -90,16 +94,18 @@ def brute_indicators(ads: list[JobAd]) -> dict[str, dict]:
             total += v
         return total / len(values) if values else None
 
+    def year(rec):
+        return parse_date(rec["date"]).year
+
     out = {"counts": {}, "salary": {}, "education": {}, "experience": {}}
-    for year in sorted({ad.posted_date.year for ad in ads}):
-        in_year = [ad for ad in ads if ad.posted_date.year == year]
+    for y in sorted(set(map(year, records))):
+        in_year = [rec for rec in records if year(rec) == y]
         mids = [m for m in map(midpoint, in_year) if m is not None]
-        out["counts"][year] = len(in_year)
-        out["salary"][year] = statistics.median(mids) if mids else None
-        out["education"][year] = mean([ad.education_years for ad in in_year
-                                       if ad.education_years is not None])
-        out["experience"][year] = mean([ad.experience_years for ad in in_year
-                                        if ad.experience_years is not None])
+        out["counts"][y] = len(in_year)
+        out["salary"][y] = statistics.median(mids) if mids else None
+        for key, name in [("education", "education_years"),
+                          ("experience", "experience_years")]:
+            out[key][y] = mean([rec[name] for rec in in_year if rec.get(name) is not None])
     return out
 
 
@@ -153,14 +159,11 @@ def csr_rows(m) -> list[list[int]]:
     return [m.indices[lo:hi].tolist() for lo, hi in zip(m.indptr[:-1], m.indptr[1:])]
 
 
-def jobs_to_ads(jobs: dict[str, set[str]],
-                occupation: str = "generic",
-                date: dt.date = dt.date(2018, 6, 1)) -> list[JobAd]:
-    return [
-        JobAd(id=j, posted_date=date, occupation=occupation,
-              skills=tuple(sorted(skills)))
-        for j, skills in sorted(jobs.items())
-    ]
+def jobs_to_records(jobs: dict[str, set[str]], occupation: str = "generic",
+                    date: str = "2018-06-01") -> list[dict]:
+    """One input record per job, in job id order."""
+    return [{"id": j, "date": date, "occupation": occupation, "skills": sorted(skills)}
+            for j, skills in sorted(jobs.items())]
 
 
 def _parse_optional_float(value, field_name: str) -> Optional[float]:
@@ -182,10 +185,10 @@ def utf8_encodable(text: str) -> bool:
     return not any(0xD800 <= ord(c) <= 0xDFFF for c in text)
 
 
-def brute_record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
-    """Validate one raw record into a row, each check in turn; raises
-    ValueError with a short reason. ``normalized`` memoizes raw skill text ->
-    normalized name across calls."""
+def brute_record(rec, normalized: dict[str, str]) -> dict:
+    """Validate one raw record into the interchange form, each check in
+    turn; raises ValueError with a short reason. ``normalized`` memoizes raw
+    skill text -> normalized name across calls."""
     if not isinstance(rec, dict):
         raise ValueError("bad json")
     for key in ("id", "date", "occupation", "skills"):
@@ -230,15 +233,18 @@ def brute_record_to_ad(rec, normalized: dict[str, str]) -> JobAd:
         years[key] = _parse_optional_float(rec.get(key), key)
         if years[key] is not None and years[key] < 0:
             raise ValueError(f"negative {key}")
-    return JobAd(str(rec["id"]), posted, occupation, tuple(skills),
-                 salary_min, salary_max, **years)
+    out = {"id": str(rec["id"]), "date": posted.isoformat(), "occupation": occupation,
+           "skills": list(skills)}
+    numbers = {"salary_min": salary_min, "salary_max": salary_max, **years}
+    out.update((key, value) for key, value in numbers.items() if value is not None)
+    return out
 
 
 def brute_ingest(path, fmt: str) -> tuple[dict, dict]:
     """The corpus columns and the ingest report of a JSONL or CSV file.
 
-    Every record is validated into a :class:`JobAd` first; the accepted rows
-    are then folded into plain lists one skill slot at a time, interning
+    Every record is validated into the interchange form first; the accepted
+    ones are then folded into plain lists one skill slot at a time, interning
     skills and occupations in first-occurrence order. Returns the columns
     by ``Corpus`` attribute name and the report as ``accepted``,
     ``rejected`` and ``reasons``."""
@@ -254,32 +260,31 @@ def brute_ingest(path, fmt: str) -> tuple[dict, dict]:
                     except (json.JSONDecodeError, RecursionError):
                         records.append(None)
     normalized: dict[str, str] = {}
-    ads, reasons = [], Counter()
+    accepted, reasons = [], Counter()
     for rec in records:
         try:
-            ads.append(brute_record_to_ad(rec, normalized))
+            accepted.append(brute_record(rec, normalized))
         except ValueError as exc:
             reasons[str(exc)] += 1
 
-    number_fields = ("salary_min", "salary_max", "education_years", "experience_years")
     columns = {key: [] for key in ("ids", "ordinals", "years", "occupation_codes", "slots",
-                                   *number_fields)}
+                                   *NUMBER_FIELDS)}
     skill_ids: dict[str, int] = {}
     occupation_codes: dict[str, int] = {}
     columns.update(skill_ids=skill_ids, indptr=[0])
-    for ad in ads:
-        columns["ids"].append(ad.id)
-        columns["ordinals"].append(ad.posted_date.toordinal())
-        columns["years"].append(ad.posted_date.year)
+    for rec in accepted:
+        posted = parse_date(rec["date"])
+        columns["ids"].append(rec["id"])
+        columns["ordinals"].append(posted.toordinal())
+        columns["years"].append(posted.year)
         columns["occupation_codes"].append(
-            occupation_codes.setdefault(ad.occupation, len(occupation_codes)))
-        for s in ad.skills:
+            occupation_codes.setdefault(rec["occupation"], len(occupation_codes)))
+        for s in rec["skills"]:
             columns["slots"].append(skill_ids.setdefault(s, len(skill_ids)))
         columns["indptr"].append(len(columns["slots"]))
-        for key in number_fields:
-            value = getattr(ad, key)
-            columns[key].append(math.nan if value is None else value)
+        for key in NUMBER_FIELDS:
+            columns[key].append(rec.get(key, math.nan))
     columns["occupations"] = list(occupation_codes)
     columns["skill_names"] = list(columns["skill_ids"])
-    report = {"accepted": len(ads), "rejected": sum(reasons.values()), "reasons": dict(reasons)}
+    report = {"accepted": len(accepted), "rejected": sum(reasons.values()), "reasons": dict(reasons)}
     return columns, report

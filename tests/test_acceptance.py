@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skillscope.cli import main
-from skillscope.corpus import Corpus, JobAd, build_index
+from skillscope.corpus import build_index, ingest_records
 from skillscope.indicators import assemble_report
 from skillscope.occupations import compute_intensity, select_occupations
 from skillscope.similarity import compute_theta, expand_seeds
@@ -27,13 +27,13 @@ from skillscope.timeseries import (
     smape,
 )
 
-from oracles import brute_eta, brute_rca, brute_theta, csr_rows, jobs_to_ads, random_jobs
+from oracles import brute_eta, brute_rca, brute_theta, csr_rows, jobs_to_records, random_jobs
 
 START = dt.date(2012, 1, 1)
 
 
-def pipeline(ads):
-    corpus = Corpus(ads)
+def pipeline(records):
+    corpus, _ = ingest_records(records)
     index = build_index(corpus)
     eff = compute_effective_use(compute_rca(index))
     return corpus, index, compute_theta(eff)
@@ -46,11 +46,8 @@ def test_criterion_1_formula_oracles():
     checked = 0
     for trial in range(100):
         jobs = random_jobs(rng, max_ads=20, max_skills=10)
-        ads = [
-            JobAd(id=a.id, posted_date=a.posted_date,
-                  occupation=f"occ{i % 3}", skills=a.skills)
-            for i, a in enumerate(jobs_to_ads(jobs))
-        ]
+        ads = [{**a, "occupation": f"occ{i % 3}"}
+               for i, a in enumerate(jobs_to_records(jobs))]
         corpus, index, theta = pipeline(ads)
         rca = compute_rca(index)
 
@@ -80,12 +77,8 @@ def test_criterion_2_invariance_suite():
     rng = random.Random(77)
     for _ in range(25):
         jobs = random_jobs(rng)
-        ads = jobs_to_ads(jobs)
-        doubled = ads + [
-            JobAd(id=a.id + "-dup", posted_date=a.posted_date,
-                  occupation=a.occupation, skills=a.skills)
-            for a in ads
-        ]
+        ads = jobs_to_records(jobs)
+        doubled = ads + [{**a, "id": a["id"] + "-dup"} for a in ads]
         corpus, index, theta = pipeline(ads)
         corpus2, index2, theta2 = pipeline(doubled)
         rca, rca2 = compute_rca(index), compute_rca(index2)
@@ -183,7 +176,7 @@ def test_criterion_4_occupation_selection():
     for seed in range(20):
         ads, truth = generate(intensity_scenario(seed))
         targets = truth.clusters["planted"]
-        profiles = compute_intensity(Corpus(ads), targets)
+        profiles = compute_intensity(ingest_records(ads)[0], targets)
         etas = {p.occupation: p.eta for p in profiles}
         assert etas["Planted"] == pytest.approx(0.50, abs=0.02)
         for occ in ("Back1", "Back2", "Back3"):
@@ -269,7 +262,7 @@ def shortage_scenario(seed):
 
 def run_shortage_report(seed):
     ads, _ = generate(shortage_scenario(seed))
-    corpus = Corpus(ads)
+    corpus, _ = ingest_records(ads)
     start, end = corpus.span()
     groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
               for code, occ in enumerate(corpus.occupations)}

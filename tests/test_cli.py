@@ -1,9 +1,11 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from skillscope import corpus as corpus_mod
 from skillscope.cli import main
 
 # small end-to-end scenario: one high-intensity cluster, one background
@@ -98,6 +100,25 @@ class TestBacktestInputErrors:
                      "--out", str(tmp_path / "bt")]) == rc
         assert message in one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", [["backtest"], ["indicators"],
+                                         ["report", "--seed-skill", "ml"]])
+    def test_changepoints_above_train_days_exit_1_before_ingest(
+            self, corpus, tmp_path, capsys, monkeypatch, command):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(corpus_mod, "ingest", no_ingest)
+        tracemalloc.start()
+        try:
+            rc = main([*command, "--input", str(corpus), *BACKTEST_FLAGS,
+                       "--changepoints", str(10**8), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert "--changepoints 100000000 is above --train-days 60" in one_line_error(capsys)
+        assert peak < 10 * 2**20
+
     def test_unknown_occupation_exit_2_writes_no_file(self, corpus, tmp_path, capsys):
         out = tmp_path / "bt"
         assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS,
@@ -173,6 +194,18 @@ class TestInputFileErrors:
         assert err.startswith(f"usage error: cannot make --out directory {out}: ")
         assert existing.read_text() == "keep me\n"
 
+    @pytest.mark.parametrize("argv,blocked", [
+        (["skills", "--seed-skill", "ml"], "skills.json"),
+        (["ingest"], "provenance.json"),
+    ], ids=["skills-json", "provenance-json"])
+    def test_unwritable_output_file_exit_1_names_it(self, corpus, tmp_path, capsys, argv,
+                                                    blocked):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        assert main([*argv, "--input", str(corpus), "--out", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert err.startswith(f"file error: {out / blocked}: ") and "directory" in err
+
     def test_config_file_flag_without_file_exit_1(self, capsys):
         assert main(["report", "--config-file"]) == 1
         assert "needs a file name" in one_line_error(capsys)
@@ -185,7 +218,17 @@ class TestInputFileErrors:
 
     @pytest.mark.parametrize("config,message", [
         ([SCENARIO], "expected a JSON object"),
-        ({**SCENARIO, "n_days": "x"}, "invalid literal"),
+        ({**SCENARIO, "n_days": "x"}, "expected an integer, got 'x'"),
+        ({**SCENARIO, "n_days": "140"}, "expected an integer, got '140'"),
+        ({**SCENARIO, "n_days": 140.7}, "expected an integer, got 140.7"),
+        ({**SCENARIO, "seed": 5.9}, "expected an integer, got 5.9"),
+        ({**SCENARIO, "seed": True}, "expected an integer, got True"),
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0],
+                                    "growth_changepoints": [[30.9, 0.1]]}]},
+         "expected an integer, got 30.9"),
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0],
+                                    "growth_changepoints": [[-10**400, 0.1]]}]},
+         "invalid ClusterSpec.growth_changepoints for 'target': days must be >= 0"),
         ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "skills": 5}]},
          "expected a list of names"),
         ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "base_daily_rate": 1e300}]},
@@ -197,7 +240,9 @@ class TestInputFileErrors:
          "invalid ClusterSpec growth for 'target'"),
         ({**SCENARIO, "start_date": "2017-W01-1"}, "not a YYYY-MM-DD date: '2017-W01-1'"),
         ({**SCENARIO, "deterministic_counts": "false"}, "expected true or false, got 'false'"),
-    ], ids=["array", "n_days-not-a-number", "skills-not-a-list",
+    ], ids=["array", "n_days-not-a-number", "n_days-text", "n_days-fraction",
+            "seed-fraction", "seed-boolean", "changepoint-day-fraction",
+            "changepoint-day-negative", "skills-not-a-list",
             "rate-above-poisson-limit", "deterministic-rate-above-poisson-limit",
             "growth-below-minus-one", "start-date-iso-week", "deterministic-counts-text"])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, message):
@@ -463,6 +508,42 @@ class TestConfigFile:
     def test_config_file_given_with_equals(self, corpus, tmp_path, capsys):
         config = self.run_skills(corpus, tmp_path, "--config-file={cfg}")
         assert (config["cutoff"], config["per_seed_k"]) == (3, 10)
+
+    def test_explicit_seeds_file_beats_seed_skill_in_config_file(self, corpus, tmp_path,
+                                                                  capsys):
+        seeds = seeds_file(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed_skill": ["filing"]}))
+        out = tmp_path / "o"
+        assert main(["skills", "--input", str(corpus), "--seeds", str(seeds),
+                     "--config-file", str(cfg), "--out", str(out)]) == 0
+        with (out / "skills.csv").open(newline="") as fh:
+            assert next(csv.DictReader(fh))["skill"] == "ml"
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert provenance["config"]["seed_skill"] is None
+        assert str(seeds) in provenance["inputs"]
+
+    def test_explicit_default_categories_beat_category_map_in_config_file(
+            self, corpus, tmp_path, capsys):
+        mapping = tmp_path / "cm.csv"
+        mapping.write_text("Modeler,FromFile\nClerk,FromFile\n")
+        skills = tmp_path / "skills.csv"
+        skills.write_text("rank,skill,theta\n1,ml,1.0\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"category_map": str(mapping)}))
+        out = tmp_path / "o"
+        assert main(["occupations", "--input", str(corpus), "--skills", str(skills),
+                     "--default-categories", "--config-file", str(cfg),
+                     "--out", str(out)]) == 0
+        assert "FromFile" not in (out / "occupations.csv").read_text()
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert provenance["config"]["category_map"] is None
+        assert str(mapping) not in provenance["inputs"]
+
+    def test_seeds_file_and_seed_skill_together_exit_1(self, corpus, tmp_path, capsys):
+        assert main(["skills", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),
+                     "--seed-skill", "ml", "--out", str(tmp_path / "o")]) == 1
+        assert "--seed-skill: not allowed with argument --seeds" in one_line_error(capsys)
 
     @pytest.mark.parametrize("flags", [["--cut", "2"], ["--cut", "2", "--config-file", "{cfg}"]],
                              ids=["alone", "with-config-file"])

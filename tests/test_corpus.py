@@ -10,23 +10,25 @@ from skillscope import corpus as corpus_mod
 from skillscope.corpus import (
     _Columns,
     Corpus,
-    JobAd,
     build_index,
     ingest,
+    ingest_records,
     normalize_skill,
+    parse_date,
     write_jsonl,
 )
 from skillscope.errors import DataError
 from skillscope.occupations import compute_intensity
 
-from oracles import brute_eta, brute_record_to_ad, csr_rows, jobs_to_ads
+from oracles import brute_eta, brute_record, csr_rows, jobs_to_records
 
 
-def validate(rec) -> JobAd:
-    """The row ingest appends for ``rec``; its ValueError if it rejects it."""
+def validate(rec) -> dict:
+    """The record ingest gives back for ``rec``; its ValueError if it
+    rejects it."""
     columns = _Columns()
     columns.add_record(rec)
-    return next(Corpus(columns=columns).rows())
+    return next(Corpus(columns).rows())
 
 
 def write_lines(path, lines):
@@ -75,7 +77,7 @@ class TestIngest:
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(0, skills=["SQL", " sql "])])
         corpus, _ = ingest(f)
-        assert next(corpus.rows()).skills == ("sql",)
+        assert next(corpus.rows())["skills"] == ["sql"]
 
     def test_csv_roundtrip(self, tmp_path):
         f = tmp_path / "ads.csv"
@@ -87,9 +89,9 @@ class TestIngest:
         corpus, report = ingest(f, fmt="csv")
         ads = list(corpus.rows())
         assert report.accepted == 2
-        assert ads[0].skills == ("sql", "python")
-        assert (ads[0].salary_min, ads[0].salary_max) == (50000, 70000)
-        assert ads[1].salary_min is None
+        assert ads[0]["skills"] == ["sql", "python"]
+        assert (ads[0]["salary_min"], ads[0]["salary_max"]) == (50000, 70000)
+        assert ads[1].get("salary_min") is None
         assert math.isnan(corpus.salary_min[1])
 
     def test_salary_inversion_rejected(self, tmp_path):
@@ -257,7 +259,7 @@ class TestRecordValidation:
 
     def test_integer_id_and_occupation_kept_as_codes(self):
         ad = validate(json.loads(record(0, id=17, occupation=2512)))
-        assert (ad.id, ad.occupation) == ("17", "2512")
+        assert (ad["id"], ad["occupation"]) == ("17", "2512")
 
     @pytest.mark.parametrize("field", ["salary_min", "salary_max", "education_years",
                                        "experience_years"])
@@ -273,7 +275,7 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match="^bad date$"):
             validate(json.loads(record(0, date=date)))
         ad = validate(json.loads(record(0, date="2016-01-04")))
-        assert ad.posted_date == dt.date(2016, 1, 4)
+        assert parse_date(ad["date"]) == dt.date(2016, 1, 4)
 
     def test_non_object_lines_rejected(self, tmp_path):
         f = tmp_path / "ads.jsonl"
@@ -329,7 +331,7 @@ class TestRejectPrecedence:
         columns.add_record(json.loads(record(0)))
         with pytest.raises(ValueError, match="^bad skills$"):
             columns.add_record(json.loads(record(1, skills=["Rust", "SQL", 5])))
-        corpus = Corpus(columns=columns)
+        corpus = Corpus(columns)
         assert (corpus.ids, corpus.skill_names) == (["ad-0"], ["sql", "python"])
         assert corpus.slots.tolist() == [0, 1] and len(corpus.salary_min) == 1
 
@@ -365,21 +367,25 @@ class TestCorpusColumns:
             expected = []
             for line in lines:
                 try:
-                    expected.append(brute_record_to_ad(json.loads(line), {}))
+                    expected.append(brute_record(json.loads(line), {}))
                 except ValueError:
                     pass
             assert report.accepted == len(expected) == len(corpus)
             assert list(corpus.rows()) == expected
-            assert list(Corpus(expected).rows()) == expected
+            assert list(ingest_records(expected)[0].rows()) == expected
 
     def test_columns_hold_each_field(self):
-        ads = [
-            JobAd("a", dt.date(2016, 12, 31), "Dev", ("sql", "r"), salary_max=5.0),
-            JobAd("b", dt.date(2017, 1, 1), "QA", ("r",), 1.0, 2.0, 12.0, 0.0),
-            JobAd("c", dt.date(1969, 12, 31), "Dev", ("c", "sql")),
+        records = [
+            {"id": "a", "date": "2016-12-31", "occupation": "Dev", "skills": ["sql", "r"],
+             "salary_max": 5.0},
+            {"id": "b", "date": "2017-01-01", "occupation": "QA", "skills": ["r"],
+             "salary_min": 1.0, "salary_max": 2.0, "education_years": 12.0,
+             "experience_years": 0.0},
+            {"id": "c", "date": "1969-12-31", "occupation": "Dev", "skills": ["c", "sql"]},
         ]
-        corpus = Corpus(ads)
-        assert corpus.ordinals.tolist() == [a.posted_date.toordinal() for a in ads]
+        corpus, _ = ingest_records(records)
+        assert corpus.ordinals.tolist() == [parse_date(r["date"]).toordinal()
+                                            for r in records]
         assert corpus.years.tolist() == [2016, 2017, 1969]
         assert corpus.occupations == ["Dev", "QA"]
         assert corpus.occupation_codes.tolist() == [0, 1, 0]
@@ -392,7 +398,7 @@ class TestCorpusColumns:
         assert corpus.span() == (dt.date(1969, 12, 31), dt.date(2017, 1, 1))
 
     def test_empty_corpus_has_no_span(self):
-        corpus = Corpus([])
+        corpus, _ = ingest_records([])
         assert len(corpus) == 0 and list(corpus.rows()) == []
         with pytest.raises(DataError, match="no accepted ads"):
             corpus.span()
@@ -416,49 +422,44 @@ def worked_corpus():
 
 class TestIncidenceIndex:
     def test_worked_marginals(self):
-        corpus = Corpus(jobs_to_ads(worked_corpus()))
+        corpus, _ = ingest_records(jobs_to_records(worked_corpus()))
         index = build_index(corpus)
         assert len(index.indices) == 5
-        assert index.skill_job_counts[corpus.skill_ids["A"]] == 2
+        assert index.skill_job_counts[corpus.skill_ids["a"]] == 2
         assert len(index.indices) == int(np.diff(index.indptr).sum())
 
     def test_single_job_single_skill(self):
-        index = build_index(Corpus(jobs_to_ads({"J1": {"A"}})))
+        index = build_index(ingest_records(jobs_to_records({"J1": {"A"}}))[0])
         assert len(index.indices) == 1
 
     def test_empty_corpus_fatal(self):
         with pytest.raises(DataError, match="empty corpus"):
-            build_index(Corpus([]))
+            build_index(ingest_records([])[0])
 
     def test_reads_the_corpus_slots_in_place(self):
-        corpus = Corpus(jobs_to_ads(worked_corpus()))
+        corpus, _ = ingest_records(jobs_to_records(worked_corpus()))
         assert np.shares_memory(build_index(corpus).indices, corpus.slots)
 
     def test_grand_total_is_sum_of_skill_counts(self):
-        ads = jobs_to_ads({"J1": {"A", "B", "C"}, "J2": {"B"}})
-        index = build_index(Corpus(ads))
-        assert len(index.indices) == sum(len(a.skills) for a in ads)
+        records = jobs_to_records({"J1": {"A", "B", "C"}, "J2": {"B"}})
+        index = build_index(ingest_records(records)[0])
+        assert len(index.indices) == sum(len(r["skills"]) for r in records)
 
     def test_duplicating_ads_doubles_marginals(self):
-        ads = jobs_to_ads(worked_corpus())
-        doubled = ads + [
-            JobAd(id=a.id + "-copy", posted_date=a.posted_date,
-                  occupation=a.occupation, skills=a.skills)
-            for a in ads
-        ]
-        i1 = build_index(Corpus(ads))
-        i2 = build_index(Corpus(doubled))
+        records = jobs_to_records(worked_corpus())
+        doubled = records + [{**r, "id": r["id"] + "-copy"} for r in records]
+        i1 = build_index(ingest_records(records)[0])
+        i2 = build_index(ingest_records(doubled)[0])
         assert len(i2.indices) == 2 * len(i1.indices)
         assert (i2.skill_job_counts == 2 * i1.skill_job_counts).all()
 
 
 def test_jsonl_writer_roundtrips(tmp_path):
-    ads = [
-        JobAd(id="x", posted_date=dt.date(2019, 2, 3), occupation="Dev",
-              skills=("python",), salary_min=1.0, salary_max=2.0,
-              education_years=16, experience_years=3),
+    records = [
+        {"id": "x", "date": "2019-02-03", "occupation": "Dev", "skills": ["python"],
+         "salary_min": 1.0, "salary_max": 2.0, "education_years": 16, "experience_years": 3},
     ]
     path = tmp_path / "out.jsonl"
-    write_jsonl(ads, path)
+    write_jsonl(records, path)
     back, _ = ingest(path)
-    assert list(back.rows()) == ads
+    assert list(back.rows()) == records

@@ -4,17 +4,20 @@ The ``tests/test_cli.py`` scenario runs every subcommand that reads a
 corpus: ``ingest``, ``skills``, ``occupations`` on a ``skills.csv`` with
 mixed-case names, ``backtest --occupation Modeler --holidays``, ``report``
 plain, with ``--holidays`` and with ``--default-categories``, and
-``indicators`` with ``--holidays`` (two groups plus the market). SMAPE
-values (``boxplot.csv``, ``median_smape`` in ``report.json`` and the scores
-and summary of ``backtest.json``) are compared at 1e-9 abs, because a
-change in how the backtest solves may move them at the ulp level. So are
+``indicators`` with ``--holidays`` (two groups plus the market). Plain
+``report`` runs once more on the scenario started on 2016-10-01, so that its
+ads span a New Year and the report has posting growth. SMAPE values
+(``boxplot.csv``, ``median_smape`` in ``report.json`` and the scores and
+summary of ``backtest.json``) are compared at 1e-9 abs, because a change in
+how the backtest solves may move them at the ulp level. So are
 the ``trend`` values of ``trend_lines.csv``: they come from a pinv and a
 matrix product, whose last digits follow the CPU's BLAS kernel. The other
 columns of those files, and every other file except ``provenance.json``,
 are compared byte for byte.
 
 The expected files change only with a change that means to change outputs.
-Regenerate them from the current tree with ``python tests/test_golden.py``.
+Regenerate them from the current tree with ``python tests/test_golden.py``,
+or only those of some cases with ``python tests/test_golden.py CASE ...``.
 """
 
 import csv
@@ -43,18 +46,22 @@ CASES = {
     "report-holidays": [*REPORT, "--holidays", "{holidays}"],
     "report-default-categories": [*REPORT, "--default-categories"],
     "indicators-holidays": ["indicators", "--holidays", "{holidays}", *BACKTEST_FLAGS],
+    "report-new-year": REPORT,
 }
+# Cases run on the scenario started elsewhere in the year.
+START_DATES = {"report-new-year": "2016-10-01"}
 SMAPE_ABS = 1e-9
 
 
 def run_case(name: str, root: Path) -> Path:
-    """Synthesize the scenario under ``root`` and run case ``name`` into
-    ``root/name``; returns that output directory."""
-    corpus = root / "synth" / "corpus.jsonl"
+    """Synthesize the case's scenario under ``root`` and run case ``name``
+    into ``root/name``; returns that output directory."""
+    start = START_DATES.get(name, SCENARIO["start_date"])
+    corpus = root / f"synth-{start}" / "corpus.jsonl"
     if not corpus.is_file():
-        cfg = root / "scenario.json"
-        cfg.write_text(json.dumps(SCENARIO))
-        assert main(["synth", "--config", str(cfg), "--out", str(root / "synth")]) == 0
+        cfg = root / f"scenario-{start}.json"
+        cfg.write_text(json.dumps({**SCENARIO, "start_date": start}))
+        assert main(["synth", "--config", str(cfg), "--out", str(corpus.parent)]) == 0
         (root / "holidays.txt").write_text(HOLIDAYS)
         (root / "skills.csv").write_text(SKILLS_CSV)
     argv = [a.format(holidays=root / "holidays.txt", skills=root / "skills.csv")
@@ -107,8 +114,12 @@ if __name__ == "__main__":
     import shutil
     import tempfile
 
+    unknown = set(sys.argv[1:]) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(sorted(unknown))}; "
+                 f"cases: {', '.join(CASES)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
+        for name in sys.argv[1:] or CASES:
             out = run_case(name, Path(tmp))
             (out / "provenance.json").unlink()
             shutil.rmtree(GOLDEN / name, ignore_errors=True)

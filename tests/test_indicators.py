@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import datetime as dt
 import io
 import json
@@ -10,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from skillscope.corpus import Corpus, JobAd
+from skillscope.corpus import ingest_records
 from skillscope.errors import DataError
 from skillscope.indicators import (
     assemble_report,
@@ -25,8 +24,8 @@ from oracles import brute_indicators
 
 
 def ad(i, year, occupation="Dev", skills=("x",), **fields):
-    return JobAd(id=f"a{i}", posted_date=dt.date(year, 6, 15),
-                 occupation=occupation, skills=tuple(skills), **fields)
+    return {"id": f"a{i}", "date": f"{year}-06-15", "occupation": occupation,
+            "skills": list(skills), **fields}
 
 
 def backtest_of(label, scores=(1.0,)):
@@ -35,7 +34,8 @@ def backtest_of(label, scores=(1.0,)):
 
 
 def indicators_of(ads):
-    return compute_indicators("g", Corpus(ads), np.arange(len(ads)), backtest_of("g"))
+    return compute_indicators("g", ingest_records(ads)[0], np.arange(len(ads)),
+                              backtest_of("g"))
 
 
 class TestPostingGrowth:
@@ -66,8 +66,8 @@ class TestPostingGrowth:
             clusters=(ClusterSpec(name="g", skills=("s",), occupations=("o",),
                                   base_daily_rate=200.0, annual_growth=0.28),),
         )
-        ads, _ = generate(config)
-        counts = yearly_counts(Corpus(ads).years)
+        records, _ = generate(config)
+        counts = yearly_counts(ingest_records(records)[0].years)
         full_years = {y: c for y, c in counts.items() if y < 2017}  # 2017 partial
         _, mean = posting_growth(full_years)
         assert mean == pytest.approx(0.28, abs=0.03)
@@ -110,7 +110,7 @@ class TestPerYearAggregates:
                 == indicators_of(list(reversed(ads))).education_by_year)
 
 
-def random_ads(rng: random.Random) -> list[JobAd]:
+def random_ads(rng: random.Random) -> list[dict]:
     """Ads over a few years with every optional field sometimes missing;
     some years have no salaried ad."""
     years = rng.sample(range(2010, 2020), rng.randint(1, 4))
@@ -121,13 +121,14 @@ def random_ads(rng: random.Random) -> list[JobAd]:
         low = rng.uniform(1e4, 2e5) if year not in unsalaried and rng.random() < 0.7 else None
         high = (low or 1e4) + rng.uniform(0, 5e4) if year not in unsalaried \
             and rng.random() < 0.7 else None
-        ads.append(JobAd(
-            id=f"a{i}", posted_date=dt.date(year, rng.randint(1, 12), rng.randint(1, 28)),
-            occupation=f"occ{rng.randint(0, 2)}", skills=("x",),
+        numbers = dict(
             salary_min=low, salary_max=high,
             education_years=rng.uniform(8, 22) if rng.random() < 0.6 else None,
             experience_years=rng.uniform(0, 15) if rng.random() < 0.6 else None,
-        ))
+        )
+        ads.append(ad(i, year, occupation=f"occ{rng.randint(0, 2)}",
+                      date=f"{year}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
+                      **{k: v for k, v in numbers.items() if v is not None}))
     return ads
 
 
@@ -138,9 +139,9 @@ def test_yearly_figures_equal_brute_force_exactly():
     seen_unsalaried_year = False
     for _ in range(200):
         ads = random_ads(rng)
-        corpus = Corpus(ads)
+        corpus, _ = ingest_records(ads)
         groups = [(ads, np.arange(len(ads)))] + [
-            ([a for a in ads if a.occupation == occ],
+            ([a for a in ads if a["occupation"] == occ],
              np.flatnonzero(corpus.occupation_codes == code))
             for code, occ in enumerate(corpus.occupations)]
         for group_ads, rows in groups:
@@ -182,7 +183,7 @@ class TestAssembleReport:
         )
 
     def assemble(self, ads):
-        corpus = Corpus(ads)
+        corpus, _ = ingest_records(ads)
         groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
                   for code, occ in enumerate(corpus.occupations)}
         backtests, market_bt = self.backtests()
@@ -203,7 +204,8 @@ class TestAssembleReport:
     def test_partial_year_flagging(self):
         def spanning(first, last):  # the first and last ads fall on these dates
             return shortage_corpus() + [
-                JobAd(id=f"edge{i}", posted_date=date, occupation="Cold", skills=("x",))
+                {"id": f"edge{i}", "date": date.isoformat(), "occupation": "Cold",
+                 "skills": ["x"]}
                 for i, date in enumerate((first, last))]
 
         full_start, full_end = dt.date(2016, 1, 1), dt.date(2018, 12, 31)
@@ -219,10 +221,10 @@ class TestAssembleReport:
     def test_yearly_figure_that_is_not_finite_is_a_data_error(self, n, numbers, message):
         ads = shortage_corpus()
         hot = [i for i, a in enumerate(ads)
-               if a.occupation == "Hot" and a.posted_date.year == 2017]
+               if a["occupation"] == "Hot" and a["date"].startswith("2017-")]
         assert len(hot) == 20
         for i in hot[:n]:
-            ads[i] = dataclasses.replace(ads[i], **numbers)
+            ads[i] = {**ads[i], **numbers}
         with pytest.raises(DataError, match=re.escape(message)):
             self.assemble(ads)
 
@@ -251,7 +253,7 @@ class TestAssembleReport:
 
 def test_compute_indicators_fields():
     ads = shortage_corpus()
-    ind = compute_indicators("all", Corpus(ads), np.arange(len(ads)),
+    ind = compute_indicators("all", ingest_records(ads)[0], np.arange(len(ads)),
                              backtest_of("all", [3.0, 1.0, 2.0]))
     assert ind.counts_by_year == {2016: 60, 2017: 70, 2018: 90}
     assert ind.median_smape == 2.0
@@ -265,8 +267,8 @@ def test_trend_lines_quote_labels_as_csv_writer_does(tmp_path, capsys):
 
     label = 'Ré, "Chef"'
     start = dt.date(2017, 12, 1)
-    ads = [JobAd(id=f"a{i}", posted_date=start + dt.timedelta(days=i // 3),
-                 occupation=(label, "Dev")[i % 2], skills=("x",)) for i in range(270)]
+    ads = [{"id": f"a{i}", "date": (start + dt.timedelta(days=i // 3)).isoformat(),
+            "occupation": (label, "Dev")[i % 2], "skills": ["x"]} for i in range(270)]
     write_jsonl(ads, tmp_path / "ads.jsonl")
     out = tmp_path / "out"
     assert main(["indicators", "--input", str(tmp_path / "ads.jsonl"), "--out", str(out),

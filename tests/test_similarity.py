@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skillscope.corpus import Corpus, JobAd, build_index, normalize_skill
+from skillscope.corpus import build_index, ingest_records, normalize_skill
 from skillscope.errors import DataError
 from skillscope.similarity import (
     SkillScore,
@@ -16,11 +16,11 @@ from skillscope.similarity import (
 )
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 
-from oracles import brute_theta, csr_rows, jobs_to_ads, random_jobs
+from oracles import brute_theta, csr_rows, jobs_to_records, random_jobs
 
 
 def theta_from_jobs(jobs):
-    corpus = Corpus(jobs_to_ads(jobs))
+    corpus, _ = ingest_records(jobs_to_records(jobs))
     eff = compute_effective_use(compute_rca(build_index(corpus)))
     return compute_theta(eff), corpus
 
@@ -31,18 +31,18 @@ WORKED = {"J1": {"A", "B"}, "J2": {"A"}, "J3": {"B", "C"}}
 class TestTheta:
     def test_worked_value(self):
         theta, corpus = theta_from_jobs(WORKED)
-        assert theta.value(corpus.skill_ids["A"], corpus.skill_ids["B"]) == \
+        assert theta.value(corpus.skill_ids["a"], corpus.skill_ids["b"]) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_cooccurrence_is_one(self):
         # P and Q always together, never with others; distinct other ads
         jobs = {"J1": {"P", "Q"}, "J2": {"P", "Q"}, "J3": {"X"}, "J4": {"X", "Y"}}
         theta, corpus = theta_from_jobs(jobs)
-        assert theta.value(corpus.skill_ids["P"], corpus.skill_ids["Q"]) == 1.0
+        assert theta.value(corpus.skill_ids["p"], corpus.skill_ids["q"]) == 1.0
 
     def test_never_coeffective_is_zero(self):
         theta, corpus = theta_from_jobs(WORKED)
-        assert theta.value(corpus.skill_ids["A"], corpus.skill_ids["C"]) == 0.0
+        assert theta.value(corpus.skill_ids["a"], corpus.skill_ids["c"]) == 0.0
 
     def test_symmetry_and_range(self):
         rng = random.Random(5)
@@ -63,14 +63,11 @@ class TestTheta:
                 assert v == pytest.approx(want, rel=1e-12)
 
     def test_duplication_invariance(self):
-        ads = jobs_to_ads(WORKED)
-        doubled = ads + [
-            JobAd(id=a.id + "d", posted_date=a.posted_date,
-                  occupation=a.occupation, skills=a.skills)
-            for a in ads
-        ]
-        t1 = compute_theta(compute_effective_use(compute_rca(build_index(Corpus(ads)))))
-        t2 = compute_theta(compute_effective_use(compute_rca(build_index(Corpus(doubled)))))
+        records = jobs_to_records(WORKED)
+        doubled = records + [{**r, "id": r["id"] + "d"} for r in records]
+        t1, _ = theta_from_jobs(WORKED)
+        t2 = compute_theta(compute_effective_use(compute_rca(build_index(
+            ingest_records(doubled)[0]))))
         for a, b, v in t1.pairs():
             assert t2.value(a, b) == pytest.approx(v, rel=1e-12)
 
@@ -101,7 +98,8 @@ def dict_pair_theta(eff):
 
 class TestPairCodes:
     def effective_use(self, jobs):
-        return compute_effective_use(compute_rca(build_index(Corpus(jobs_to_ads(jobs)))))
+        return compute_effective_use(compute_rca(build_index(
+            ingest_records(jobs_to_records(jobs))[0])))
 
     def test_equals_dict_pair_loop_exactly(self):
         rng = random.Random(77)
@@ -150,7 +148,8 @@ def flip_rows(corpus):
 def test_skill_order_within_ads_changes_nothing():
     rng = random.Random(19)
     for _ in range(40):
-        corpus = Corpus(jobs_to_ads(random_jobs(rng, max_ads=30, max_skills=12)))
+        corpus, _ = ingest_records(jobs_to_records(random_jobs(rng, max_ads=30,
+                                                               max_skills=12)))
         views = []
         for c in (corpus, flip_rows(corpus)):
             rca = compute_rca(build_index(c))

@@ -1,16 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
-from skillscope.corpus import Corpus, IncidenceIndex, JobAd, build_index
+from skillscope.corpus import IncidenceIndex, build_index, ingest_records
 from skillscope.errors import DataError, InvariantError
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 
-from oracles import brute_effective, brute_rca, csr_rows, jobs_to_ads, random_jobs
+from oracles import brute_effective, brute_rca, csr_rows, jobs_to_records, random_jobs
 
 
 def make_index(jobs):
-    corpus = Corpus(jobs_to_ads(jobs))
+    corpus, _ = ingest_records(jobs_to_records(jobs))
     return build_index(corpus), corpus
 
 
@@ -26,18 +27,18 @@ class TestRca:
     def test_worked_values(self):
         index, corpus = make_index(WORKED)
         rca = compute_rca(index)
-        assert rca_value(rca, corpus, "J1", "A") == pytest.approx(1.25, abs=1e-12)
-        assert rca_value(rca, corpus, "J2", "A") == pytest.approx(2.5, abs=1e-12)
+        assert rca_value(rca, corpus, "J1", "a") == pytest.approx(1.25, abs=1e-12)
+        assert rca_value(rca, corpus, "J2", "a") == pytest.approx(2.5, abs=1e-12)
 
     def test_single_job_single_skill_is_one(self):
         index, corpus = make_index({"J1": {"A"}})
         rca = compute_rca(index)
-        assert rca_value(rca, corpus, "J1", "A") == 1.0
+        assert rca_value(rca, corpus, "J1", "a") == 1.0
 
     def test_absent_entry_reads_zero(self):
         index, corpus = make_index(WORKED)
         rca = compute_rca(index)
-        assert rca_value(rca, corpus, "J2", "B") == 0.0
+        assert rca_value(rca, corpus, "J2", "b") == 0.0
 
     def test_stored_entries_positive(self):
         index, _ = make_index(WORKED)
@@ -46,13 +47,9 @@ class TestRca:
                    for s in row)
 
     def test_duplication_invariance(self):
-        ads = jobs_to_ads(WORKED)
-        doubled = ads + [
-            JobAd(id=a.id + "d", posted_date=a.posted_date,
-                  occupation=a.occupation, skills=a.skills)
-            for a in ads
-        ]
-        c1, c2 = Corpus(ads), Corpus(doubled)
+        records = jobs_to_records(WORKED)
+        doubled = records + [{**r, "id": r["id"] + "d"} for r in records]
+        (c1, _), (c2, _) = ingest_records(records), ingest_records(doubled)
         r1, r2 = compute_rca(build_index(c1)), compute_rca(build_index(c2))
         for pos, (job_id, row) in enumerate(zip(c1.ids, csr_rows(r1.index))):
             pos2 = c2.ids.index(job_id)
@@ -62,17 +59,17 @@ class TestRca:
     def test_job_positions_index_like_a_sequence(self):
         index, corpus = make_index(WORKED)
         rca = compute_rca(index)
-        a = corpus.skill_ids["A"]
+        a = corpus.skill_ids["a"]
         assert rca.value(-3, a) == rca.value(0, a) == pytest.approx(1.25, abs=1e-12)
         for pos in (3, -4):
             with pytest.raises(IndexError):
                 rca.value(pos, a)
 
     def test_ad_without_skills_is_an_invariant_error(self):
-        ads = jobs_to_ads(WORKED)
-        ads.append(JobAd(id="J4", posted_date=ads[0].posted_date, occupation="O", skills=()))
+        index, _ = make_index(WORKED)  # ingest rejects an ad without skills
+        indptr = np.append(index.indptr, index.indptr[-1])
         with pytest.raises(InvariantError, match="at least one skill"):
-            compute_rca(build_index(Corpus(ads)))
+            compute_rca(IncidenceIndex(index.skill_ids, indptr, index.indices))
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = random.Random(1234)
@@ -90,27 +87,27 @@ class TestEffectiveUse:
         index, corpus = make_index(WORKED)
         eff = compute_effective_use(compute_rca(index))
         pos = corpus.ids.index("J1")
-        assert corpus.skill_ids["A"] in csr_rows(eff)[pos]
+        assert corpus.skill_ids["a"] in csr_rows(eff)[pos]
 
     def test_exactly_one_is_not_effective(self):
         index, corpus = make_index({"J1": {"A"}})
         eff = compute_effective_use(compute_rca(index))
-        assert corpus.skill_ids["A"] not in csr_rows(eff)[0]
+        assert corpus.skill_ids["a"] not in csr_rows(eff)[0]
 
     def test_boundary_just_above_one_is_effective(self):
         # N = 5, n_j = 2, c_s = 2: the ratio is 5/4, c_s == (N - 1) // n_j
         index, corpus = make_index({"J1": {"A", "B"}, "J2": {"A"}, "J3": {"C", "D"}})
-        assert (len(index.indices), index.skill_job_counts[corpus.skill_ids["A"]]) == (5, 2)
-        assert compute_rca(index).value(0, corpus.skill_ids["A"]) == 1.25
+        assert (len(index.indices), index.skill_job_counts[corpus.skill_ids["a"]]) == (5, 2)
+        assert compute_rca(index).value(0, corpus.skill_ids["a"]) == 1.25
         eff = compute_effective_use(compute_rca(index))
-        assert corpus.skill_ids["A"] in csr_rows(eff)[0]
-        assert corpus.skill_ids["B"] in csr_rows(eff)[0]  # 5/2
+        assert corpus.skill_ids["a"] in csr_rows(eff)[0]
+        assert corpus.skill_ids["b"] in csr_rows(eff)[0]  # 5/2
 
     def test_absent_incidence_not_effective(self):
         index, corpus = make_index(WORKED)
         eff = compute_effective_use(compute_rca(index))
         pos = corpus.ids.index("J2")
-        assert corpus.skill_ids["C"] not in csr_rows(eff)[pos]
+        assert corpus.skill_ids["c"] not in csr_rows(eff)[pos]
 
     def test_is_an_incidence_index_like_the_incidence(self):
         index, _ = make_index(WORKED)
@@ -143,4 +140,4 @@ class TestEffectiveUse:
 
 def test_empty_corpus_fatal():
     with pytest.raises(DataError):
-        build_index(Corpus([]))
+        build_index(ingest_records([])[0])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from skillscope.corpus import Corpus, build_index, ingest
+from skillscope.corpus import build_index, ingest, ingest_records
 from skillscope.errors import DataError
 from skillscope.similarity import compute_theta
 from skillscope.skillmetrics import compute_effective_use, compute_rca
@@ -52,7 +52,7 @@ class TestDeterminism:
         ads, _ = generate(config)
         per_day = {}
         for ad in ads:
-            per_day[ad.posted_date] = per_day.get(ad.posted_date, 0) + 1
+            per_day[ad["date"]] = per_day.get(ad["date"], 0) + 1
         assert set(per_day.values()) == {7}
         assert len(per_day) == 30
 
@@ -61,7 +61,7 @@ class TestPlantedStructure:
     def test_perfect_cluster_reaches_theta_one(self):
         config = basic_config()
         ads, truth = generate(config)
-        corpus = Corpus(ads)
+        corpus, _ = ingest_records(ads)
         eff = compute_effective_use(compute_rca(build_index(corpus)))
         theta = compute_theta(eff)
         p, q = corpus.skill_ids["p"], corpus.skill_ids["q"]
@@ -71,8 +71,8 @@ class TestPlantedStructure:
     def test_cohesion_controls_cooccurrence(self):
         config = basic_config(n_days=60)
         ads, _ = generate(config)
-        bg_ads = [a for a in ads if a.occupation == "Back"]
-        rate = sum("x" in a.skills for a in bg_ads) / len(bg_ads)
+        bg_ads = [a for a in ads if a["occupation"] == "Back"]
+        rate = sum("x" in a["skills"] for a in bg_ads) / len(bg_ads)
         assert rate == pytest.approx(0.7, abs=0.08)
 
     def test_background_ubiquity_observed(self):
@@ -81,8 +81,8 @@ class TestPlantedStructure:
             background_skills=(("common", 0.5), ("rare", 0.05)),
         )
         ads, truth = generate(config)
-        common = sum("common" in a.skills for a in ads) / len(ads)
-        rare = sum("rare" in a.skills for a in ads) / len(ads)
+        common = sum("common" in a["skills"] for a in ads) / len(ads)
+        rare = sum("rare" in a["skills"] for a in ads) / len(ads)
         assert common == pytest.approx(0.5, abs=0.07)
         assert rare == pytest.approx(0.05, abs=0.04)
         assert truth.background_skills == ["common", "rare"]
@@ -95,7 +95,7 @@ class TestPlantedStructure:
             deterministic_counts=True,
         )
         ads, _ = generate(config)
-        year1 = sum(a.posted_date.year == config.start_date.year for a in ads)
+        year1 = sum(a["date"][:4] == str(config.start_date.year) for a in ads)
         year2 = len(ads) - year1
         assert year2 / year1 == pytest.approx(1.5, rel=0.05)
 
@@ -107,9 +107,9 @@ class TestPlantedStructure:
         ))
         ads, _ = generate(config)
         ad = ads[0]
-        assert (ad.salary_min + ad.salary_max) / 2 == pytest.approx(100_000.0)
-        assert ad.education_years == 16.0
-        assert ad.experience_years == 3.0
+        assert (ad["salary_min"] + ad["salary_max"]) / 2 == pytest.approx(100_000.0)
+        assert ad["education_years"] == 16.0
+        assert ad["experience_years"] == 3.0
 
     def test_experience_trend_applies(self):
         config = basic_config(
@@ -120,8 +120,9 @@ class TestPlantedStructure:
         )
         ads, _ = generate(config)
         first, last = ads[0], ads[-1]
-        assert last.experience_years < first.experience_years
-        assert first.experience_years - last.experience_years == pytest.approx(1.0, abs=0.05)
+        assert last["experience_years"] < first["experience_years"]
+        assert first["experience_years"] - last["experience_years"] == pytest.approx(
+            1.0, abs=0.05)
 
 
 class TestValidation:

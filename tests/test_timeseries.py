@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from skillscope.corpus import Corpus
+from skillscope.corpus import ingest_records
 from skillscope.errors import DataError
 from skillscope.timeseries import (
     BacktestReport,
@@ -108,8 +108,8 @@ class TestAggregateDaily:
             clusters=(ClusterSpec(name="c", skills=("s",), occupations=("o",),
                                   base_daily_rate=7.0),),
         )
-        ads, _ = generate(config)
-        s = aggregate_daily(Corpus(ads).ordinals, config.start_date,
+        records, _ = generate(config)
+        s = aggregate_daily(ingest_records(records)[0].ordinals, config.start_date,
                             config.start_date + dt.timedelta(days=9))
         assert s.counts.tolist() == [7.0] * 10
 
