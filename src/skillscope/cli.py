@@ -399,7 +399,8 @@ _EITHER_OR = {"--seeds": "--seed-skill", "--seed-skill": "--seeds",
 def apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config-file FILE`` (or ``--config-file=FILE``) into flags;
     explicit CLI flags win, as ``--flag value`` or ``--flag=value``, and an
-    explicit flag of an either/or pair also wins over the other one."""
+    explicit flag of an either/or pair also wins over the other one. A
+    ``null`` value, like ``false``, leaves its flag unset."""
     flags = [arg.split("=", 1)[0] for arg in argv]
     if "--config-file" not in flags:
         return argv
@@ -413,11 +414,10 @@ def apply_config_file(argv: list[str]) -> list[str]:
     injected: list[str] = []
     for key, value in raw.items():
         flag = "--" + key.replace("_", "-")
-        if flag in flags or _EITHER_OR.get(flag) in flags:
+        if value is None or value is False or flag in flags or _EITHER_OR.get(flag) in flags:
             continue
-        if isinstance(value, bool):
-            if value:
-                injected.append(flag)
+        if value is True:
+            injected.append(flag)
         elif isinstance(value, list):
             for v in value:
                 injected.extend([flag, str(v)])

@@ -51,10 +51,9 @@ def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Op
     """Year-on-year growth per year (count_y / count_{y-1} - 1) and its mean.
 
     Growth is defined only where the previous calendar year has a positive
-    count; undefined years are excluded from the mean."""
+    count; undefined years are excluded from the mean, which is None when no
+    year has growth (as with fewer than two years of counts)."""
     years = sorted(counts_by_year)
-    if len(years) < 2:
-        raise DataError("posting growth needs at least two years of counts")
     growth: dict[int, float] = {}
     for prev, year in zip(years, years[1:]):
         if year - prev == 1 and counts_by_year[prev] > 0:
@@ -101,10 +100,7 @@ def compute_indicators(label: str, corpus: Corpus, rows: np.ndarray,
     with np.errstate(over="ignore"):  # an infinite midpoint is reported by assemble_report
         mids = np.where(np.isnan(high), low, np.where(np.isnan(low), high, (low + high) / 2.0))
     counts = yearly_counts(years)
-    if len(counts) >= 2:
-        growth, mean_growth = posting_growth(counts)
-    else:
-        growth, mean_growth = {}, None
+    growth, mean_growth = posting_growth(counts)
     return ShortageIndicators(
         label=label,
         counts_by_year=counts,

@@ -4,18 +4,21 @@ sliding-window backtest.
 The decomposition y(t) = g(t) + s(t) + h(t) + eps_t is fit as one linear
 regression: a continuous piecewise-linear trend over evenly spaced
 changepoints, weekly (order 3) and yearly (order 10) Fourier seasonality,
-and one indicator column per holiday date. The changepoint slope deltas
-carry a ridge penalty; everything else is unpenalized. Every fit is one
-deterministic solve: the pseudo-inverse of the ridge-augmented design, at
-the cutoff of ``lstsq(rcond=None)``, times the counts of all series of a
-run, which share one span and so one design. ``fit`` solves the full span.
+and one indicator column per holiday date. ``_columns`` alone builds that
+design, at any day offsets, and a model is one coefficient vector in its
+column order. The changepoint slope deltas carry a ridge penalty;
+everything else is unpenalized. Every fit is one deterministic solve: the
+pseudo-inverse of the ridge-augmented design, at the cutoff of
+``lstsq(rcond=None)``, times the counts of all series of a run, which share
+one span and so one design. ``fit`` solves the full span.
 
 The sliding-window backtest solves every window along one path. It builds
-the trend and seasonality columns once. A window adds one indicator column
-per holiday inside its training days and is re-factored only when that set
-of in-window holiday days, counted from the window's first day, differs
-from the previous window's; without holidays every window shares one
-pseudo-inverse. Every series is scored in one SMAPE step per window.
+the test days' columns once. A window's training design has one indicator
+column per holiday inside its training days, and is built and re-factored
+only when that set of in-window holiday days, counted from the window's
+first day, differs from the previous window's; without holidays every
+window shares one pseudo-inverse. Every series is scored in one SMAPE step
+per window.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import datetime as dt
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,89 +98,66 @@ def _fourier_block(t: np.ndarray, period: float, order: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _trend_columns(t: np.ndarray, changepoints: np.ndarray) -> np.ndarray:
+    """Ones, the day offset and one hinge ``max(0, t - c)`` per changepoint
+    ``c``, at day offsets ``t``: the first columns of ``_columns``."""
+    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    return np.hstack([np.ones_like(t), t, np.maximum(0.0, t - changepoints)])
+
+
+def _columns(t: np.ndarray, changepoints: np.ndarray, use_yearly: bool,
+             holidays: Sequence[int] = ()) -> np.ndarray:
+    """The design at day offsets ``t``, one column per coefficient in order:
+    the trend columns, weekly and, when ``use_yearly`` is set, yearly
+    Fourier terms, and one indicator ``t == offset`` per holiday day offset."""
+    t = np.asarray(t, dtype=np.float64)
+    blocks = [_trend_columns(t, changepoints), _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER)]
+    if use_yearly:
+        blocks.append(_fourier_block(t, YEAR_PERIOD, YEARLY_ORDER))
+    blocks.append(t.reshape(-1, 1) == np.asarray(holidays, dtype=np.float64))
+    return np.hstack(blocks)
+
+
+def _layout(n: int, config: FitConfig) -> tuple[np.ndarray, bool]:
+    """The changepoint offsets of a fit on days ``0..n-1``, evenly spaced
+    over the first 80% of them, and whether yearly seasonality is on (from
+    two yearly periods of data). Fits shorter than two weeks are rejected."""
+    if n < MIN_FIT_DAYS:
+        raise DataError(f"series of {n} days is shorter than two weeks; cannot fit")
+    cp_limit = CHANGEPOINT_RANGE * (n - 1)
+    n_cp = max(0, int(config.n_changepoints))
+    return np.linspace(cp_limit / (n_cp + 1), cp_limit, n_cp), n >= 2 * YEAR_PERIOD
+
+
 @dataclass
 class DecompositionModel:
+    """A fit on days ``0..train_len-1`` counted from ``start``: ``coef``
+    holds one coefficient per ``_columns`` column, in that order."""
+
     start: dt.date
     train_len: int
     changepoints: np.ndarray        # day offsets within the training span
-    offset: float
-    base_slope: float
-    deltas: np.ndarray              # per-changepoint slope changes
-    weekly_coef: np.ndarray
-    yearly_coef: Optional[np.ndarray]
+    use_yearly: bool
     holiday_dates: tuple[dt.date, ...]
-    holiday_effects: np.ndarray
+    coef: np.ndarray
     residual_var: float
 
     def trend(self, t: np.ndarray) -> np.ndarray:
         """Continuous piecewise-linear trend at day offsets ``t``."""
-        t = np.asarray(t, dtype=np.float64)
-        g = self.offset + self.base_slope * t
-        for c, d in zip(self.changepoints, self.deltas):
-            g = g + d * np.maximum(0.0, t - c)
-        return g
-
-    def seasonal(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        s = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.weekly_coef
-        if self.yearly_coef is not None:
-            s = s + _fourier_block(t, YEAR_PERIOD, YEARLY_ORDER) @ self.yearly_coef
-        return s
-
-    def holiday(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        h = np.zeros_like(t)
-        for date, effect in zip(self.holiday_dates, self.holiday_effects):
-            h = h + effect * (t == float((date - self.start).days))
-        return h
+        k = 2 + len(self.changepoints)
+        return _trend_columns(t, self.changepoints) @ self.coef[:k]
 
     def predict(self, t: np.ndarray) -> np.ndarray:
         """g(t) + s(t) + h(t) at arbitrary day offsets (unclipped)."""
-        return self.trend(t) + self.seasonal(t) + self.holiday(t)
+        holidays = [(date - self.start).days for date in self.holiday_dates]
+        return _columns(t, self.changepoints, self.use_yearly, holidays) @ self.coef
 
     def weekly_amplitude(self) -> float:
         """Half the peak-to-trough range of the weekly component."""
+        k = 2 + len(self.changepoints)
         t = np.linspace(0.0, WEEK_PERIOD, 1401)
-        w = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.weekly_coef
+        w = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.coef[k:k + 2 * WEEKLY_ORDER]
         return float((w.max() - w.min()) / 2.0)
-
-
-def _design(n: int, config: FitConfig, horizon: int = 0) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Trend and seasonality columns of a fit on days ``0..n-1``, evaluated
-    at days ``0..n+horizon-1``: ones, the day offset, one hinge per
-    changepoint, weekly and, from two yearly periods of data on, yearly
-    Fourier terms. Holiday columns depend on the calendar and are left to
-    the caller.
-
-    Returns the design, the changepoint offsets and whether yearly
-    seasonality is on."""
-    if n < MIN_FIT_DAYS:
-        raise DataError(f"series of {n} days is shorter than two weeks; cannot fit")
-    t = np.arange(n + horizon, dtype=np.float64)
-    use_yearly = n >= 2 * YEAR_PERIOD
-    cp_limit = CHANGEPOINT_RANGE * (n - 1)
-    n_cp = max(0, int(config.n_changepoints))
-    changepoints = (
-        np.linspace(cp_limit / (n_cp + 1), cp_limit, n_cp) if n_cp else np.empty(0)
-    )
-
-    blocks = [np.ones((len(t), 1)), t.reshape(-1, 1)]
-    if n_cp:
-        blocks.append(np.maximum(0.0, t.reshape(-1, 1) - changepoints.reshape(1, -1)))
-    blocks.append(_fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER))
-    if use_yearly:
-        blocks.append(_fourier_block(t, YEAR_PERIOD, YEARLY_ORDER))
-    return np.hstack(blocks), changepoints, use_yearly
-
-
-def _holiday_columns(offsets: Sequence[int], n: int) -> np.ndarray:
-    """One indicator column per holiday day offset on a fit over days
-    ``0..n-1``; a holiday outside those days gets an all-zero column."""
-    columns = np.zeros((n, len(offsets)))
-    for k, off in enumerate(offsets):
-        if 0 <= off < n:
-            columns[off, k] = 1.0
-    return columns
 
 
 def _shared_span(series: Sequence[DailySeries]) -> tuple[dt.date, np.ndarray]:
@@ -206,39 +186,26 @@ def fit(series: Sequence[DailySeries],
     which share one start and length, in one solve; one model per series,
     in input order.
 
+    Each model holds the coefficients of ``_columns`` on the fit days, with
+    one holiday column per date of ``config.holidays`` in ascending order.
     Yearly seasonality is on from two yearly periods of data
-    (``model.yearly_coef`` is None below that). Series shorter than two
+    (``model.use_yearly`` is false below that). Series shorter than two
     weeks are rejected.
     """
     start, y = _shared_span(series)
     n = len(y)
-    design, changepoints, use_yearly = _design(n, config)
-    n_cp = len(changepoints)
+    changepoints, use_yearly = _layout(n, config)
     holiday_dates = tuple(sorted(config.holidays))
-    offsets = [(date - start).days for date in holiday_dates]
-    design = np.hstack([design, _holiday_columns(offsets, n)])
-    beta = _solve(design, n_cp, config.ridge_lambda) @ y
+    design = _columns(np.arange(n), changepoints, use_yearly,
+                      [(date - start).days for date in holiday_dates])
+    beta = _solve(design, len(changepoints), config.ridge_lambda) @ y
 
     residuals = design @ beta
     residuals -= y
     dof = max(1, n - design.shape[1])
     residual_var = np.einsum("ij,ij->j", residuals, residuals) / dof
-
-    weekly_end = 2 + n_cp + 2 * WEEKLY_ORDER
-    holiday_start = weekly_end + (2 * YEARLY_ORDER if use_yearly else 0)
-    return [DecompositionModel(
-        start=start,
-        train_len=n,
-        changepoints=changepoints,
-        offset=float(b[0]),
-        base_slope=float(b[1]),
-        deltas=b[2:2 + n_cp],
-        weekly_coef=b[2 + n_cp:weekly_end],
-        yearly_coef=b[weekly_end:holiday_start] if use_yearly else None,
-        holiday_dates=holiday_dates,
-        holiday_effects=b[holiday_start:],
-        residual_var=var,
-    ) for b, var in zip(beta.T.copy(), residual_var.tolist())]
+    return [DecompositionModel(start, n, changepoints, use_yearly, holiday_dates, b, var)
+            for b, var in zip(beta.T.copy(), residual_var.tolist())]
 
 
 def forecast(model: DecompositionModel, horizon: int) -> np.ndarray:
@@ -312,12 +279,13 @@ def sliding_window_backtest(
     of the test window with SMAPE. The series share one start and length;
     each gets one report, in input order.
 
-    The trend and seasonality design is built once. Each window adds one
-    indicator column per holiday inside its training days and re-takes the
-    pseudo-inverse only when that set of in-window holiday days, counted from
-    the window's first day, differs from the previous window's; without
-    holidays every window shares one factor. Every series of a run shares
-    each window's factor. Holiday coefficients are left out of the forecast:
+    The test days' columns are built once, without holidays. A window's
+    training design is ``_columns`` with one indicator per holiday inside its
+    training days; it is built and its pseudo-inverse taken only when that
+    set of in-window holiday days, counted from the window's first day,
+    differs from the previous window's; without holidays every window shares
+    one factor. Every series of a run shares each window's factor. Holiday
+    coefficients are left out of the forecast:
     a holiday in the training days is zero on every test day, and one
     outside them has an all-zero column and a zero min-norm coefficient."""
     start, y = _shared_span(series)
@@ -335,9 +303,11 @@ def sliding_window_backtest(
             f"needs at least {required} (train {train_days} + test {test_days} "
             f"+ iterations {iterations} - 1)"
         )
-    design, changepoints, _ = _design(train_days, config, horizon=test_days)
-    train, future = design[:train_days], design[train_days:]
-    p = design.shape[1]
+    changepoints, use_yearly = _layout(train_days, config)
+    train = np.arange(train_days)
+    future = _columns(np.arange(train_days, train_days + test_days), changepoints,
+                      use_yearly)
+    p = future.shape[1]
     holidays = sorted((date - start).days for date in config.holidays)
     in_window = solve = None
     scores = np.empty((len(series), iterations))
@@ -346,7 +316,7 @@ def sliding_window_backtest(
         if window_holidays != in_window:
             in_window = window_holidays
             # Only the first p coefficients forecast.
-            solve = _solve(np.hstack([train, _holiday_columns(in_window, train_days)]),
+            solve = _solve(_columns(train, changepoints, use_yearly, in_window),
                            len(changepoints), config.ridge_lambda)[:p]
         beta = solve @ y[shift:shift + train_days]
         predicted = np.maximum(future @ beta, 0.0)

@@ -540,6 +540,16 @@ class TestConfigFile:
         assert provenance["config"]["category_map"] is None
         assert str(mapping) not in provenance["inputs"]
 
+    @pytest.mark.parametrize("key,default", [("holidays", None), ("changepoints", 25)])
+    def test_null_leaves_the_flag_unset(self, corpus, tmp_path, capsys, key, default):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: None}))
+        out = tmp_path / "o"
+        assert main(["backtest", "--input", str(corpus), "--train-days", "60",
+                     "--test-days", "14", "--iterations", "5",
+                     "--config-file", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "provenance.json").read_text())["config"][key] == default
+
     def test_seeds_file_and_seed_skill_together_exit_1(self, corpus, tmp_path, capsys):
         assert main(["skills", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),
                      "--seed-skill", "ml", "--out", str(tmp_path / "o")]) == 1

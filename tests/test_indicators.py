@@ -56,8 +56,7 @@ class TestPostingGrowth:
         assert mean == pytest.approx(1.0)
 
     def test_single_year_fatal(self):
-        with pytest.raises(DataError):
-            posting_growth({2018: 10})
+        assert posting_growth({2018: 10}) == ({}, None)
 
     def test_planted_growth_recovered(self):
         from skillscope.synthgen import ClusterSpec, SynthConfig, generate

@@ -29,13 +29,6 @@ def days(*offsets):
     return tuple(START + dt.timedelta(days=d) for d in offsets)
 
 
-def coefficients(model):
-    """Every fitted coefficient in design-column order."""
-    yearly = [] if model.yearly_coef is None else model.yearly_coef
-    return np.concatenate([[model.offset, model.base_slope], model.deltas,
-                           model.weekly_coef, yearly, model.holiday_effects])
-
-
 def reference(counts, config, first_day=0, horizon=0):
     """``lstsq_decomposition`` of daily ``counts`` whose first day lies
     ``first_day`` days after START."""
@@ -207,8 +200,19 @@ class TestFit:
         s = series(rng.poisson(6, size=train_days).astype(float))
         [model] = fit([s], config)
         beta, _ = reference(s.counts, config)
-        assert coefficients(model) == pytest.approx(beta, rel=0, abs=1e-9)
-        assert (model.yearly_coef is None) == (train_days < 2 * 365.25)
+        assert model.coef == pytest.approx(beta, rel=0, abs=1e-9)
+        assert (not model.use_yearly) == (train_days < 2 * 365.25)
+
+    @pytest.mark.parametrize("train_days,config", SOLVE_CASES)
+    def test_predict_and_forecast_match_lstsq_reference(self, train_days, config):
+        rng = np.random.default_rng(train_days)
+        s = series(rng.poisson(6, size=train_days).astype(float))
+        [model] = fit([s], config)
+        _, predicted = reference(s.counts, config, horizon=30)
+        assert model.predict(np.arange(train_days + 30)) == pytest.approx(
+            predicted, rel=0, abs=1e-9)
+        assert forecast(model, 30) == pytest.approx(
+            np.maximum(predicted[train_days:], 0.0), rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("config", [
         FitConfig(),
@@ -222,24 +226,20 @@ class TestFit:
         assert len(models) == len(many)
         for s, model in zip(many, models):
             [alone] = fit([s], config)
-            assert coefficients(model) == pytest.approx(coefficients(alone),
-                                                        rel=0, abs=1e-12)
+            assert model.coef == pytest.approx(alone.coef, rel=0, abs=1e-12)
             assert model.residual_var == pytest.approx(alone.residual_var,
                                                        rel=1e-12, abs=1e-12)
 
     def test_yearly_disabled_below_two_years(self):
         [model] = fit([series([1.0] * 100)])
-        assert model.yearly_coef is None
+        assert not model.use_yearly
 
     def test_deterministic_refit(self):
         rng = np.random.default_rng(8)
         y = 10 + rng.poisson(5, size=200).astype(float)
         [m1] = fit([series(y)])
         [m2] = fit([series(y)])
-        assert m1.offset == m2.offset
-        assert m1.base_slope == m2.base_slope
-        assert (m1.deltas == m2.deltas).all()
-        assert (m1.weekly_coef == m2.weekly_coef).all()
+        assert (m1.coef == m2.coef).all()
 
     def test_holiday_effect_recovered(self):
         t = np.arange(120, dtype=float)
@@ -247,7 +247,7 @@ class TestFit:
         holiday = START + dt.timedelta(days=60)
         y[60] += 8.0
         [model] = fit([series(y)], FitConfig(holidays=(holiday,)))
-        assert model.holiday_effects[0] == pytest.approx(8.0, rel=0.05)
+        assert model.coef[-1] == pytest.approx(8.0, rel=0.05)
         pred = model.predict(np.array([59.0, 60.0, 61.0]))
         assert pred[1] == pytest.approx(18.0, rel=0.02)
 
