@@ -400,7 +400,9 @@ def apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config-file FILE`` (or ``--config-file=FILE``) into flags;
     explicit CLI flags win, as ``--flag value`` or ``--flag=value``, and an
     explicit flag of an either/or pair also wins over the other one. A
-    ``null`` value, like ``false``, leaves its flag unset."""
+    ``null`` value, like ``false``, leaves its flag unset. An object, or a
+    ``null``, object or list inside a list, is a usage error, even under an
+    explicit flag."""
     flags = [arg.split("=", 1)[0] for arg in argv]
     if "--config-file" not in flags:
         return argv
@@ -414,15 +416,17 @@ def apply_config_file(argv: list[str]) -> list[str]:
     injected: list[str] = []
     for key, value in raw.items():
         flag = "--" + key.replace("_", "-")
+        if isinstance(value, dict) or isinstance(value, list) and any(
+                v is None or isinstance(v, (dict, list)) for v in value):
+            raise UsageError(f"config file key {key!r} must be text, a number, "
+                             "true, false, null or a list of text and numbers")
         if value is None or value is False or flag in flags or _EITHER_OR.get(flag) in flags:
             continue
         if value is True:
             injected.append(flag)
-        elif isinstance(value, list):
-            for v in value:
-                injected.extend([flag, str(v)])
         else:
-            injected.extend([flag, str(value)])
+            for v in value if isinstance(value, list) else [value]:
+                injected.extend([flag, str(v)])
     return argv[:i] + argv[i + 2:] + injected
 
 

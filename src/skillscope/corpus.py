@@ -70,7 +70,8 @@ class _Columns:
         self.ids: list[str] = []
         self.skill_ids: dict[str, int] = {}
         self.occupation_codes: dict[str, int] = {}
-        self.ordinals, self.codes, self.slots, self.lengths = (array("q") for _ in range(4))
+        self.ordinals, self.codes, self.lengths = (array("q") for _ in range(3))
+        self.slots = array("i")  # skill ids, int32
         self.numbers = array("d")  # four per ad, NaN where missing
         self.dates: dict[str, int] = {}  # date text -> ordinal
         self.names: dict[str, str] = {}  # raw skill text -> normalized name
@@ -146,11 +147,13 @@ class Corpus:
 
     Per ad: ``ids``, int64 ``ordinals`` and ``years``, and
     ``occupation_codes`` into ``occupations`` (names in first-occurrence
-    order). Ad ``i``'s skill ids, in its own order, are
+    order). Ad ``i``'s skill ids, int32 and in its own order, are
     ``slots[indptr[i]:indptr[i + 1]]``, naming ``skill_names[id]``;
     ``skill_ids`` maps a name to its id. ``salary_min``, ``salary_max``,
     ``education_years`` and ``experience_years`` are float64, NaN where
-    missing.
+    missing. ``ordinals``, ``occupation_codes``, ``slots`` and the four
+    numbers are views of the buffers ingest appended to, so each column is
+    held once; the numbers are strided views of one four-per-ad buffer.
     """
 
     def __init__(self, columns: _Columns):
@@ -158,15 +161,15 @@ class Corpus:
         self.skill_ids = columns.skill_ids
         self.occupations = list(columns.occupation_codes)
         self.skill_names = list(columns.skill_ids)
-        self.ordinals = np.array(columns.ordinals, dtype=np.int64)
+        self.ordinals = np.frombuffer(columns.ordinals, dtype=np.int64)
         self.years = (self.ordinals - _EPOCH).astype("datetime64[D]").astype(
             "datetime64[Y]").astype(np.int64) + 1970
-        self.occupation_codes = np.array(columns.codes, dtype=np.int64)
-        self.slots = np.array(columns.slots, dtype=np.int64)
-        self.indptr = np.concatenate(([0], np.cumsum(columns.lengths, dtype=np.int64)))
-        numbers = np.array(columns.numbers, dtype=np.float64).reshape(-1, 4)
+        self.occupation_codes = np.frombuffer(columns.codes, dtype=np.int64)
+        self.slots = np.frombuffer(columns.slots, dtype=np.int32)
+        self.indptr = np.concatenate(([0], np.cumsum(np.frombuffer(columns.lengths,
+                                                                   dtype=np.int64))))
         (self.salary_min, self.salary_max, self.education_years,
-         self.experience_years) = numbers.T.copy()
+         self.experience_years) = np.frombuffer(columns.numbers).reshape(-1, 4).T
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -292,7 +295,7 @@ def ingest(path, fmt: str = "jsonl") -> tuple[Corpus, IngestReport]:
 class IncidenceIndex:
     """A binary job x skill matrix in CSR form over one skill vocabulary.
 
-    Job ``i``'s skill ids, in ad order, are
+    Job ``i``'s skill ids, int32 and in ad order, are
     ``indices[indptr[i]:indptr[i + 1]]``; ``skill_job_counts[s]`` is the
     number of jobs holding skill ``s``. The incidence and its effective-use
     sub-matrix are both of this type.

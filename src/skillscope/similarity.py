@@ -7,10 +7,14 @@ Pairs never co-effective (or with a zero denominator) are 0 and not stored.
 Both counts are read from the effective-use matrix, an
 :class:`~skillscope.corpus.IncidenceIndex`: the effective-use counts are its
 ``skill_job_counts``, and the co-effective counts come from integer pair
-codes ``a * V + b`` (V the vocabulary size ``len(skill_ids)``, ``a < b``)
-counted with ``np.unique`` over its CSR rows, one bucket of equal-length rows
-at a time, each bucket's rows sorted as it is gathered; the scores are kept
-against the sorted pair codes, one entry per pair.
+codes ``a * V + b`` (V the vocabulary size ``len(skill_ids)``, ``a < b``,
+formed in int64 from the int32 skill ids) counted with ``np.unique`` over
+its CSR rows, one slice of equal-length rows at a time, each slice's rows
+sorted as it is gathered. A slice holds at most ``THETA_CHUNK`` pair visits
+(one longer row is a slice alone), and the slices' counts are folded into
+one running count per distinct pair, so memory grows with one slice and the
+number of distinct pairs, not with the corpus. The scores are kept against
+the sorted pair codes, one entry per pair.
 
 Seed expansion grows a target skill set: each seed contributes its top-K
 most complementary skills, the lists are merged, and each unique skill is
@@ -32,6 +36,9 @@ from .errors import DataError
 
 # The reference workflow cuts top-300 neighbour lists to a 150-skill set.
 PER_SEED_K, CUTOFF = 300, 150
+# Pair visits counted at once by compute_theta: its memory bound, besides
+# the distinct pairs.
+THETA_CHUNK = 1 << 17
 
 
 class ThetaMatrix:
@@ -70,29 +77,48 @@ class ThetaMatrix:
 def compute_theta(eff: IncidenceIndex) -> ThetaMatrix:
     """Complementarity for every skill pair with at least one co-effective ad.
 
-    Rows are bucketed by length; the rows of length n form an (rows x n)
-    block, sorted along each row, whose column pairs (i < j) give the pair
-    codes ``a * V + b`` with ``a < b``, counted per bucket with
-    ``np.unique``, so memory scales with one bucket's pair visits and the
-    number of distinct pairs, never V x V.
+    Rows are bucketed by length and each bucket cut into slices of at most
+    ``THETA_CHUNK`` pair visits; the rows of length n in a slice form a
+    (rows x n) block, sorted along each row, whose column pairs (i < j) give
+    the int64 pair codes ``a * V + b`` with ``a < b``, counted with
+    ``np.unique``. The slices' counts wait as pending parts and are merged
+    into the running total only once they outgrow it, so each merge costs at
+    most twice the parts it absorbs and merging stays linear in the slices'
+    output. Memory is one slice's pair visits plus a few arrays of distinct
+    pairs, never one entry per pair visit of the corpus, nor V x V.
     """
     n_skills = len(eff.skill_ids)
     lengths = np.diff(eff.indptr)
-    codes, joints = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    total = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+    pending, pending_size = [], 0
     for n in np.unique(lengths[lengths >= 2]):
         starts = eff.indptr[:-1][lengths == n]
-        block = np.sort(eff.indices[starts[:, None] + np.arange(n)], axis=1)
         i, j = np.triu_indices(n, 1)
-        bucket_codes, bucket_joints = np.unique(block[:, i] * n_skills + block[:, j],
-                                                return_counts=True)
-        codes.append(bucket_codes)
-        joints.append(bucket_joints)
-    pair_codes, which = np.unique(np.concatenate(codes), return_inverse=True)
-    joint = np.bincount(which, weights=np.concatenate(joints), minlength=len(pair_codes))
+        step = max(1, THETA_CHUNK // len(i))
+        for lo in range(0, len(starts), step):
+            block = np.sort(eff.indices[starts[lo:lo + step, None] + np.arange(n)], axis=1)
+            pending.append(np.unique(block[:, i].astype(np.int64) * n_skills + block[:, j],
+                                     return_counts=True))
+            pending_size += len(pending[-1][0])
+            if pending_size > len(total[0]):
+                total, pending, pending_size = _merge([total, *pending]), [], 0
+    pair_codes, joint = _merge([total, *pending])
     a, b = np.divmod(pair_codes, n_skills)
     counts = eff.skill_job_counts
     return ThetaMatrix(eff.skill_ids, counts, pair_codes,
                        joint / np.maximum(counts[a], counts[b]))
+
+
+def _merge(parts):
+    """One ``(codes, counts)`` from ascending ``(codes, counts)`` parts, the
+    counts of a code found in several parts summed. NumPy's stable sort of
+    int64 is a merge sort that finds the ascending runs, so sorting the
+    concatenation merges the parts."""
+    codes = np.concatenate([c for c, _ in parts])
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[first], np.add.reduceat(np.concatenate([n for _, n in parts])[order], first)
 
 
 @dataclass(frozen=True)

@@ -550,6 +550,18 @@ class TestConfigFile:
                      "--config-file", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "provenance.json").read_text())["config"][key] == default
 
+    @pytest.mark.parametrize("key,value", [("seed_skill", ["ml", None]),
+                                           ("cutoff", {"x": 1}),
+                                           ("seed_skill", ["ml", [1, 2]])],
+                             ids=["null-in-list", "object", "nested-list"])
+    def test_value_no_flag_can_take_is_a_usage_error(self, corpus, tmp_path, capsys,
+                                                       key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["skills", "--input", str(corpus), "--config-file", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"usage error: config file key {key!r}" in one_line_error(capsys)
+
     def test_seeds_file_and_seed_skill_together_exit_1(self, corpus, tmp_path, capsys):
         assert main(["skills", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),
                      "--seed-skill", "ml", "--out", str(tmp_path / "o")]) == 1

@@ -1,11 +1,13 @@
 import copy
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skillscope.corpus import build_index, ingest_records, normalize_skill
+from skillscope import similarity
+from skillscope.corpus import IncidenceIndex, build_index, ingest_records, normalize_skill
 from skillscope.errors import DataError
 from skillscope.similarity import (
     SkillScore,
@@ -119,11 +121,46 @@ class TestPairCodes:
                                       for s, c in enumerate(eff.skill_job_counts))
         assert all(seen.values()), seen
 
+    # Slices of one row, buckets split mid-way, many pending parts per merge.
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_equals_dict_pair_loop_exactly_in_small_slices(self, monkeypatch, chunk):
+        monkeypatch.setattr(similarity, "THETA_CHUNK", chunk)
+        self.test_equals_dict_pair_loop_exactly()
+
     def test_no_pairs(self):
         eff = self.effective_use({"J1": {"A"}, "J2": {"B"}, "J3": {"C"}})
         theta = compute_theta(eff)
         assert list(theta.pairs()) == [] and dict_pair_theta(eff) == {}
         assert all(theta.neighbours(s) == [] for s in range(3))
+
+    def test_codes_are_int64_above_int32_vocabulary_limit(self):
+        # a * V + b passes 2**31 once V > 46,340, so int32 codes would wrap.
+        n = 50_000
+        rows = [[0, n - 2, n - 1], [n - 1, n - 2], [n - 1, 0]]
+        eff = IncidenceIndex({f"s{i}": i for i in range(n)},
+                             np.cumsum([0] + [len(r) for r in rows]),
+                             np.array(sum(rows, []), dtype=np.int32))
+        theta = compute_theta(eff)
+        pairs = [(0, n - 2), (0, n - 1), (n - 2, n - 1)]
+        assert theta._codes.tolist() == [a * n + b for a, b in pairs]
+        assert max(theta._codes.tolist()) > 2**31
+        for (a, b), want in zip(pairs, [1 / 2, 2 / 3, 2 / 3]):
+            assert theta.value(a, b) == theta.value(b, a) == want
+
+    def test_memory_is_one_slice_plus_distinct_pairs(self):
+        # 4,000 rows of 30 of 40 skills: 1.74M pair visits, 780 pairs.
+        rng = np.random.default_rng(3)
+        rows = np.argsort(rng.random((4000, 40)), axis=1)[:, :30]
+        eff = IncidenceIndex({f"s{i}": i for i in range(40)}, np.arange(4001) * 30,
+                             rows.ravel().astype(np.int32))
+        tracemalloc.start()
+        try:
+            theta = compute_theta(eff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list(theta.pairs())) == 780
+        assert peak < 12 * 8 * similarity.THETA_CHUNK
 
     def test_neighbours_match_scan_of_pairs(self):
         rng = random.Random(8)
