@@ -160,7 +160,7 @@ def _skills_stage(corpus, seeds, args) -> similarity.SkillSetResult:
     index = corpus_mod.build_index(corpus)
     eff = skillmetrics.compute_effective_use(skillmetrics.compute_rca(index))
     return similarity.expand_seeds(
-        similarity.compute_theta(eff),
+        eff,
         seeds,
         per_seed_k=args.per_seed_k,
         cutoff=args.cutoff,

@@ -61,6 +61,18 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
+def left_sum(values) -> float:
+    """Floats added one at a time, left to right, from 0.0.
+
+    The builtin ``sum`` does this up to Python 3.11 and compensates the
+    rounding from 3.12 on, which would tie a report's last digits to the
+    interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class _Columns:
     """Corpus columns as they grow: :meth:`add_record` validates a raw
     record straight into them. Skills are interned only as a record is

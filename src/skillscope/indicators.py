@@ -9,7 +9,8 @@ except experience, where low demands signal shortage.
 
 A group is a set of row positions into the corpus columns; the market is
 every row. Yearly medians use ``statistics.median`` and yearly means sum
-left to right in row order, so no figure depends on NumPy's summation order.
+left to right in row order, so no figure depends on NumPy's summation order
+or on the Python version.
 
 No scalar shortage score is computed; the report keeps the per-indicator
 flags side by side.
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, left_sum
 from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel
 
@@ -58,12 +59,12 @@ def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Op
     for prev, year in zip(years, years[1:]):
         if year - prev == 1 and counts_by_year[prev] > 0:
             growth[year] = counts_by_year[year] / counts_by_year[prev] - 1.0
-    mean = sum(growth.values()) / len(growth) if growth else None
+    mean = left_sum(growth.values()) / len(growth) if growth else None
     return growth, mean
 
 
 def _mean(values: list[float]) -> Optional[float]:
-    return sum(values) / len(values) if values else None
+    return left_sum(values) / len(values) if values else None
 
 
 def _by_year(values: np.ndarray, years: np.ndarray,

@@ -3,18 +3,14 @@
 Complementarity between two skills is the number of ads where both are in
 effective use, divided by the larger of the two skills' effective-use
 counts - i.e. the minimum of the two conditional co-use probabilities.
-Pairs never co-effective (or with a zero denominator) are 0 and not stored.
-Both counts are read from the effective-use matrix, an
-:class:`~skillscope.corpus.IncidenceIndex`: the effective-use counts are its
-``skill_job_counts``, and the co-effective counts come from integer pair
-codes ``a * V + b`` (V the vocabulary size ``len(skill_ids)``, ``a < b``,
-formed in int64 from the int32 skill ids) counted with ``np.unique`` over
-its CSR rows, one slice of equal-length rows at a time, each slice's rows
-sorted as it is gathered. A slice holds at most ``THETA_CHUNK`` pair visits
-(one longer row is a slice alone), and the slices' counts are folded into
-one running count per distinct pair, so memory grows with one slice and the
-number of distinct pairs, not with the corpus. The scores are kept against
-the sorted pair codes, one entry per pair.
+Pairs never co-effective are 0. Both counts are read from the
+effective-use matrix, an :class:`~skillscope.corpus.IncidenceIndex`: the
+effective-use counts are its ``skill_job_counts``, and one skill's
+co-effective counts against every other skill are a ``np.bincount`` over
+the slots of the ads where it is in effective use. Only the seeds' rows are
+ever read, so only they are counted, one at a time: the cost of a row is
+one pass over the effective-use slots plus the slots of that skill's ads,
+never one entry per skill pair.
 
 Seed expansion grows a target skill set: each seed contributes its top-K
 most complementary skills, the lists are merged, and each unique skill is
@@ -31,94 +27,35 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import IncidenceIndex, normalize_skill
+from .corpus import IncidenceIndex, left_sum, normalize_skill
 from .errors import DataError
 
 # The reference workflow cuts top-300 neighbour lists to a 150-skill set.
 PER_SEED_K, CUTOFF = 300, 150
-# Pair visits counted at once by compute_theta: its memory bound, besides
-# the distinct pairs.
-THETA_CHUNK = 1 << 17
 
 
-class ThetaMatrix:
-    """Symmetric sparse complementarity scores over the skill vocabulary,
-    kept as given: ``codes`` holds each pair ``a < b`` as the int64 code
-    ``a * V + b`` (V the vocabulary size), strictly ascending, and
-    ``scores[k]`` is the positive score of ``codes[k]``."""
+def compute_theta(eff: IncidenceIndex, s: int) -> list[tuple[int, float]]:
+    """Every other skill with a positive score against skill ``s``, in
+    ascending id order, paired with that score.
 
-    def __init__(self, skill_ids: dict[str, int], skill_counts, codes, scores):
-        self.skill_ids = skill_ids
-        self.skill_counts = skill_counts
-        self._codes = codes
-        self._scores = scores
-
-    def value(self, s: int, s2: int) -> float:
-        if s == s2:
-            return 1.0 if self.skill_counts[s] > 0 else 0.0
-        code = min(s, s2) * len(self.skill_ids) + max(s, s2)
-        k = np.searchsorted(self._codes, code)
-        found = k < len(self._codes) and self._codes[k] == code
-        return float(self._scores[k]) if found else 0.0
-
-    def pairs(self):
-        """Iterate stored (skill_a, skill_b, theta) triples with a < b."""
-        a, b = np.divmod(self._codes, len(self.skill_ids))
-        return zip(a.tolist(), b.tolist(), self._scores.tolist())
-
-    def neighbours(self, s: int) -> list[tuple[int, float]]:
-        """All skills with a stored positive score against ``s``, by id:
-        the pairs ``(a, s)`` come before the pairs ``(s, b)`` in code order."""
-        a, b = np.divmod(self._codes, len(self.skill_ids))
-        hit = (a == s) | (b == s)
-        return list(zip((a[hit] + b[hit] - s).tolist(), self._scores[hit].tolist()))
-
-
-def compute_theta(eff: IncidenceIndex) -> ThetaMatrix:
-    """Complementarity for every skill pair with at least one co-effective ad.
-
-    Rows are bucketed by length and each bucket cut into slices of at most
-    ``THETA_CHUNK`` pair visits; the rows of length n in a slice form a
-    (rows x n) block, sorted along each row, whose column pairs (i < j) give
-    the int64 pair codes ``a * V + b`` with ``a < b``, counted with
-    ``np.unique``. The slices' counts wait as pending parts and are merged
-    into the running total only once they outgrow it, so each merge costs at
-    most twice the parts it absorbs and merging stays linear in the slices'
-    output. Memory is one slice's pair visits plus a few arrays of distinct
-    pairs, never one entry per pair visit of the corpus, nor V x V.
+    The ads holding ``s`` are found from its slots (``side="right"`` maps a
+    slot past any empty rows to its own ad); their slots are gathered in
+    one index array and their skills counted with ``np.bincount``. The
+    index array is a temporary, freed before the count casts the gathered
+    ids to int64, so at most two int64 arrays of the gathered slots are
+    held at once.
     """
-    n_skills = len(eff.skill_ids)
-    lengths = np.diff(eff.indptr)
-    total = (np.zeros(0, np.int64), np.zeros(0, np.int64))
-    pending, pending_size = [], 0
-    for n in np.unique(lengths[lengths >= 2]):
-        starts = eff.indptr[:-1][lengths == n]
-        i, j = np.triu_indices(n, 1)
-        step = max(1, THETA_CHUNK // len(i))
-        for lo in range(0, len(starts), step):
-            block = np.sort(eff.indices[starts[lo:lo + step, None] + np.arange(n)], axis=1)
-            pending.append(np.unique(block[:, i].astype(np.int64) * n_skills + block[:, j],
-                                     return_counts=True))
-            pending_size += len(pending[-1][0])
-            if pending_size > len(total[0]):
-                total, pending, pending_size = _merge([total, *pending]), [], 0
-    pair_codes, joint = _merge([total, *pending])
-    a, b = np.divmod(pair_codes, n_skills)
     counts = eff.skill_job_counts
-    return ThetaMatrix(eff.skill_ids, counts, pair_codes,
-                       joint / np.maximum(counts[a], counts[b]))
-
-
-def _merge(parts):
-    """One ``(codes, counts)`` from ascending ``(codes, counts)`` parts, the
-    counts of a code found in several parts summed. NumPy's stable sort of
-    int64 is a merge sort that finds the ascending runs, so sorting the
-    concatenation merges the parts."""
-    codes = np.concatenate([c for c, _ in parts])
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    first = np.flatnonzero(np.diff(codes, prepend=-1))
-    return codes[first], np.add.reduceat(np.concatenate([n for _, n in parts])[order], first)
+    ads = np.searchsorted(eff.indptr, np.flatnonzero(eff.indices == s), side="right") - 1
+    lo = eff.indptr[ads]
+    n = eff.indptr[ads + 1] - lo
+    joint = np.bincount(
+        eff.indices[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())],
+        minlength=len(eff.skill_ids))
+    joint[s] = 0
+    ids = np.flatnonzero(joint)
+    return list(zip(ids.tolist(),
+                    (joint[ids] / np.maximum(counts[s], counts[ids])).tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,7 +117,7 @@ class SkillSetResult:
 
 
 def expand_seeds(
-    theta: ThetaMatrix,
+    eff: IncidenceIndex,
     seeds: list[str],
     per_seed_k: int = PER_SEED_K,
     cutoff: int = CUTOFF,
@@ -189,11 +126,13 @@ def expand_seeds(
     """Grow a skill set from seed skills via complementarity ranking.
 
     Per seed: the ``per_seed_k`` highest-scoring neighbours (the seed itself
-    excluded). Merged scores are averaged over the lists in which a skill
-    appears, or over all seeds when ``avg_over_all_seeds`` is set. Seeds are
-    prepended to the result, scored with their maximum pairwise score to
-    the other seeds (1.0 when there is a single seed). Ties break by name.
-    Every skill, seeds included, is named by its normalized form.
+    excluded), from the seed's row of :func:`compute_theta` over the
+    effective-use matrix ``eff``. Merged scores are averaged over the lists
+    in which a skill appears, or over all seeds when ``avg_over_all_seeds``
+    is set. Seeds are prepended to the result, scored with their maximum
+    pairwise score to the other seeds (1.0 when there is a single seed).
+    Ties break by name. Every skill, seeds included, is named by its
+    normalized form.
     """
     if per_seed_k < 1:
         raise DataError("per_seed_k must be >= 1")
@@ -201,7 +140,7 @@ def expand_seeds(
         raise DataError("cutoff must be >= 1")
     seed_idx: list[int] = []
     for s in seeds:
-        idx = theta.skill_ids.get(normalize_skill(s))
+        idx = eff.skill_ids.get(normalize_skill(s))
         if idx is None:
             raise DataError(f"unknown seed skill: {s!r}")
         seed_idx.append(idx)
@@ -209,15 +148,15 @@ def expand_seeds(
         raise DataError("duplicate seed skill")
     seed_set = set(seed_idx)
 
-    names = list(theta.skill_ids)
+    names = list(eff.skill_ids)
+    rows = {si: dict(compute_theta(eff, si)) for si in seed_idx}
     per_skill_scores: dict[int, list[float]] = {}
     for si in seed_idx:
-        nbrs = theta.neighbours(si)
-        if not nbrs:
+        if not rows[si]:
             warnings.warn(f"seed {names[si]!r} has no complementarity "
                           "neighbours; it contributes an empty list")
             continue
-        nbrs.sort(key=lambda nv: (-nv[1], names[nv[0]]))
+        nbrs = sorted(rows[si].items(), key=lambda nv: (-nv[1], names[nv[0]]))
         for idx, v in nbrs[:per_seed_k]:
             per_skill_scores.setdefault(idx, []).append(v)
 
@@ -226,13 +165,13 @@ def expand_seeds(
     for idx, vals in per_skill_scores.items():
         if idx in seed_set:
             continue
-        score = sum(vals) / (denom_all if avg_over_all_seeds else len(vals))
+        score = left_sum(vals) / (denom_all if avg_over_all_seeds else len(vals))
         scored.append((names[idx], score, idx))
     scored.sort(key=lambda t: (-t[1], t[0]))
 
     seed_entries = []
     for si in seed_idx:
-        others = [theta.value(si, sj) for sj in seed_idx if sj != si]
+        others = [rows[si].get(sj, 0.0) for sj in seed_idx if sj != si]
         sentinel = max(others) if others else 1.0
         seed_entries.append(SkillScore(names[si], sentinel, is_seed=True))
     seed_entries.sort(key=lambda e: (-e.score, e.skill))

@@ -6,6 +6,8 @@ solves: loops straight off the formula definitions, ``np.linalg.lstsq`` for
 the decomposition fit, and for ingest each input record validated into a
 record of the interchange form (ISO date text, a ``skills`` list, only the
 numbers present), then folded into plain lists one skill slot at a time.
+Two readers, :func:`theta_value` and :func:`theta_pairs`, put the
+package's theta rows in the shape of :func:`brute_theta` for comparison.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from skillscope.corpus import normalize_skill, parse_date
+from skillscope.similarity import compute_theta
 
 NUMBER_FIELDS = ("salary_min", "salary_max", "education_years", "experience_years")
 
@@ -61,6 +64,20 @@ def brute_theta(jobs: dict[str, set[str]]) -> dict[tuple[str, str], float]:
             cb = sum(1 for j in jobs if b in eff[j])
             out[(a, b)] = joint / max(ca, cb) if max(ca, cb) > 0 else 0.0
     return out
+
+
+def theta_value(eff, a: int, b: int) -> float:
+    """theta(a, b) from row ``a`` of ``compute_theta``, 0.0 where it holds
+    no entry; on the diagonal, 1.0 when the skill is in effective use."""
+    if a == b:
+        return 1.0 if eff.skill_job_counts[a] > 0 else 0.0
+    return dict(compute_theta(eff, a)).get(b, 0.0)
+
+
+def theta_pairs(eff) -> list[tuple[int, int, float]]:
+    """Every positive (a, b, theta) with a < b, read from each skill's row."""
+    return [(a, b, v) for a in range(len(eff.skill_ids))
+            for b, v in compute_theta(eff, a) if a < b]
 
 
 def brute_eta(records: list[dict], targets: set[str]) -> dict[str, float]:

@@ -14,7 +14,7 @@ from skillscope.cli import main
 from skillscope.corpus import build_index, ingest_records
 from skillscope.indicators import assemble_report
 from skillscope.occupations import compute_intensity, select_occupations
-from skillscope.similarity import compute_theta, expand_seeds
+from skillscope.similarity import expand_seeds
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 from skillscope.synthgen import ClusterSpec, SynthConfig, generate
 from skillscope.timeseries import (
@@ -27,7 +27,16 @@ from skillscope.timeseries import (
     smape,
 )
 
-from oracles import brute_eta, brute_rca, brute_theta, csr_rows, jobs_to_records, random_jobs
+from oracles import (
+    brute_eta,
+    brute_rca,
+    brute_theta,
+    csr_rows,
+    jobs_to_records,
+    random_jobs,
+    theta_pairs,
+    theta_value,
+)
 
 START = dt.date(2012, 1, 1)
 
@@ -36,7 +45,7 @@ def pipeline(records):
     corpus, _ = ingest_records(records)
     index = build_index(corpus)
     eff = compute_effective_use(compute_rca(index))
-    return corpus, index, compute_theta(eff)
+    return corpus, index, eff
 
 
 def test_criterion_1_formula_oracles():
@@ -48,7 +57,7 @@ def test_criterion_1_formula_oracles():
         jobs = random_jobs(rng, max_ads=20, max_skills=10)
         ads = [{**a, "occupation": f"occ{i % 3}"}
                for i, a in enumerate(jobs_to_records(jobs))]
-        corpus, index, theta = pipeline(ads)
+        corpus, index, eff = pipeline(ads)
         rca = compute_rca(index)
 
         for (j, s), want in brute_rca(jobs).items():
@@ -57,7 +66,7 @@ def test_criterion_1_formula_oracles():
             assert got == pytest.approx(want, rel=1e-12)
             checked += 1
         for (a, b), want in brute_theta(jobs).items():
-            got = theta.value(corpus.skill_ids[a], corpus.skill_ids[b])
+            got = theta_value(eff, corpus.skill_ids[a], corpus.skill_ids[b])
             assert got == pytest.approx(want, abs=1e-12)
             checked += 1
         skills = sorted({s for skills in jobs.values() for s in skills})
@@ -79,17 +88,17 @@ def test_criterion_2_invariance_suite():
         jobs = random_jobs(rng)
         ads = jobs_to_records(jobs)
         doubled = ads + [{**a, "id": a["id"] + "-dup"} for a in ads]
-        corpus, index, theta = pipeline(ads)
-        corpus2, index2, theta2 = pipeline(doubled)
+        corpus, index, eff = pipeline(ads)
+        corpus2, index2, eff2 = pipeline(doubled)
         rca, rca2 = compute_rca(index), compute_rca(index2)
         for pos, (j, row) in enumerate(zip(corpus.ids, csr_rows(index))):
             for s in row:
                 assert rca2.value(corpus2.ids.index(j), s) == pytest.approx(
                     rca.value(pos, s), rel=1e-12)
-        for a, b, v in theta.pairs():
+        for a, b, v in theta_pairs(eff):
             assert 0.0 <= v <= 1.0
-            assert theta.value(b, a) == v
-            assert theta2.value(a, b) == pytest.approx(v, abs=1e-12)
+            assert theta_value(eff, b, a) == v
+            assert theta_value(eff2, a, b) == pytest.approx(v, abs=1e-12)
         skills = sorted({s for sk in jobs.values() for s in sk})
         targets = set(skills[: max(1, len(skills) // 2)])
         e1 = {p.occupation: p.eta for p in compute_intensity(corpus, targets)}
@@ -133,11 +142,11 @@ def test_criterion_3_cluster_recovery():
     t0 = time.time()
     for seed in range(10):
         ads, truth = generate(cluster_scenario(seed))
-        _, _, theta = pipeline(ads)
+        _, _, eff = pipeline(ads)
         members = truth.clusters["planted"]
         background = set(truth.background_skills)
         for seed_skill in members:
-            result = expand_seeds(theta, [seed_skill], per_seed_k=300, cutoff=100)
+            result = expand_seeds(eff, [seed_skill], per_seed_k=300, cutoff=100)
             ranking = [e.skill for e in result.entries]
             others = [m for m in members if m != seed_skill]
             worst_member = max(ranking.index(m) for m in others)

@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from skillscope import indicators
 from skillscope.corpus import ingest_records
 from skillscope.errors import DataError
 from skillscope.indicators import (
@@ -95,6 +96,13 @@ class TestPerYearAggregates:
     def test_mean_education(self):
         ads = [ad(i, 2018, education_years=y) for i, y in enumerate([12, 16, 20])]
         assert indicators_of(ads).education_by_year[2018] == pytest.approx(16.0)
+
+    def test_means_sum_left_to_right(self):
+        # A compensated sum, as the builtin one from Python 3.12, gives 1/3
+        # and 0.19999999999999998.
+        assert indicators._mean([1e16, 1.0, -1e16]) == 0.0
+        ads = [ad(i, 2018, education_years=y) for i, y in enumerate([0.1, 0.2, 0.3])]
+        assert indicators_of(ads).education_by_year[2018] == (0.1 + 0.2 + 0.3) / 3
 
     def test_all_absent_education(self):
         assert indicators_of([ad(1, 2018)]).education_by_year[2018] is None

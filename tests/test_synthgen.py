@@ -6,7 +6,6 @@ import pytest
 
 from skillscope.corpus import build_index, ingest, ingest_records
 from skillscope.errors import DataError
-from skillscope.similarity import compute_theta
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 from skillscope.synthgen import (
     ClusterSpec,
@@ -15,6 +14,8 @@ from skillscope.synthgen import (
     generate,
     write_scenario,
 )
+
+from oracles import theta_value
 
 
 def basic_config(**overrides):
@@ -63,9 +64,8 @@ class TestPlantedStructure:
         ads, truth = generate(config)
         corpus, _ = ingest_records(ads)
         eff = compute_effective_use(compute_rca(build_index(corpus)))
-        theta = compute_theta(eff)
         p, q = corpus.skill_ids["p"], corpus.skill_ids["q"]
-        assert theta.value(p, q) == 1.0
+        assert theta_value(eff, p, q) == 1.0
         assert truth.clusters["pq"] == ["p", "q"]
 
     def test_cohesion_controls_cooccurrence(self):
