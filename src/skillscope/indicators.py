@@ -207,7 +207,10 @@ def assemble_report(
 
 
 def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+    """A count as an integer, any other figure as a float, None as empty."""
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def _csv_field(text: str) -> str:
@@ -247,16 +250,18 @@ def write_report(report: ShortageReport, out_dir) -> None:
 
     write_boxplot(report.backtests, out_dir / "boxplot.csv")
 
-    # The rows csv.writer would write: only a label can need quoting, so
-    # each is quoted once and its block joined as text.
+    # Each trend at its knots only. The rows are those csv.writer would
+    # write: only a label can need quoting, so each is quoted once and its
+    # block joined as text.
     with (out_dir / "trend_lines.csv").open("w", encoding="utf-8", newline="") as fh:
         fh.write("label,date,trend\r\n")
         for k, label in enumerate(sorted(report.trend_models)):
             model = report.trend_models[label]
-            if k == 0:  # the models come from one fit, so share one span
+            if k == 0:  # the models come from one fit, so share one span and knots
+                knots = model.knots()
                 dates = [(model.start + dt.timedelta(days=d)).isoformat()
-                         for d in range(model.train_len)]
-            trend = model.trend(np.arange(model.train_len)).tolist()
+                         for d in knots.tolist()]
+            trend = model.trend(knots).tolist()
             quoted = _csv_field(label)
             fh.write("".join([f"{quoted},{date},{value!r}\r\n"
                               for date, value in zip(dates, trend)]))

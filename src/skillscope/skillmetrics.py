@@ -53,11 +53,14 @@ def compute_effective_use(rca: RcaMatrix) -> IncidenceIndex:
 
     Strict thresholding: a skill counts as effectively used only when its
     ratio exceeds 1; a ratio of exactly 1.0 drops out. Decided in integers as
-    ``c_s <= (N - 1) // n_j``, the same test while ``n_j * c_s < 2**52``."""
+    ``c_s <= (N - 1) // n_j``, the same test while ``n_j * c_s < 2**52``.
+    Where every entry passes, the incidence itself is returned, not a copy."""
     index = rca.index
     n_j = np.diff(index.indptr)
     keep = index.skill_job_counts[index.indices] <= np.repeat(
         (len(index.indices) - 1) // n_j, n_j)
+    if keep.all():
+        return index
     kept = np.add.reduceat(keep, index.indptr[:-1], dtype=np.int64)
     return IncidenceIndex(index.skill_ids, np.concatenate(([0], np.cumsum(kept))),
                           index.indices[keep])

@@ -147,6 +147,15 @@ class DecompositionModel:
         k = 2 + len(self.changepoints)
         return _trend_columns(t, self.changepoints) @ self.coef[:k]
 
+    def knots(self) -> np.ndarray:
+        """Day 0, the whole days either side of each changepoint and the
+        last day, ascending and distinct: between two consecutive knots the
+        trend is one line, so linear interpolation of its values at the
+        knots gives back every day of the training span."""
+        cp = self.changepoints
+        return np.unique(np.concatenate(([0, self.train_len - 1], np.floor(cp),
+                                         np.ceil(cp)))).astype(np.int64)
+
     def predict(self, t: np.ndarray) -> np.ndarray:
         """g(t) + s(t) + h(t) at arbitrary day offsets (unclipped)."""
         holidays = [(date - self.start).days for date in self.holiday_dates]

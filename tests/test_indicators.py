@@ -19,7 +19,7 @@ from skillscope.indicators import (
     write_report,
     yearly_counts,
 )
-from skillscope.timeseries import BacktestReport
+from skillscope.timeseries import BacktestReport, FitConfig, aggregate_daily, fit
 
 from oracles import brute_indicators
 
@@ -245,6 +245,13 @@ class TestAssembleReport:
         assert payload["flags"]["Hot"]["shortage_consistent"] == "5/5"
         assert payload["flags"]["Cold"]["shortage_consistent"] == "0/5"
 
+    def test_counts_written_as_integers_and_whole_figures_as_floats(self, tmp_path):
+        write_report(self.assemble(shortage_corpus()), tmp_path)
+        assert (tmp_path / "posting_counts.csv").read_text().splitlines() == [
+            "label,2016,2017,2018", "market,60,70,90", "Cold,50,50,50", "Hot,10,20,40"]
+        assert (tmp_path / "median_salary.csv").read_text().splitlines()[2:] == [
+            "Cold,80000.0,80000.0,80000.0", "Hot,150000.0,150000.0,150000.0"]
+
     def test_growth_csv_oracle_recompute(self, tmp_path):
         # growth CSV must match a spreadsheet-style recompute from the counts CSV
         write_report(self.assemble(shortage_corpus()), tmp_path)
@@ -283,8 +290,53 @@ def test_trend_lines_quote_labels_as_csv_writer_does(tmp_path, capsys):
     text = (out / "trend_lines.csv").read_bytes().decode("utf-8")
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows[0] == ["label", "date", "trend"]
-    assert [r[0] for r in rows[1::90]] == ["Dev", label, "market"]  # sorted
+    assert list(dict.fromkeys(r[0] for r in rows[1:])) == ["Dev", label, "market"]  # sorted
     assert f'\r\n"Ré, ""Chef""",2017-12-01,' in text
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows(rows)
     assert text == expected.getvalue()
+
+
+@pytest.mark.parametrize("n_days,n_changepoints,rows_per_label", [
+    (101, 0, 2),     # day 0 and the last day
+    (101, 3, 5),     # changepoints on days 20, 50 and 80: one row each
+    (120, 25, None),
+], ids=["no-changepoints", "whole-day-changepoints", "default-changepoints"])
+def test_trend_lines_interpolate_to_every_daily_value(tmp_path, n_days, n_changepoints,
+                                                      rows_per_label):
+    rng = np.random.default_rng(n_days + n_changepoints)
+    start = dt.date(2018, 1, 1)
+    ads = [{"id": f"{occ}{d}_{i}", "date": (start + dt.timedelta(days=d)).isoformat(),
+            "occupation": occ, "skills": ["x"]}
+           for occ, rate in [("Dev", lambda d: 2 + d / 20), ("Ops", lambda d: 9 - d / 15)]
+           for d in range(n_days) for i in range(rng.poisson(max(rate(d), 0.5)))]
+    corpus, _ = ingest_records(ads)
+    assert corpus.span() == (start, start + dt.timedelta(days=n_days - 1))
+    groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
+              for code, occ in enumerate(corpus.occupations)}
+    series = [aggregate_daily(corpus.ordinals[rows], *corpus.span(), label=label)
+              for label, rows in [("market", slice(None)), *sorted(groups.items())]]
+    models = {s.label: model
+              for s, model in zip(series, fit(series, FitConfig(n_changepoints=n_changepoints)))}
+    report = assemble_report(corpus, groups, {g: backtest_of(g) for g in groups},
+                             backtest_of("market"), trend_models=models)
+    write_report(report, tmp_path)
+
+    with (tmp_path / "trend_lines.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(dict.fromkeys(row["label"] for row in rows)) == ["Dev", "Ops", "market"]
+    cp = models["market"].changepoints
+    if n_changepoints == 3:
+        assert np.array_equal(cp, np.floor(cp))
+    for label, model in models.items():
+        days = [(dt.date.fromisoformat(row["date"]) - start).days
+                for row in rows if row["label"] == label]
+        values = [float(row["trend"]) for row in rows if row["label"] == label]
+        assert days[0] == 0 and days[-1] == n_days - 1
+        assert all(a < b for a, b in zip(days, days[1:]))
+        assert len(days) <= 2 + 2 * n_changepoints
+        if rows_per_label:
+            assert len(days) == rows_per_label
+        want = model.trend(np.arange(model.train_len))
+        got = np.interp(np.arange(model.train_len), days, values)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

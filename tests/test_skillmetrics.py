@@ -117,6 +117,15 @@ class TestEffectiveUse:
             assert set(vars(m)) == {"skill_ids", "indptr", "indices", "skill_job_counts"}
             assert m.skill_ids is index.skill_ids
 
+    def test_no_slot_filtered_gives_the_incidence_itself(self):
+        # N = 4, n_j = 2, c_s = 1: every ratio is 2
+        jobs = {"J1": {"A", "B"}, "J2": {"C", "D"}}
+        index, _ = make_index(jobs)
+        assert compute_effective_use(compute_rca(index)) is index
+        assert brute_effective(jobs) == jobs
+        filtered, _ = make_index({"J1": {"A"}})  # a ratio of exactly 1 drops out
+        assert compute_effective_use(compute_rca(filtered)) is not filtered
+
     def test_counts_consistent_with_entries(self):
         rng = random.Random(7)
         jobs = random_jobs(rng)
