@@ -49,7 +49,7 @@ from . import __version__
 from . import corpus as corpus_mod
 from . import indicators as indicators_mod
 from . import occupations as occupations_mod
-from . import similarity, skillmetrics, synthgen, timeseries
+from . import similarity, skillmetrics, timeseries
 from .errors import DataError, InvariantError, UsageError
 
 
@@ -227,6 +227,8 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    from . import synthgen  # imported here, so that no other command loads it
+
     config = synthgen.config_from_dict(_read_json(args.config, "synth config"))
     corpus_path, truth_path = synthgen.write_scenario(config, Path(args.out))
     print(f"wrote {corpus_path} and {truth_path}")

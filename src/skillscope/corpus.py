@@ -7,11 +7,17 @@ build a :class:`Corpus`: one appender validates each record straight into
 the columns, one array per column instead of one object per ad, interning
 its skills and occupation as it appends it, so a rejected record leaves no
 trace. Memos parse each distinct date text and normalize each distinct raw
-skill text once. :meth:`Corpus.rows` gives the records back, and
-:func:`write_jsonl` writes them. :func:`build_index` reads the corpus's
-own CSR in place as the incidence, an :class:`IncidenceIndex`: one flat
-array of skill ids, each ad's in ad order, cut by ``indptr``, plus the ads
-per skill. The effective-use matrix is the same type, cut from it.
+skill text once, and map each raw skill text of an appended record to its
+skill id (-1 where it normalizes to ""), so a record whose texts are all
+in that memo goes straight to its ids. :func:`ingest` decodes each JSONL
+line with one ``raw_decode`` call, accepting exactly what ``json.loads``
+accepts, and reads CSV rows with ``csv.reader`` as ``csv.DictReader``
+would give them to the validator. :meth:`Corpus.rows` gives the records
+back, and :func:`write_jsonl` writes them. :func:`build_index` reads the
+corpus's own CSR in place as the incidence, an :class:`IncidenceIndex`:
+one flat array of skill ids, each ad's in ad order, cut by ``indptr``,
+plus the ads per skill. The effective-use matrix is the same type, cut
+from it.
 
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
@@ -75,8 +81,9 @@ def left_sum(values) -> float:
 
 class _Columns:
     """Corpus columns as they grow: :meth:`add_record` validates a raw
-    record straight into them. Skills are interned only as a record is
-    appended, in first-occurrence order."""
+    record straight into them. Skills are interned, and their raw texts
+    memoized as ids, only as a record is appended, in first-occurrence
+    order."""
 
     def __init__(self):
         self.ids: list[str] = []
@@ -87,6 +94,9 @@ class _Columns:
         self.numbers = array("d")  # four per ad, NaN where missing
         self.dates: dict[str, int] = {}  # date text -> ordinal
         self.names: dict[str, str] = {}  # raw skill text -> normalized name
+        # raw skill text of an appended record -> skill id, -1 for one
+        # that normalizes to ""
+        self.text_ids: dict[str, int] = {}
 
     def add_record(self, rec) -> None:
         """Validate one raw record and append it; raises ValueError with a
@@ -111,7 +121,20 @@ class _Columns:
                 ordinal = self.dates[rec["date"]] = parse_date(str(rec["date"])).toordinal()
             except ValueError:
                 raise ValueError("bad date")
-        names = self._skill_names(rec["skills"])
+        raw = rec["skills"]
+        if isinstance(raw, str):
+            raw = raw.split(";")
+        elif not isinstance(raw, list):
+            raise ValueError("bad skills")
+        try:  # every text known from an appended record: straight to its ids
+            ids = dict.fromkeys(map(self.text_ids.__getitem__, raw))
+        except (KeyError, TypeError):  # a new text, or one that is not a string
+            names = self._skill_names(raw)
+        else:
+            names = None
+            ids.pop(-1, None)
+            if not ids:
+                raise ValueError("empty skills")
         numbers = [_parse_number(rec.get("salary_min"), "salary_min"),
                    _parse_number(rec.get("salary_max"), "salary_max")]
         if numbers[0] > numbers[1]:  # False when either is NaN
@@ -124,30 +147,24 @@ class _Columns:
         self.ordinals.append(ordinal)
         self.codes.append(self.occupation_codes.setdefault(occupation,
                                                            len(self.occupation_codes)))
-        skill_ids = self.skill_ids
-        ids = list(map(skill_ids.get, names))
-        if None in ids:
+        if names is not None:
+            skill_ids = self.skill_ids
             ids = [skill_ids.setdefault(s, len(skill_ids)) for s in names]
-        self.slots.fromlist(ids)
+            for text in raw:
+                self.text_ids[text] = skill_ids.get(self.names[text], -1)
+        self.slots.fromlist(list(ids))
         self.lengths.append(len(ids))
         self.numbers.fromlist(numbers)
 
-    def _skill_names(self, raw) -> dict[str, None]:
-        """The ordered set of ``raw``'s normalized names."""
-        if isinstance(raw, str):
-            raw = raw.split(";")
-        elif not isinstance(raw, list):
-            raise ValueError("bad skills")
+    def _skill_names(self, raw: list) -> dict[str, None]:
+        """The ordered set of the normalized names of ``raw``'s texts."""
         memo = self.names
-        try:
-            names = dict.fromkeys(map(memo.__getitem__, raw))
-        except (KeyError, TypeError):  # a new text, or one that is not a string
-            for text in raw:
-                if not isinstance(text, str):
-                    raise ValueError("bad skills")
-                if text not in memo:
-                    memo[text] = normalize_skill(_check_utf8(text, "bad skills"))
-            names = dict.fromkeys(map(memo.__getitem__, raw))
+        for text in raw:
+            if not isinstance(text, str):
+                raise ValueError("bad skills")
+            if text not in memo:
+                memo[text] = normalize_skill(_check_utf8(text, "bad skills"))
+        names = dict.fromkeys(map(memo.__getitem__, raw))
         names.pop("", None)
         if not names:
             raise ValueError("empty skills")
@@ -247,22 +264,44 @@ def _parse_number(value, field_name: str) -> float:
     return number
 
 
+def _csv_rows(reader) -> Iterator[dict]:
+    """The rows after the header as ``csv.DictReader`` gives them to the
+    validator: blank rows skipped, the columns a short row lacks None, and a
+    long row's extra cells, which no check reads, dropped."""
+    names = next(reader, None)
+    if names is None:
+        return
+    width = len(names)
+    for row in reader:
+        if row:
+            rec = dict(zip(names, row))
+            if len(row) < width:
+                rec.update(dict.fromkeys(names[len(row):]))
+            yield rec
+
+
 def _iter_records(path: Path, fmt: str):
+    """The records of a JSONL or CSV file, in file order. A JSONL line
+    blank to ``str.strip`` is skipped; any other is decoded exactly as
+    ``json.loads`` decodes it, and is None (bad json) where that fails."""
     if fmt not in ("jsonl", "csv"):
         raise DataError(f"unknown input format: {fmt!r}")
     try:
         with path.open("r", encoding="utf-8-sig", newline="" if fmt == "csv" else None) as fh:
             if fmt == "csv":
-                yield from csv.DictReader(fh)
+                yield from _csv_rows(csv.reader(fh))
                 return
+            decode = json.JSONDecoder().raw_decode
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+                line = line.strip(" \t\r\n")  # the whitespace json.loads skips
                 try:
-                    rec = json.loads(line)
+                    rec, end = decode(line)
                 except (ValueError, RecursionError):  # ValueError: not JSON, or an
-                    rec = None  # integer over the interpreter's digit limit
+                    rec, end = None, -1  # integer over the interpreter's digit limit
+                if end != len(line):  # no value, or data after it
+                    if not line.strip():
+                        continue  # a blank line
+                    rec = None
                 yield rec  # any non-object is rejected as bad json
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read input file {path}: {exc}") from None

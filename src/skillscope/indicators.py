@@ -72,7 +72,7 @@ def _by_year(values: np.ndarray, years: np.ndarray,
     """``reduce`` of each year's defined (non-NaN) values, taken in row
     order; None for a year where every value is missing."""
     out = {}
-    for year in np.unique(years).tolist():
+    for year in sorted(set(years.tolist())):
         defined = values[(years == year) & ~np.isnan(values)].tolist()
         out[year] = reduce(defined) if defined else None
     return out

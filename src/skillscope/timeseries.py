@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -153,8 +154,8 @@ class DecompositionModel:
         trend is one line, so linear interpolation of its values at the
         knots gives back every day of the training span."""
         cp = self.changepoints
-        return np.unique(np.concatenate(([0, self.train_len - 1], np.floor(cp),
-                                         np.ceil(cp)))).astype(np.int64)
+        return np.array(sorted({0, self.train_len - 1, *np.floor(cp).tolist(),
+                                *np.ceil(cp).tolist()}), dtype=np.int64)
 
     def predict(self, t: np.ndarray) -> np.ndarray:
         """g(t) + s(t) + h(t) at arbitrary day offsets (unclipped)."""
@@ -245,6 +246,20 @@ def smape(actual, predicted):
     return float(scores) if scores.ndim == 0 else scores
 
 
+def _percentile(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of ascending ``ordered`` as ``np.percentile``'s
+    default linear method gives it, to the bit: ``a + (b - a) * t`` below
+    the midpoint between neighbours ``a`` and ``b``, ``b - (b - a) * (1 - t)``
+    from it on. ``np.percentile`` itself would import ``numpy.ma``."""
+    index = (len(ordered) - 1) * q
+    j = int(index)
+    if j >= len(ordered) - 1:
+        return float(ordered[-1])
+    t = index - j
+    a, b = ordered[j], ordered[j + 1]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 @dataclass
 class BacktestReport:
     scores: list[float]
@@ -254,18 +269,18 @@ class BacktestReport:
     label: str = "all"
 
     def quantiles(self) -> dict[str, float]:
-        s = np.asarray(self.scores)
+        s = sorted(self.scores)
         return {
-            "min": float(s.min()),
-            "q1": float(np.percentile(s, 25)),
-            "median": float(np.median(s)),
-            "q3": float(np.percentile(s, 75)),
-            "max": float(s.max()),
+            "min": float(s[0]),
+            "q1": _percentile(s, 0.25),
+            "median": self.median,
+            "q3": _percentile(s, 0.75),
+            "max": float(s[-1]),
         }
 
     @property
     def median(self) -> float:
-        return float(np.median(self.scores))
+        return float(statistics.median(self.scores))
 
     def to_json(self, path) -> None:
         """Every field and the ``quantiles`` as ``summary``."""

@@ -274,8 +274,8 @@ def brute_ingest(path, fmt: str) -> tuple[dict, dict]:
                 if line.strip():
                     try:
                         records.append(json.loads(line))
-                    except (json.JSONDecodeError, RecursionError):
-                        records.append(None)
+                    except (ValueError, RecursionError):  # ValueError: not JSON, or an
+                        records.append(None)  # integer over the digit limit
     normalized: dict[str, str] = {}
     accepted, reasons = [], Counter()
     for rec in records:

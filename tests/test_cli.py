@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import skillscope
 from skillscope import corpus as corpus_mod
 from skillscope.cli import main
 
@@ -471,6 +475,32 @@ class TestReport:
         assert p2["config"]["holidays"] == str(holidays)
         assert str(holidays) in p2["inputs"] and str(holidays) not in p1["inputs"]
         assert len(p2["inputs"][str(holidays)]) == 64
+
+    def test_report_imports_only_what_it_runs(self, corpus, tmp_path):
+        """``report`` in a fresh interpreter loads neither the generator nor
+        ``numpy.ma``, which NumPy 2 imports only on first use (a median, a
+        percentile, ``np.unique`` without counts) and NumPy 1 with ``numpy``
+        itself."""
+        script = ("import json, sys, numpy\n"
+                  "eager = 'numpy.ma' in sys.modules\n"
+                  "from skillscope.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(json.dumps([code, eager, 'numpy.ma' in sys.modules,\n"
+                  "                  'skillscope.synthgen' in sys.modules]))\n")
+        argv = ["report", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),
+                "--per-seed-k", "10", "--cutoff", "5", *BACKTEST_FLAGS,
+                "--out", str(tmp_path / "out")]
+        src = str(Path(skillscope.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        code, eager, numpy_ma, synthgen = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0
+        assert not synthgen
+        if not eager:
+            assert not numpy_ma
 
     def test_unmapped_occupations_uncategorized_in_indicators_and_report(
             self, corpus, tmp_path, capsys):

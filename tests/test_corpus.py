@@ -209,6 +209,35 @@ class TestInterning:
         index = build_index(corpus)
         assert csr_rows(index) == [[0], [0, 1], [1]]
 
+    def test_skill_id_memo_follows_accepted_records_only(self):
+        columns = _Columns()
+        with pytest.raises(ValueError, match=r"^salary_min > salary_max$"):
+            columns.add_record(json.loads(record(0, skills=["B", "A"], salary_min=9,
+                                                 salary_max=1)))
+        assert columns.text_ids == {}  # a rejected record fills no memo entry
+        columns.add_record(json.loads(record(1, skills=["a ", "b"])))
+        columns.add_record(json.loads(record(2, skills=["A", "B", " "])))
+        assert columns.text_ids == {"a ": 0, "b": 1, "A": 0, "B": 1, " ": -1}
+        columns.add_record(json.loads(record(3, skills=["B", " ", "a ", "B"])))  # all memo hits
+        with pytest.raises(ValueError, match="^empty skills$"):
+            columns.add_record(json.loads(record(4, skills=[" ", " "])))
+        corpus = Corpus(columns)
+        assert corpus.skill_names == ["a", "b"]
+        assert corpus.slots.tolist() == [0, 1, 0, 1, 1, 0]
+        assert corpus.indptr.tolist() == [0, 2, 4, 6]
+
+    def test_csv_skill_text_on_the_memo_path(self, tmp_path):
+        f = tmp_path / "ads.csv"
+        f.write_text("id,date,occupation,skills\n"
+                     "a1,2018-03-01,Analyst,SQL;;Python\n"
+                     "a2,2018-03-01,Analyst,Python;SQL;Python\n"
+                     "a3,2018-03-01,Analyst,;\n"
+                     "a4,2018-03-01,Analyst,Excel; sql\n")
+        corpus, report = ingest(f, fmt="csv")
+        assert dict(report.reasons) == {"empty skills": 1}
+        assert corpus.skill_names == ["sql", "python", "excel"]
+        assert csr_rows(build_index(corpus)) == [[0, 1], [1, 0], [2, 0]]
+
     def test_jsonl_and_csv_give_the_same_ids(self, tmp_path):
         rows = [("a1", ["SQL", " Excel", "r"]), ("a2", ["R", "Tableau"]),
                 ("a3", ["excel ", "Power  BI", "sql"])]

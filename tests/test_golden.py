@@ -18,10 +18,13 @@ are compared byte for byte.
 The expected files change only with a change that means to change outputs.
 Regenerate them from the current tree with ``python tests/test_golden.py``,
 or only those of some cases with ``python tests/test_golden.py CASE ...``.
+Regeneration writes only the files that this comparison rejects, so the
+values it accepts within 1e-9 keep their committed digits.
 """
 
 import csv
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -89,29 +92,62 @@ def pop_smapes(payload: dict) -> list:
     return [ind.pop("median_smape") for ind in [payload["baseline"], *payload["groups"]]]
 
 
+def same_output(got: Path, want: Path) -> bool:
+    """Whether output file ``got`` matches the expected file ``want``: SMAPE
+    and trend values within ``SMAPE_ABS``, everything else exactly."""
+    if got.name in NUMERIC:
+        (rows, values), (want_rows, want_values) = (
+            split_column(got, NUMERIC[got.name]), split_column(want, NUMERIC[got.name]))
+        return rows == want_rows and values == pytest.approx(want_values, rel=0,
+                                                             abs=SMAPE_ABS)
+    if got.name in ("backtest.json", "report.json"):
+        payload, want_payload = json.loads(got.read_text()), json.loads(want.read_text())
+        return (pop_smapes(payload) == pytest.approx(pop_smapes(want_payload), rel=0,
+                                                     abs=SMAPE_ABS)
+                and payload == want_payload)
+    return got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_expected(tmp_path, capsys, name):
     out, expected = run_case(name, tmp_path), GOLDEN / name
     names = sorted(p.name for p in expected.iterdir())
     assert sorted(p.name for p in out.iterdir()) == sorted([*names, "provenance.json"])
     for file in names:
-        got, want = out / file, expected / file
-        if file in NUMERIC:
-            (rows, values), (want_rows, want_values) = (
-                split_column(got, NUMERIC[file]), split_column(want, NUMERIC[file]))
-            assert rows == want_rows
-            assert values == pytest.approx(want_values, rel=0, abs=SMAPE_ABS)
-        elif file in ("backtest.json", "report.json"):
-            payload, want_payload = json.loads(got.read_text()), json.loads(want.read_text())
-            assert pop_smapes(payload) == pytest.approx(
-                pop_smapes(want_payload), rel=0, abs=SMAPE_ABS)
-            assert payload == want_payload
-        else:
-            assert got.read_bytes() == want.read_bytes(), file
+        assert same_output(out / file, expected / file), file
+
+
+def regenerate(name: str, root: Path, golden: Path = GOLDEN) -> list[str]:
+    """Run case ``name`` under ``root`` and make ``golden / name`` hold its
+    outputs but ``provenance.json``. A committed file that
+    :func:`same_output` accepts is kept as it is, so another machine's BLAS
+    rewrites no SMAPE digits; any other is written, and a file the case no
+    longer writes is deleted. Returns the names written or deleted."""
+    out, expected = run_case(name, root), golden / name
+    (out / "provenance.json").unlink()
+    expected.mkdir(parents=True, exist_ok=True)
+    changed = []
+    for stale in sorted(expected.iterdir()):
+        if not (out / stale.name).exists():
+            stale.unlink()
+            changed.append(stale.name)
+    for got in sorted(out.iterdir()):
+        want = expected / got.name
+        if not (want.exists() and same_output(got, want)):
+            shutil.copyfile(got, want)
+            changed.append(got.name)
+    return changed
+
+
+def test_regenerating_an_unchanged_case_keeps_every_file(tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN / "report-plain", golden / "report-plain")
+    assert regenerate("report-plain", tmp_path, golden) == []
+    for want in (GOLDEN / "report-plain").iterdir():
+        assert (golden / "report-plain" / want.name).read_bytes() == want.read_bytes()
 
 
 if __name__ == "__main__":
-    import shutil
     import tempfile
 
     unknown = set(sys.argv[1:]) - set(CASES)
@@ -120,8 +156,5 @@ if __name__ == "__main__":
                  f"cases: {', '.join(CASES)}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in sys.argv[1:] or CASES:
-            out = run_case(name, Path(tmp))
-            (out / "provenance.json").unlink()
-            shutil.rmtree(GOLDEN / name, ignore_errors=True)
-            shutil.copytree(out, GOLDEN / name)
-            print(f"wrote {GOLDEN / name}", file=sys.stderr)
+            changed = regenerate(name, Path(tmp))
+            print(f"{GOLDEN / name}: {', '.join(changed) or 'unchanged'}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Property tests: arbitrary JSON input is either accepted or rejected with
 the program's own errors, never with an unexpected exception; ingest of any
-list of records, as JSONL or CSV, gives the columns and the report of the
+list of records, as JSONL or CSV, of any JSONL line text and of any CSV
+rows under any header gives the columns and the report of the
 record-at-a-time oracle; arbitrary flag values to ``backtest``, ``skills``,
 ``occupations``, ``indicators`` and ``report`` end with exit 0, 1 or 2,
 one-line warnings and at most one other line on stderr.
@@ -125,7 +126,7 @@ shared_skills = st.sampled_from(["SQL", " sql", "Python", "Machine  Learning",
                                  "machine learning", "", " ", "R", "R\udfff"])
 shared_dates = st.sampled_from(["2018-03-01", "2018-03-02", "2020-02-29"])
 shared_numbers = st.sampled_from([-1.0, 0.0, 1.5, 2, 10**400, "3.5", "", None])
-record_lists = st.lists(
+input_records = (
     st.fixed_dictionaries({
         "id": st.sampled_from(["a", "b", 7]),
         "date": shared_dates,
@@ -138,8 +139,8 @@ record_lists = st.lists(
         "occupation": st.sampled_from(["Dev", " \t "]) | json_values,
         "skills": st.lists(shared_skills | json_values, max_size=5) | shared_skills,
     }, dict.fromkeys(NUMBER_FIELDS, shared_numbers | numbers))
-    | json_values,
-    max_size=12)
+    | json_values)
+record_lists = st.lists(input_records, max_size=12)
 
 
 def csv_cell(value) -> str:
@@ -148,6 +149,32 @@ def csv_cell(value) -> str:
     if isinstance(value, list):
         return ";".join(map(str, value))
     return str(value)
+
+
+def assert_ingest_equals_oracle(path, fmt):
+    """``ingest`` of the file gives ``brute_ingest``'s columns, report and
+    reasons, whatever share of its records it rejects."""
+    try:
+        columns, want = brute_ingest(path, fmt)
+    except csv.Error:  # a NUL byte, on Python 3.10
+        with pytest.raises(DataError):
+            ingest(path, fmt)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
+        corpus, report = ingest(path, fmt)
+    event(f"{fmt}: {'some' if report.accepted else 'no'} records accepted")
+    assert (report.accepted, report.rejected, dict(report.reasons)) == (
+        want["accepted"], want["rejected"], want["reasons"])
+    assert list(corpus.skill_ids.items()) == list(columns["skill_ids"].items())
+    for name in ("ids", "occupations", "skill_names"):
+        assert getattr(corpus, name) == columns[name], name
+    for name in ("ordinals", "years", "occupation_codes", "slots", "indptr",
+                 *NUMBER_FIELDS):
+        got = getattr(corpus, name)
+        assert got.dtype == (np.float64 if name in NUMBER_FIELDS else
+                             np.int32 if name == "slots" else np.int64), name
+        np.testing.assert_array_equal(got, columns[name], err_msg=name)
 
 
 @settings(deadline=None)
@@ -164,27 +191,68 @@ def test_ingest_equals_record_at_a_time_oracle(tmp_path_factory, recs):
                           ("id", "date", "occupation", "skills", *NUMBER_FIELDS)]
                          for rec in recs if isinstance(rec, dict))
     for path, fmt in ((jsonl, "jsonl"), (csv_path, "csv")):
-        try:
-            columns, want = brute_ingest(path, fmt)
-        except csv.Error:  # a NUL byte, on Python 3.10
-            with pytest.raises(DataError):
-                ingest(path, fmt)
-            continue
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
-            corpus, report = ingest(path, fmt)
-        event(f"{fmt}: {'some' if report.accepted else 'no'} records accepted")
-        assert (report.accepted, report.rejected, dict(report.reasons)) == (
-            want["accepted"], want["rejected"], want["reasons"])
-        assert list(corpus.skill_ids.items()) == list(columns["skill_ids"].items())
-        for name in ("ids", "occupations", "skill_names"):
-            assert getattr(corpus, name) == columns[name], name
-        for name in ("ordinals", "years", "occupation_codes", "slots", "indptr",
-                     *NUMBER_FIELDS):
-            got = getattr(corpus, name)
-            assert got.dtype == (np.float64 if name in NUMBER_FIELDS else
-                                 np.int32 if name == "slots" else np.int64), name
-            np.testing.assert_array_equal(got, columns[name], err_msg=name)
+        assert_ingest_equals_oracle(path, fmt)
+
+
+# Line text around and in place of a JSON document: the whitespace json.loads
+# skips and some it does not (form feed, NBSP, U+2028, NEL, vertical tab), a
+# byte-order mark, which only the first line may start with, truncated
+# documents, data after a document, nesting past the recursion limit and an
+# integer past the digit limit; blank and whitespace-only lines too.
+padding = st.text(st.sampled_from(" \t\x0c\xa0\u2028\x85\x0b\ufeff"), max_size=2)
+documents = input_records.map(json.dumps)
+line_bodies = (
+    documents
+    | documents.flatmap(lambda doc: st.integers(0, len(doc) - 1).map(lambda k: doc[:k]))
+    | st.builds("{}{}".format, documents, st.sampled_from([" x", "{}", " 1", "]", '"']))
+    | st.sampled_from(["[" * 100_000 + "]" * 100_000,
+                       '{"id": "big", "salary_min": ' + "9" * 5000 + "}", ""])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+lines = st.builds("{}{}{}".format, padding, line_bodies, padding)
+
+
+@settings(deadline=None)
+@given(st.lists(lines, max_size=12), st.booleans())
+def test_ingest_of_any_jsonl_text_equals_oracle(tmp_path_factory, text_lines, last_newline):
+    path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+    path.write_text("\n".join(text_lines) + "\n" * last_newline, encoding="utf-8")
+    assert_ingest_equals_oracle(path, "jsonl")
+
+
+# A CSV header of every field and one no check reads, in any order, with
+# duplicate names after them, or any of those names in any order, with any
+# missing; each row as long as the header, one cell short of it (so a
+# trailing duplicate name is missing), or of any length, empty and longer
+# than the header included, its cells drawn by the header's names.
+CSV_CELLS = {
+    "id": st.sampled_from(["a", "7", ""]),
+    "date": st.sampled_from(["2018-03-01", "2020-02-29", "2019-02-30", ""]),
+    "occupation": st.sampled_from(["Dev", " QA ", " ", ""]),
+    "skills": st.lists(shared_skills, max_size=4).map(";".join),
+    **dict.fromkeys(NUMBER_FIELDS, st.sampled_from(["", "1.5", "-1", "nan", "x"])),
+    "note": st.text(max_size=3),
+}
+csv_headers = (
+    st.permutations(list(CSV_CELLS)).flatmap(
+        lambda names: st.lists(st.sampled_from(names), max_size=2).map(names.__add__))
+    | st.lists(st.sampled_from(list(CSV_CELLS)), max_size=10))
+
+
+def csv_rows(header):
+    cells = [CSV_CELLS[name] for name in header] + [CSV_CELLS["note"]] * 2
+    lengths = st.sampled_from([len(header), max(len(header) - 1, 0)]) | st.integers(
+        0, len(cells))
+    return st.lists(lengths.flatmap(lambda n: st.tuples(*cells[:n]).map(list)), max_size=8)
+
+
+@settings(deadline=None)
+@given(csv_headers.flatmap(lambda header: st.tuples(st.just(header), csv_rows(header))))
+def test_ingest_of_any_csv_rows_equals_oracle(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    with path.open("w", encoding="utf-8", errors="replace", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert_ingest_equals_oracle(path, "csv")
 
 
 @settings(deadline=None)

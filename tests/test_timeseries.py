@@ -367,6 +367,19 @@ class TestBacktest:
         assert payload["scores"] == [1.0, 3.0, 2.0]
         assert report.boxplot_rows()[0] == ("x", 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 365])
+    def test_quantiles_equal_numpy_to_the_bit(self, n):
+        rng = np.random.default_rng(n)
+        for scores in ((rng.random(n) * 200).tolist(), rng.integers(0, 3, n) * 1e-3 + 7.0,
+                       (rng.random(n) * rng.choice([1e-12, 1.0, 1e6], n)).tolist()):
+            report = BacktestReport(scores=list(scores), train_days=10, test_days=5,
+                                    iterations=n)
+            want = {"min": np.min(scores), "q1": np.percentile(scores, 25),
+                    "median": np.median(scores), "q3": np.percentile(scores, 75),
+                    "max": np.max(scores)}
+            assert report.quantiles() == {key: float(v) for key, v in want.items()}
+            assert report.median == float(np.median(scores))
+
 
 def test_series_rejects_negative_counts():
     with pytest.raises(DataError):
