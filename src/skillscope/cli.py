@@ -18,11 +18,12 @@ stage functions:
 
 Stages communicate through plain CSV/JSON files so every intermediate is
 inspectable and the pipeline is resumable. ``main`` makes the ``--out``
-directory before any stage runs; stage functions only compute, and each
-command writes its files after its last stage, so a failed command writes
-none. After every command ``main`` writes a provenance.json: every parsed
-flag except ``--out``, the SHA-256 of every input file named by a flag,
-the tool version and a timestamp.
+directory before any stage runs, and a flag value that no corpus can make
+valid is rejected by the stage's own check before ingest; stage functions
+only compute, and each command writes its files after its last stage, so a
+failed command writes none. After every command ``main`` writes a
+provenance.json: every parsed flag except ``--out``, the SHA-256 of every
+input file named by a flag, the tool version and a timestamp.
 Analysis outputs are byte-identical across runs with equal provenance.
 
 Every text input is read as UTF-8; a leading byte-order mark, as
@@ -104,7 +105,9 @@ def _read_json(path, what: str):
 
 
 def _load_corpus(args):
-    return corpus_mod.ingest(_require_file(args.input, "input corpus"), args.format)
+    path = _require_file(args.input, "input corpus")
+    _check_values(args)
+    return corpus_mod.ingest(path, args.format)
 
 
 def _read_seeds(args) -> list[str]:
@@ -142,6 +145,19 @@ def _read_holidays(path) -> tuple[dt.date, ...]:
             raise DataError(f"holiday calendar {path} line {lineno}: "
                             f"not a YYYY-MM-DD date: {text!r}") from None
     return tuple(holidays)
+
+
+def _check_values(args) -> None:
+    """The stages' own checks of the flag values that no corpus can make
+    valid, in stage order, made before ingest so that such a value costs
+    no work."""
+    given = vars(args)
+    if "per_seed_k" in given:
+        similarity.check_expansion(args.per_seed_k, args.cutoff)
+    if "threshold" in given:
+        occupations_mod.check_threshold(args.threshold)
+    if "train_days" in given:
+        timeseries.check_windows(args.train_days, args.test_days, args.iterations)
 
 
 def _fit_config(args) -> timeseries.FitConfig:

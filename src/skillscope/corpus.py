@@ -19,6 +19,10 @@ one flat array of skill ids, each ad's in ad order, cut by ``indptr``,
 plus the ads per skill. The effective-use matrix is the same type, cut
 from it.
 
+After ingest no temporary takes more than one byte per skill slot unless
+it is taken one ``SLOT_SLICE`` of slots at a time, as
+:func:`masked_indptr` takes its running count.
+
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
 """
@@ -42,6 +46,9 @@ from .errors import DataError
 
 # Records rejected above this share of the corpus end the run.
 REJECT_THRESHOLD = 0.05
+# Slots per slice where a per-slot temporary would be wider than one byte:
+# after ingest, such temporaries are taken one fixed-size slice at a time.
+SLOT_SLICE = 1 << 14
 
 _WS_RUN = re.compile(r"\s+")
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -348,15 +355,34 @@ class IncidenceIndex:
 
     Job ``i``'s skill ids, int32 and in ad order, are
     ``indices[indptr[i]:indptr[i + 1]]``; ``skill_job_counts[s]`` is the
-    number of jobs holding skill ``s``. The incidence and its effective-use
-    sub-matrix are both of this type.
+    number of jobs holding skill ``s``, counted with ``np.add.at``, which
+    reads the int32 ids in place where ``np.bincount`` would first copy them
+    to int64. The incidence and its effective-use sub-matrix are both of
+    this type.
     """
 
     def __init__(self, skill_ids: dict[str, int], indptr: np.ndarray, indices: np.ndarray):
         self.skill_ids = skill_ids
         self.indptr = indptr
         self.indices = indices
-        self.skill_job_counts = np.bincount(indices, minlength=len(skill_ids))
+        self.skill_job_counts = np.zeros(len(skill_ids), dtype=np.int64)
+        np.add.at(self.skill_job_counts, indices, 1)
+
+
+def masked_indptr(indptr: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The ``indptr`` of the entries of a CSR matrix for which the boolean
+    per-slot ``mask`` is true: for each offset in ``indptr``, how many of
+    the slots before it are true. The true slots are located one
+    ``SLOT_SLICE`` at a time."""
+    out = np.zeros(len(indptr), dtype=np.int64)
+    total = 0
+    for lo in range(0, len(mask), SLOT_SLICE):
+        hi = min(lo + SLOT_SLICE, len(mask))
+        first, last = np.searchsorted(indptr, [lo, hi], side="right")  # offsets in (lo, hi]
+        true_at = np.flatnonzero(mask[lo:hi])
+        out[first:last] = total + np.searchsorted(true_at, indptr[first:last] - lo)
+        total += len(true_at)
+    return out
 
 
 def build_index(corpus: Corpus) -> IncidenceIndex:

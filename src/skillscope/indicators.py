@@ -8,9 +8,12 @@ the shortage-consistent direction is "above baseline" for everything
 except experience, where low demands signal shortage.
 
 A group is a set of row positions into the corpus columns; the market is
-every row. Yearly medians use ``statistics.median`` and yearly means sum
-left to right in row order, so no figure depends on NumPy's summation order
-or on the Python version.
+every row, read from the whole columns with no gather. Each year's values
+are one float64 array: its median is taken as ``statistics.median`` takes
+it, from a stable sort, and its mean is the last element of a sequential
+``np.cumsum``, which adds left to right in row order as
+:func:`~skillscope.corpus.left_sum` does, so no figure depends on NumPy's
+pairwise summation or on the Python version.
 
 No scalar shortage score is computed; the report keeps the per-indicator
 flags side by side.
@@ -23,14 +26,13 @@ import datetime as dt
 import io
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, left_sum
+from .corpus import Corpus
 from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel
 
@@ -43,9 +45,13 @@ _YEARLY = (("posting_counts", "counts_by_year"), ("posting_growth", "growth_by_y
 
 
 def yearly_counts(years: np.ndarray) -> dict[int, int]:
-    """Ads per year, from one year per ad."""
-    found, counts = np.unique(years, return_counts=True)
-    return dict(zip(found.tolist(), counts.tolist()))
+    """Ads per year, ascending, from one year per ad; only years with ads."""
+    if not len(years):
+        return {}
+    first = int(years.min())
+    counts = np.bincount(years - first)
+    found = np.flatnonzero(counts)
+    return dict(zip((found + first).tolist(), counts[found].tolist()))
 
 
 def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Optional[float]]:
@@ -59,22 +65,40 @@ def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Op
     for prev, year in zip(years, years[1:]):
         if year - prev == 1 and counts_by_year[prev] > 0:
             growth[year] = counts_by_year[year] / counts_by_year[prev] - 1.0
-    mean = left_sum(growth.values()) / len(growth) if growth else None
-    return growth, mean
+    return growth, _mean(list(growth.values()))
 
 
-def _mean(values: list[float]) -> Optional[float]:
-    return left_sum(values) / len(values) if values else None
+def _mean(values) -> Optional[float]:
+    """The mean, summed left to right: the last of a sequential running sum,
+    plus 0.0 because :func:`~skillscope.corpus.left_sum` starts from 0.0 and
+    so never gives -0.0; bit for bit what ``left_sum`` gives."""
+    if not len(values):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
+        return (float(np.cumsum(values)[-1]) + 0.0) / len(values)
 
 
-def _by_year(values: np.ndarray, years: np.ndarray,
+def _median(values: np.ndarray) -> float:
+    """``statistics.median`` of a float64 array, sorted in place: a stable
+    sort orders the values as ``sorted`` does, -0.0 and 0.0 included."""
+    values.sort(kind="stable")
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(values[mid])
+    return (float(values[mid - 1]) + float(values[mid])) / 2
+
+
+def _by_year(values: np.ndarray, years: np.ndarray, found: dict[int, int],
              reduce) -> dict[int, Optional[float]]:
-    """``reduce`` of each year's defined (non-NaN) values, taken in row
-    order; None for a year where every value is missing."""
+    """``reduce`` of each found year's defined (non-NaN) values, a float64
+    array in row order; None for a year where every value is missing."""
+    defined = ~np.isnan(values)
     out = {}
-    for year in sorted(set(years.tolist())):
-        defined = values[(years == year) & ~np.isnan(values)].tolist()
-        out[year] = reduce(defined) if defined else None
+    for year in found:
+        in_year = years == year
+        in_year &= defined
+        chosen = values[in_year]
+        out[year] = reduce(chosen) if len(chosen) else None
     return out
 
 
@@ -92,14 +116,19 @@ class ShortageIndicators:
     median_smape: float
 
 
-def compute_indicators(label: str, corpus: Corpus, rows: np.ndarray,
+def compute_indicators(label: str, corpus: Corpus, rows,
                        backtest: BacktestReport) -> ShortageIndicators:
-    """The indicators of the ads at row positions ``rows`` of ``corpus``. An
-    ad's salary is the midpoint of its range, or its one bound."""
+    """The indicators of the ads at row positions ``rows`` of ``corpus``, or
+    of every ad, read from the whole columns, when ``rows`` is
+    ``slice(None)``. An ad's salary is the midpoint of its range, or its one
+    bound."""
     years = corpus.years[rows]
     low, high = corpus.salary_min[rows], corpus.salary_max[rows]
     with np.errstate(over="ignore"):  # an infinite midpoint is reported by assemble_report
-        mids = np.where(np.isnan(high), low, np.where(np.isnan(low), high, (low + high) / 2.0))
+        mids = low + high
+        mids /= 2.0
+    np.copyto(mids, high, where=np.isnan(low))
+    np.copyto(mids, low, where=np.isnan(high))
     counts = yearly_counts(years)
     growth, mean_growth = posting_growth(counts)
     return ShortageIndicators(
@@ -107,9 +136,9 @@ def compute_indicators(label: str, corpus: Corpus, rows: np.ndarray,
         counts_by_year=counts,
         growth_by_year=growth,
         mean_growth=mean_growth,
-        salary_by_year=_by_year(mids, years, statistics.median),
-        education_by_year=_by_year(corpus.education_years[rows], years, _mean),
-        experience_by_year=_by_year(corpus.experience_years[rows], years, _mean),
+        salary_by_year=_by_year(mids, years, counts, _median),
+        education_by_year=_by_year(corpus.education_years[rows], years, counts, _mean),
+        experience_by_year=_by_year(corpus.experience_years[rows], years, counts, _mean),
         median_smape=backtest.median,
     )
 
@@ -175,8 +204,7 @@ def assemble_report(
     finite is a DataError."""
     if not len(corpus):
         raise DataError("missing market baseline: no ads")
-    baseline = compute_indicators(MARKET, corpus, np.arange(len(corpus)),
-                                  market_backtest)
+    baseline = compute_indicators(MARKET, corpus, slice(None), market_backtest)
     _check_finite(baseline)
 
     base_levels = _levels(baseline)

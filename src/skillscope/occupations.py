@@ -3,7 +3,10 @@
 Intensity is the share of an occupation's skill slots (one slot per
 distinct skill per ad) that belong to the target set. Ads, slots and target
 slots are counted for every occupation at once, each by a ``bincount`` over
-the corpus's occupation codes. Occupations above a strict threshold are
+the corpus's occupation codes, weighted by each ad's slots and target slots;
+the target slots come from a one-byte-per-slot boolean gather, counted per
+ad by :func:`~skillscope.corpus.masked_indptr`, so no per-slot occupation
+code is built. Occupations above a strict threshold are
 selected and labelled via a user-supplied occupation -> category CSV
 mapping.
 """
@@ -17,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Corpus, normalize_skill
+from .corpus import Corpus, masked_indptr, normalize_skill
 from .errors import DataError
 
 UNCATEGORIZED = "uncategorized"
@@ -57,9 +60,14 @@ def compute_intensity(corpus: Corpus,
 
     is_target = np.zeros(len(corpus.skill_names), dtype=bool)
     is_target[[corpus.skill_ids[s] for s in targets if s in corpus.skill_ids]] = True
-    slot_codes = np.repeat(corpus.occupation_codes, np.diff(corpus.indptr))
-    counts = zip(*(np.bincount(codes, minlength=len(corpus.occupations)).tolist() for codes in
-                   (corpus.occupation_codes, slot_codes, slot_codes[is_target[corpus.slots]])))
+
+    def per_occupation(weights=None) -> list[int]:  # exact: every sum is below 2**53
+        return np.bincount(corpus.occupation_codes, weights,
+                           len(corpus.occupations)).astype(np.int64).tolist()
+
+    counts = zip(per_occupation(), per_occupation(np.diff(corpus.indptr)),
+                 per_occupation(np.diff(masked_indptr(corpus.indptr,
+                                                      is_target[corpus.slots]))))
     profiles = [OccupationProfile(occupation=occ, ads=n_ads, total_slots=total,
                                   target_slots=target, eta=target / total)
                 for occ, (n_ads, total, target) in zip(corpus.occupations, counts)]
@@ -99,6 +107,12 @@ def default_category_map_path() -> Path:
     return Path(__file__).parent / "data" / "dsa_occupation_categories.csv"
 
 
+def check_threshold(threshold: float) -> None:
+    """DataError unless ``threshold`` is in (0, 1); NaN is not."""
+    if not 0 < threshold < 1:
+        raise DataError("threshold must be in (0, 1)")
+
+
 def select_occupations(
     profiles: Iterable[OccupationProfile],
     threshold: float = THRESHOLD,
@@ -107,8 +121,7 @@ def select_occupations(
     """Keep profiles with intensity strictly above ``threshold``; attach
     category labels; flag (but keep) occupations with fewer than
     ``LOW_SUPPORT_FLOOR`` ads."""
-    if not 0 < threshold < 1:
-        raise DataError("threshold must be in (0, 1)")
+    check_threshold(threshold)
     selected = []
     for p in profiles:
         if p.eta > threshold:

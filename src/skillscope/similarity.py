@@ -116,6 +116,14 @@ class SkillSetResult:
         return cls(entries=entries, seeds=[], per_seed_k=0, cutoff=len(entries))
 
 
+def check_expansion(per_seed_k: int, cutoff: int) -> None:
+    """DataError unless both list lengths are at least 1."""
+    if per_seed_k < 1:
+        raise DataError("per_seed_k must be >= 1")
+    if cutoff < 1:
+        raise DataError("cutoff must be >= 1")
+
+
 def expand_seeds(
     eff: IncidenceIndex,
     seeds: list[str],
@@ -134,10 +142,7 @@ def expand_seeds(
     Ties break by name. Every skill, seeds included, is named by its
     normalized form.
     """
-    if per_seed_k < 1:
-        raise DataError("per_seed_k must be >= 1")
-    if cutoff < 1:
-        raise DataError("cutoff must be >= 1")
+    check_expansion(per_seed_k, cutoff)
     seed_idx: list[int] = []
     for s in seeds:
         idx = eff.skill_ids.get(normalize_skill(s))

@@ -13,13 +13,16 @@ No ratio is stored: :class:`RcaMatrix` computes one on demand, with n_j
 read from ``indptr`` and N as the number of slots. The effective-use matrix
 is decided from the integer counts alone and is an
 :class:`~skillscope.corpus.IncidenceIndex` like the incidence, cut from it by
-one boolean mask.
+one boolean mask, one byte per slot, which is built only when some skill's
+limit is below the longest ad; every wider per-slot temporary is taken one
+``corpus.SLOT_SLICE`` of slots at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import corpus
 from .corpus import IncidenceIndex
 from .errors import InvariantError
 
@@ -52,15 +55,27 @@ def compute_effective_use(rca: RcaMatrix) -> IncidenceIndex:
     """The incidence entries in effective use, with their own ads per skill.
 
     Strict thresholding: a skill counts as effectively used only when its
-    ratio exceeds 1; a ratio of exactly 1.0 drops out. Decided in integers as
-    ``c_s <= (N - 1) // n_j``, the same test while ``n_j * c_s < 2**52``.
-    Where every entry passes, the incidence itself is returned, not a copy."""
+    ratio exceeds 1; a ratio of exactly 1.0 drops out. Decided in integers:
+    an entry stays iff ``n_j <= (N - 1) // c_s``, the skill's limit on the
+    length of an ad that keeps it; this is ``c_s * n_j <= N - 1``, the same
+    test as the ratio while ``n_j * c_s < 2**52``. Where no skill's limit is
+    below the longest ad, the incidence itself is returned with no per-slot
+    work; otherwise one boolean mask over the slots is built one
+    ``SLOT_SLICE`` at a time, and where it keeps every entry the incidence
+    is still returned, not a copy."""
     index = rca.index
-    n_j = np.diff(index.indptr)
-    keep = index.skill_job_counts[index.indices] <= np.repeat(
-        (len(index.indices) - 1) // n_j, n_j)
+    indptr, indices = index.indptr, index.indices
+    n_j = np.diff(indptr)
+    # A skill in no ad (c_s = 0) has no slot to keep; any limit serves.
+    limit = (len(indices) - 1) // np.maximum(index.skill_job_counts, 1)
+    if not len(indices) or limit.min() >= n_j.max():
+        return index
+    keep = np.empty(len(indices), dtype=bool)
+    for lo in range(0, len(indices), corpus.SLOT_SLICE):
+        hi = min(lo + corpus.SLOT_SLICE, len(indices))
+        first, last = np.searchsorted(indptr, [lo, hi - 1], side="right") - 1
+        lengths = np.diff(np.clip(indptr[first:last + 2], lo, hi))
+        keep[lo:hi] = np.repeat(n_j[first:last + 1], lengths) <= limit[indices[lo:hi]]
     if keep.all():
         return index
-    kept = np.add.reduceat(keep, index.indptr[:-1], dtype=np.int64)
-    return IncidenceIndex(index.skill_ids, np.concatenate(([0], np.cumsum(kept))),
-                          index.indices[keep])
+    return IncidenceIndex(index.skill_ids, corpus.masked_indptr(indptr, keep), indices[keep])

@@ -291,6 +291,18 @@ class BacktestReport:
         return [(self.label, s) for s in self.scores]
 
 
+def check_windows(train_days: int, test_days: int, iterations: int) -> None:
+    """DataError unless a backtest of these windows can be fitted on a
+    series long enough for it."""
+    if train_days < MIN_FIT_DAYS:
+        raise DataError(f"backtest train window of {train_days} days is shorter "
+                        "than two weeks; cannot fit")
+    if test_days < 1:
+        raise DataError(f"backtest test window of {test_days} days; needs at least 1")
+    if iterations < 1:
+        raise DataError(f"backtest of {iterations} iterations; needs at least 1")
+
+
 def sliding_window_backtest(
     series: Sequence[DailySeries],
     train_days: int = TRAIN_DAYS,
@@ -312,14 +324,8 @@ def sliding_window_backtest(
     coefficients are left out of the forecast:
     a holiday in the training days is zero on every test day, and one
     outside them has an all-zero column and a zero min-norm coefficient."""
+    check_windows(train_days, test_days, iterations)
     start, y = _shared_span(series)
-    if train_days < MIN_FIT_DAYS:
-        raise DataError(f"backtest train window of {train_days} days is shorter "
-                        "than two weeks; cannot fit")
-    if test_days < 1:
-        raise DataError(f"backtest test window of {test_days} days; needs at least 1")
-    if iterations < 1:
-        raise DataError(f"backtest of {iterations} iterations; needs at least 1")
     required = train_days + test_days + iterations - 1
     if len(y) < required:
         raise DataError(

@@ -123,6 +123,33 @@ class TestBacktestInputErrors:
         assert "--changepoints 100000000 is above --train-days 60" in one_line_error(capsys)
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("command,flags,message", [
+        *[(command, ["--threshold", value], "threshold must be in (0, 1)")
+          for command in (["occupations", "--skills", "skills.csv"],
+                          ["report", "--seed-skill", "ml"])
+          for value in ("0", "1", "-0.5", "1.5", "nan")],
+        *[(command, flags, message)
+          for command in (["skills", "--seed-skill", "ml"], ["report", "--seed-skill", "ml"])
+          for flags, message in ((["--per-seed-k", "0"], "per_seed_k must be >= 1"),
+                                 (["--cutoff", "-2"], "cutoff must be >= 1"))],
+        *[(command, [*BACKTEST_FLAGS, *flags], message)
+          for command in (["backtest"], ["indicators"], ["report", "--seed-skill", "ml"])
+          for flags, message in (
+              (["--train-days", "13"], "train window of 13 days is shorter than two weeks"),
+              (["--test-days", "0"], "test window of 0 days; needs at least 1"),
+              (["--iterations", "-1"], "-1 iterations; needs at least 1"))],
+    ])
+    def test_value_no_corpus_makes_valid_exit_2_before_ingest(
+            self, corpus, tmp_path, capsys, monkeypatch, command, flags, message):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(corpus_mod, "ingest", no_ingest)
+        out = tmp_path / "o"
+        assert main([*command, "--input", str(corpus), *flags, "--out", str(out)]) == 2
+        assert message in one_line_error(capsys)
+        assert not any(out.iterdir())
+
     def test_unknown_occupation_exit_2_writes_no_file(self, corpus, tmp_path, capsys):
         out = tmp_path / "bt"
         assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS,

@@ -1,0 +1,109 @@
+"""Memory bounds after ingest: the traced peak of each skill-network,
+intensity and market-indicator stage, per skill slot or per ad, on a corpus
+of over a million slots.
+
+The bounds are what the one-byte-per-slot rule leaves room for: a boolean
+mask over the slots, the per-ad arrays (at 14 slots per ad, one int64 per ad
+is 0.57 bytes per slot), the result, and temporaries taken one
+``corpus.SLOT_SLICE`` at a time. A per-slot int64 temporary would take 8
+bytes per slot."""
+
+import datetime as dt
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from skillscope.corpus import IncidenceIndex, build_index, ingest_records
+from skillscope.indicators import MARKET, assemble_report
+from skillscope.occupations import compute_intensity
+from skillscope.skillmetrics import compute_effective_use, compute_rca
+from skillscope.timeseries import BacktestReport
+
+N_ADS, PER_AD, VOCAB = 75_000, 14, 40
+
+
+def traced_peak(call):
+    """``call()``'s result and the traced peak above the memory held when it
+    started, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def skill_rows(rng, vocab: int, per_ad: int) -> np.ndarray:
+    """``per_ad`` distinct skills of ``vocab`` in each of ``N_ADS`` rows."""
+    return np.argsort(rng.random((N_ADS, vocab)), axis=1)[:, :per_ad]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """1,050,000 slots over six years, one occupation of 50 per ad; every
+    skill holds about a third of the ads, so effective use keeps every slot.
+    Salaries are a range, one bound or missing; education is missing on
+    every fifth ad."""
+    rng = np.random.default_rng(5)
+    rows = skill_rows(rng, VOCAB, PER_AD).tolist()
+    days = rng.integers(0, 6 * 365, N_ADS).tolist()
+    start = dt.date(2014, 1, 1)
+
+    def records():
+        for i in range(N_ADS):
+            rec = {"id": str(i), "date": (start + dt.timedelta(days[i])).isoformat(),
+                   "occupation": f"occ{i % 50}", "skills": [f"s{s}" for s in rows[i]]}
+            if i % 3:
+                rec["salary_min"] = 30_000.0 + i % 997
+            if i % 4:
+                rec["salary_max"] = 60_000.0 + i % 991
+            if i % 5:
+                rec["education_years"] = 10.0 + i % 7 / 3
+            rec["experience_years"] = i % 11 / 7
+            yield rec
+
+    corpus, _ = ingest_records(records())
+    assert len(corpus.slots) == N_ADS * PER_AD
+    return corpus
+
+
+def test_build_index_takes_at_most_one_byte_per_slot(corpus):
+    index, peak = traced_peak(lambda: build_index(corpus))
+    np.testing.assert_array_equal(index.skill_job_counts, np.bincount(corpus.slots))
+    assert peak <= len(corpus.slots)
+
+
+def test_effective_use_keeping_every_slot_takes_at_most_one_byte_per_slot(corpus):
+    rca = compute_rca(build_index(corpus))
+    eff, peak = traced_peak(lambda: compute_effective_use(rca))
+    assert eff is rca.index
+    assert peak <= len(corpus.slots)
+
+
+def test_effective_use_dropping_slots_takes_at_most_eight_bytes_per_slot():
+    # Skill 0 is in every ad: its limit (N - 1) // N_ADS is 13, below the
+    # 14 slots of each ad, so it drops out of every one.
+    others = skill_rows(np.random.default_rng(6), VOCAB - 1, PER_AD - 1) + 1
+    rows = np.column_stack([np.zeros(N_ADS, dtype=np.int64), others])
+    index = IncidenceIndex({f"s{i}": i for i in range(VOCAB)},
+                           np.arange(N_ADS + 1) * PER_AD, rows.ravel().astype(np.int32))
+    rca = compute_rca(index)
+    eff, peak = traced_peak(lambda: compute_effective_use(rca))
+    assert eff.skill_job_counts[0] == 0
+    assert len(eff.indices) == N_ADS * (PER_AD - 1)
+    assert peak <= 8 * len(index.indices)
+
+
+def test_intensity_takes_at_most_two_bytes_per_slot(corpus):
+    profiles, peak = traced_peak(lambda: compute_intensity(corpus, ["s0", "s1", "s2"]))
+    assert sum(p.total_slots for p in profiles) == len(corpus.slots)
+    assert peak <= 2 * len(corpus.slots)
+
+
+def test_market_indicators_take_at_most_forty_bytes_per_ad(corpus):
+    backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
+    report, peak = traced_peak(lambda: assemble_report(corpus, {}, {}, backtest, {}))
+    assert sum(report.baseline.counts_by_year.values()) == N_ADS
+    assert peak <= 40 * len(corpus)

@@ -14,20 +14,27 @@ import contextlib
 import csv
 import io
 import json
+import statistics
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import event, given, settings, strategies as st  # noqa: E402
+from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
 
-from skillscope import corpus as corpus_mod
+from skillscope import corpus as corpus_mod, indicators
 from skillscope.cli import apply_config_file, main
-from skillscope.corpus import Corpus, _Columns, ingest
+from skillscope.corpus import (Corpus, _Columns, build_index, ingest, ingest_records,
+                               left_sum, normalize_skill)
 from skillscope.errors import DataError, UsageError
+from skillscope.indicators import compute_indicators
+from skillscope.occupations import compute_intensity
+from skillscope.skillmetrics import compute_effective_use, compute_rca
 from skillscope.synthgen import config_from_dict
+from skillscope.timeseries import BacktestReport
 
-from oracles import NUMBER_FIELDS, brute_ingest
+from oracles import (NUMBER_FIELDS, brute_effective, brute_eta, brute_indicators,
+                     brute_ingest, csr_rows)
 
 
 def examples(n: int) -> int:
@@ -274,6 +281,128 @@ def test_apply_config_file_rejects_only_with_own_errors(tmp_path_factory, doc):
     except (DataError, UsageError):
         return
     assert all(isinstance(a, str) for a in argv)
+
+
+# Small corpora for the skill network and intensity: ads of one to six of
+# twelve skills, each in one of three occupations, in id order.
+skill_sets = st.sets(st.integers(0, 11), min_size=1, max_size=6)
+job_lists = st.lists(st.tuples(skill_sets, st.sampled_from(["A", "B", "C"])),
+                     min_size=1, max_size=30)
+# The slice sizes the sliced stages run at: the module's, one slot and seven.
+SLICES = (corpus_mod.SLOT_SLICE, 1, 7)
+
+
+def job_records(jobs) -> list[dict]:
+    return [{"id": f"j{i:03d}", "date": "2018-06-01", "occupation": occupation,
+             "skills": sorted(f"s{k}" for k in skills)}
+            for i, (skills, occupation) in enumerate(jobs)]
+
+
+def effective_use_at_each_slice(records):
+    """The incidence and, per slice size, the effective use of ``records``
+    as ``{job id: set of skill names}``; each must be the incidence itself
+    where it keeps every slot."""
+    corpus, _ = ingest_records(records)
+    index = build_index(corpus)
+    for size in SLICES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "SLOT_SLICE", size)
+            eff = compute_effective_use(compute_rca(index))
+        rows = [{corpus.skill_names[s] for s in row} for row in csr_rows(eff)]
+        kept = sum(map(len, rows))
+        assert (eff is index) == (kept == len(index.indices))
+        np.testing.assert_array_equal(
+            eff.skill_job_counts, np.bincount(eff.indices, minlength=len(corpus.skill_ids)))
+        yield index, eff, dict(zip(corpus.ids, rows))
+
+
+@settings(deadline=None)
+@given(job_lists)
+def test_effective_use_equals_brute_force(jobs):
+    records = job_records(jobs)
+    want = brute_effective({rec["id"]: set(rec["skills"]) for rec in records})
+    for index, eff, got in effective_use_at_each_slice(records):
+        event("drops slots" if eff is not index else "keeps every slot")
+        assert got == want
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2))
+def test_effective_use_at_a_ratio_of_exactly_one(c, n, extra):
+    """Skill ``t`` is in ``c`` ads of ``n`` skills each, the other skills
+    of every ad its own, so ``c_t * n_j`` is N - ``extra``: at N the ratio is
+    exactly 1 and ``t`` drops out; at N - 1 it stays, and its limit
+    (N - 1) // c_t equals the longest ad, which keeps every slot."""
+    jobs = {f"j{i}": {"t", *(f"u{i}_{k}" for k in range(n - 1))} for i in range(c)}
+    jobs.update({f"x{e}": {f"x{e}"} for e in range(extra)})
+    records = [{"id": j, "date": "2018-06-01", "occupation": "A", "skills": sorted(s)}
+               for j, s in jobs.items()]
+    want = brute_effective(jobs)
+    for index, eff, got in effective_use_at_each_slice(records):
+        assert got == want
+        assert all(("t" in got[f"j{i}"]) == (extra > 0) for i in range(c))
+        if extra == 1:
+            assert eff is index
+
+
+@settings(deadline=None)
+@given(job_lists, st.sets(st.sampled_from(["s0", "S1", " s2", "s5", "nowhere"]), min_size=1))
+def test_intensity_equals_brute_force(jobs, targets):
+    records = job_records(jobs)
+    corpus, _ = ingest_records(records)
+    want = brute_eta(records, {normalize_skill(t) for t in targets})
+    for size in SLICES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "SLOT_SLICE", size)
+            profiles = compute_intensity(corpus, targets)
+        assert {p.occupation: p.eta for p in profiles} == want
+        assert sum(p.total_slots for p in profiles) == len(corpus.slots)
+
+
+# Values whose left-to-right sum differs from NumPy's pairwise one, and
+# signed zeros, whose order a median must keep.
+sum_values = st.sampled_from([1e16, 1.0, 3.0, 0.1, 2.5e15, 0.0, -0.0])
+adversarial = (st.lists(sum_values | st.sampled_from([-1e16, -3.0]), min_size=8, max_size=40)
+               | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=40))
+PAIRWISE_DIFFERS = [1e16] + [1.0] * 30
+
+
+def test_pairwise_differs_on_its_example():
+    assert float(np.sum(PAIRWISE_DIFFERS)) != left_sum(PAIRWISE_DIFFERS)
+
+
+@settings(deadline=None)
+@example(PAIRWISE_DIFFERS)
+@given(adversarial)
+def test_median_and_mean_equal_statistics_and_left_sum(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairwise = float(np.sum(values))
+    event("pairwise sum differs" if pairwise != left_sum(values) else "pairwise sum agrees")
+    assert repr(indicators._median(np.array(values))) == repr(statistics.median(values))
+    assert repr(indicators._mean(np.array(values))) == repr(left_sum(values) / len(values))
+
+
+@settings(deadline=None)
+@example([(0, 1e16, 1e16)] + [(0, 1.0, 1.0)] * 30)
+@given(st.lists(st.tuples(st.integers(0, 1), sum_values, sum_values | st.none()), min_size=1,
+                max_size=40))
+def test_yearly_figures_equal_brute_force_bit_for_bit(ads):
+    """Each year's median salary and mean education and experience, over
+    the market's whole columns, are ``brute_indicators``' to the bit."""
+    records = [{"id": str(i), "date": f"{2017 + year}-03-01", "occupation": "A",
+                "skills": ["x"], "education_years": value,
+                **({"salary_min": value} if other is None else
+                   {"salary_min": min(value, other), "salary_max": max(value, other),
+                    "experience_years": other})}
+               for i, (year, value, other) in enumerate(ads)]
+    corpus, _ = ingest_records(records)
+    ind = compute_indicators(indicators.MARKET, corpus, slice(None),
+                             BacktestReport([1.0], 14, 1, 1, indicators.MARKET))
+    want = brute_indicators(records)
+    assert ind.counts_by_year == want["counts"]
+    for name in ("salary", "education", "experience"):
+        assert repr(getattr(ind, f"{name}_by_year")) == repr(want[name]), name
 
 
 # A 90-day corpus of about 360 ads over two clusters.
