@@ -3,13 +3,14 @@
 An ad is a record on the way in and out (id, ``YYYY-MM-DD`` date,
 occupation, skills, and optional salary, education and experience numbers)
 and a row of columns in between. :func:`ingest_records` is the only way to
-build a :class:`Corpus`: one appender validates each record straight into
-the columns, one array per column instead of one object per ad, interning
-its skills and occupation as it appends it, so a rejected record leaves no
-trace. Memos parse each distinct date text and normalize each distinct raw
-skill text once, and map each raw skill text of an appended record to its
-skill id (-1 where it normalizes to ""), so a record whose texts are all
-in that memo goes straight to its ids. :func:`ingest` decodes each JSONL
+build a :class:`Corpus`: one loop validates each record straight into
+the columns, one array per column instead of one object per ad (the ids
+too, as one UTF-8 buffer cut by end offsets), interning its skills and
+occupation as it appends it, so a rejected record leaves no trace. Memos
+parse each distinct date text and normalize each distinct raw skill text
+once, and map each raw skill text of an appended record to its skill id
+(-1 where it normalizes to ""), so a record whose texts are all in that
+memo goes straight to its ids. :func:`ingest` decodes each JSONL
 line with one ``raw_decode`` call, accepting exactly what ``json.loads``
 accepts, and reads CSV rows with ``csv.reader`` as ``csv.DictReader``
 would give them to the validator. :meth:`Corpus.rows` gives the records
@@ -87,13 +88,14 @@ def left_sum(values) -> float:
 
 
 class _Columns:
-    """Corpus columns as they grow: :meth:`add_record` validates a raw
-    record straight into them. Skills are interned, and their raw texts
+    """Corpus columns as they grow: :meth:`append_records` validates raw
+    records straight into them. Skills are interned, and their raw texts
     memoized as ids, only as a record is appended, in first-occurrence
     order."""
 
     def __init__(self):
-        self.ids: list[str] = []
+        self.id_bytes = bytearray()  # each ad's id as UTF-8, end to end
+        self.id_ends = array("q")  # where each ad's id ends in id_bytes
         self.skill_ids: dict[str, int] = {}
         self.occupation_codes: dict[str, int] = {}
         self.ordinals, self.codes, self.lengths = (array("q") for _ in range(3))
@@ -105,63 +107,98 @@ class _Columns:
         # that normalizes to ""
         self.text_ids: dict[str, int] = {}
 
-    def add_record(self, rec) -> None:
-        """Validate one raw record and append it; raises ValueError with a
-        short reason, having appended nothing."""
-        if not isinstance(rec, dict):
-            raise ValueError("bad json")
-        for key in ("id", "date", "occupation", "skills"):
-            if rec.get(key) in (None, ""):
-                raise ValueError(f"missing {key}")
-        for key in ("id", "occupation"):  # text, or an integer code
-            if not isinstance(rec[key], (str, int)) or isinstance(rec[key], bool):
-                raise ValueError(f"bad {key}")
-        occupation = str(rec["occupation"]).strip()
-        if not occupation:
-            raise ValueError("missing occupation")
-        if occupation not in self.occupation_codes:
-            _check_utf8(occupation, "bad occupation")
-        try:
-            ordinal = self.dates[rec["date"]]
-        except (KeyError, TypeError):  # a new or an unhashable date
+    def append_records(self, records: Iterable, report: IngestReport) -> None:
+        """Validate each raw record and append the accepted ones in order.
+        A rejected record appends nothing and is counted in ``report``
+        under a short reason: the first check it fails. The buffers, memos
+        and their methods are bound to locals once, for the whole loop."""
+        get, missing, isfinite = dict.get, (None, ""), math.isfinite
+        occupation_codes, skill_ids = self.occupation_codes, self.skill_ids
+        dates, text_ids, memo = self.dates, self.text_ids, self.names
+        names_of, fromkeys, text_id = self._skill_names, dict.fromkeys, text_ids.__getitem__
+        id_bytes, append_id = self.id_bytes, self.id_bytes.extend
+        append_end, append_ordinal = self.id_ends.append, self.ordinals.append
+        append_code, append_length = self.codes.append, self.lengths.append
+        append_slots, append_numbers = self.slots.fromlist, self.numbers.fromlist
+        for rec in records:
             try:
-                ordinal = self.dates[rec["date"]] = parse_date(str(rec["date"])).toordinal()
-            except ValueError:
-                raise ValueError("bad date")
-        raw = rec["skills"]
-        if isinstance(raw, str):
-            raw = raw.split(";")
-        elif not isinstance(raw, list):
-            raise ValueError("bad skills")
-        try:  # every text known from an appended record: straight to its ids
-            ids = dict.fromkeys(map(self.text_ids.__getitem__, raw))
-        except (KeyError, TypeError):  # a new text, or one that is not a string
-            names = self._skill_names(raw)
-        else:
-            names = None
-            ids.pop(-1, None)
-            if not ids:
-                raise ValueError("empty skills")
-        numbers = [_parse_number(rec.get("salary_min"), "salary_min"),
-                   _parse_number(rec.get("salary_max"), "salary_max")]
-        if numbers[0] > numbers[1]:  # False when either is NaN
-            raise ValueError("salary_min > salary_max")
-        for key in ("education_years", "experience_years"):
-            numbers.append(_parse_number(rec.get(key), key))
-            if numbers[-1] < 0:
-                raise ValueError(f"negative {key}")
-        self.ids.append(str(rec["id"]))
-        self.ordinals.append(ordinal)
-        self.codes.append(self.occupation_codes.setdefault(occupation,
-                                                           len(self.occupation_codes)))
-        if names is not None:
-            skill_ids = self.skill_ids
-            ids = [skill_ids.setdefault(s, len(skill_ids)) for s in names]
-            for text in raw:
-                self.text_ids[text] = skill_ids.get(self.names[text], -1)
-        self.slots.fromlist(list(ids))
-        self.lengths.append(len(ids))
-        self.numbers.fromlist(numbers)
+                if not isinstance(rec, dict):
+                    raise ValueError("bad json")
+                ad_id, date = get(rec, "id"), get(rec, "date")
+                occupation, raw = get(rec, "occupation"), get(rec, "skills")
+                if ad_id in missing:
+                    raise ValueError("missing id")
+                if date in missing:
+                    raise ValueError("missing date")
+                if occupation in missing:
+                    raise ValueError("missing occupation")
+                if raw in missing:
+                    raise ValueError("missing skills")
+                # text, or an integer code
+                if not isinstance(ad_id, (str, int)) or isinstance(ad_id, bool):
+                    raise ValueError("bad id")
+                if not isinstance(occupation, (str, int)) or isinstance(occupation, bool):
+                    raise ValueError("bad occupation")
+                occupation = str(occupation).strip()
+                if not occupation:
+                    raise ValueError("missing occupation")
+                if occupation not in occupation_codes:
+                    _check_utf8(occupation, "bad occupation")
+                try:
+                    ordinal = dates[date]
+                except (KeyError, TypeError):  # a new or an unhashable date
+                    try:
+                        ordinal = dates[date] = parse_date(str(date)).toordinal()
+                    except ValueError:
+                        raise ValueError("bad date")
+                if isinstance(raw, str):
+                    raw = raw.split(";")
+                elif not isinstance(raw, list):
+                    raise ValueError("bad skills")
+                try:  # every text known from an appended record: straight to its ids
+                    ids = fromkeys(map(text_id, raw))
+                except (KeyError, TypeError):  # a new text, or one that is not a string
+                    names = names_of(raw)
+                else:
+                    names = None
+                    ids.pop(-1, None)
+                    if not ids:
+                        raise ValueError("empty skills")
+                # a finite float, the usual form of a JSON number, is taken as it is
+                salary_min, salary_max = get(rec, "salary_min"), get(rec, "salary_max")
+                if type(salary_min) is not float or not isfinite(salary_min):
+                    salary_min = _parse_number(salary_min, "salary_min")
+                if type(salary_max) is not float or not isfinite(salary_max):
+                    salary_max = _parse_number(salary_max, "salary_max")
+                if salary_min > salary_max:  # False when either is NaN
+                    raise ValueError("salary_min > salary_max")
+                education = get(rec, "education_years")
+                if type(education) is not float or not isfinite(education):
+                    education = _parse_number(education, "education_years")
+                if education < 0:
+                    raise ValueError("negative education_years")
+                experience = get(rec, "experience_years")
+                if type(experience) is not float or not isfinite(experience):
+                    experience = _parse_number(experience, "experience_years")
+                if experience < 0:
+                    raise ValueError("negative experience_years")
+                # surrogatepass: a lone surrogate, as a JSON escape gives it,
+                # comes back from rows() as it went in
+                append_id(str(ad_id).encode("utf-8", "surrogatepass"))
+            except ValueError as exc:
+                report.rejected += 1
+                report.reasons[str(exc)] += 1
+                continue
+            append_end(len(id_bytes))
+            append_ordinal(ordinal)
+            append_code(occupation_codes.setdefault(occupation, len(occupation_codes)))
+            if names is not None:
+                ids = [skill_ids.setdefault(s, len(skill_ids)) for s in names]
+                for text in raw:
+                    text_ids[text] = skill_ids.get(memo[text], -1)
+            append_slots(list(ids))
+            append_length(len(ids))
+            append_numbers([salary_min, salary_max, education, experience])
 
     def _skill_names(self, raw: list) -> dict[str, None]:
         """The ordered set of the normalized names of ``raw``'s texts."""
@@ -181,19 +218,22 @@ class _Columns:
 class Corpus:
     """Ads as columns, row ``i`` being the ``i``-th record accepted.
 
-    Per ad: ``ids``, int64 ``ordinals`` and ``years``, and
+    Per ad: the id, UTF-8 bytes ``id_bytes[id_ends[i - 1]:id_ends[i]]``
+    (from 0 for the first), int64 ``ordinals`` and ``years``, and
     ``occupation_codes`` into ``occupations`` (names in first-occurrence
     order). Ad ``i``'s skill ids, int32 and in its own order, are
     ``slots[indptr[i]:indptr[i + 1]]``, naming ``skill_names[id]``;
     ``skill_ids`` maps a name to its id. ``salary_min``, ``salary_max``,
     ``education_years`` and ``experience_years`` are float64, NaN where
-    missing. ``ordinals``, ``occupation_codes``, ``slots`` and the four
-    numbers are views of the buffers ingest appended to, so each column is
-    held once; the numbers are strided views of one four-per-ad buffer.
+    missing. The two id columns, ``ordinals``, ``occupation_codes``,
+    ``slots`` and the four numbers are views of the buffers ingest appended
+    to, so each column is held once; the numbers are strided views of one
+    four-per-ad buffer. Only :meth:`rows` decodes the ids.
     """
 
     def __init__(self, columns: _Columns):
-        self.ids = columns.ids
+        self.id_bytes = np.frombuffer(columns.id_bytes, dtype=np.uint8)
+        self.id_ends = np.frombuffer(columns.id_ends, dtype=np.int64)
         self.skill_ids = columns.skill_ids
         self.occupations = list(columns.occupation_codes)
         self.skill_names = list(columns.skill_ids)
@@ -208,7 +248,7 @@ class Corpus:
          self.experience_years) = np.frombuffer(columns.numbers).reshape(-1, 4).T
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.ordinals)
 
     def span(self) -> tuple[dt.date, dt.date]:
         """First and last posting date."""
@@ -218,17 +258,24 @@ class Corpus:
                 dt.date.fromordinal(int(self.ordinals.max())))
 
     def rows(self) -> Iterator[dict]:
-        """The ads back as records in order: ISO date text, a ``skills``
-        list, and only the numbers that are present."""
-        numbers = np.column_stack([getattr(self, key) for key in _NUMBER_FIELDS]).tolist()
-        for i, ad_id in enumerate(self.ids):
-            rec = {"id": ad_id,
-                   "date": dt.date.fromordinal(int(self.ordinals[i])).isoformat(),
-                   "occupation": self.occupations[self.occupation_codes[i]],
-                   "skills": [self.skill_names[s]
-                              for s in self.slots[self.indptr[i]:self.indptr[i + 1]].tolist()]}
-            rec.update((key, v) for key, v in zip(_NUMBER_FIELDS, numbers[i])
-                       if not math.isnan(v))
+        """The ads back as records in order: the id as text, ISO date text,
+        a ``skills`` list, and only the numbers that are present. Each
+        column is read once, in order, through a ``memoryview``, which gives
+        Python numbers one at a time and holds no list of a whole column."""
+        ids, slots, names = memoryview(self.id_bytes), memoryview(self.slots), self.skill_names
+        numbers = zip(*(memoryview(getattr(self, key)) for key in _NUMBER_FIELDS))
+        start = lo = 0
+        for end, ordinal, code, hi, values in zip(
+                memoryview(self.id_ends), memoryview(self.ordinals),
+                memoryview(self.occupation_codes), memoryview(self.indptr[1:]), numbers):
+            rec = {"id": str(ids[start:end], "utf-8", "surrogatepass"),
+                   "date": dt.date.fromordinal(ordinal).isoformat(),
+                   "occupation": self.occupations[code],
+                   "skills": [names[s] for s in slots[lo:hi].tolist()]}
+            for key, v in zip(_NUMBER_FIELDS, values):
+                if not math.isnan(v):
+                    rec[key] = v
+            start, lo = end, hi
             yield rec
 
 
@@ -255,17 +302,14 @@ def _check_utf8(text: str, reason: str) -> str:
 def _parse_number(value, field_name: str) -> float:
     """A finite number as a float, or NaN for a missing one (None or empty
     text); ValueError otherwise."""
-    if type(value) is float:  # a JSON number, the usual form
-        number = value
-    elif value is None or value == "":
+    if value is None or value == "":
         return math.nan
-    elif isinstance(value, bool):
+    if isinstance(value, bool):
         raise ValueError(f"bad number in {field_name}")
-    else:
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"bad number in {field_name}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"bad number in {field_name}")
     if not math.isfinite(number):
         raise ValueError(f"non-finite {field_name}")
     return number
@@ -324,14 +368,9 @@ def ingest_records(records: Iterable) -> tuple[Corpus, IngestReport]:
     """
     report = IngestReport()
     columns = _Columns()
-    for rec in records:
-        try:
-            columns.add_record(rec)
-        except ValueError as exc:
-            report.rejected += 1
-            report.reasons[str(exc)] += 1
-    report.accepted = len(columns.ids)
+    columns.append_records(records, report)
     corpus = Corpus(columns)
+    report.accepted = len(corpus)
     total = report.accepted + report.rejected
     if total > 0 and report.rejected / total > REJECT_THRESHOLD:
         raise DataError(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -280,7 +279,12 @@ class BacktestReport:
 
     @property
     def median(self) -> float:
-        return float(statistics.median(self.scores))
+        """The middle score, or the mean of the two middle ones, as
+        ``statistics.median`` takes it; that module would import
+        ``fractions`` and ``decimal``."""
+        s = sorted(self.scores)
+        mid = len(s) // 2
+        return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
 
     def to_json(self, path) -> None:
         """Every field and the ``quantiles`` as ``summary``."""

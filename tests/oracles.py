@@ -7,7 +7,8 @@ the decomposition fit, and for ingest each input record validated into a
 record of the interchange form (ISO date text, a ``skills`` list, only the
 numbers present), then folded into plain lists one skill slot at a time.
 Two readers, :func:`theta_value` and :func:`theta_pairs`, put the
-package's theta rows in the shape of :func:`brute_theta` for comparison.
+package's theta rows in the shape of :func:`brute_theta` for comparison;
+:func:`ad_ids` reads a corpus's ids as a list.
 """
 
 from __future__ import annotations
@@ -169,6 +170,13 @@ def random_jobs(rng: random.Random, max_ads: int = 20, max_skills: int = 10) -> 
         k = rng.randint(1, n_skills)
         jobs[f"j{j}"] = set(rng.sample(skills, k))
     return jobs
+
+
+def ad_ids(corpus) -> list[str]:
+    """A corpus's ad ids, each decoded from its slice of the UTF-8 id
+    buffer."""
+    buf, ends = corpus.id_bytes.tobytes(), corpus.id_ends.tolist()
+    return [buf[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip([0] + ends, ends)]
 
 
 def csr_rows(m) -> list[list[int]]:

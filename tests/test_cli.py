@@ -507,13 +507,13 @@ class TestReport:
         """``report`` in a fresh interpreter loads neither the generator nor
         ``numpy.ma``, which NumPy 2 imports only on first use (a median, a
         percentile, ``np.unique`` without counts) and NumPy 1 with ``numpy``
-        itself."""
+        itself, nor ``statistics`` and the ``fractions`` and ``decimal`` it
+        imports."""
         script = ("import json, sys, numpy\n"
-                  "eager = 'numpy.ma' in sys.modules\n"
+                  "eager = set(sys.modules)\n"
                   "from skillscope.cli import main\n"
                   "code = main(sys.argv[1:])\n"
-                  "print(json.dumps([code, eager, 'numpy.ma' in sys.modules,\n"
-                  "                  'skillscope.synthgen' in sys.modules]))\n")
+                  "print(json.dumps([code, sorted(set(sys.modules) - eager)]))\n")
         argv = ["report", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),
                 "--per-seed-k", "10", "--cutoff", "5", *BACKTEST_FLAGS,
                 "--out", str(tmp_path / "out")]
@@ -523,11 +523,10 @@ class TestReport:
         run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        code, eager, numpy_ma, synthgen = json.loads(run.stdout.splitlines()[-1])
+        code, loaded = json.loads(run.stdout.splitlines()[-1])
         assert code == 0
-        assert not synthgen
-        if not eager:
-            assert not numpy_ma
+        assert not {"skillscope.synthgen", "numpy.ma", "statistics", "fractions",
+                    "decimal"} & set(loaded)
 
     def test_unmapped_occupations_uncategorized_in_indicators_and_report(
             self, corpus, tmp_path, capsys):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from skillscope import corpus as corpus_mod
+from skillscope.cli import main
 from skillscope.corpus import (
     _Columns,
     Corpus,
+    IngestReport,
     build_index,
     ingest,
     ingest_records,
@@ -20,14 +22,24 @@ from skillscope.corpus import (
 from skillscope.errors import DataError
 from skillscope.occupations import compute_intensity
 
-from oracles import brute_eta, brute_record, csr_rows, jobs_to_records
+from oracles import ad_ids, brute_eta, brute_record, csr_rows, jobs_to_records
+
+
+def append_one(columns, rec) -> dict:
+    """``rec`` appended to ``columns`` as ingest appends it, and the reject
+    reasons counted: ``{}`` where it is accepted."""
+    report = IngestReport()
+    columns.append_records([rec], report)
+    return dict(report.reasons)
 
 
 def validate(rec) -> dict:
-    """The record ingest gives back for ``rec``; its ValueError if it
-    rejects it."""
+    """The record ingest gives back for ``rec``; its reject reason as a
+    ValueError if it rejects it."""
     columns = _Columns()
-    columns.add_record(rec)
+    reasons = append_one(columns, rec)
+    if reasons:
+        raise ValueError(*reasons)
     return next(Corpus(columns).rows())
 
 
@@ -134,24 +146,23 @@ class TestIngest:
     def test_lone_surrogate_rejected_appending_nothing(self, field, value, reason):
         columns = _Columns()
         for _ in range(2):  # the second time past the memos too
-            with pytest.raises(ValueError, match=f"^{reason}$"):
-                columns.add_record(json.loads(record(0, **{field: value})))
-        assert not (columns.ids or columns.occupation_codes or columns.skill_ids
-                    or columns.slots)
+            assert append_one(columns, json.loads(record(0, **{field: value}))) == {reason: 1}
+        assert not (columns.id_bytes or columns.id_ends or columns.occupation_codes
+                    or columns.skill_ids or columns.slots)
 
     def test_parse_error_field_is_an_ordinary_field(self, tmp_path):
         f = tmp_path / "ads.jsonl"
         write_lines(f, [record(0, **{"__parse_error__": ["a", "list"]}),
                         record(1, **{"__parse_error__": "bad date"})])
         corpus, report = ingest(f)
-        assert (corpus.ids, report.rejected) == (["ad-0", "ad-1"], 0)
+        assert (ad_ids(corpus), report.rejected) == (["ad-0", "ad-1"], 0)
 
     def test_parse_error_column_is_an_ordinary_column(self, tmp_path):
         f = tmp_path / "ads.csv"
         f.write_text("id,date,occupation,skills,__parse_error__\n"
                      "a1,2018-01-02,Analyst,SQL,bad json\n")
         corpus, report = ingest(f, fmt="csv")
-        assert (corpus.ids, report.rejected) == (["a1"], 0)
+        assert (ad_ids(corpus), report.rejected) == (["a1"], 0)
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -162,7 +173,7 @@ class TestIngest:
         write_lines(f, [record(i) for i in range(20)] + [record(99, skills=[""])])
         c1, r1 = ingest(f)
         c2, r2 = ingest(f)
-        assert c1.ids == c2.ids
+        assert ad_ids(c1) == ad_ids(c2)
         assert r1.to_json() == r2.to_json()
 
 
@@ -211,16 +222,17 @@ class TestInterning:
 
     def test_skill_id_memo_follows_accepted_records_only(self):
         columns = _Columns()
-        with pytest.raises(ValueError, match=r"^salary_min > salary_max$"):
-            columns.add_record(json.loads(record(0, skills=["B", "A"], salary_min=9,
-                                                 salary_max=1)))
+        assert append_one(columns, json.loads(record(0, skills=["B", "A"], salary_min=9,
+                                                      salary_max=1))) == {
+            "salary_min > salary_max": 1}
         assert columns.text_ids == {}  # a rejected record fills no memo entry
-        columns.add_record(json.loads(record(1, skills=["a ", "b"])))
-        columns.add_record(json.loads(record(2, skills=["A", "B", " "])))
+        assert append_one(columns, json.loads(record(1, skills=["a ", "b"]))) == {}
+        assert append_one(columns, json.loads(record(2, skills=["A", "B", " "]))) == {}
         assert columns.text_ids == {"a ": 0, "b": 1, "A": 0, "B": 1, " ": -1}
-        columns.add_record(json.loads(record(3, skills=["B", " ", "a ", "B"])))  # all memo hits
-        with pytest.raises(ValueError, match="^empty skills$"):
-            columns.add_record(json.loads(record(4, skills=[" ", " "])))
+        # all memo hits
+        assert append_one(columns, json.loads(record(3, skills=["B", " ", "a ", "B"]))) == {}
+        assert append_one(columns, json.loads(record(4, skills=[" ", " "]))) == {
+            "empty skills": 1}
         corpus = Corpus(columns)
         assert corpus.skill_names == ["a", "b"]
         assert corpus.slots.tolist() == [0, 1, 0, 1, 1, 0]
@@ -352,16 +364,16 @@ class TestRejectPrecedence:
         write_lines(f, [record(0), record(1, **fields), record(2)])
         corpus, report = ingest(f)
         assert dict(report.reasons) == {reason: 1}
-        assert corpus.ids == ["ad-0", "ad-2"]
+        assert ad_ids(corpus) == ["ad-0", "ad-2"]
         assert corpus.slots.tolist() == [0, 1, 0, 1]
 
     def test_rejected_record_appends_nothing(self):
         columns = _Columns()
-        columns.add_record(json.loads(record(0)))
-        with pytest.raises(ValueError, match="^bad skills$"):
-            columns.add_record(json.loads(record(1, skills=["Rust", "SQL", 5])))
+        assert append_one(columns, json.loads(record(0))) == {}
+        assert append_one(columns, json.loads(record(1, skills=["Rust", "SQL", 5]))) == {
+            "bad skills": 1}
         corpus = Corpus(columns)
-        assert (corpus.ids, corpus.skill_names) == (["ad-0"], ["sql", "python"])
+        assert (ad_ids(corpus), corpus.skill_names) == (["ad-0"], ["sql", "python"])
         assert corpus.slots.tolist() == [0, 1] and len(corpus.salary_min) == 1
 
 
@@ -443,6 +455,28 @@ class TestCorpusColumns:
                                      rng.randint(1, len(corpus.skill_names))))
             want = brute_eta(list(corpus.rows()), targets)
             assert {p.occupation: p.eta for p in compute_intensity(corpus, targets)} == want
+
+
+@pytest.mark.parametrize("ad_id, back", [
+    ("Ärztin-ñ-工作-😀", "Ärztin-ñ-工作-😀"),
+    ("\ud800", "\ud800"),  # a lone surrogate, as the JSON escape gives it
+    (0, "0"),
+    ("x" * 1000, "x" * 1000),
+    ("", None),  # rejected as missing id
+], ids=["non-ascii", "lone-surrogate", "integer-0", "1000-chars", "empty"])
+def test_id_comes_back_from_rows_and_the_ingest_command(tmp_path, monkeypatch, ad_id, back):
+    monkeypatch.setattr(corpus_mod, "REJECT_THRESHOLD", 1.0)
+    records = [json.loads(record(0)), json.loads(record(1, id=ad_id)), json.loads(record(2))]
+    want = ["ad-0", "ad-2"] if back is None else ["ad-0", back, "ad-2"]
+    corpus, report = ingest_records(records)
+    assert dict(report.reasons) == ({} if back is not None else {"missing id": 1})
+    assert corpus.id_bytes.tobytes() == "".join(want).encode("utf-8", "surrogatepass")
+    assert [rec["id"] for rec in corpus.rows()] == ad_ids(corpus) == want
+    write_lines(tmp_path / "ads.jsonl", map(json.dumps, records))
+    assert main(["ingest", "--input", str(tmp_path / "ads.jsonl"),
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "corpus.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == want
 
 
 def worked_corpus():

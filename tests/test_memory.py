@@ -1,6 +1,6 @@
-"""Memory bounds after ingest: the traced peak of each skill-network,
-intensity and market-indicator stage, per skill slot or per ad, on a corpus
-of over a million slots.
+"""Memory bounds: the bytes per ad that ingest keeps, and, after ingest,
+the traced peak of each skill-network, intensity and market-indicator
+stage, per skill slot or per ad, on a corpus of over a million slots.
 
 The bounds are what the one-byte-per-slot rule leaves room for: a boolean
 mask over the slots, the per-ad arrays (at 14 slots per ad, one int64 per ad
@@ -9,10 +9,12 @@ is 0.57 bytes per slot), the result, and temporaries taken one
 bytes per slot."""
 
 import datetime as dt
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import default_rng  # loaded here, outside any traced call
 
 from skillscope.corpus import IncidenceIndex, build_index, ingest_records
 from skillscope.indicators import MARKET, assemble_report
@@ -40,33 +42,52 @@ def skill_rows(rng, vocab: int, per_ad: int) -> np.ndarray:
     return np.argsort(rng.random((N_ADS, vocab)), axis=1)[:, :per_ad]
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    """1,050,000 slots over six years, one occupation of 50 per ad; every
-    skill holds about a third of the ads, so effective use keeps every slot.
-    Salaries are a range, one bound or missing; education is missing on
+def ad_records():
+    """``N_ADS`` new records, one at a time: 1,050,000 slots over six years,
+    one occupation of 50 per ad; every skill holds about a third of the
+    ads. Salaries are a range, one bound or missing; education is missing on
     every fifth ad."""
-    rng = np.random.default_rng(5)
+    rng = default_rng(5)
     rows = skill_rows(rng, VOCAB, PER_AD).tolist()
     days = rng.integers(0, 6 * 365, N_ADS).tolist()
     start = dt.date(2014, 1, 1)
+    for i in range(N_ADS):
+        rec = {"id": str(i), "date": (start + dt.timedelta(days[i])).isoformat(),
+               "occupation": f"occ{i % 50}", "skills": [f"s{s}" for s in rows[i]]}
+        if i % 3:
+            rec["salary_min"] = 30_000.0 + i % 997
+        if i % 4:
+            rec["salary_max"] = 60_000.0 + i % 991
+        if i % 5:
+            rec["education_years"] = 10.0 + i % 7 / 3
+        rec["experience_years"] = i % 11 / 7
+        yield rec
 
-    def records():
-        for i in range(N_ADS):
-            rec = {"id": str(i), "date": (start + dt.timedelta(days[i])).isoformat(),
-                   "occupation": f"occ{i % 50}", "skills": [f"s{s}" for s in rows[i]]}
-            if i % 3:
-                rec["salary_min"] = 30_000.0 + i % 997
-            if i % 4:
-                rec["salary_max"] = 60_000.0 + i % 991
-            if i % 5:
-                rec["education_years"] = 10.0 + i % 7 / 3
-            rec["experience_years"] = i % 11 / 7
-            yield rec
 
-    corpus, _ = ingest_records(records())
+@pytest.fixture(scope="module")
+def corpus():
+    """The corpus of :func:`ad_records`; effective use keeps every slot."""
+    corpus, _ = ingest_records(ad_records())
     assert len(corpus.slots) == N_ADS * PER_AD
     return corpus
+
+
+def test_ingest_keeps_at_most_150_bytes_per_ad():
+    """At 14 slots per ad the columns take 128 bytes per ad (56 of skill
+    ids, 32 of numbers, five int64 per-ad columns) plus the id text; one
+    ``str`` per id would add about 50. The records come from a generator, as
+    from a file: a prebuilt list would share its id strings with anything
+    ingest kept of them."""
+    n_ads = 15_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        corpus, _ = ingest_records(itertools.islice(ad_records(), n_ads))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == n_ads
+    assert kept <= 150 * n_ads
 
 
 def test_build_index_takes_at_most_one_byte_per_slot(corpus):
@@ -85,7 +106,7 @@ def test_effective_use_keeping_every_slot_takes_at_most_one_byte_per_slot(corpus
 def test_effective_use_dropping_slots_takes_at_most_eight_bytes_per_slot():
     # Skill 0 is in every ad: its limit (N - 1) // N_ADS is 13, below the
     # 14 slots of each ad, so it drops out of every one.
-    others = skill_rows(np.random.default_rng(6), VOCAB - 1, PER_AD - 1) + 1
+    others = skill_rows(default_rng(6), VOCAB - 1, PER_AD - 1) + 1
     rows = np.column_stack([np.zeros(N_ADS, dtype=np.int64), others])
     index = IncidenceIndex({f"s{i}": i for i in range(VOCAB)},
                            np.arange(N_ADS + 1) * PER_AD, rows.ravel().astype(np.int32))

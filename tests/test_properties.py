@@ -24,8 +24,8 @@ from hypothesis import event, example, given, settings, strategies as st  # noqa
 
 from skillscope import corpus as corpus_mod, indicators
 from skillscope.cli import apply_config_file, main
-from skillscope.corpus import (Corpus, _Columns, build_index, ingest, ingest_records,
-                               left_sum, normalize_skill)
+from skillscope.corpus import (Corpus, IngestReport, _Columns, build_index, ingest,
+                               ingest_records, left_sum, normalize_skill)
 from skillscope.errors import DataError, UsageError
 from skillscope.indicators import compute_indicators
 from skillscope.occupations import compute_intensity
@@ -33,7 +33,7 @@ from skillscope.skillmetrics import compute_effective_use, compute_rca
 from skillscope.synthgen import config_from_dict
 from skillscope.timeseries import BacktestReport
 
-from oracles import (NUMBER_FIELDS, brute_effective, brute_eta, brute_indicators,
+from oracles import (NUMBER_FIELDS, ad_ids, brute_effective, brute_eta, brute_indicators,
                      brute_ingest, csr_rows)
 
 
@@ -111,11 +111,12 @@ synth_configs = objects({
 @settings(deadline=None)
 @given(records)
 def test_record_to_ad_rejects_only_with_value_error(rec):
-    columns = _Columns()
-    try:
-        columns.add_record(rec)
-    except ValueError:
-        assert not (columns.ids or columns.skill_ids or columns.slots or columns.numbers)
+    columns, report = _Columns(), IngestReport()
+    columns.append_records([rec], report)  # any other exception escapes
+    if report.rejected:
+        assert sum(report.reasons.values()) == report.rejected == 1
+        assert not (columns.id_bytes or columns.id_ends or columns.skill_ids or columns.slots
+                    or columns.numbers)
         return
     ad = next(Corpus(columns).rows())
     assert ad["occupation"] and ad["skills"]
@@ -174,7 +175,9 @@ def assert_ingest_equals_oracle(path, fmt):
     assert (report.accepted, report.rejected, dict(report.reasons)) == (
         want["accepted"], want["rejected"], want["reasons"])
     assert list(corpus.skill_ids.items()) == list(columns["skill_ids"].items())
-    for name in ("ids", "occupations", "skill_names"):
+    assert (corpus.id_bytes.dtype, corpus.id_ends.dtype) == (np.uint8, np.int64)
+    assert ad_ids(corpus) == columns["ids"]
+    for name in ("occupations", "skill_names"):
         assert getattr(corpus, name) == columns[name], name
     for name in ("ordinals", "years", "occupation_codes", "slots", "indptr",
                  *NUMBER_FIELDS):
@@ -313,7 +316,7 @@ def effective_use_at_each_slice(records):
         assert (eff is index) == (kept == len(index.indices))
         np.testing.assert_array_equal(
             eff.skill_job_counts, np.bincount(eff.indices, minlength=len(corpus.skill_ids)))
-        yield index, eff, dict(zip(corpus.ids, rows))
+        yield index, eff, dict(zip(ad_ids(corpus), rows))
 
 
 @settings(deadline=None)

@@ -7,7 +7,8 @@ from skillscope.corpus import IncidenceIndex, build_index, ingest_records
 from skillscope.errors import DataError, InvariantError
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 
-from oracles import brute_effective, brute_rca, csr_rows, jobs_to_records, random_jobs
+from oracles import (ad_ids, brute_effective, brute_rca, csr_rows, jobs_to_records,
+                     random_jobs)
 
 
 def make_index(jobs):
@@ -16,7 +17,7 @@ def make_index(jobs):
 
 
 def rca_value(rca, corpus, job_id, skill):
-    pos = corpus.ids.index(job_id)
+    pos = ad_ids(corpus).index(job_id)
     return rca.value(pos, corpus.skill_ids[skill])
 
 
@@ -51,8 +52,9 @@ class TestRca:
         doubled = records + [{**r, "id": r["id"] + "d"} for r in records]
         (c1, _), (c2, _) = ingest_records(records), ingest_records(doubled)
         r1, r2 = compute_rca(build_index(c1)), compute_rca(build_index(c2))
-        for pos, (job_id, row) in enumerate(zip(c1.ids, csr_rows(r1.index))):
-            pos2 = c2.ids.index(job_id)
+        ids2 = ad_ids(c2)
+        for pos, (job_id, row) in enumerate(zip(ad_ids(c1), csr_rows(r1.index))):
+            pos2 = ids2.index(job_id)
             for s in row:
                 assert r2.value(pos2, s) == pytest.approx(r1.value(pos, s), rel=1e-12)
 
@@ -86,7 +88,7 @@ class TestEffectiveUse:
     def test_strictly_above_one_is_effective(self):
         index, corpus = make_index(WORKED)
         eff = compute_effective_use(compute_rca(index))
-        pos = corpus.ids.index("J1")
+        pos = ad_ids(corpus).index("J1")
         assert corpus.skill_ids["a"] in csr_rows(eff)[pos]
 
     def test_exactly_one_is_not_effective(self):
@@ -106,7 +108,7 @@ class TestEffectiveUse:
     def test_absent_incidence_not_effective(self):
         index, corpus = make_index(WORKED)
         eff = compute_effective_use(compute_rca(index))
-        pos = corpus.ids.index("J2")
+        pos = ad_ids(corpus).index("J2")
         assert corpus.skill_ids["c"] not in csr_rows(eff)[pos]
 
     def test_is_an_incidence_index_like_the_incidence(self):
@@ -142,7 +144,7 @@ class TestEffectiveUse:
             index, corpus = make_index(jobs)
             eff = compute_effective_use(compute_rca(index))
             expected = brute_effective(jobs)
-            for job_id, row in zip(corpus.ids, csr_rows(eff)):
+            for job_id, row in zip(ad_ids(corpus), csr_rows(eff)):
                 got = {corpus.skill_names[s] for s in row}
                 assert got == expected[job_id]
 

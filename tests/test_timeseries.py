@@ -1,4 +1,5 @@
 import datetime as dt
+import statistics
 
 import numpy as np
 import pytest
@@ -379,6 +380,7 @@ class TestBacktest:
                     "max": np.max(scores)}
             assert report.quantiles() == {key: float(v) for key, v in want.items()}
             assert report.median == float(np.median(scores))
+            assert repr(report.median) == repr(float(statistics.median(scores)))
 
 
 def test_series_rejects_negative_counts():
