@@ -194,15 +194,25 @@ def _occupations_stage(corpus, skill_set, category_map, args):
 def _group_ads(corpus, category_map, occupations=None) -> dict[str, np.ndarray]:
     """Ascending row positions of each category's ads when a map is given,
     else of each occupation's; with ``occupations``, only theirs. Occupations
-    the map does not name fall into the ``uncategorized`` group."""
-    codes: dict[str, list[int]] = {}
+    the map does not name fall into the ``uncategorized`` group. Labels are
+    keyed in the order of their first occupation code.
+
+    Every ad is labelled through one code -> label table (-1: no group);
+    one stable argsort of the grouped ads' labels then lists each group's
+    rows in ascending order."""
+    labels: dict[str, int] = {}
+    table = np.full(len(corpus.occupations), -1, dtype=np.int64)
     for code, occ in enumerate(corpus.occupations):
         if occupations is None or occ in occupations:
             label = (category_map.get(occ, occupations_mod.UNCATEGORIZED)
                      if category_map else occ)
-            codes.setdefault(label, []).append(code)
-    return {label: np.flatnonzero(np.isin(corpus.occupation_codes, c))
-            for label, c in codes.items()}
+            table[code] = labels.setdefault(label, len(labels))
+    ad_labels = table[corpus.occupation_codes]
+    rows = np.flatnonzero(ad_labels >= 0)
+    ad_labels = ad_labels[rows]
+    rows = rows[np.argsort(ad_labels, kind="stable")]
+    ends = np.cumsum(np.bincount(ad_labels, minlength=len(labels))).tolist()
+    return {label: rows[lo:hi] for label, lo, hi in zip(labels, [0] + ends, ends)}
 
 
 def _backtest(series, args, cfg):

@@ -8,12 +8,16 @@ the shortage-consistent direction is "above baseline" for everything
 except experience, where low demands signal shortage.
 
 A group is a set of row positions into the corpus columns; the market is
-every row, read from the whole columns with no gather. Each year's values
-are one float64 array: its median is taken as ``statistics.median`` takes
-it, from a stable sort, and its mean is the last element of a sequential
-``np.cumsum``, which adds left to right in row order as
-:func:`~skillscope.corpus.left_sum` does, so no figure depends on NumPy's
-pairwise summation or on the Python version.
+every row, read from the whole columns with no gather, one year at a time.
+The groups are computed together from one gather of all their rows, in
+which each group's ads of one year are one segment: one ``np.bincount``
+counts every segment, one lexsort by segment and value orders every
+segment's salaries, and each segment's other values stay in row order.
+A median is taken as ``statistics.median`` takes it, from a stable sort,
+and a mean is the last element of a sequential ``np.cumsum``, which adds
+left to right in row order as :func:`~skillscope.corpus.left_sum` does
+(and a mean of a Python list is ``left_sum``'s), so no figure depends on
+NumPy's pairwise summation or on the Python version.
 
 No scalar shortage score is computed; the report keeps the per-indicator
 flags side by side.
@@ -32,9 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, left_sum
 from .errors import DataError
-from .timeseries import BacktestReport, DecompositionModel
+from .timeseries import BacktestReport, DecompositionModel, _trend_columns
 
 MARKET = "market"  # label of the whole-market baseline; no group may use it
 
@@ -69,11 +73,14 @@ def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Op
 
 
 def _mean(values) -> Optional[float]:
-    """The mean, summed left to right: the last of a sequential running sum,
-    plus 0.0 because :func:`~skillscope.corpus.left_sum` starts from 0.0 and
-    so never gives -0.0; bit for bit what ``left_sum`` gives."""
+    """The mean, summed left to right: a list through
+    :func:`~skillscope.corpus.left_sum`, an array as the last of a
+    sequential running sum plus 0.0, because ``left_sum`` starts from 0.0
+    and so never gives -0.0; bit for bit the same."""
     if not len(values):
         return None
+    if isinstance(values, list):
+        return left_sum(values) / len(values)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
         return (float(np.cumsum(values)[-1]) + 0.0) / len(values)
 
@@ -116,6 +123,17 @@ class ShortageIndicators:
     median_smape: float
 
 
+def _midpoints(corpus: Corpus, rows) -> np.ndarray:
+    """Each ad's salary: the midpoint of its range, or its one bound."""
+    low, high = corpus.salary_min[rows], corpus.salary_max[rows]
+    with np.errstate(over="ignore"):  # an infinite midpoint is reported by assemble_report
+        mids = low + high
+        mids /= 2.0
+    np.copyto(mids, high, where=np.isnan(low))
+    np.copyto(mids, low, where=np.isnan(high))
+    return mids
+
+
 def compute_indicators(label: str, corpus: Corpus, rows,
                        backtest: BacktestReport) -> ShortageIndicators:
     """The indicators of the ads at row positions ``rows`` of ``corpus``, or
@@ -123,12 +141,6 @@ def compute_indicators(label: str, corpus: Corpus, rows,
     ``slice(None)``. An ad's salary is the midpoint of its range, or its one
     bound."""
     years = corpus.years[rows]
-    low, high = corpus.salary_min[rows], corpus.salary_max[rows]
-    with np.errstate(over="ignore"):  # an infinite midpoint is reported by assemble_report
-        mids = low + high
-        mids /= 2.0
-    np.copyto(mids, high, where=np.isnan(low))
-    np.copyto(mids, low, where=np.isnan(high))
     counts = yearly_counts(years)
     growth, mean_growth = posting_growth(counts)
     return ShortageIndicators(
@@ -136,11 +148,84 @@ def compute_indicators(label: str, corpus: Corpus, rows,
         counts_by_year=counts,
         growth_by_year=growth,
         mean_growth=mean_growth,
-        salary_by_year=_by_year(mids, years, counts, _median),
+        salary_by_year=_by_year(_midpoints(corpus, rows), years, counts, _median),
         education_by_year=_by_year(corpus.education_years[rows], years, counts, _mean),
         experience_by_year=_by_year(corpus.experience_years[rows], years, counts, _mean),
         median_smape=backtest.median,
     )
+
+
+def _segment_medians(key: np.ndarray, values: np.ndarray, n_keys: int) -> list:
+    """``_median`` of the defined values of each segment ``key`` in
+    ``range(n_keys)``, None for one without: one lexsort by segment and
+    value, stable as ``_median``'s sort is, which puts NaN last in each
+    segment."""
+    ordered = values[np.lexsort((values, key))]
+    sizes = np.bincount(key, minlength=n_keys)
+    starts = np.cumsum(sizes) - sizes
+    defined = np.bincount(key[~np.isnan(values)], minlength=n_keys)
+    found = np.flatnonzero(defined)
+    lo = starts[found] + (defined[found] - 1) // 2
+    hi = starts[found] + defined[found] // 2
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
+        mid = np.where(defined[found] % 2 == 1, ordered[hi], (ordered[lo] + ordered[hi]) / 2)
+    out = [None] * n_keys
+    for k, value in zip(found.tolist(), mid.tolist()):
+        out[k] = value
+    return out
+
+
+def _segment_means(key: np.ndarray, values: np.ndarray, order: np.ndarray,
+                   n_keys: int) -> list:
+    """``_mean`` of the defined values of each segment ``key``, in row order,
+    None for one without; ``order`` is the stable sort of ``key``."""
+    values, key = values[order], key[order]
+    defined = ~np.isnan(values)
+    values = values[defined]
+    ends = np.cumsum(np.bincount(key[defined], minlength=n_keys)).tolist()
+    out = [None] * n_keys
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
+        for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            if hi > lo:  # as _mean, which would enter errstate once per segment
+                out[k] = (float(values[lo:hi].cumsum()[-1]) + 0.0) / (hi - lo)
+    return out
+
+
+def _group_indicators(corpus: Corpus, groups: dict[str, np.ndarray],
+                      backtests: dict[str, BacktestReport]) -> list[ShortageIndicators]:
+    """``compute_indicators`` of every group, in label order, from one
+    gather of all their rows: each group's ads of one year are one segment,
+    keyed by group and year, of the counts, medians and means."""
+    labels = sorted(groups)
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *(groups[label] for label in labels)])
+    first = int(corpus.years.min())
+    n_years = int(corpus.years.max()) - first + 1
+    n_keys = len(labels) * n_years
+    key = np.repeat(np.arange(len(labels)) * n_years, [len(groups[label]) for label in labels])
+    key += corpus.years[rows]
+    key -= first
+    counts = np.bincount(key, minlength=n_keys).tolist()
+    order = np.argsort(key, kind="stable")
+    salary = _segment_medians(key, _midpoints(corpus, rows), n_keys)
+    education = _segment_means(key, corpus.education_years[rows], order, n_keys)
+    experience = _segment_means(key, corpus.experience_years[rows], order, n_keys)
+    out = []
+    for g, label in enumerate(labels):
+        keys = [k for k in range(g * n_years, (g + 1) * n_years) if counts[k]]
+        years = [first + k - g * n_years for k in keys]
+        by_year = dict(zip(years, [counts[k] for k in keys]))
+        growth, mean_growth = posting_growth(by_year)
+        out.append(ShortageIndicators(
+            label=label,
+            counts_by_year=by_year,
+            growth_by_year=growth,
+            mean_growth=mean_growth,
+            salary_by_year=dict(zip(years, [salary[k] for k in keys])),
+            education_by_year=dict(zip(years, [education[k] for k in keys])),
+            experience_by_year=dict(zip(years, [experience[k] for k in keys])),
+            median_smape=backtests[label].median,
+        ))
+    return out
 
 
 @dataclass
@@ -208,14 +293,12 @@ def assemble_report(
     _check_finite(baseline)
 
     base_levels = _levels(baseline)
-    report_groups: list[ShortageIndicators] = []
+    report_groups = _group_indicators(corpus, groups, backtests)
     flags: dict[str, dict[str, bool]] = {}
-    for label in sorted(groups):
-        ind = compute_indicators(label, corpus, groups[label], backtests[label])
+    for ind in report_groups:
         _check_finite(ind)
-        report_groups.append(ind)
-        flags[label] = {name: _flag(level, base_levels[name], name != "experience")
-                        for name, level in _levels(ind).items()}
+        flags[ind.label] = {name: _flag(level, base_levels[name], name != "experience")
+                            for name, level in _levels(ind).items()}
 
     first, last = corpus.span()
     partial = []
@@ -285,11 +368,12 @@ def write_report(report: ShortageReport, out_dir) -> None:
         fh.write("label,date,trend\r\n")
         for k, label in enumerate(sorted(report.trend_models)):
             model = report.trend_models[label]
-            if k == 0:  # the models come from one fit, so share one span and knots
+            if k == 0:  # the models come from one fit: one span, knots and trend columns
                 knots = model.knots()
                 dates = [(model.start + dt.timedelta(days=d)).isoformat()
                          for d in knots.tolist()]
-            trend = model.trend(knots).tolist()
+                columns = _trend_columns(knots, model.changepoints)
+            trend = (columns @ model.coef[:columns.shape[1]]).tolist()  # as model.trend
             quoted = _csv_field(label)
             fh.write("".join([f"{quoted},{date},{value!r}\r\n"
                               for date, value in zip(dates, trend)]))

@@ -9,16 +9,21 @@ design, at any day offsets, and a model is one coefficient vector in its
 column order. The changepoint slope deltas carry a ridge penalty;
 everything else is unpenalized. Every fit is one deterministic solve: the
 pseudo-inverse of the ridge-augmented design, at the cutoff of
-``lstsq(rcond=None)``, times the counts of all series of a run, which share
-one span and so one design. ``fit`` solves the full span.
+``lstsq(rcond=None)``, from one thin SVD (``_factor``), times the counts of
+all series of a run, which share one span and so one design. ``fit``
+solves the full span.
 
-The sliding-window backtest solves every window along one path. It builds
-the test days' columns once. A window's training design has one indicator
-column per holiday inside its training days, and is built and re-factored
-only when that set of in-window holiday days, counted from the window's
-first day, differs from the previous window's; without holidays every
-window shares one pseudo-inverse. Every series is scored in one SMAPE step
-per window.
+The sliding-window backtest factors once. Days count from each window's
+first day, so every window shares the design without holidays and its one
+SVD; the test days' columns are built once. A holiday's indicator column
+fits its training day exactly, which gives the other coefficients the fit
+without that day's row, so a window with holidays in its training days
+drops those rows from the shared factor by a k×k Woodbury downdate, k the
+number of distinct holiday days in the window. Only where the base or the
+reduced design may be rank-deficient at ``lstsq``'s cutoff, or the
+downdate ill-conditioned, is a window's design with its holiday columns
+factored on its own. Every series is
+scored in one SMAPE step per window.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ CHANGEPOINT_RANGE = 0.8    # changepoints live in the first 80% of the span
 MIN_FIT_DAYS = 14
 TRAIN_DAYS, TEST_DAYS, ITERATIONS = 1186, 365, 365  # the reference backtest
 N_CHANGEPOINTS, RIDGE_LAMBDA = 25, 1.0
+# Smallest eigenvalue of I - u_H u_Hᵀ at which a backtest window drops its
+# holiday rows by downdate: the days' joint leverage is at most 0.999.
+DOWNDATE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -176,17 +184,25 @@ def _shared_span(series: Sequence[DailySeries]) -> tuple[dt.date, np.ndarray]:
     return series[0].start, np.column_stack([s.counts for s in series])
 
 
-def _solve(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.ndarray:
+def _factor(design: np.ndarray, n_cp: int, ridge_lambda: float
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The map from targets on the design's rows to the min-norm ridge
-    least-squares coefficients. One row per penalized changepoint column,
-    against a zero target, implements the ridge penalty; those targets are
-    zero, so only the design-row columns of the pseudo-inverse are kept. Its
-    singular-value cutoff is that of ``lstsq(rcond=None)``."""
+    least-squares coefficients, and the thin SVD ``u, sv, vt`` of the
+    ridge-augmented design it comes from: the pseudo-inverse at the
+    singular-value cutoff of ``lstsq(rcond=None)``, as ``np.linalg.pinv``
+    takes it, to the bit.
+
+    One row per penalized changepoint column, against a zero target,
+    implements the ridge penalty; those targets are zero, so only the
+    design-row columns of the pseudo-inverse are kept."""
     penalty = np.zeros(design.shape[1])
     penalty[2:2 + n_cp] = np.sqrt(ridge_lambda)
-    aug = np.vstack([design, np.diag(penalty)[penalty > 0]])
-    cutoff = np.finfo(np.float64).eps * max(aug.shape)
-    return np.linalg.pinv(aug, cutoff)[:, :len(design)]
+    # The augmented design is freed as soon as it is factored.
+    u, sv, vt = np.linalg.svd(np.vstack([design, np.diag(penalty)[penalty > 0]]),
+                              full_matrices=False)
+    large = sv > np.finfo(np.float64).eps * max(len(u), design.shape[1]) * sv[0]
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
+    return (vt.T @ (inverse[:, None] * u.T))[:, :len(design)], u, sv, vt
 
 
 def fit(series: Sequence[DailySeries],
@@ -207,7 +223,7 @@ def fit(series: Sequence[DailySeries],
     holiday_dates = tuple(sorted(config.holidays))
     design = _columns(np.arange(n), changepoints, use_yearly,
                       [(date - start).days for date in holiday_dates])
-    beta = _solve(design, len(changepoints), config.ridge_lambda) @ y
+    beta = _factor(design, len(changepoints), config.ridge_lambda)[0] @ y
 
     residuals = design @ beta
     residuals -= y
@@ -307,6 +323,28 @@ def check_windows(train_days: int, test_days: int, iterations: int) -> None:
         raise DataError(f"backtest of {iterations} iterations; needs at least 1")
 
 
+def _drop_days(window: np.ndarray, days: np.ndarray, u: np.ndarray, sv: np.ndarray,
+               vt: np.ndarray, floor: float) -> np.ndarray | None:
+    """The ridge fit of ``window`` without the distinct training rows
+    ``days``, which is what one indicator column per day gives the other
+    coefficients, from the thin SVD ``u sv vt`` of the full-rank augmented
+    design by a Woodbury downdate: with ``u_H`` those rows of ``u`` and
+    ``c = uᵀ window``, the fit is ``vtᵀ (c - u_Hᵀ (I - u_H u_Hᵀ)⁻¹ r) / sv``,
+    ``r`` the full fit's residuals ``window[days] - u_H c``. Only the k×k
+    matrix is solved, and everything but ``/ sv`` works on orthonormal
+    columns.
+
+    None when that matrix's smallest eigenvalue is at most ``floor``: the
+    reduced design may then be rank-deficient and the caller refits."""
+    rows = u[days]
+    mu, q = np.linalg.eigh(np.eye(len(days)) - rows @ rows.T)
+    if mu[0] <= floor:
+        return None
+    c = u[:len(window)].T @ window
+    c -= rows.T @ (q @ ((q.T @ (window[days] - rows @ c)) / mu[:, None]))
+    return vt.T @ (c / sv[:, None])
+
+
 def sliding_window_backtest(
     series: Sequence[DailySeries],
     train_days: int = TRAIN_DAYS,
@@ -319,15 +357,19 @@ def sliding_window_backtest(
     of the test window with SMAPE. The series share one start and length;
     each gets one report, in input order.
 
-    The test days' columns are built once, without holidays. A window's
-    training design is ``_columns`` with one indicator per holiday inside its
-    training days; it is built and its pseudo-inverse taken only when that
-    set of in-window holiday days, counted from the window's first day,
-    differs from the previous window's; without holidays every window shares
-    one factor. Every series of a run shares each window's factor. Holiday
-    coefficients are left out of the forecast:
-    a holiday in the training days is zero on every test day, and one
-    outside them has an all-zero column and a zero min-norm coefficient."""
+    Days count from each window's first day, so every window shares one
+    design without holidays and one thin SVD of its ridge-augmented form,
+    whose pseudo-inverse solves every series of a window in one product.
+    A holiday's indicator column fits its training day exactly, which gives
+    the other coefficients the fit without that day's row; so a window
+    with holidays in its training days drops their distinct rows from the
+    shared fit by a k×k Woodbury downdate (``_drop_days``). Where the base
+    or the reduced design may be rank-deficient at ``lstsq``'s cutoff, or
+    the downdate would lose more than three digits (``DOWNDATE_FLOOR``),
+    that window's design with one indicator per holiday is solved by its
+    own pseudo-inverse instead. Holiday coefficients are left out of the
+    forecast: a holiday in the training days is zero on every test day, and
+    one outside them has an all-zero column and a zero min-norm coefficient."""
     check_windows(train_days, test_days, iterations)
     start, y = _shared_span(series)
     required = train_days + test_days + iterations - 1
@@ -338,21 +380,38 @@ def sliding_window_backtest(
             f"+ iterations {iterations} - 1)"
         )
     changepoints, use_yearly = _layout(train_days, config)
-    train = np.arange(train_days)
+    n_cp, train = len(changepoints), np.arange(train_days)
+    design = _columns(train, changepoints, use_yearly)
     future = _columns(np.arange(train_days, train_days + test_days), changepoints,
                       use_yearly)
-    p = future.shape[1]
-    holidays = sorted((date - start).days for date in config.holidays)
-    in_window = solve = None
+    p = design.shape[1]
+    solve, u, sv, vt = _factor(design, n_cp, config.ridge_lambda)
+    holidays = np.array(sorted((date - start).days for date in config.holidays),
+                        dtype=np.int64)
+    # Downdates need a base design of full rank at lstsq's cutoff. A reduced
+    # design's smallest singular value is at least sv[-1] * sqrt(mu[0]), so
+    # above ``floor`` it keeps full rank at the cutoff of any window's design
+    # with holiday columns; the downdate's rounding grows as 1 / mu[0].
+    eps, floor = np.finfo(np.float64).eps, None
+    if len(sv) == p and sv[-1] > eps * max(len(u), p) * sv[0]:
+        cutoff = eps * max(len(u), p + len(holidays)) * sv[0]
+        floor = max((cutoff / sv[-1]) ** 2, DOWNDATE_FLOOR)
     scores = np.empty((len(series), iterations))
     for shift in range(iterations):
-        window_holidays = [h - shift for h in holidays if 0 <= h - shift < train_days]
-        if window_holidays != in_window:
-            in_window = window_holidays
-            # Only the first p coefficients forecast.
-            solve = _solve(_columns(train, changepoints, use_yearly, in_window),
-                           len(changepoints), config.ridge_lambda)[:p]
-        beta = solve @ y[shift:shift + train_days]
+        window = y[shift:shift + train_days]
+        lo, hi = np.searchsorted(holidays, [shift, shift + train_days])
+        held = holidays[lo:hi] - shift  # ascending, a duplicated date twice
+        if not len(held):
+            beta = solve @ window
+        else:
+            distinct = held[np.diff(held, prepend=-1) > 0]
+            beta = _drop_days(window, distinct, u, sv, vt, floor) if floor else None
+            if beta is None:
+                # A duplicated date's two equal columns matter only here: the
+                # min-norm fit of a rank-deficient design splits its
+                # coefficient between them.
+                beta = _factor(_columns(train, changepoints, use_yearly, held), n_cp,
+                               config.ridge_lambda)[0][:p] @ window
         predicted = np.maximum(future @ beta, 0.0)
         actual = y[shift + train_days:shift + train_days + test_days]
         scores[:, shift] = smape(actual.T, predicted.T)

@@ -8,7 +8,8 @@ record of the interchange form (ISO date text, a ``skills`` list, only the
 numbers present), then folded into plain lists one skill slot at a time.
 Two readers, :func:`theta_value` and :func:`theta_pairs`, put the
 package's theta rows in the shape of :func:`brute_theta` for comparison;
-:func:`ad_ids` reads a corpus's ids as a list.
+:func:`ad_ids` reads a corpus's ids as a list. :func:`brute_groups` scans
+the corpus once per group label.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from skillscope.corpus import normalize_skill, parse_date
+from skillscope.occupations import UNCATEGORIZED
 from skillscope.similarity import compute_theta
 
 NUMBER_FIELDS = ("salary_min", "salary_max", "education_years", "experience_years")
@@ -158,6 +160,42 @@ def lstsq_decomposition(counts, n_changepoints: int = 25, ridge_lambda: float = 
     beta, *_ = np.linalg.lstsq(np.vstack([full[:n], ridge]),
                                np.concatenate([y, np.zeros(penalized)]), rcond=None)
     return beta, full @ beta
+
+
+def lstsq_backtest(counts, train_days: int, test_days: int, iterations: int,
+                   n_changepoints: int = 25, ridge_lambda: float = 1.0,
+                   holiday_offsets=()) -> list[float]:
+    """SMAPE of each sliding window: the window's training days fit on their
+    own by :func:`lstsq_decomposition`, with the holiday day offsets (counted
+    from the first day of ``counts``) moved to the window's first day, and
+    its test days scored against the forecast clipped at zero."""
+    y = np.asarray(counts, dtype=np.float64)
+    scores = []
+    for shift in range(iterations):
+        _, predicted = lstsq_decomposition(
+            y[shift:shift + train_days], n_changepoints, ridge_lambda,
+            [h - shift for h in holiday_offsets], horizon=test_days)
+        f = np.maximum(predicted[train_days:], 0.0)
+        a = y[shift + train_days:shift + train_days + test_days]
+        terms = [abs(fi - ai) / (abs(ai) + abs(fi)) if ai or fi else 0.0
+                 for ai, fi in zip(a.tolist(), f.tolist())]
+        scores.append(200.0 * sum(terms) / len(terms))
+    return scores
+
+
+def brute_groups(corpus, category_map, occupations=None) -> dict[str, np.ndarray]:
+    """Ascending row positions of each group's ads, by one ``np.isin`` scan
+    of the occupation codes per label: the category of each occupation when
+    a map is given (``uncategorized`` for one it does not name), else the
+    occupation itself; with ``occupations``, only theirs. Labels come in the
+    order of their first occupation code."""
+    codes: dict[str, list[int]] = {}
+    for code, occ in enumerate(corpus.occupations):
+        if occupations is None or occ in occupations:
+            label = category_map.get(occ, UNCATEGORIZED) if category_map else occ
+            codes.setdefault(label, []).append(code)
+    return {label: np.flatnonzero(np.isin(corpus.occupation_codes, c))
+            for label, c in codes.items()}
 
 
 def random_jobs(rng: random.Random, max_ads: int = 20, max_skills: int = 10) -> dict[str, set[str]]:

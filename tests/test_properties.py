@@ -4,7 +4,8 @@ list of records, as JSONL or CSV, of any JSONL line text and of any CSV
 rows under any header gives the columns and the report of the
 record-at-a-time oracle; arbitrary flag values to ``backtest``, ``skills``,
 ``occupations``, ``indicators`` and ``report`` end with exit 0, 1 or 2,
-one-line warnings and at most one other line on stderr.
+one-line warnings and at most one other line on stderr. The backtest, the
+grouping of ads and every group's yearly figures equal their oracles.
 
 Generating a corpus or running a report on arbitrary settings could
 allocate without bound, so the CLI runs here read one tiny fixed corpus and
@@ -12,8 +13,10 @@ draw window sizes, iterations and list lengths from small ranges."""
 
 import contextlib
 import csv
+import datetime as dt
 import io
 import json
+import math
 import statistics
 
 import numpy as np
@@ -23,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
 
 from skillscope import corpus as corpus_mod, indicators
-from skillscope.cli import apply_config_file, main
+from skillscope.cli import _group_ads, apply_config_file, main
 from skillscope.corpus import (Corpus, IngestReport, _Columns, build_index, ingest,
                                ingest_records, left_sum, normalize_skill)
 from skillscope.errors import DataError, UsageError
@@ -31,10 +34,10 @@ from skillscope.indicators import compute_indicators
 from skillscope.occupations import compute_intensity
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 from skillscope.synthgen import config_from_dict
-from skillscope.timeseries import BacktestReport
+from skillscope.timeseries import BacktestReport, DailySeries, FitConfig, sliding_window_backtest
 
-from oracles import (NUMBER_FIELDS, ad_ids, brute_effective, brute_eta, brute_indicators,
-                     brute_ingest, csr_rows)
+from oracles import (NUMBER_FIELDS, ad_ids, brute_effective, brute_eta, brute_groups,
+                     brute_indicators, brute_ingest, csr_rows, lstsq_backtest)
 
 
 def examples(n: int) -> int:
@@ -406,6 +409,101 @@ def test_yearly_figures_equal_brute_force_bit_for_bit(ads):
     assert ind.counts_by_year == want["counts"]
     for name in ("salary", "education", "experience"):
         assert repr(getattr(ind, f"{name}_by_year")) == repr(want[name]), name
+
+
+occupation_names = st.sampled_from(["Dev", "Ops", "QA", "PM", "HR"])
+
+
+@settings(deadline=None)
+@given(st.lists(occupation_names, min_size=1, max_size=30),
+       st.none() | st.dictionaries(occupation_names,
+                                   st.sampled_from(["Tech", "Office", "uncategorized"])),
+       st.none() | st.sets(occupation_names | st.just("nobody")))
+def test_group_ads_equals_one_scan_per_label(occupations, category_map, wanted):
+    """Every group's rows, the labels in the same order, whatever the codes,
+    with unmapped occupations and occupation filters."""
+    records = [{"id": str(i), "date": "2018-06-01", "occupation": occ, "skills": ["x"]}
+               for i, occ in enumerate(occupations)]
+    corpus, _ = ingest_records(records)
+    got = _group_ads(corpus, category_map, wanted)
+    want = brute_groups(corpus, category_map, wanted)
+    assert list(got) == list(want)
+    for label, rows in want.items():
+        assert got[label].dtype == rows.dtype
+        np.testing.assert_array_equal(got[label], rows)
+
+
+# Salary bounds with signed zeros, a midpoint that overflows and an
+# infinite bound; None is a missing one.
+salary_bounds = st.sampled_from([None, 0.0, -0.0, 1.0, 2.5, 1e308, math.inf])
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), salary_bounds, salary_bounds,
+                          sum_values | st.none(), sum_values | st.none()),
+                min_size=1, max_size=30), st.data())
+def test_group_indicators_equal_brute_force_bit_for_bit(ads, data):
+    """Each group's yearly counts, median salary and mean education and
+    experience from ``assemble_report`` are ``brute_indicators``' of its
+    rows, in their order, to the bit, for empty, overlapping and repeated
+    row sets; a figure that is not finite is a DataError."""
+    records = [{"id": str(i), "date": f"{2017 + year}-03-01", "occupation": "A",
+                "skills": ["x"]} for i, (year, *_) in enumerate(ads)]
+    corpus, _ = ingest_records(records)
+    for k, name in enumerate(NUMBER_FIELDS, start=1):  # values ingest would reject
+        getattr(corpus, name)[:] = [math.nan if ad[k] is None else ad[k] for ad in ads]
+        for rec, ad in zip(records, ads):
+            if ad[k] is not None:
+                rec[name] = ad[k]
+    groups = data.draw(st.dictionaries(st.sampled_from(["g1", "g2", "g3"]),
+                                       st.lists(st.integers(0, len(ads) - 1),
+                                                max_size=len(ads) + 3), max_size=3))
+    wants = {label: brute_indicators([records[i] for i in rows])
+             for label, rows in groups.items()}
+    figures = [v for want in [brute_indicators(records), *wants.values()]
+               for name in ("salary", "education", "experience") for v in want[name].values()]
+
+    def assemble():
+        return indicators.assemble_report(
+            corpus, {label: np.array(rows, dtype=np.intp) for label, rows in groups.items()},
+            {label: BacktestReport([1.0], 14, 1, 1, label) for label in groups},
+            BacktestReport([1.0], 14, 1, 1, indicators.MARKET), {})
+
+    if not all(v is None or math.isfinite(v) for v in figures):
+        with pytest.raises(DataError, match="overflow a float"):
+            assemble()
+        return
+    report = assemble()
+    assert [ind.label for ind in report.groups] == sorted(groups)
+    for ind in report.groups:
+        want = wants[ind.label]
+        assert ind.counts_by_year == want["counts"]
+        for name in ("salary", "education", "experience"):
+            assert repr(getattr(ind, f"{name}_by_year")) == repr(want[name]), name
+
+
+@settings(deadline=None, max_examples=examples(50))
+# Without day 0 the design is singular: the min-norm fit splits the
+# duplicated holiday's coefficient between its two columns.
+@example(14, 1, 1, 5, 0.0, [0, 0], 0)
+@given(st.integers(14, 40), st.integers(1, 8), st.integers(1, 6), st.integers(0, 6),
+       st.just(0.0) | st.floats(1e-3, 1e3), st.lists(st.integers(-5, 60), max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_backtest_equals_lstsq_oracle_per_window(train_days, test_days, iterations,
+                                                 n_changepoints, ridge_lambda, offsets, seed):
+    """Random windows, ridge values and holiday day offsets, duplicated ones
+    and ones outside the series included: every window's score is that of
+    its own ``lstsq`` fit. No day is empty: where an empty day's forecast is
+    zero, a rounding error above it moves SMAPE by up to 200 / test days."""
+    counts = 1 + np.random.default_rng(seed).poisson(5, train_days + test_days + iterations - 1)
+    start = dt.date(2018, 1, 1)
+    config = FitConfig(n_changepoints, ridge_lambda,
+                       tuple(start + dt.timedelta(days=h) for h in offsets))
+    [report] = sliding_window_backtest([DailySeries(start, counts)], train_days, test_days,
+                                       iterations, config)
+    want = lstsq_backtest(counts, train_days, test_days, iterations, n_changepoints,
+                          ridge_lambda, offsets)
+    assert report.scores == pytest.approx(want, rel=0, abs=1e-9)
 
 
 # A 90-day corpus of about 360 ads over two clusters.

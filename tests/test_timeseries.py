@@ -17,7 +17,7 @@ from skillscope.timeseries import (
     smape,
 )
 
-from oracles import lstsq_decomposition
+from oracles import lstsq_backtest, lstsq_decomposition
 
 START = dt.date(2015, 1, 1)
 
@@ -30,23 +30,18 @@ def days(*offsets):
     return tuple(START + dt.timedelta(days=d) for d in offsets)
 
 
-def reference(counts, config, first_day=0, horizon=0):
-    """``lstsq_decomposition`` of daily ``counts`` whose first day lies
-    ``first_day`` days after START."""
-    offsets = [(date - START).days - first_day for date in config.holidays]
+def reference(counts, config, horizon=0):
+    """``lstsq_decomposition`` of daily ``counts`` from START."""
+    offsets = [(date - START).days for date in config.holidays]
     return lstsq_decomposition(counts, config.n_changepoints, config.ridge_lambda,
                                offsets, horizon)
 
 
 def per_window_scores(s, config, train_days, test_days, iterations):
     """Reference backtest: solve every window with the lstsq oracle."""
-    scores = []
-    for shift in range(iterations):
-        _, predicted = reference(s.counts[shift:shift + train_days], config, shift,
-                                 horizon=test_days)
-        actual = s.counts[shift + train_days:shift + train_days + test_days]
-        scores.append(smape(actual, np.maximum(predicted[train_days:], 0.0)))
-    return scores
+    return lstsq_backtest(s.counts, train_days, test_days, iterations,
+                          config.n_changepoints, config.ridge_lambda,
+                          [(date - START).days for date in config.holidays])
 
 
 # Fit configs over which the solve is checked against the lstsq oracle:
@@ -69,6 +64,9 @@ SOLVE_CASES = [
     pytest.param(731, FitConfig(holidays=tuple(
         dt.date(2015 + m // 12, m % 12 + 1, 1) for m in range(24))),
                  id="holidays-monthly-yearly-on"),
+    # the sixth window trains on days 5..64
+    pytest.param(60, FitConfig(holidays=days(5, 64)), id="holidays-first-and-last-training-day"),
+    pytest.param(60, FitConfig(holidays=days(*range(3, 110, 10))), id="holidays-in-every-window"),
 ]
 
 
@@ -316,6 +314,30 @@ class TestBacktest:
         kw = dict(train_days=train_days, test_days=30, iterations=11)
         shared = sliding_window_backtest([s], config=config, **kw)[0].scores
         assert shared == pytest.approx(per_window_scores(s, config, **kw), rel=0, abs=1e-9)
+
+    def test_holiday_in_every_window_factors_once(self, monkeypatch):
+        """Each of 30 windows holds a holiday in its training days, at a
+        different offset; one SVD serves them all (a pseudo-inverse per
+        window would take 30, np.linalg.pinv's included)."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        # the name np.linalg.pinv looks up in its own module
+        monkeypatch.setitem(np.linalg.pinv.__wrapped__.__globals__, "svd", counted)
+        rng = np.random.default_rng(30)
+        s = series(rng.poisson(6, size=100).astype(float))
+        config = FitConfig(holidays=days(40, 55, 70))
+        kw = dict(train_days=45, test_days=26, iterations=30)
+        [report] = sliding_window_backtest([s], config=config, **kw)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.scores == pytest.approx(per_window_scores(s, config, **kw),
+                                              rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("config", [
         FitConfig(),
