@@ -184,25 +184,25 @@ def _shared_span(series: Sequence[DailySeries]) -> tuple[dt.date, np.ndarray]:
     return series[0].start, np.column_stack([s.counts for s in series])
 
 
-def _factor(design: np.ndarray, n_cp: int, ridge_lambda: float
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The map from targets on the design's rows to the min-norm ridge
-    least-squares coefficients, and the thin SVD ``u, sv, vt`` of the
-    ridge-augmented design it comes from: the pseudo-inverse at the
-    singular-value cutoff of ``lstsq(rcond=None)``, as ``np.linalg.pinv``
-    takes it, to the bit.
-
-    One row per penalized changepoint column, against a zero target,
-    implements the ridge penalty; those targets are zero, so only the
-    design-row columns of the pseudo-inverse are kept."""
+def _augmented(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.ndarray:
+    """The design with one row per penalized changepoint column, against a
+    zero target, which implements the ridge penalty."""
     penalty = np.zeros(design.shape[1])
     penalty[2:2 + n_cp] = np.sqrt(ridge_lambda)
-    # The augmented design is freed as soon as it is factored.
-    u, sv, vt = np.linalg.svd(np.vstack([design, np.diag(penalty)[penalty > 0]]),
-                              full_matrices=False)
-    large = sv > np.finfo(np.float64).eps * max(len(u), design.shape[1]) * sv[0]
+    return np.vstack([design, np.diag(penalty)[penalty > 0]])
+
+
+def _factor(aug: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The map from targets on the first ``n`` rows of the augmented design
+    ``aug`` to the min-norm ridge least-squares coefficients, and the thin
+    SVD ``u, sv, vt`` of ``aug`` it comes from: the pseudo-inverse at the
+    singular-value cutoff of ``lstsq(rcond=None)``, as ``np.linalg.pinv``
+    takes it, to the bit. The penalty rows' targets are zero, so only the
+    design-row columns of the pseudo-inverse are kept."""
+    u, sv, vt = np.linalg.svd(aug, full_matrices=False)
+    large = sv > np.finfo(np.float64).eps * max(aug.shape) * sv[0]
     inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=large)
-    return (vt.T @ (inverse[:, None] * u.T))[:, :len(design)], u, sv, vt
+    return (vt.T @ (inverse[:, None] * u.T))[:, :n], u, sv, vt
 
 
 def fit(series: Sequence[DailySeries],
@@ -221,13 +221,16 @@ def fit(series: Sequence[DailySeries],
     n = len(y)
     changepoints, use_yearly = _layout(n, config)
     holiday_dates = tuple(sorted(config.holidays))
-    design = _columns(np.arange(n), changepoints, use_yearly,
-                      [(date - start).days for date in holiday_dates])
-    beta = _factor(design, len(changepoints), config.ridge_lambda)[0] @ y
+    # The design is held only as the first n rows of the augmented one, so
+    # the SVD's working copies sit beside one copy of it, not two.
+    aug = _augmented(_columns(np.arange(n), changepoints, use_yearly,
+                              [(date - start).days for date in holiday_dates]),
+                     len(changepoints), config.ridge_lambda)
+    beta = _factor(aug, n)[0] @ y
 
-    residuals = design @ beta
+    residuals = aug[:n] @ beta
     residuals -= y
-    dof = max(1, n - design.shape[1])
+    dof = max(1, n - aug.shape[1])
     residual_var = np.einsum("ij,ij->j", residuals, residuals) / dof
     return [DecompositionModel(start, n, changepoints, use_yearly, holiday_dates, b, var)
             for b, var in zip(beta.T.copy(), residual_var.tolist())]
@@ -381,11 +384,11 @@ def sliding_window_backtest(
         )
     changepoints, use_yearly = _layout(train_days, config)
     n_cp, train = len(changepoints), np.arange(train_days)
-    design = _columns(train, changepoints, use_yearly)
     future = _columns(np.arange(train_days, train_days + test_days), changepoints,
                       use_yearly)
-    p = design.shape[1]
-    solve, u, sv, vt = _factor(design, n_cp, config.ridge_lambda)
+    p = future.shape[1]
+    solve, u, sv, vt = _factor(_augmented(_columns(train, changepoints, use_yearly), n_cp,
+                                          config.ridge_lambda), train_days)
     holidays = np.array(sorted((date - start).days for date in config.holidays),
                         dtype=np.int64)
     # Downdates need a base design of full rank at lstsq's cutoff. A reduced
@@ -410,8 +413,8 @@ def sliding_window_backtest(
                 # A duplicated date's two equal columns matter only here: the
                 # min-norm fit of a rank-deficient design splits its
                 # coefficient between them.
-                beta = _factor(_columns(train, changepoints, use_yearly, held), n_cp,
-                               config.ridge_lambda)[0][:p] @ window
+                beta = _factor(_augmented(_columns(train, changepoints, use_yearly, held),
+                                          n_cp, config.ridge_lambda), train_days)[0][:p] @ window
         predicted = np.maximum(future @ beta, 0.0)
         actual = y[shift + train_days:shift + train_days + test_days]
         scores[:, shift] = smape(actual.T, predicted.T)
