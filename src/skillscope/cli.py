@@ -23,7 +23,9 @@ valid is rejected by the stage's own check before ingest; stage functions
 only compute, and each command writes its files after its last stage, so a
 failed command writes none. After every command ``main`` writes a
 provenance.json: every parsed flag except ``--out``, the SHA-256 of every
-input file named by a flag, the tool version and a timestamp.
+input file named by a flag, the tool version and a timestamp. ``hashlib``
+is imported only there, after the last stage, so no stage runs with
+OpenSSL's libcrypto mapped.
 Analysis outputs are byte-identical across runs with equal provenance.
 
 Every text input is read as UTF-8; a leading byte-order mark, as
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import hashlib
 import json
 import sys
 import warnings
@@ -60,10 +61,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # imported here: it maps OpenSSL, which no stage needs
+
     h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

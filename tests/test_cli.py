@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import skillscope
 from skillscope import corpus as corpus_mod
-from skillscope.cli import main
+from skillscope.cli import _sha256, main
 
 # small end-to-end scenario: one high-intensity cluster, one background
 SCENARIO = {
@@ -490,6 +491,15 @@ class TestReport:
         assert len(list(prov["inputs"].values())[0]) == 64
         assert prov["config"]["train_days"] == 60
 
+    @pytest.mark.parametrize("size", [0, 65_535, 65_536, 65_537, 200_001])
+    def test_input_hash_is_the_sha256_of_the_whole_file(self, tmp_path, size):
+        """``_sha256`` reads through one 64 KiB buffer: files one byte short
+        of it, filling it, one byte over and many buffers long."""
+        data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
+
     def test_holidays_recorded_in_provenance(self, corpus, tmp_path, capsys):
         holidays = tmp_path / "holidays.txt"
         holidays.write_text("2017-01-02\n2017-02-14\n")
@@ -508,12 +518,22 @@ class TestReport:
         ``numpy.ma``, which NumPy 2 imports only on first use (a median, a
         percentile, ``np.unique`` without counts) and NumPy 1 with ``numpy``
         itself, nor ``statistics`` and the ``fractions`` and ``decimal`` it
-        imports."""
+        imports. ``hashlib``, which maps OpenSSL, is loaded neither with the
+        CLI nor by the time the last stage writes its files: only the
+        provenance step after it hashes."""
         script = ("import json, sys, numpy\n"
                   "eager = set(sys.modules)\n"
                   "from skillscope.cli import main\n"
+                  "from skillscope import indicators\n"
+                  "at_import = sorted(sys.modules)\n"
+                  "write_report, at_write = indicators.write_report, []\n"
+                  "def wrapped(*args):\n"
+                  "    at_write.extend(sys.modules)\n"
+                  "    return write_report(*args)\n"
+                  "indicators.write_report = wrapped\n"
                   "code = main(sys.argv[1:])\n"
-                  "print(json.dumps([code, sorted(set(sys.modules) - eager)]))\n")
+                  "print(json.dumps([code, sorted(set(sys.modules) - eager),\n"
+                  "                  at_import, at_write]))\n")
         argv = ["report", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),
                 "--per-seed-k", "10", "--cutoff", "5", *BACKTEST_FLAGS,
                 "--out", str(tmp_path / "out")]
@@ -523,10 +543,13 @@ class TestReport:
         run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        code, loaded = json.loads(run.stdout.splitlines()[-1])
+        code, loaded, at_import, at_write = json.loads(run.stdout.splitlines()[-1])
         assert code == 0
         assert not {"skillscope.synthgen", "numpy.ma", "statistics", "fractions",
                     "decimal"} & set(loaded)
+        assert at_write, "write_report was not called"
+        for modules in (at_import, at_write):
+            assert not {"hashlib", "_hashlib"} & set(modules)
 
     def test_unmapped_occupations_uncategorized_in_indicators_and_report(
             self, corpus, tmp_path, capsys):

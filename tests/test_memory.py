@@ -1,6 +1,7 @@
 """Memory bounds: the bytes per ad that ingest keeps, and, after ingest,
 the traced peak of each skill-network, intensity and market-indicator
-stage, per skill slot or per ad, on a corpus of over a million slots.
+stage, per skill slot or per ad, on a corpus of over a million slots; and
+the traced peak of hashing an input file for provenance.json.
 
 The bounds are what the one-byte-per-slot rule leaves room for: a boolean
 mask over the slots, the per-ad arrays (at 14 slots per ad, one int64 per ad
@@ -9,6 +10,7 @@ is 0.57 bytes per slot), the result, and temporaries taken one
 bytes per slot."""
 
 import datetime as dt
+import hashlib  # _sha256 imports it on first use; loaded here, outside any traced call
 import itertools
 import tracemalloc
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng  # loaded here, outside any traced call
 
+from skillscope.cli import _sha256
 from skillscope.corpus import IncidenceIndex, build_index, ingest_records
 from skillscope.indicators import MARKET, assemble_report
 from skillscope.occupations import compute_intensity
@@ -128,3 +131,14 @@ def test_market_indicators_take_at_most_forty_bytes_per_ad(corpus):
     report, peak = traced_peak(lambda: assemble_report(corpus, {}, {}, backtest, {}))
     assert sum(report.baseline.counts_by_year.values()) == N_ADS
     assert peak <= 40 * len(corpus)
+
+
+def test_hashing_an_input_takes_at_most_128_kib(tmp_path):
+    """The hash reads a 4 MiB file through one reused 64 KiB buffer; one
+    ``bytes`` per 1 MiB read would take at least 1 MiB."""
+    data = default_rng(7).bytes(4 << 20)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    digest, peak = traced_peak(lambda: _sha256(path))
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak <= 128 << 10
