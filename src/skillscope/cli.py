@@ -210,7 +210,7 @@ def _group_ads(corpus, category_map, occupations=None) -> dict[str, np.ndarray]:
     for code, occ in enumerate(corpus.occupations):
         if occupations is None or occ in occupations:
             label = (category_map.get(occ, occupations_mod.UNCATEGORIZED)
-                     if category_map else occ)
+                     if category_map is not None else occ)
             table[code] = labels.setdefault(label, len(labels))
     ad_labels = table[corpus.occupation_codes]
     rows = np.flatnonzero(ad_labels >= 0)

@@ -7,17 +7,17 @@ backtest). Each indicator is compared against the whole-market baseline;
 the shortage-consistent direction is "above baseline" for everything
 except experience, where low demands signal shortage.
 
-A group is a set of row positions into the corpus columns; the market is
-every row, read from the whole columns with no gather, one year at a time.
-The groups are computed together from one gather of all their rows, in
-which each group's ads of one year are one segment: one ``np.bincount``
-counts every segment, one lexsort by segment and value orders every
-segment's salaries, and each segment's other values stay in row order.
-A median is taken as ``statistics.median`` takes it, from a stable sort,
-and a mean is the last element of a sequential ``np.cumsum``, which adds
-left to right in row order as :func:`~skillscope.corpus.left_sum` does
-(and a mean of a Python list is ``left_sum``'s), so no figure depends on
-NumPy's pairwise summation or on the Python version.
+A group is a set of row positions into the corpus columns, and the market
+is one more group: every row, read from the whole columns with no gather.
+The groups of one call are computed together, each group's ads of one
+year being one segment: one ``np.bincount`` counts every segment, one
+lexsort by segment and value orders every segment's salaries, and each
+segment's other values stay in row order. A median is taken as
+``statistics.median`` takes it, from a stable sort, and a mean is the last
+element of a sequential ``np.cumsum``, which adds left to right in row
+order as :func:`~skillscope.corpus.left_sum` does (and a mean of a Python
+list is ``left_sum``'s), so no figure depends on NumPy's pairwise
+summation or on the Python version.
 
 No scalar shortage score is computed; the report keeps the per-indicator
 flags side by side.
@@ -48,16 +48,6 @@ _YEARLY = (("posting_counts", "counts_by_year"), ("posting_growth", "growth_by_y
           ("experience_years", "experience_by_year"))
 
 
-def yearly_counts(years: np.ndarray) -> dict[int, int]:
-    """Ads per year, ascending, from one year per ad; only years with ads."""
-    if not len(years):
-        return {}
-    first = int(years.min())
-    counts = np.bincount(years - first)
-    found = np.flatnonzero(counts)
-    return dict(zip((found + first).tolist(), counts[found].tolist()))
-
-
 def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Optional[float]]:
     """Year-on-year growth per year (count_y / count_{y-1} - 1) and its mean.
 
@@ -72,41 +62,10 @@ def posting_growth(counts_by_year: dict[int, int]) -> tuple[dict[int, float], Op
     return growth, _mean(list(growth.values()))
 
 
-def _mean(values) -> Optional[float]:
-    """The mean, summed left to right: a list through
-    :func:`~skillscope.corpus.left_sum`, an array as the last of a
-    sequential running sum plus 0.0, because ``left_sum`` starts from 0.0
-    and so never gives -0.0; bit for bit the same."""
-    if not len(values):
-        return None
-    if isinstance(values, list):
-        return left_sum(values) / len(values)
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
-        return (float(np.cumsum(values)[-1]) + 0.0) / len(values)
-
-
-def _median(values: np.ndarray) -> float:
-    """``statistics.median`` of a float64 array, sorted in place: a stable
-    sort orders the values as ``sorted`` does, -0.0 and 0.0 included."""
-    values.sort(kind="stable")
-    mid = len(values) // 2
-    if len(values) % 2:
-        return float(values[mid])
-    return (float(values[mid - 1]) + float(values[mid])) / 2
-
-
-def _by_year(values: np.ndarray, years: np.ndarray, found: dict[int, int],
-             reduce) -> dict[int, Optional[float]]:
-    """``reduce`` of each found year's defined (non-NaN) values, a float64
-    array in row order; None for a year where every value is missing."""
-    defined = ~np.isnan(values)
-    out = {}
-    for year in found:
-        in_year = years == year
-        in_year &= defined
-        chosen = values[in_year]
-        out[year] = reduce(chosen) if len(chosen) else None
-    return out
+def _mean(values: list) -> Optional[float]:
+    """The mean of a list, summed left to right by
+    :func:`~skillscope.corpus.left_sum`; None for an empty one."""
+    return left_sum(values) / len(values) if values else None
 
 
 @dataclass
@@ -134,32 +93,11 @@ def _midpoints(corpus: Corpus, rows) -> np.ndarray:
     return mids
 
 
-def compute_indicators(label: str, corpus: Corpus, rows,
-                       backtest: BacktestReport) -> ShortageIndicators:
-    """The indicators of the ads at row positions ``rows`` of ``corpus``, or
-    of every ad, read from the whole columns, when ``rows`` is
-    ``slice(None)``. An ad's salary is the midpoint of its range, or its one
-    bound."""
-    years = corpus.years[rows]
-    counts = yearly_counts(years)
-    growth, mean_growth = posting_growth(counts)
-    return ShortageIndicators(
-        label=label,
-        counts_by_year=counts,
-        growth_by_year=growth,
-        mean_growth=mean_growth,
-        salary_by_year=_by_year(_midpoints(corpus, rows), years, counts, _median),
-        education_by_year=_by_year(corpus.education_years[rows], years, counts, _mean),
-        experience_by_year=_by_year(corpus.experience_years[rows], years, counts, _mean),
-        median_smape=backtest.median,
-    )
-
-
 def _segment_medians(key: np.ndarray, values: np.ndarray, n_keys: int) -> list:
-    """``_median`` of the defined values of each segment ``key`` in
-    ``range(n_keys)``, None for one without: one lexsort by segment and
-    value, stable as ``_median``'s sort is, which puts NaN last in each
-    segment."""
+    """``statistics.median`` of the defined values of each segment ``key``
+    in ``range(n_keys)``, None for one without: one lexsort by segment and
+    value, stable as ``sorted`` is, -0.0 and 0.0 included, which puts NaN
+    last in each segment."""
     ordered = values[np.lexsort((values, key))]
     sizes = np.bincount(key, minlength=n_keys)
     starts = np.cumsum(sizes) - sizes
@@ -178,35 +116,47 @@ def _segment_medians(key: np.ndarray, values: np.ndarray, n_keys: int) -> list:
 def _segment_means(key: np.ndarray, values: np.ndarray, order: np.ndarray,
                    n_keys: int) -> list:
     """``_mean`` of the defined values of each segment ``key``, in row order,
-    None for one without; ``order`` is the stable sort of ``key``."""
-    values, key = values[order], key[order]
-    defined = ~np.isnan(values)
-    values = values[defined]
-    ends = np.cumsum(np.bincount(key[defined], minlength=n_keys)).tolist()
+    None for one without; ``order`` is the stable sort of ``key``. Each mean
+    is the last of a sequential running sum plus 0.0, because ``left_sum``
+    starts from 0.0 and so never gives -0.0."""
+    # Counted from the unordered key: a segment's size does not depend on
+    # the order, and ``key[order]`` would be one more copy of the key.
+    ends = np.cumsum(np.bincount(key[~np.isnan(values)], minlength=n_keys)).tolist()
+    values = values[order]
+    values = values[~np.isnan(values)]
     out = [None] * n_keys
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
         for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            if hi > lo:  # as _mean, which would enter errstate once per segment
+            if hi > lo:
                 out[k] = (float(values[lo:hi].cumsum()[-1]) + 0.0) / (hi - lo)
     return out
 
 
-def _group_indicators(corpus: Corpus, groups: dict[str, np.ndarray],
-                      backtests: dict[str, BacktestReport]) -> list[ShortageIndicators]:
-    """``compute_indicators`` of every group, in label order, from one
-    gather of all their rows: each group's ads of one year are one segment,
-    keyed by group and year, of the counts, medians and means."""
+def compute_indicators(corpus: Corpus, groups: dict[str, np.ndarray | slice],
+                       backtests: dict[str, BacktestReport]) -> list[ShortageIndicators]:
+    """The indicators of every group, in label order, each group given as
+    row positions of ``corpus``; a lone group may be ``slice(None)``, every
+    ad, read from the whole columns with no gather. Each group's ads of one
+    year are one segment, keyed by group and year, of the counts, medians
+    and means. An ad's salary is the midpoint of its range, or its one
+    bound."""
     labels = sorted(groups)
-    rows = np.concatenate([np.empty(0, dtype=np.intp), *(groups[label] for label in labels)])
+    if len(labels) == 1:
+        rows = groups[labels[0]]
+    else:
+        rows = np.concatenate([np.empty(0, dtype=np.intp), *(groups[label] for label in labels)])
     first = int(corpus.years.min())
     n_years = int(corpus.years.max()) - first + 1
     n_keys = len(labels) * n_years
-    key = np.repeat(np.arange(len(labels)) * n_years, [len(groups[label]) for label in labels])
-    key += corpus.years[rows]
-    key -= first
+    key = np.subtract(corpus.years[rows], first)
+    if len(labels) > 1:
+        key += np.repeat(np.arange(len(labels)) * n_years,
+                         [len(groups[label]) for label in labels])
     counts = np.bincount(key, minlength=n_keys).tolist()
-    order = np.argsort(key, kind="stable")
+    # The medians come before ``order`` is made, so that their lexsort and
+    # ``order`` are never held together.
     salary = _segment_medians(key, _midpoints(corpus, rows), n_keys)
+    order = np.argsort(key, kind="stable")
     education = _segment_means(key, corpus.education_years[rows], order, n_keys)
     experience = _segment_means(key, corpus.experience_years[rows], order, n_keys)
     out = []
@@ -289,11 +239,11 @@ def assemble_report(
     finite is a DataError."""
     if not len(corpus):
         raise DataError("missing market baseline: no ads")
-    baseline = compute_indicators(MARKET, corpus, slice(None), market_backtest)
+    [baseline] = compute_indicators(corpus, {MARKET: slice(None)}, {MARKET: market_backtest})
     _check_finite(baseline)
 
     base_levels = _levels(baseline)
-    report_groups = _group_indicators(corpus, groups, backtests)
+    report_groups = compute_indicators(corpus, groups, backtests)
     flags: dict[str, dict[str, bool]] = {}
     for ind in report_groups:
         _check_finite(ind)

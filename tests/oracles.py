@@ -192,7 +192,7 @@ def brute_groups(corpus, category_map, occupations=None) -> dict[str, np.ndarray
     codes: dict[str, list[int]] = {}
     for code, occ in enumerate(corpus.occupations):
         if occupations is None or occ in occupations:
-            label = category_map.get(occ, UNCATEGORIZED) if category_map else occ
+            label = category_map.get(occ, UNCATEGORIZED) if category_map is not None else occ
             codes.setdefault(label, []).append(code)
     return {label: np.flatnonzero(np.isin(corpus.occupation_codes, c))
             for label, c in codes.items()}

@@ -551,10 +551,14 @@ class TestReport:
         for modules in (at_import, at_write):
             assert not {"hashlib", "_hashlib"} & set(modules)
 
+    @pytest.mark.parametrize("text,labels", [
+        ("Clerk,Office\n", ["Office", "uncategorized"]),
+        ("occupation,category\n", ["uncategorized"]),  # a given map that names none
+    ], ids=["one-named", "header-only"])
     def test_unmapped_occupations_uncategorized_in_indicators_and_report(
-            self, corpus, tmp_path, capsys):
+            self, corpus, tmp_path, capsys, text, labels):
         mapping = tmp_path / "map.csv"
-        mapping.write_text("Clerk,Office\n")
+        mapping.write_text(text)
         out = tmp_path / "ind"
         assert main(["indicators", "--input", str(corpus), *BACKTEST_FLAGS,
                      "--category-map", str(mapping), "--out", str(out)]) == 0
@@ -562,7 +566,7 @@ class TestReport:
         rep = json.loads((self.run_report(corpus, tmp_path, "rep",
                                           ["--category-map", str(mapping)])
                           / "report.json").read_text())
-        assert [g["label"] for g in ind["groups"]] == ["Office", "uncategorized"]
+        assert [g["label"] for g in ind["groups"]] == labels
         # the report selects both occupations, so both group the same ads
         assert rep["groups"] == ind["groups"]
 

@@ -13,11 +13,11 @@ from skillscope import indicators
 from skillscope.corpus import ingest_records
 from skillscope.errors import DataError
 from skillscope.indicators import (
+    MARKET,
     assemble_report,
     compute_indicators,
     posting_growth,
     write_report,
-    yearly_counts,
 )
 from skillscope.timeseries import BacktestReport, FitConfig, aggregate_daily, fit
 
@@ -35,8 +35,9 @@ def backtest_of(label, scores=(1.0,)):
 
 
 def indicators_of(ads):
-    return compute_indicators("g", ingest_records(ads)[0], np.arange(len(ads)),
-                              backtest_of("g"))
+    [ind] = compute_indicators(ingest_records(ads)[0], {"g": np.arange(len(ads))},
+                               {"g": backtest_of("g")})
+    return ind
 
 
 class TestPostingGrowth:
@@ -67,7 +68,9 @@ class TestPostingGrowth:
                                   base_daily_rate=200.0, annual_growth=0.28),),
         )
         records, _ = generate(config)
-        counts = yearly_counts(ingest_records(records)[0].years)
+        [market] = compute_indicators(ingest_records(records)[0], {MARKET: slice(None)},
+                                      {MARKET: backtest_of(MARKET)})
+        counts = market.counts_by_year
         full_years = {y: c for y, c in counts.items() if y < 2017}  # 2017 partial
         _, mean = posting_growth(full_years)
         assert mean == pytest.approx(0.28, abs=0.03)
@@ -147,12 +150,12 @@ def test_yearly_figures_equal_brute_force_exactly():
     for _ in range(200):
         ads = random_ads(rng)
         corpus, _ = ingest_records(ads)
-        groups = [(ads, np.arange(len(ads)))] + [
+        groups = [(ads, slice(None))] + [
             ([a for a in ads if a["occupation"] == occ],
              np.flatnonzero(corpus.occupation_codes == code))
             for code, occ in enumerate(corpus.occupations)]
         for group_ads, rows in groups:
-            ind = compute_indicators("g", corpus, rows, backtest_of("g"))
+            [ind] = compute_indicators(corpus, {"g": rows}, {"g": backtest_of("g")})
             want = brute_indicators(group_ads)
             assert ind.counts_by_year == want["counts"]
             assert ind.salary_by_year == want["salary"]
@@ -267,8 +270,8 @@ class TestAssembleReport:
 
 def test_compute_indicators_fields():
     ads = shortage_corpus()
-    ind = compute_indicators("all", ingest_records(ads)[0], np.arange(len(ads)),
-                             backtest_of("all", [3.0, 1.0, 2.0]))
+    [ind] = compute_indicators(ingest_records(ads)[0], {"all": np.arange(len(ads))},
+                               {"all": backtest_of("all", [3.0, 1.0, 2.0])})
     assert ind.counts_by_year == {2016: 60, 2017: 70, 2018: 90}
     assert ind.median_smape == 2.0
     assert ind.mean_growth == pytest.approx(

@@ -1,7 +1,7 @@
 """Memory bounds: the bytes per ad that ingest keeps, and, after ingest,
-the traced peak of each skill-network, intensity and market-indicator
-stage, per skill slot or per ad, on a corpus of over a million slots; and
-the traced peak of hashing an input file for provenance.json.
+the traced peak of each skill-network, intensity and indicator stage, per
+skill slot or per ad, on a corpus of over a million slots; and the traced
+peak of hashing an input file for provenance.json.
 
 The bounds are what the one-byte-per-slot rule leaves room for: a boolean
 mask over the slots, the per-ad arrays (at 14 slots per ad, one int64 per ad
@@ -131,6 +131,20 @@ def test_market_indicators_take_at_most_forty_bytes_per_ad(corpus):
     report, peak = traced_peak(lambda: assemble_report(corpus, {}, {}, backtest, {}))
     assert sum(report.baseline.counts_by_year.values()) == N_ADS
     assert peak <= 40 * len(corpus)
+
+
+def test_indicators_of_one_group_per_occupation_take_at_most_45_bytes_per_ad(corpus):
+    """50 groups covering every ad, computed with the market: the groups'
+    rows are gathered once and the salary medians are taken before the
+    stable order of the segment keys is made."""
+    groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
+              for code, occ in enumerate(corpus.occupations)}
+    backtests = {label: BacktestReport([1.0], 14, 1, 1, label) for label in groups}
+    backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
+    report, peak = traced_peak(lambda: assemble_report(corpus, groups, backtests, backtest, {}))
+    assert len(report.groups) == 50
+    assert sum(sum(g.counts_by_year.values()) for g in report.groups) == N_ADS
+    assert peak <= 45 * len(corpus)
 
 
 def test_hashing_an_input_takes_at_most_128_kib(tmp_path):

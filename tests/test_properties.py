@@ -385,8 +385,11 @@ def test_median_and_mean_equal_statistics_and_left_sum(values):
     with np.errstate(over="ignore", invalid="ignore"):
         pairwise = float(np.sum(values))
     event("pairwise sum differs" if pairwise != left_sum(values) else "pairwise sum agrees")
-    assert repr(indicators._median(np.array(values))) == repr(statistics.median(values))
-    assert repr(indicators._mean(np.array(values))) == repr(left_sum(values) / len(values))
+    key = np.zeros(len(values), dtype=np.intp)  # one segment
+    [median] = indicators._segment_medians(key, np.array(values), 1)
+    [mean] = indicators._segment_means(key, np.array(values), np.arange(len(values)), 1)
+    assert repr(median) == repr(statistics.median(values))
+    assert repr(mean) == repr(left_sum(values) / len(values))
 
 
 @settings(deadline=None)
@@ -403,8 +406,9 @@ def test_yearly_figures_equal_brute_force_bit_for_bit(ads):
                     "experience_years": other})}
                for i, (year, value, other) in enumerate(ads)]
     corpus, _ = ingest_records(records)
-    ind = compute_indicators(indicators.MARKET, corpus, slice(None),
-                             BacktestReport([1.0], 14, 1, 1, indicators.MARKET))
+    [ind] = compute_indicators(corpus, {indicators.MARKET: slice(None)},
+                               {indicators.MARKET: BacktestReport([1.0], 14, 1, 1,
+                                                                  indicators.MARKET)})
     want = brute_indicators(records)
     assert ind.counts_by_year == want["counts"]
     for name in ("salary", "education", "experience"):
@@ -446,7 +450,8 @@ def test_group_indicators_equal_brute_force_bit_for_bit(ads, data):
     """Each group's yearly counts, median salary and mean education and
     experience from ``assemble_report`` are ``brute_indicators``' of its
     rows, in their order, to the bit, for empty, overlapping and repeated
-    row sets; a figure that is not finite is a DataError."""
+    row sets, and the market baseline's are those of every record; a
+    figure that is not finite is a DataError."""
     records = [{"id": str(i), "date": f"{2017 + year}-03-01", "occupation": "A",
                 "skills": ["x"]} for i, (year, *_) in enumerate(ads)]
     corpus, _ = ingest_records(records)
@@ -458,9 +463,10 @@ def test_group_indicators_equal_brute_force_bit_for_bit(ads, data):
     groups = data.draw(st.dictionaries(st.sampled_from(["g1", "g2", "g3"]),
                                        st.lists(st.integers(0, len(ads) - 1),
                                                 max_size=len(ads) + 3), max_size=3))
+    market = brute_indicators(records)
     wants = {label: brute_indicators([records[i] for i in rows])
              for label, rows in groups.items()}
-    figures = [v for want in [brute_indicators(records), *wants.values()]
+    figures = [v for want in [market, *wants.values()]
                for name in ("salary", "education", "experience") for v in want[name].values()]
 
     def assemble():
@@ -475,8 +481,8 @@ def test_group_indicators_equal_brute_force_bit_for_bit(ads, data):
         return
     report = assemble()
     assert [ind.label for ind in report.groups] == sorted(groups)
-    for ind in report.groups:
-        want = wants[ind.label]
+    for ind, want in [(report.baseline, market),
+                      *((ind, wants[ind.label]) for ind in report.groups)]:
         assert ind.counts_by_year == want["counts"]
         for name in ("salary", "education", "experience"):
             assert repr(getattr(ind, f"{name}_by_year")) == repr(want[name]), name
