@@ -196,28 +196,23 @@ def _occupations_stage(corpus, skill_set, category_map, args):
         profiles, threshold=args.threshold, category_map=category_map)
 
 
-def _group_ads(corpus, category_map, occupations=None) -> dict[str, np.ndarray]:
-    """Ascending row positions of each category's ads when a map is given,
-    else of each occupation's; with ``occupations``, only theirs. Occupations
-    the map does not name fall into the ``uncategorized`` group. Labels are
-    keyed in the order of their first occupation code.
-
-    Every ad is labelled through one code -> label table (-1: no group);
-    one stable argsort of the grouped ads' labels then lists each group's
-    rows in ascending order."""
-    labels: dict[str, int] = {}
-    table = np.full(len(corpus.occupations), -1, dtype=np.int64)
-    for code, occ in enumerate(corpus.occupations):
-        if occupations is None or occ in occupations:
-            label = (category_map.get(occ, occupations_mod.UNCATEGORIZED)
-                     if category_map is not None else occ)
-            table[code] = labels.setdefault(label, len(labels))
-    ad_labels = table[corpus.occupation_codes]
-    rows = np.flatnonzero(ad_labels >= 0)
-    ad_labels = ad_labels[rows]
-    rows = rows[np.argsort(ad_labels, kind="stable")]
-    ends = np.cumsum(np.bincount(ad_labels, minlength=len(labels))).tolist()
-    return {label: rows[lo:hi] for label, lo, hi in zip(labels, [0] + ends, ends)}
+def _group_ads(corpus, category_map, occupations=None) -> tuple[list[str], np.ndarray]:
+    """The group labels, sorted, and each ad's index into them as int32, -1
+    for an ad in no group. An ad's label is its occupation's category when
+    a map is given, else its occupation; with ``occupations``, only theirs
+    are grouped. Occupations the map does not name fall into the
+    ``uncategorized`` group. Every ad is labelled through one code -> label
+    table."""
+    label_of = {code: category_map.get(occ, occupations_mod.UNCATEGORIZED)
+                if category_map is not None else occ
+                for code, occ in enumerate(corpus.occupations)
+                if occupations is None or occ in occupations}
+    labels = sorted(set(label_of.values()))
+    index = {label: k for k, label in enumerate(labels)}
+    table = np.full(len(corpus.occupations), -1, dtype=np.int32)
+    for code, label in label_of.items():
+        table[code] = index[label]
+    return labels, table[corpus.occupation_codes]
 
 
 def _backtest(series, args, cfg):
@@ -227,21 +222,20 @@ def _backtest(series, args, cfg):
         iterations=args.iterations, config=cfg)
 
 
-def _indicators_stage(corpus, groups: dict[str, np.ndarray], args, cfg):
+def _indicators_stage(corpus, labels: list[str], codes: np.ndarray, args, cfg):
     """Backtest the market baseline and every group, fit their trend lines,
     and assemble the shortage report."""
     market = indicators_mod.MARKET
-    if market in groups:
+    if market in labels:
         raise DataError(f"group label {market!r} is reserved for the whole-market "
                         "baseline; rename that occupation or category")
     span = corpus.span()
-    series = [timeseries.aggregate_daily(corpus.ordinals[rows], *span, label=label)
-              for label, rows in [(market, slice(None)), *sorted(groups.items())]]
+    series = (timeseries.aggregate_daily(corpus.ordinals, 0, [market], *span)
+              + timeseries.aggregate_daily(corpus.ordinals, codes, labels, *span))
     market_bt, *group_bts = _backtest(series, args, cfg)
     models = timeseries.fit(series, cfg)
     return indicators_mod.assemble_report(
-        corpus,
-        groups=groups,
+        corpus, labels, codes,
         backtests={bt.label: bt for bt in group_bts},
         market_backtest=market_bt,
         trend_models={s.label: model for s, model in zip(series, models)},
@@ -287,30 +281,28 @@ def cmd_occupations(args) -> None:
 def cmd_backtest(args) -> None:
     cfg = _fit_config(args)
     corpus, _ = _load_corpus(args)
-    span = corpus.span()
-    label = args.occupation or "all"
-    days = corpus.ordinals
+    labels, codes = ["all"], 0
     if args.occupation:
-        rows = _group_ads(corpus, None, {args.occupation}).get(args.occupation)
-        if rows is None:
+        labels, codes = _group_ads(corpus, None, {args.occupation})
+        if not labels:
             raise DataError(f"no accepted ad has occupation {args.occupation!r}")
-        days = days[rows]
-    [report] = _backtest([timeseries.aggregate_daily(days, *span, label=label)], args, cfg)
+    [report] = _backtest(timeseries.aggregate_daily(corpus.ordinals, codes, labels,
+                                                    *corpus.span()), args, cfg)
     out = Path(args.out)
     report.to_json(out / "backtest.json")
-    indicators_mod.write_boxplot({label: report}, out / "boxplot.csv")
-    print(f"backtest {label}: median SMAPE {report.median:.3f} "
+    indicators_mod.write_boxplot({report.label: report}, out / "boxplot.csv")
+    print(f"backtest {report.label}: median SMAPE {report.median:.3f} "
           f"over {args.iterations} windows")
 
 
 def cmd_indicators(args) -> None:
     cfg = _fit_config(args)
     corpus, _ = _load_corpus(args)
-    groups = _group_ads(corpus, _load_category_map(args))
-    report = _indicators_stage(corpus, groups, args, cfg)
+    labels, codes = _group_ads(corpus, _load_category_map(args))
+    report = _indicators_stage(corpus, labels, codes, args, cfg)
     out = Path(args.out)
     indicators_mod.write_report(report, out)
-    print(f"wrote indicator report for {len(groups)} groups to {out}")
+    print(f"wrote indicator report for {len(labels)} groups to {out}")
 
 
 def cmd_report(args) -> None:
@@ -323,15 +315,16 @@ def cmd_report(args) -> None:
     if not selection.profiles:
         raise DataError(f"no occupation exceeds eta > {args.threshold}; "
                         "nothing to report on")
-    groups = _group_ads(corpus, category_map, {p.occupation for p in selection.profiles})
-    report = _indicators_stage(corpus, groups, args, cfg)
+    labels, codes = _group_ads(corpus, category_map,
+                               {p.occupation for p in selection.profiles})
+    report = _indicators_stage(corpus, labels, codes, args, cfg)
     out = Path(args.out)
     (out / "ingest_report.json").write_text(ingest_report.to_json() + "\n")
     skill_set.to_csv(out / "skills.csv")
     skill_set.to_json(out / "skills.json")
     occupations_mod.write_selection_csv(selection, out / "occupations.csv")
     indicators_mod.write_report(report, out)
-    print(f"report written to {out} ({len(groups)} groups, "
+    print(f"report written to {out} ({len(labels)} groups, "
           f"{len(selection.profiles)} occupations)")
 
 

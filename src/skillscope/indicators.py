@@ -7,17 +7,18 @@ backtest). Each indicator is compared against the whole-market baseline;
 the shortage-consistent direction is "above baseline" for everything
 except experience, where low demands signal shortage.
 
-A group is a set of row positions into the corpus columns, and the market
-is one more group: every row, read from the whole columns with no gather.
-The groups of one call are computed together, each group's ads of one
-year being one segment: one ``np.bincount`` counts every segment, one
-lexsort by segment and value orders every segment's salaries, and each
-segment's other values stay in row order. A median is taken as
-``statistics.median`` takes it, from a stable sort, and a mean is the last
-element of a sequential ``np.cumsum``, which adds left to right in row
-order as :func:`~skillscope.corpus.left_sum` does (and a mean of a Python
-list is ``left_sum``'s), so no figure depends on NumPy's pairwise
-summation or on the Python version.
+The groups are one label column: each ad's code indexes the sorted
+labels, -1 for an ad in no group, and the market is the same call with
+one code for every ad. Every ad is read from the whole columns, with no
+gather, keyed by group and year, each key one segment: one
+``np.bincount`` counts every segment, one lexsort by segment and value
+orders every segment's salaries for their medians, taken as
+``statistics.median`` takes them, from a stable sort, and a mean is a
+weighted ``np.bincount`` of the defined values over their count. A
+weighted ``bincount`` adds one value at a time, in row order, from 0.0,
+as :func:`~skillscope.corpus.left_sum` does (and a mean of a Python list
+is ``left_sum``'s), so no figure depends on NumPy's pairwise summation or
+on the Python version.
 
 No scalar shortage score is computed; the report keeps the per-indicator
 flags side by side.
@@ -82,9 +83,9 @@ class ShortageIndicators:
     median_smape: float
 
 
-def _midpoints(corpus: Corpus, rows) -> np.ndarray:
+def _midpoints(corpus: Corpus) -> np.ndarray:
     """Each ad's salary: the midpoint of its range, or its one bound."""
-    low, high = corpus.salary_min[rows], corpus.salary_max[rows]
+    low, high = corpus.salary_min, corpus.salary_max
     with np.errstate(over="ignore"):  # an infinite midpoint is reported by assemble_report
         mids = low + high
         mids /= 2.0
@@ -113,54 +114,39 @@ def _segment_medians(key: np.ndarray, values: np.ndarray, n_keys: int) -> list:
     return out
 
 
-def _segment_means(key: np.ndarray, values: np.ndarray, order: np.ndarray,
-                   n_keys: int) -> list:
-    """``_mean`` of the defined values of each segment ``key``, in row order,
-    None for one without; ``order`` is the stable sort of ``key``. Each mean
-    is the last of a sequential running sum plus 0.0, because ``left_sum``
-    starts from 0.0 and so never gives -0.0."""
-    # Counted from the unordered key: a segment's size does not depend on
-    # the order, and ``key[order]`` would be one more copy of the key.
-    ends = np.cumsum(np.bincount(key[~np.isnan(values)], minlength=n_keys)).tolist()
-    values = values[order]
-    values = values[~np.isnan(values)]
-    out = [None] * n_keys
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
-        for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            if hi > lo:
-                out[k] = (float(values[lo:hi].cumsum()[-1]) + 0.0) / (hi - lo)
-    return out
+def _segment_means(key: np.ndarray, values: np.ndarray, n_keys: int) -> list:
+    """``_mean`` of the defined values of each segment ``key``, None for one
+    without. A weighted ``bincount`` sums each segment from 0.0, one value
+    at a time in row order, as ``left_sum`` does, a missing value as 0.0,
+    which moves no sum; the count of defined values divides it."""
+    missing = np.isnan(values)
+    defined = np.bincount(key, weights=~missing, minlength=n_keys).tolist()
+    sums = np.bincount(key, weights=np.where(missing, 0.0, values), minlength=n_keys)
+    return [total / n if n else None for total, n in zip(sums.tolist(), defined)]
 
 
-def compute_indicators(corpus: Corpus, groups: dict[str, np.ndarray | slice],
+def compute_indicators(corpus: Corpus, labels: list[str], codes: np.ndarray | int,
                        backtests: dict[str, BacktestReport]) -> list[ShortageIndicators]:
-    """The indicators of every group, in label order, each group given as
-    row positions of ``corpus``; a lone group may be ``slice(None)``, every
-    ad, read from the whole columns with no gather. Each group's ads of one
-    year are one segment, keyed by group and year, of the counts, medians
-    and means. An ad's salary is the midpoint of its range, or its one
-    bound."""
-    labels = sorted(groups)
-    if len(labels) == 1:
-        rows = groups[labels[0]]
-    else:
-        rows = np.concatenate([np.empty(0, dtype=np.intp), *(groups[label] for label in labels)])
+    """The indicators of every group, in the order of ``labels``, each ad's
+    group given by its code: the index of its label, -1 for an ad of none,
+    or one code for every ad. Every ad is read from the whole columns, keyed
+    ``(code + 1) * n_years + year``: each group's ads of one year are one
+    segment of the counts, medians and means, and the ads of no group fill
+    the first ``n_years`` segments, which are dropped. An ad's salary is the
+    midpoint of its range, or its one bound."""
     first = int(corpus.years.min())
     n_years = int(corpus.years.max()) - first + 1
-    n_keys = len(labels) * n_years
-    key = np.subtract(corpus.years[rows], first)
-    if len(labels) > 1:
-        key += np.repeat(np.arange(len(labels)) * n_years,
-                         [len(groups[label]) for label in labels])
+    n_keys = (len(labels) + 1) * n_years
+    key = np.multiply(codes, n_years, out=np.empty(len(corpus), dtype=np.int64),
+                      dtype=np.int64)
+    key += corpus.years
+    key += n_years - first
     counts = np.bincount(key, minlength=n_keys).tolist()
-    # The medians come before ``order`` is made, so that their lexsort and
-    # ``order`` are never held together.
-    salary = _segment_medians(key, _midpoints(corpus, rows), n_keys)
-    order = np.argsort(key, kind="stable")
-    education = _segment_means(key, corpus.education_years[rows], order, n_keys)
-    experience = _segment_means(key, corpus.experience_years[rows], order, n_keys)
+    salary = _segment_medians(key, _midpoints(corpus), n_keys)
+    education = _segment_means(key, corpus.education_years, n_keys)
+    experience = _segment_means(key, corpus.experience_years, n_keys)
     out = []
-    for g, label in enumerate(labels):
+    for g, label in enumerate(labels, start=1):
         keys = [k for k in range(g * n_years, (g + 1) * n_years) if counts[k]]
         years = [first + k - g * n_years for k in keys]
         by_year = dict(zip(years, [counts[k] for k in keys]))
@@ -222,15 +208,16 @@ def _flag(group_value, baseline_value, higher_is_shortage: bool) -> bool:
 
 def assemble_report(
     corpus: Corpus,
-    groups: dict[str, np.ndarray],
+    labels: list[str],
+    codes: np.ndarray | int,
     backtests: dict[str, BacktestReport],
     market_backtest: BacktestReport,
     trend_models: dict[str, DecompositionModel],
 ) -> ShortageReport:
-    """Score every group, given as row positions of ``corpus``, against the
-    whole corpus as the market baseline on all five indicators. Experience
-    flags in the low direction; everything else flags when strictly above
-    baseline.
+    """Score every group of ``labels``, each ad's index into them given by
+    ``codes`` (-1: in no group), against the whole corpus as the market
+    baseline on all five indicators. Experience flags in the low direction;
+    everything else flags when strictly above baseline.
 
     ``backtests`` holds one report per group label, ``market_backtest`` the
     market's, and ``trend_models`` the fits ``trend_lines.csv`` draws. A
@@ -239,11 +226,11 @@ def assemble_report(
     finite is a DataError."""
     if not len(corpus):
         raise DataError("missing market baseline: no ads")
-    [baseline] = compute_indicators(corpus, {MARKET: slice(None)}, {MARKET: market_backtest})
+    [baseline] = compute_indicators(corpus, [MARKET], 0, {MARKET: market_backtest})
     _check_finite(baseline)
 
     base_levels = _levels(baseline)
-    report_groups = compute_indicators(corpus, groups, backtests)
+    report_groups = compute_indicators(corpus, labels, codes, backtests)
     flags: dict[str, dict[str, bool]] = {}
     for ind in report_groups:
         _check_finite(ind)

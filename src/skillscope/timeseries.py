@@ -73,21 +73,28 @@ class DailySeries:
 
 def aggregate_daily(
     days: np.ndarray,
+    codes: np.ndarray | int,
+    labels: Sequence[str],
     start: dt.date,
     end: dt.date,
-    label: str = "all",
-) -> DailySeries:
-    """Count ads per calendar day over [start, end] inclusive, from their
-    posting dates as ordinals (``Corpus.ordinals``), in one ``bincount``.
+) -> list[DailySeries]:
+    """Count each label's ads per calendar day over [start, end] inclusive,
+    one series per label, in order, from the ads' posting dates as ordinals
+    (``Corpus.ordinals``) and their codes: the index of each ad's label, -1
+    for an ad of none, or one code for every ad.
 
-    Days with no ads are zeros, not gaps."""
+    One ``bincount`` of ``(code + 1) * span + day`` counts every series; the
+    ads of no label fill the first ``span`` bins, which are dropped, as are
+    days outside the span. Days with no ads are zeros, not gaps."""
     span = (end - start).days + 1
     if span < 1:
         raise DataError("empty date span")
     offsets = np.asarray(days, dtype=np.int64) - start.toordinal()
-    offsets = offsets[(offsets >= 0) & (offsets < span)]
-    counts = np.bincount(offsets, minlength=span).astype(np.float64)
-    return DailySeries(start=start, counts=counts, label=label)
+    key = np.add(codes, 1, dtype=np.int64) * span + offsets
+    counts = np.bincount(key[(offsets >= 0) & (offsets < span)],
+                         minlength=(len(labels) + 1) * span)
+    return [DailySeries(start, row, label)
+            for label, row in zip(labels, counts[span:].reshape(-1, span))]
 
 
 @dataclass(frozen=True)

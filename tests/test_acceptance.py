@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from skillscope.cli import main
+from skillscope.cli import _group_ads, main
 from skillscope.corpus import build_index, ingest_records
 from skillscope.indicators import assemble_report
 from skillscope.occupations import compute_intensity, select_occupations
@@ -275,20 +275,17 @@ def shortage_scenario(seed):
 def run_shortage_report(seed):
     ads, _ = generate(shortage_scenario(seed))
     corpus, _ = ingest_records(ads)
-    start, end = corpus.span()
-    groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
-              for code, occ in enumerate(corpus.occupations)}
+    labels, codes = _group_ads(corpus, None)
 
     cfg = FitConfig(n_changepoints=10)
     bt_kwargs = dict(train_days=180, test_days=60, iterations=30, config=cfg)
 
-    def backtest(label, rows):
-        series = aggregate_daily(corpus.ordinals[rows], start, end, label=label)
-        return sliding_window_backtest([series], **bt_kwargs)[0]
+    def backtests(codes, labels):
+        series = aggregate_daily(corpus.ordinals, codes, labels, *corpus.span())
+        return {bt.label: bt for bt in sliding_window_backtest(series, **bt_kwargs)}
 
-    backtests = {label: backtest(label, rows) for label, rows in groups.items()}
-    market_bt = backtest("market", np.arange(len(corpus)))
-    return assemble_report(corpus, groups, backtests, market_bt, trend_models={})
+    return assemble_report(corpus, labels, codes, backtests(codes, labels),
+                           backtests(0, ["market"])["market"], trend_models={})
 
 
 def test_criterion_7_end_to_end_shortage_detection():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from skillscope import indicators
+from skillscope.cli import _group_ads
 from skillscope.corpus import ingest_records
 from skillscope.errors import DataError
 from skillscope.indicators import (
@@ -35,8 +36,7 @@ def backtest_of(label, scores=(1.0,)):
 
 
 def indicators_of(ads):
-    [ind] = compute_indicators(ingest_records(ads)[0], {"g": np.arange(len(ads))},
-                               {"g": backtest_of("g")})
+    [ind] = compute_indicators(ingest_records(ads)[0], ["g"], 0, {"g": backtest_of("g")})
     return ind
 
 
@@ -68,7 +68,7 @@ class TestPostingGrowth:
                                   base_daily_rate=200.0, annual_growth=0.28),),
         )
         records, _ = generate(config)
-        [market] = compute_indicators(ingest_records(records)[0], {MARKET: slice(None)},
+        [market] = compute_indicators(ingest_records(records)[0], [MARKET], 0,
                                       {MARKET: backtest_of(MARKET)})
         counts = market.counts_by_year
         full_years = {y: c for y, c in counts.items() if y < 2017}  # 2017 partial
@@ -144,18 +144,18 @@ def random_ads(rng: random.Random) -> list[dict]:
 
 def test_yearly_figures_equal_brute_force_exactly():
     """Medians and left-to-right means, bit for bit, for the whole corpus
-    and for each occupation's rows."""
+    and for each occupation's ads."""
     rng = random.Random(2718)
     seen_unsalaried_year = False
     for _ in range(200):
         ads = random_ads(rng)
         corpus, _ = ingest_records(ads)
-        groups = [(ads, slice(None))] + [
-            ([a for a in ads if a["occupation"] == occ],
-             np.flatnonzero(corpus.occupation_codes == code))
-            for code, occ in enumerate(corpus.occupations)]
-        for group_ads, rows in groups:
-            [ind] = compute_indicators(corpus, {"g": rows}, {"g": backtest_of("g")})
+        occupations = list(corpus.occupations)
+        inds = (compute_indicators(corpus, ["g"], 0, {"g": backtest_of("g")})
+                + compute_indicators(corpus, occupations, corpus.occupation_codes,
+                                     {occ: backtest_of(occ) for occ in occupations}))
+        wants = [ads] + [[a for a in ads if a["occupation"] == occ] for occ in occupations]
+        for ind, group_ads in zip(inds, wants, strict=True):
             want = brute_indicators(group_ads)
             assert ind.counts_by_year == want["counts"]
             assert ind.salary_by_year == want["salary"]
@@ -194,10 +194,9 @@ class TestAssembleReport:
 
     def assemble(self, ads):
         corpus, _ = ingest_records(ads)
-        groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
-                  for code, occ in enumerate(corpus.occupations)}
         backtests, market_bt = self.backtests()
-        return assemble_report(corpus, groups, backtests, market_bt, trend_models={})
+        return assemble_report(corpus, *_group_ads(corpus, None), backtests, market_bt,
+                               trend_models={})
 
     def test_flags_five_of_five_and_zero_of_five(self):
         report = self.assemble(shortage_corpus())
@@ -270,7 +269,7 @@ class TestAssembleReport:
 
 def test_compute_indicators_fields():
     ads = shortage_corpus()
-    [ind] = compute_indicators(ingest_records(ads)[0], {"all": np.arange(len(ads))},
+    [ind] = compute_indicators(ingest_records(ads)[0], ["all"], 0,
                                {"all": backtest_of("all", [3.0, 1.0, 2.0])})
     assert ind.counts_by_year == {2016: 60, 2017: 70, 2018: 90}
     assert ind.median_smape == 2.0
@@ -315,13 +314,12 @@ def test_trend_lines_interpolate_to_every_daily_value(tmp_path, n_days, n_change
            for d in range(n_days) for i in range(rng.poisson(max(rate(d), 0.5)))]
     corpus, _ = ingest_records(ads)
     assert corpus.span() == (start, start + dt.timedelta(days=n_days - 1))
-    groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
-              for code, occ in enumerate(corpus.occupations)}
-    series = [aggregate_daily(corpus.ordinals[rows], *corpus.span(), label=label)
-              for label, rows in [("market", slice(None)), *sorted(groups.items())]]
+    labels, codes = _group_ads(corpus, None)
+    series = (aggregate_daily(corpus.ordinals, 0, ["market"], *corpus.span())
+              + aggregate_daily(corpus.ordinals, codes, labels, *corpus.span()))
     models = {s.label: model
               for s, model in zip(series, fit(series, FitConfig(n_changepoints=n_changepoints)))}
-    report = assemble_report(corpus, groups, {g: backtest_of(g) for g in groups},
+    report = assemble_report(corpus, labels, codes, {g: backtest_of(g) for g in labels},
                              backtest_of("market"), trend_models=models)
     write_report(report, tmp_path)
 

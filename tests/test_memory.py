@@ -128,23 +128,23 @@ def test_intensity_takes_at_most_two_bytes_per_slot(corpus):
 
 def test_market_indicators_take_at_most_forty_bytes_per_ad(corpus):
     backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
-    report, peak = traced_peak(lambda: assemble_report(corpus, {}, {}, backtest, {}))
+    report, peak = traced_peak(lambda: assemble_report(corpus, [], -1, {}, backtest, {}))
     assert sum(report.baseline.counts_by_year.values()) == N_ADS
     assert peak <= 40 * len(corpus)
 
 
-def test_indicators_of_one_group_per_occupation_take_at_most_45_bytes_per_ad(corpus):
-    """50 groups covering every ad, computed with the market: the groups'
-    rows are gathered once and the salary medians are taken before the
-    stable order of the segment keys is made."""
-    groups = {occ: np.flatnonzero(corpus.occupation_codes == code)
-              for code, occ in enumerate(corpus.occupations)}
-    backtests = {label: BacktestReport([1.0], 14, 1, 1, label) for label in groups}
+def test_indicators_of_one_group_per_occupation_take_at_most_36_bytes_per_ad(corpus):
+    """50 groups covering every ad, computed with the market: every ad is
+    read from the whole columns, with no gather of any group's rows, under
+    one int64 key built in place."""
+    labels = list(corpus.occupations)
+    backtests = {label: BacktestReport([1.0], 14, 1, 1, label) for label in labels}
     backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
-    report, peak = traced_peak(lambda: assemble_report(corpus, groups, backtests, backtest, {}))
+    report, peak = traced_peak(lambda: assemble_report(
+        corpus, labels, corpus.occupation_codes, backtests, backtest, {}))
     assert len(report.groups) == 50
     assert sum(sum(g.counts_by_year.values()) for g in report.groups) == N_ADS
-    assert peak <= 45 * len(corpus)
+    assert peak <= 36 * len(corpus)
 
 
 def test_hashing_an_input_takes_at_most_128_kib(tmp_path):

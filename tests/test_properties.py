@@ -366,10 +366,12 @@ def test_intensity_equals_brute_force(jobs, targets):
 
 
 # Values whose left-to-right sum differs from NumPy's pairwise one, and
-# signed zeros, whose order a median must keep.
+# signed zeros, whose order a median must keep; NaN is a missing value.
 sum_values = st.sampled_from([1e16, 1.0, 3.0, 0.1, 2.5e15, 0.0, -0.0])
-adversarial = (st.lists(sum_values | st.sampled_from([-1e16, -3.0]), min_size=8, max_size=40)
-               | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+missing = st.just(math.nan)
+adversarial = (st.lists(sum_values | st.sampled_from([-1e16, -3.0]) | missing,
+                        min_size=8, max_size=40)
+               | st.lists(st.floats(allow_nan=False, allow_infinity=False) | missing,
                           min_size=1, max_size=40))
 PAIRWISE_DIFFERS = [1e16] + [1.0] * 30
 
@@ -380,16 +382,21 @@ def test_pairwise_differs_on_its_example():
 
 @settings(deadline=None)
 @example(PAIRWISE_DIFFERS)
+@example([math.nan, -0.0, math.nan])
 @given(adversarial)
 def test_median_and_mean_equal_statistics_and_left_sum(values):
+    """The median and mean of one segment are those of its defined values:
+    a missing value, added to the weighted sum as 0.0, moves no bit."""
+    defined = [v for v in values if not math.isnan(v)]
     with np.errstate(over="ignore", invalid="ignore"):
-        pairwise = float(np.sum(values))
-    event("pairwise sum differs" if pairwise != left_sum(values) else "pairwise sum agrees")
+        pairwise = float(np.sum(defined))
+    event("pairwise sum differs" if pairwise != left_sum(defined) else "pairwise sum agrees")
+    event(f"{'some' if len(defined) < len(values) else 'no'} values missing")
     key = np.zeros(len(values), dtype=np.intp)  # one segment
     [median] = indicators._segment_medians(key, np.array(values), 1)
-    [mean] = indicators._segment_means(key, np.array(values), np.arange(len(values)), 1)
-    assert repr(median) == repr(statistics.median(values))
-    assert repr(mean) == repr(left_sum(values) / len(values))
+    [mean] = indicators._segment_means(key, np.array(values), 1)
+    assert repr(median) == repr(statistics.median(defined) if defined else None)
+    assert repr(mean) == repr(left_sum(defined) / len(defined) if defined else None)
 
 
 @settings(deadline=None)
@@ -406,7 +413,7 @@ def test_yearly_figures_equal_brute_force_bit_for_bit(ads):
                     "experience_years": other})}
                for i, (year, value, other) in enumerate(ads)]
     corpus, _ = ingest_records(records)
-    [ind] = compute_indicators(corpus, {indicators.MARKET: slice(None)},
+    [ind] = compute_indicators(corpus, [indicators.MARKET], 0,
                                {indicators.MARKET: BacktestReport([1.0], 14, 1, 1,
                                                                   indicators.MARKET)})
     want = brute_indicators(records)
@@ -424,17 +431,20 @@ occupation_names = st.sampled_from(["Dev", "Ops", "QA", "PM", "HR"])
                                    st.sampled_from(["Tech", "Office", "uncategorized"])),
        st.none() | st.sets(occupation_names | st.just("nobody")))
 def test_group_ads_equals_one_scan_per_label(occupations, category_map, wanted):
-    """Every group's rows, the labels in the same order, whatever the codes,
-    with unmapped occupations and occupation filters."""
+    """The labels sorted, each label's code on exactly its rows and -1 on
+    every ad in no group, whatever the occupation codes, with unmapped
+    occupations and occupation filters."""
     records = [{"id": str(i), "date": "2018-06-01", "occupation": occ, "skills": ["x"]}
                for i, occ in enumerate(occupations)]
     corpus, _ = ingest_records(records)
-    got = _group_ads(corpus, category_map, wanted)
+    labels, codes = _group_ads(corpus, category_map, wanted)
     want = brute_groups(corpus, category_map, wanted)
-    assert list(got) == list(want)
-    for label, rows in want.items():
-        assert got[label].dtype == rows.dtype
-        np.testing.assert_array_equal(got[label], rows)
+    assert labels == sorted(want)
+    assert codes.dtype == np.int32 and len(codes) == len(corpus)
+    for k, label in enumerate(labels):
+        np.testing.assert_array_equal(np.flatnonzero(codes == k), want[label])
+    grouped = np.concatenate([np.empty(0, dtype=np.intp), *want.values()])
+    assert (np.delete(codes, grouped) == -1).all()
 
 
 # Salary bounds with signed zeros, a midpoint that overflows and an
@@ -444,14 +454,15 @@ salary_bounds = st.sampled_from([None, 0.0, -0.0, 1.0, 2.5, 1e308, math.inf])
 
 @settings(deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), salary_bounds, salary_bounds,
-                          sum_values | st.none(), sum_values | st.none()),
-                min_size=1, max_size=30), st.data())
-def test_group_indicators_equal_brute_force_bit_for_bit(ads, data):
-    """Each group's yearly counts, median salary and mean education and
-    experience from ``assemble_report`` are ``brute_indicators``' of its
-    rows, in their order, to the bit, for empty, overlapping and repeated
-    row sets, and the market baseline's are those of every record; a
-    figure that is not finite is a DataError."""
+                          sum_values | st.none(), sum_values | st.none(),
+                          st.integers(-1, 2)),
+                min_size=1, max_size=30))
+def test_group_indicators_equal_brute_force_bit_for_bit(ads):
+    """Each ad's group is its code, -1 for none. Each group's yearly counts,
+    median salary and mean education and experience from
+    ``assemble_report`` are ``brute_indicators``' of its ads, in row order,
+    to the bit, for empty groups too, and the market baseline's are those
+    of every record; a figure that is not finite is a DataError."""
     records = [{"id": str(i), "date": f"{2017 + year}-03-01", "occupation": "A",
                 "skills": ["x"]} for i, (year, *_) in enumerate(ads)]
     corpus, _ = ingest_records(records)
@@ -460,19 +471,18 @@ def test_group_indicators_equal_brute_force_bit_for_bit(ads, data):
         for rec, ad in zip(records, ads):
             if ad[k] is not None:
                 rec[name] = ad[k]
-    groups = data.draw(st.dictionaries(st.sampled_from(["g1", "g2", "g3"]),
-                                       st.lists(st.integers(0, len(ads) - 1),
-                                                max_size=len(ads) + 3), max_size=3))
+    labels = ["g1", "g2", "g3"]
+    codes = np.array([ad[-1] for ad in ads], dtype=np.int32)
     market = brute_indicators(records)
-    wants = {label: brute_indicators([records[i] for i in rows])
-             for label, rows in groups.items()}
+    wants = {label: brute_indicators([rec for rec, ad in zip(records, ads) if ad[-1] == k])
+             for k, label in enumerate(labels)}
     figures = [v for want in [market, *wants.values()]
                for name in ("salary", "education", "experience") for v in want[name].values()]
 
     def assemble():
         return indicators.assemble_report(
-            corpus, {label: np.array(rows, dtype=np.intp) for label, rows in groups.items()},
-            {label: BacktestReport([1.0], 14, 1, 1, label) for label in groups},
+            corpus, labels, codes, {label: BacktestReport([1.0], 14, 1, 1, label)
+                                    for label in labels},
             BacktestReport([1.0], 14, 1, 1, indicators.MARKET), {})
 
     if not all(v is None or math.isfinite(v) for v in figures):
@@ -480,7 +490,7 @@ def test_group_indicators_equal_brute_force_bit_for_bit(ads, data):
             assemble()
         return
     report = assemble()
-    assert [ind.label for ind in report.groups] == sorted(groups)
+    assert [ind.label for ind in report.groups] == labels
     for ind, want in [(report.baseline, market),
                       *((ind, wants[ind.label]) for ind in report.groups)]:
         assert ind.counts_by_year == want["counts"]

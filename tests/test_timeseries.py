@@ -76,22 +76,32 @@ class TestAggregateDaily:
 
     def test_placement(self):
         day = START + dt.timedelta(days=2)
-        s = aggregate_daily(self.days_on([day, day, day]), START,
-                            START + dt.timedelta(days=4))
+        [s] = aggregate_daily(self.days_on([day, day, day]), 0, ["all"], START,
+                              START + dt.timedelta(days=4))
         assert s.counts.tolist() == [0, 0, 3, 0, 0]
 
+    def test_one_series_per_label(self):
+        """Each label counts its own ads; an ad of code -1, or on a day
+        outside the span, is in no series."""
+        dates = [START + dt.timedelta(days=d) for d in (0, 1, 1, 2, 2, 9, -1, 2)]
+        series = aggregate_daily(self.days_on(dates), np.array([1, 0, 1, -1, 1, 1, 0, 0]),
+                                 ["a", "b"], START, START + dt.timedelta(days=3))
+        assert [s.label for s in series] == ["a", "b"]
+        assert [s.counts.tolist() for s in series] == [[0, 1, 1, 0], [1, 1, 1, 0]]
+
     def test_no_matches_all_zero(self):
-        s = aggregate_daily([], START, START + dt.timedelta(days=2))
+        [s] = aggregate_daily([], 0, ["all"], START, START + dt.timedelta(days=2))
         assert s.counts.tolist() == [0, 0, 0]
 
     def test_sum_equals_matching_ads(self):
         dates = [START + dt.timedelta(days=i % 5) for i in range(17)]
-        s = aggregate_daily(self.days_on(dates), START, START + dt.timedelta(days=9))
+        [s] = aggregate_daily(self.days_on(dates), 0, ["all"], START,
+                              START + dt.timedelta(days=9))
         assert s.counts.sum() == 17
 
     def test_empty_span_fatal(self):
         with pytest.raises(DataError, match="empty date span"):
-            aggregate_daily([], START, START - dt.timedelta(days=1))
+            aggregate_daily([], 0, ["all"], START, START - dt.timedelta(days=1))
 
     def test_deterministic_synth_constant_rate(self):
         from skillscope.synthgen import ClusterSpec, SynthConfig, generate
@@ -101,8 +111,8 @@ class TestAggregateDaily:
                                   base_daily_rate=7.0),),
         )
         records, _ = generate(config)
-        s = aggregate_daily(ingest_records(records)[0].ordinals, config.start_date,
-                            config.start_date + dt.timedelta(days=9))
+        [s] = aggregate_daily(ingest_records(records)[0].ordinals, 0, ["all"],
+                              config.start_date, config.start_date + dt.timedelta(days=9))
         assert s.counts.tolist() == [7.0] * 10
 
 
