@@ -25,7 +25,8 @@ failed command writes none. After every command ``main`` writes a
 provenance.json: every parsed flag except ``--out``, the SHA-256 of every
 input file named by a flag, the tool version and a timestamp. ``hashlib``
 is imported only there, after the last stage, so no stage runs with
-OpenSSL's libcrypto mapped.
+OpenSSL's libcrypto mapped, and the heap the stages freed is handed back
+first, so that the mapping adds to what the program still holds.
 Analysis outputs are byte-identical across runs with equal provenance.
 
 Every text input is read as UTF-8; a leading byte-order mark, as
@@ -72,7 +73,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _release_freed_heap() -> None:
+    """Hand the heap the stages freed back to the system where glibc's
+    ``malloc_trim`` exists: glibc keeps a freed heap top smaller than its
+    trim threshold (twice the largest mapped block freed), by layout alone."""
+    try:
+        import ctypes
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):  # not glibc: nothing to hand back
+        pass
+
+
 def _write_provenance(out_dir: Path, args) -> None:
+    _release_freed_heap()
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     payload = {
         "config": config,
@@ -216,7 +229,7 @@ def _group_ads(corpus, category_map, occupations=None) -> tuple[list[str], np.nd
 
 
 def _backtest(series, args, cfg):
-    """One backtest report per daily series, in order."""
+    """One backtest report per label of the daily series, in order."""
     return timeseries.sliding_window_backtest(
         series, train_days=args.train_days, test_days=args.test_days,
         iterations=args.iterations, config=cfg)
@@ -230,15 +243,16 @@ def _indicators_stage(corpus, labels: list[str], codes: np.ndarray, args, cfg):
         raise DataError(f"group label {market!r} is reserved for the whole-market "
                         "baseline; rename that occupation or category")
     span = corpus.span()
-    series = (timeseries.aggregate_daily(corpus.ordinals, 0, [market], *span)
-              + timeseries.aggregate_daily(corpus.ordinals, codes, labels, *span))
+    series = timeseries.DailySeries(span[0], np.hstack([
+        timeseries.aggregate_daily(corpus.ordinals, 0, [market], *span).counts,
+        timeseries.aggregate_daily(corpus.ordinals, codes, labels, *span).counts,
+    ]), (market, *labels))
     market_bt, *group_bts = _backtest(series, args, cfg)
-    models = timeseries.fit(series, cfg)
     return indicators_mod.assemble_report(
         corpus, labels, codes,
         backtests={bt.label: bt for bt in group_bts},
         market_backtest=market_bt,
-        trend_models={s.label: model for s, model in zip(series, models)},
+        trend=timeseries.fit(series, cfg),
     )
 
 

@@ -171,7 +171,7 @@ class ShortageReport:
     flags: dict[str, dict[str, bool]]
     partial_years: list[int]
     backtests: dict[str, BacktestReport]
-    trend_models: dict[str, DecompositionModel]
+    trend: DecompositionModel
 
     def flag_count(self, label: str) -> int:
         return sum(self.flags[label].values())
@@ -212,7 +212,7 @@ def assemble_report(
     codes: np.ndarray | int,
     backtests: dict[str, BacktestReport],
     market_backtest: BacktestReport,
-    trend_models: dict[str, DecompositionModel],
+    trend: DecompositionModel,
 ) -> ShortageReport:
     """Score every group of ``labels``, each ad's index into them given by
     ``codes`` (-1: in no group), against the whole corpus as the market
@@ -220,7 +220,7 @@ def assemble_report(
     everything else flags when strictly above baseline.
 
     ``backtests`` holds one report per group label, ``market_backtest`` the
-    market's, and ``trend_models`` the fits ``trend_lines.csv`` draws. A
+    market's, and ``trend`` the fit whose labels ``trend_lines.csv`` draws. A
     year that the span from the first to the last posting date covers only
     in part is listed in ``partial_years``. A yearly figure that is not
     finite is a DataError."""
@@ -250,7 +250,7 @@ def assemble_report(
         flags=flags,
         partial_years=sorted(set(partial)),
         backtests=backtests,
-        trend_models=trend_models,
+        trend=trend,
     )
 
 
@@ -283,8 +283,7 @@ def write_boxplot(backtests: dict[str, BacktestReport], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["label", "smape"])
         for label in sorted(backtests):
-            for row in backtests[label].boxplot_rows():
-                writer.writerow([row[0], repr(row[1])])
+            writer.writerows([label, repr(score)] for score in backtests[label].scores)
 
 
 def write_report(report: ShortageReport, out_dir) -> None:
@@ -298,20 +297,18 @@ def write_report(report: ShortageReport, out_dir) -> None:
 
     write_boxplot(report.backtests, out_dir / "boxplot.csv")
 
-    # Each trend at its knots only. The rows are those csv.writer would
-    # write: only a label can need quoting, so each is quoted once and its
-    # block joined as text.
+    # Each label's trend at the knots only, labels in sorted order. The rows
+    # are those csv.writer would write: only a label can need quoting, so
+    # each is quoted once and its block joined as text.
+    model = report.trend
+    knots = model.knots()
+    dates = [(model.start + dt.timedelta(days=d)).isoformat() for d in knots.tolist()]
+    columns = _trend_columns(knots, model.changepoints)
     with (out_dir / "trend_lines.csv").open("w", encoding="utf-8", newline="") as fh:
         fh.write("label,date,trend\r\n")
-        for k, label in enumerate(sorted(report.trend_models)):
-            model = report.trend_models[label]
-            if k == 0:  # the models come from one fit: one span, knots and trend columns
-                knots = model.knots()
-                dates = [(model.start + dt.timedelta(days=d)).isoformat()
-                         for d in knots.tolist()]
-                columns = _trend_columns(knots, model.changepoints)
-            trend = (columns @ model.coef[:columns.shape[1]]).tolist()  # as model.trend
-            quoted = _csv_field(label)
+        for j in sorted(range(len(model.labels)), key=model.labels.__getitem__):
+            trend = (columns @ model.coef[j, :columns.shape[1]]).tolist()
+            quoted = _csv_field(model.labels[j])
             fh.write("".join([f"{quoted},{date},{value!r}\r\n"
                               for date, value in zip(dates, trend)]))
 

@@ -1,17 +1,18 @@
 """Daily posting series, trend/seasonality decomposition, SMAPE, and the
 sliding-window backtest.
 
-The decomposition y(t) = g(t) + s(t) + h(t) + eps_t is fit as one linear
-regression: a continuous piecewise-linear trend over evenly spaced
-changepoints, weekly (order 3) and yearly (order 10) Fourier seasonality,
-and one indicator column per holiday date. ``_columns`` alone builds that
-design, at any day offsets, and a model is one coefficient vector in its
-column order. The changepoint slope deltas carry a ridge penalty;
-everything else is unpenalized. Every fit is one deterministic solve: the
-pseudo-inverse of the ridge-augmented design, at the cutoff of
-``lstsq(rcond=None)``, from one thin SVD (``_factor``), times the counts of
-all series of a run, which share one span and so one design. ``fit``
-solves the full span.
+A run's daily series are one days × labels matrix (``DailySeries``): every
+label shares one start and span, and so one design. The decomposition
+y(t) = g(t) + s(t) + h(t) + eps_t is fit as one linear regression: a
+continuous piecewise-linear trend over evenly spaced changepoints, weekly
+(order 3) and yearly (order 10) Fourier seasonality, and one indicator
+column per holiday date. ``_columns`` alone builds that design, at any day
+offsets, and a model holds one coefficient row per label in its column
+order. The changepoint slope deltas carry a ridge penalty; everything else
+is unpenalized. Every fit is one deterministic solve: the pseudo-inverse of
+the ridge-augmented design, at the cutoff of ``lstsq(rcond=None)``, from
+one thin SVD (``_factor``), times the whole count matrix. ``fit`` solves
+the full span.
 
 The sliding-window backtest factors once. Days count from each window's
 first day, so every window shares the design without holidays and its one
@@ -53,22 +54,24 @@ DOWNDATE_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class DailySeries:
-    """Contiguous, zero-filled daily counts starting at ``start``."""
+    """Contiguous, zero-filled daily counts from ``start``: one row per day
+    and one column per label, in the order of ``labels``."""
 
     start: dt.date
     counts: np.ndarray
-    label: str = "all"
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.float64)
+        counts = np.ascontiguousarray(self.counts, dtype=np.float64)
         object.__setattr__(self, "counts", counts)
-        if counts.ndim != 1 or len(counts) == 0:
-            raise DataError("daily series must be a non-empty 1-d vector")
-        if np.any(counts < 0):
-            raise DataError("daily counts must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.counts)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if counts.ndim != 2 or len(counts) == 0:
+            raise DataError("daily series must be a matrix of at least one day")
+        if counts.shape[1] != len(self.labels):
+            raise DataError(f"daily series of {counts.shape[1]} columns "
+                            f"for {len(self.labels)} labels")
+        if not np.isfinite(counts).all() or np.any(counts < 0):
+            raise DataError("daily counts must be finite and non-negative")
 
 
 def aggregate_daily(
@@ -77,9 +80,9 @@ def aggregate_daily(
     labels: Sequence[str],
     start: dt.date,
     end: dt.date,
-) -> list[DailySeries]:
+) -> DailySeries:
     """Count each label's ads per calendar day over [start, end] inclusive,
-    one series per label, in order, from the ads' posting dates as ordinals
+    one column per label, in order, from the ads' posting dates as ordinals
     (``Corpus.ordinals``) and their codes: the index of each ad's label, -1
     for an ad of none, or one code for every ad.
 
@@ -89,12 +92,15 @@ def aggregate_daily(
     span = (end - start).days + 1
     if span < 1:
         raise DataError("empty date span")
+    for code in (np.min(codes, initial=-1), np.max(codes, initial=-1)):
+        if not -1 <= code < len(labels):
+            raise DataError(f"ad code {int(code)} is not -1 or the index of "
+                            f"one of {len(labels)} labels")
     offsets = np.asarray(days, dtype=np.int64) - start.toordinal()
     key = np.add(codes, 1, dtype=np.int64) * span + offsets
     counts = np.bincount(key[(offsets >= 0) & (offsets < span)],
                          minlength=(len(labels) + 1) * span)
-    return [DailySeries(start, row, label)
-            for label, row in zip(labels, counts[span:].reshape(-1, span))]
+    return DailySeries(start, counts[span:].reshape(-1, span).T, labels)
 
 
 @dataclass(frozen=True)
@@ -146,21 +152,19 @@ def _layout(n: int, config: FitConfig) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class DecompositionModel:
-    """A fit on days ``0..train_len-1`` counted from ``start``: ``coef``
-    holds one coefficient per ``_columns`` column, in that order."""
+    """A fit of every label's series on days ``0..train_len-1`` counted from
+    ``start``: row j of ``coef`` holds label j's coefficients, one per
+    ``_columns`` column, in that order, and ``residual_var[j]`` its
+    residual variance."""
 
     start: dt.date
     train_len: int
     changepoints: np.ndarray        # day offsets within the training span
     use_yearly: bool
     holiday_dates: tuple[dt.date, ...]
+    labels: tuple[str, ...]
     coef: np.ndarray
-    residual_var: float
-
-    def trend(self, t: np.ndarray) -> np.ndarray:
-        """Continuous piecewise-linear trend at day offsets ``t``."""
-        k = 2 + len(self.changepoints)
-        return _trend_columns(t, self.changepoints) @ self.coef[:k]
+    residual_var: np.ndarray
 
     def knots(self) -> np.ndarray:
         """Day 0, the whole days either side of each changepoint and the
@@ -171,24 +175,12 @@ class DecompositionModel:
         return np.array(sorted({0, self.train_len - 1, *np.floor(cp).tolist(),
                                 *np.ceil(cp).tolist()}), dtype=np.int64)
 
-    def predict(self, t: np.ndarray) -> np.ndarray:
-        """g(t) + s(t) + h(t) at arbitrary day offsets (unclipped)."""
-        holidays = [(date - self.start).days for date in self.holiday_dates]
-        return _columns(t, self.changepoints, self.use_yearly, holidays) @ self.coef
-
-    def weekly_amplitude(self) -> float:
-        """Half the peak-to-trough range of the weekly component."""
+    def weekly_amplitude(self) -> np.ndarray:
+        """Half the peak-to-trough range of each label's weekly component."""
         k = 2 + len(self.changepoints)
         t = np.linspace(0.0, WEEK_PERIOD, 1401)
-        w = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.coef[k:k + 2 * WEEKLY_ORDER]
-        return float((w.max() - w.min()) / 2.0)
-
-
-def _shared_span(series: Sequence[DailySeries]) -> tuple[dt.date, np.ndarray]:
-    """The common start of ``series`` and their counts as columns."""
-    if len({(s.start, len(s)) for s in series}) != 1:
-        raise DataError("series must share one start and length")
-    return series[0].start, np.column_stack([s.counts for s in series])
+        w = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.coef[:, k:k + 2 * WEEKLY_ORDER].T
+        return (w.max(axis=0) - w.min(axis=0)) / 2.0
 
 
 def _augmented(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.ndarray:
@@ -212,19 +204,17 @@ def _factor(aug: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (vt.T @ (inverse[:, None] * u.T))[:, :n], u, sv, vt
 
 
-def fit(series: Sequence[DailySeries],
-        config: FitConfig = FitConfig()) -> list[DecompositionModel]:
-    """Ridge-regularized least-squares decomposition fit of every series,
-    which share one start and length, in one solve; one model per series,
-    in input order.
+def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionModel:
+    """Ridge-regularized least-squares decomposition fit of every label's
+    series in one solve, one model for them all.
 
-    Each model holds the coefficients of ``_columns`` on the fit days, with
-    one holiday column per date of ``config.holidays`` in ascending order.
-    Yearly seasonality is on from two yearly periods of data
-    (``model.use_yearly`` is false below that). Series shorter than two
-    weeks are rejected.
+    The model holds each label's coefficients of ``_columns`` on the fit
+    days, with one holiday column per date of ``config.holidays`` in
+    ascending order. Yearly seasonality is on from two yearly periods of
+    data (``model.use_yearly`` is false below that). Series shorter than
+    two weeks are rejected.
     """
-    start, y = _shared_span(series)
+    start, y = series.start, series.counts
     n = len(y)
     changepoints, use_yearly = _layout(n, config)
     holiday_dates = tuple(sorted(config.holidays))
@@ -239,18 +229,20 @@ def fit(series: Sequence[DailySeries],
     residuals -= y
     dof = max(1, n - aug.shape[1])
     residual_var = np.einsum("ij,ij->j", residuals, residuals) / dof
-    return [DecompositionModel(start, n, changepoints, use_yearly, holiday_dates, b, var)
-            for b, var in zip(beta.T.copy(), residual_var.tolist())]
+    return DecompositionModel(start, n, changepoints, use_yearly, holiday_dates,
+                              series.labels, beta.T.copy(), residual_var)
 
 
 def forecast(model: DecompositionModel, horizon: int) -> np.ndarray:
-    """Extend the fitted decomposition ``horizon`` days past the training
-    end. Negative predictions are clipped to 0 (a negative daily ad count
-    is meaningless)."""
+    """Extend every label's fitted decomposition ``horizon`` days past the
+    training end, one column per label. Negative predictions are clipped to
+    0 (a negative daily ad count is meaningless)."""
     if horizon < 1:
         raise DataError("forecast horizon must be >= 1")
     t = np.arange(model.train_len, model.train_len + horizon, dtype=np.float64)
-    return np.maximum(model.predict(t), 0.0)
+    holidays = [(date - model.start).days for date in model.holiday_dates]
+    return np.maximum(_columns(t, model.changepoints, model.use_yearly, holidays)
+                      @ model.coef.T, 0.0)
 
 
 def smape(actual, predicted):
@@ -317,9 +309,6 @@ class BacktestReport:
         payload = {**vars(self), "summary": self.quantiles()}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    def boxplot_rows(self) -> list[tuple[str, float]]:
-        return [(self.label, s) for s in self.scores]
-
 
 def check_windows(train_days: int, test_days: int, iterations: int) -> None:
     """DataError unless a backtest of these windows can be fitted on a
@@ -356,7 +345,7 @@ def _drop_days(window: np.ndarray, days: np.ndarray, u: np.ndarray, sv: np.ndarr
 
 
 def sliding_window_backtest(
-    series: Sequence[DailySeries],
+    series: DailySeries,
     train_days: int = TRAIN_DAYS,
     test_days: int = TEST_DAYS,
     iterations: int = ITERATIONS,
@@ -364,8 +353,7 @@ def sliding_window_backtest(
 ) -> list[BacktestReport]:
     """Fixed-length train and test windows advance together one day per
     iteration; each iteration fits the train window and scores the forecast
-    of the test window with SMAPE. The series share one start and length;
-    each gets one report, in input order.
+    of the test window with SMAPE. Each label gets one report, in order.
 
     Days count from each window's first day, so every window shares one
     design without holidays and one thin SVD of its ridge-augmented form,
@@ -381,7 +369,7 @@ def sliding_window_backtest(
     forecast: a holiday in the training days is zero on every test day, and
     one outside them has an all-zero column and a zero min-norm coefficient."""
     check_windows(train_days, test_days, iterations)
-    start, y = _shared_span(series)
+    start, y = series.start, series.counts
     required = train_days + test_days + iterations - 1
     if len(y) < required:
         raise DataError(
@@ -406,7 +394,7 @@ def sliding_window_backtest(
     if len(sv) == p and sv[-1] > eps * max(len(u), p) * sv[0]:
         cutoff = eps * max(len(u), p + len(holidays)) * sv[0]
         floor = max((cutoff / sv[-1]) ** 2, DOWNDATE_FLOOR)
-    scores = np.empty((len(series), iterations))
+    scores = np.empty((len(series.labels), iterations))
     for shift in range(iterations):
         window = y[shift:shift + train_days]
         lo, hi = np.searchsorted(holidays, [shift, shift + train_days])
@@ -425,5 +413,5 @@ def sliding_window_backtest(
         predicted = np.maximum(future @ beta, 0.0)
         actual = y[shift + train_days:shift + train_days + test_days]
         scores[:, shift] = smape(actual.T, predicted.T)
-    return [BacktestReport(row.tolist(), train_days, test_days, iterations, s.label)
-            for s, row in zip(series, scores)]
+    return [BacktestReport(row.tolist(), train_days, test_days, iterations, label)
+            for label, row in zip(series.labels, scores)]

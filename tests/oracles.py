@@ -9,7 +9,8 @@ numbers present), then folded into plain lists one skill slot at a time.
 Two readers, :func:`theta_value` and :func:`theta_pairs`, put the
 package's theta rows in the shape of :func:`brute_theta` for comparison;
 :func:`ad_ids` reads a corpus's ids as a list. :func:`brute_groups` scans
-the corpus once per group label.
+the corpus once per group label. :func:`model_values` reads one label's
+fitted values off a decomposition model.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from skillscope.corpus import normalize_skill, parse_date
 from skillscope.occupations import UNCATEGORIZED
 from skillscope.similarity import compute_theta
+from skillscope.timeseries import _columns, _trend_columns
 
 NUMBER_FIELDS = ("salary_min", "salary_max", "education_years", "experience_years")
 
@@ -160,6 +162,16 @@ def lstsq_decomposition(counts, n_changepoints: int = 25, ridge_lambda: float = 
     beta, *_ = np.linalg.lstsq(np.vstack([full[:n], ridge]),
                                np.concatenate([y, np.zeros(penalized)]), rcond=None)
     return beta, full @ beta
+
+
+def model_values(model, t, j: int = 0, trend_only: bool = False) -> np.ndarray:
+    """Label ``j``'s values of the decomposition ``model`` at day offsets
+    ``t``: its trend alone, or trend, seasonality and holidays unclipped;
+    the trend columns or the whole design times ``model.coef[j]``."""
+    if trend_only:
+        return _trend_columns(t, model.changepoints) @ model.coef[j, :2 + len(model.changepoints)]
+    holidays = [(date - model.start).days for date in model.holiday_dates]
+    return _columns(t, model.changepoints, model.use_yearly, holidays) @ model.coef[j]
 
 
 def lstsq_backtest(counts, train_days: int, test_days: int, iterations: int,

@@ -34,6 +34,7 @@ from oracles import (
     brute_theta,
     csr_rows,
     jobs_to_records,
+    model_values,
     random_jobs,
     theta_pairs,
     theta_value,
@@ -202,15 +203,15 @@ def test_criterion_5_trend_seasonality_recovery():
     """Planted slope and weekly amplitude within 1%; pure linear to 1e-6."""
     t = np.arange(1095, dtype=float)
     y = 10 + 0.05 * t + 3 * np.sin(2 * np.pi * t / 7)
-    [model] = fit([DailySeries(START, y)])
-    g = model.trend(np.array([0.0, 1.0]))
+    model = fit(DailySeries(START, y.reshape(-1, 1), ("planted",)))
+    g = model_values(model, np.array([0.0, 1.0]), trend_only=True)
     slope = g[1] - g[0]
-    amp = model.weekly_amplitude()
+    [amp] = model.weekly_amplitude()
     assert slope == pytest.approx(0.05, rel=0.01)
     assert amp == pytest.approx(3.0, rel=0.01)
 
-    [linear] = fit([DailySeries(START, 2.0 + 0.5 * t)])
-    gl = linear.trend(np.array([0.0, 1.0]))
+    linear = fit(DailySeries(START, (2.0 + 0.5 * t).reshape(-1, 1), ("linear",)))
+    gl = model_values(linear, np.array([0.0, 1.0]), trend_only=True)
     assert gl[1] - gl[0] == pytest.approx(0.5, abs=1e-6)
     print(f"\nPASS criterion 5: slope {slope:.6f} (true 0.05), weekly amplitude "
           f"{amp:.4f} (true 3.0), linear slope error "
@@ -223,15 +224,15 @@ def test_criterion_6_backtest_protocol():
     n = 1915
     t = np.arange(n, dtype=float)
 
-    constant = DailySeries(START, np.full(n, 50.0), label="stable")
-    [report_const] = sliding_window_backtest([constant])
+    constant = DailySeries(START, np.full((n, 1), 50.0), ("stable",))
+    [report_const] = sliding_window_backtest(constant)
     assert len(report_const.scores) == 365
     assert all(0.0 <= s <= 200.0 for s in report_const.scores)
     assert max(report_const.scores) < 1e-9  # all-zero up to float residue
 
     wave = 50.0 + 35.0 * np.sign(np.sin(2 * np.pi * t / 450.0))
-    volatile = DailySeries(START, np.maximum(wave, 0.0), label="volatile")
-    [report_vol] = sliding_window_backtest([volatile])
+    volatile = DailySeries(START, np.maximum(wave, 0.0).reshape(-1, 1), ("volatile",))
+    [report_vol] = sliding_window_backtest(volatile)
     assert len(report_vol.scores) == 365
     assert all(0.0 <= s <= 200.0 for s in report_vol.scores)
     assert report_vol.median > report_const.median
@@ -278,14 +279,15 @@ def run_shortage_report(seed):
     labels, codes = _group_ads(corpus, None)
 
     cfg = FitConfig(n_changepoints=10)
-    bt_kwargs = dict(train_days=180, test_days=60, iterations=30, config=cfg)
-
-    def backtests(codes, labels):
-        series = aggregate_daily(corpus.ordinals, codes, labels, *corpus.span())
-        return {bt.label: bt for bt in sliding_window_backtest(series, **bt_kwargs)}
-
-    return assemble_report(corpus, labels, codes, backtests(codes, labels),
-                           backtests(0, ["market"])["market"], trend_models={})
+    span = corpus.span()
+    series = DailySeries(span[0], np.hstack([
+        aggregate_daily(corpus.ordinals, 0, ["market"], *span).counts,
+        aggregate_daily(corpus.ordinals, codes, labels, *span).counts,
+    ]), ("market", *labels))
+    market_bt, *group_bts = sliding_window_backtest(
+        series, train_days=180, test_days=60, iterations=30, config=cfg)
+    return assemble_report(corpus, labels, codes, {bt.label: bt for bt in group_bts},
+                           market_bt, trend=fit(series, cfg))
 
 
 def test_criterion_7_end_to_end_shortage_detection():

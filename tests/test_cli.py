@@ -500,6 +500,20 @@ class TestReport:
         path.write_bytes(data)
         assert _sha256(path) == hashlib.sha256(data).hexdigest()
 
+    @pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
+    def test_provenance_written_where_the_heap_cannot_be_trimmed(
+            self, corpus, tmp_path, capsys, monkeypatch, error):
+        """A C library without ``malloc_trim`` (AttributeError), none to
+        load (OSError), or ``CDLL(None)`` refused, as on Windows
+        (TypeError): the heap is left as it is."""
+        import ctypes
+
+        def library(name):
+            raise error(name)
+        monkeypatch.setattr(ctypes, "CDLL", library)
+        out = self.run_report(corpus, tmp_path, "no-trim")
+        assert len(json.loads((out / "provenance.json").read_text())["inputs"]) == 2
+
     def test_holidays_recorded_in_provenance(self, corpus, tmp_path, capsys):
         holidays = tmp_path / "holidays.txt"
         holidays.write_text("2017-01-02\n2017-02-14\n")

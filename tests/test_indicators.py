@@ -20,9 +20,9 @@ from skillscope.indicators import (
     posting_growth,
     write_report,
 )
-from skillscope.timeseries import BacktestReport, FitConfig, aggregate_daily, fit
+from skillscope.timeseries import BacktestReport, DailySeries, FitConfig, aggregate_daily, fit
 
-from oracles import brute_indicators
+from oracles import brute_indicators, model_values
 
 
 def ad(i, year, occupation="Dev", skills=("x",), **fields):
@@ -33,6 +33,15 @@ def ad(i, year, occupation="Dev", skills=("x",), **fields):
 def backtest_of(label, scores=(1.0,)):
     return BacktestReport(scores=list(scores), train_days=10, test_days=5,
                           iterations=len(scores), label=label)
+
+
+def trend_of(corpus, labels, codes, config=FitConfig()):
+    """One fit of the market and every group over the corpus's span."""
+    span = corpus.span()
+    return fit(DailySeries(span[0], np.hstack([
+        aggregate_daily(corpus.ordinals, 0, [MARKET], *span).counts,
+        aggregate_daily(corpus.ordinals, codes, labels, *span).counts,
+    ]), (MARKET, *labels)), config)
 
 
 def indicators_of(ads):
@@ -195,8 +204,9 @@ class TestAssembleReport:
     def assemble(self, ads):
         corpus, _ = ingest_records(ads)
         backtests, market_bt = self.backtests()
-        return assemble_report(corpus, *_group_ads(corpus, None), backtests, market_bt,
-                               trend_models={})
+        labels, codes = _group_ads(corpus, None)
+        return assemble_report(corpus, labels, codes, backtests, market_bt,
+                               trend=trend_of(corpus, labels, codes))
 
     def test_flags_five_of_five_and_zero_of_five(self):
         report = self.assemble(shortage_corpus())
@@ -315,21 +325,18 @@ def test_trend_lines_interpolate_to_every_daily_value(tmp_path, n_days, n_change
     corpus, _ = ingest_records(ads)
     assert corpus.span() == (start, start + dt.timedelta(days=n_days - 1))
     labels, codes = _group_ads(corpus, None)
-    series = (aggregate_daily(corpus.ordinals, 0, ["market"], *corpus.span())
-              + aggregate_daily(corpus.ordinals, codes, labels, *corpus.span()))
-    models = {s.label: model
-              for s, model in zip(series, fit(series, FitConfig(n_changepoints=n_changepoints)))}
+    model = trend_of(corpus, labels, codes, FitConfig(n_changepoints=n_changepoints))
     report = assemble_report(corpus, labels, codes, {g: backtest_of(g) for g in labels},
-                             backtest_of("market"), trend_models=models)
+                             backtest_of("market"), trend=model)
     write_report(report, tmp_path)
 
     with (tmp_path / "trend_lines.csv").open(encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(dict.fromkeys(row["label"] for row in rows)) == ["Dev", "Ops", "market"]
-    cp = models["market"].changepoints
+    cp = model.changepoints
     if n_changepoints == 3:
         assert np.array_equal(cp, np.floor(cp))
-    for label, model in models.items():
+    for j, label in enumerate(model.labels):
         days = [(dt.date.fromisoformat(row["date"]) - start).days
                 for row in rows if row["label"] == label]
         values = [float(row["trend"]) for row in rows if row["label"] == label]
@@ -338,6 +345,6 @@ def test_trend_lines_interpolate_to_every_daily_value(tmp_path, n_days, n_change
         assert len(days) <= 2 + 2 * n_changepoints
         if rows_per_label:
             assert len(days) == rows_per_label
-        want = model.trend(np.arange(model.train_len))
+        want = model_values(model, np.arange(model.train_len), j, trend_only=True)
         got = np.interp(np.arange(model.train_len), days, values)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

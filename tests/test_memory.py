@@ -23,9 +23,10 @@ from skillscope.corpus import IncidenceIndex, build_index, ingest_records
 from skillscope.indicators import MARKET, assemble_report
 from skillscope.occupations import compute_intensity
 from skillscope.skillmetrics import compute_effective_use, compute_rca
-from skillscope.timeseries import BacktestReport
+from skillscope.timeseries import BacktestReport, DailySeries, fit
 
 N_ADS, PER_AD, VOCAB = 75_000, 14, 40
+NO_TREND = fit(DailySeries(dt.date(2020, 1, 1), np.zeros((14, 0)), ()))  # a fit of no labels
 
 
 def traced_peak(call):
@@ -128,7 +129,7 @@ def test_intensity_takes_at_most_two_bytes_per_slot(corpus):
 
 def test_market_indicators_take_at_most_forty_bytes_per_ad(corpus):
     backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
-    report, peak = traced_peak(lambda: assemble_report(corpus, [], -1, {}, backtest, {}))
+    report, peak = traced_peak(lambda: assemble_report(corpus, [], -1, {}, backtest, NO_TREND))
     assert sum(report.baseline.counts_by_year.values()) == N_ADS
     assert peak <= 40 * len(corpus)
 
@@ -141,7 +142,7 @@ def test_indicators_of_one_group_per_occupation_take_at_most_36_bytes_per_ad(cor
     backtests = {label: BacktestReport([1.0], 14, 1, 1, label) for label in labels}
     backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
     report, peak = traced_peak(lambda: assemble_report(
-        corpus, labels, corpus.occupation_codes, backtests, backtest, {}))
+        corpus, labels, corpus.occupation_codes, backtests, backtest, NO_TREND))
     assert len(report.groups) == 50
     assert sum(sum(g.counts_by_year.values()) for g in report.groups) == N_ADS
     assert peak <= 36 * len(corpus)

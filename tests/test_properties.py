@@ -34,7 +34,8 @@ from skillscope.indicators import compute_indicators
 from skillscope.occupations import compute_intensity
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 from skillscope.synthgen import config_from_dict
-from skillscope.timeseries import BacktestReport, DailySeries, FitConfig, sliding_window_backtest
+from skillscope.timeseries import (BacktestReport, DailySeries, FitConfig, fit,
+                                   sliding_window_backtest)
 
 from oracles import (NUMBER_FIELDS, ad_ids, brute_effective, brute_eta, brute_groups,
                      brute_indicators, brute_ingest, csr_rows, lstsq_backtest)
@@ -483,7 +484,8 @@ def test_group_indicators_equal_brute_force_bit_for_bit(ads):
         return indicators.assemble_report(
             corpus, labels, codes, {label: BacktestReport([1.0], 14, 1, 1, label)
                                     for label in labels},
-            BacktestReport([1.0], 14, 1, 1, indicators.MARKET), {})
+            BacktestReport([1.0], 14, 1, 1, indicators.MARKET),
+            fit(DailySeries(dt.date(2017, 1, 1), np.zeros((14, 0)), ())))  # no trend lines
 
     if not all(v is None or math.isfinite(v) for v in figures):
         with pytest.raises(DataError, match="overflow a float"):
@@ -515,8 +517,8 @@ def test_backtest_equals_lstsq_oracle_per_window(train_days, test_days, iteratio
     start = dt.date(2018, 1, 1)
     config = FitConfig(n_changepoints, ridge_lambda,
                        tuple(start + dt.timedelta(days=h) for h in offsets))
-    [report] = sliding_window_backtest([DailySeries(start, counts)], train_days, test_days,
-                                       iterations, config)
+    [report] = sliding_window_backtest(DailySeries(start, counts.reshape(-1, 1), ("all",)),
+                                       train_days, test_days, iterations, config)
     want = lstsq_backtest(counts, train_days, test_days, iterations, n_changepoints,
                           ridge_lambda, offsets)
     assert report.scores == pytest.approx(want, rel=0, abs=1e-9)

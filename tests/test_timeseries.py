@@ -16,14 +16,20 @@ from skillscope.timeseries import (
     sliding_window_backtest,
     smape,
 )
+from skillscope.indicators import write_boxplot
 
-from oracles import lstsq_backtest, lstsq_decomposition
+from oracles import lstsq_backtest, lstsq_decomposition, model_values
 
 START = dt.date(2015, 1, 1)
 
 
 def series(values, label="test"):
-    return DailySeries(start=START, counts=np.asarray(values, dtype=float), label=label)
+    """One label's daily ``values`` from START."""
+    return DailySeries(START, np.asarray(values, dtype=float).reshape(-1, 1), (label,))
+
+
+def trend(model, t):
+    return model_values(model, t, trend_only=True)
 
 
 def days(*offsets):
@@ -39,7 +45,7 @@ def reference(counts, config, horizon=0):
 
 def per_window_scores(s, config, train_days, test_days, iterations):
     """Reference backtest: solve every window with the lstsq oracle."""
-    return lstsq_backtest(s.counts, train_days, test_days, iterations,
+    return lstsq_backtest(s.counts[:, 0], train_days, test_days, iterations,
                           config.n_changepoints, config.ridge_lambda,
                           [(date - START).days for date in config.holidays])
 
@@ -70,34 +76,58 @@ SOLVE_CASES = [
 ]
 
 
+def many_series(seed):
+    """Three Poisson series and an empty one as one matrix."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.poisson(lam, size=100).astype(float) for lam in (0.2, 3, 40)]
+    return DailySeries(START, np.column_stack(columns + [np.zeros(100)]),
+                       ("s0.2", "s3", "s40", "empty"))
+
+
 class TestAggregateDaily:
     def days_on(self, dates):
         return np.array([d.toordinal() for d in dates], dtype=np.int64)
 
     def test_placement(self):
         day = START + dt.timedelta(days=2)
-        [s] = aggregate_daily(self.days_on([day, day, day]), 0, ["all"], START,
-                              START + dt.timedelta(days=4))
-        assert s.counts.tolist() == [0, 0, 3, 0, 0]
+        s = aggregate_daily(self.days_on([day, day, day]), 0, ["all"], START,
+                            START + dt.timedelta(days=4))
+        assert s.labels == ("all",)
+        assert s.counts.tolist() == [[0], [0], [3], [0], [0]]
 
     def test_one_series_per_label(self):
-        """Each label counts its own ads; an ad of code -1, or on a day
-        outside the span, is in no series."""
+        """Each label counts its own ads in its own column, as one C-ordered
+        days × labels matrix; an ad of code -1, or on a day outside the
+        span, is in no series."""
         dates = [START + dt.timedelta(days=d) for d in (0, 1, 1, 2, 2, 9, -1, 2)]
         series = aggregate_daily(self.days_on(dates), np.array([1, 0, 1, -1, 1, 1, 0, 0]),
                                  ["a", "b"], START, START + dt.timedelta(days=3))
-        assert [s.label for s in series] == ["a", "b"]
-        assert [s.counts.tolist() for s in series] == [[0, 1, 1, 0], [1, 1, 1, 0]]
+        assert series.labels == ("a", "b")
+        assert series.counts.T.tolist() == [[0, 1, 1, 0], [1, 1, 1, 0]]
+        assert series.counts.dtype == np.float64 and series.counts.flags.c_contiguous
 
     def test_no_matches_all_zero(self):
-        [s] = aggregate_daily([], 0, ["all"], START, START + dt.timedelta(days=2))
-        assert s.counts.tolist() == [0, 0, 0]
+        s = aggregate_daily([], 0, ["all"], START, START + dt.timedelta(days=2))
+        assert s.counts.tolist() == [[0], [0], [0]]
 
     def test_sum_equals_matching_ads(self):
         dates = [START + dt.timedelta(days=i % 5) for i in range(17)]
-        [s] = aggregate_daily(self.days_on(dates), 0, ["all"], START,
-                              START + dt.timedelta(days=9))
+        s = aggregate_daily(self.days_on(dates), 0, ["all"], START,
+                            START + dt.timedelta(days=9))
         assert s.counts.sum() == 17
+
+    @pytest.mark.parametrize("codes,offsets,bad", [
+        ([0, 1, 1], (1, 1, 0), 1),
+        ([0, 1, 1], (0, 1, 1), 1),
+        ([0, -2, 0], (0, 1, 1), -2),
+    ], ids=["last-ad-on-day-0", "last-ad-later", "below-minus-one"])
+    def test_code_without_label_fatal(self, codes, offsets, bad):
+        """With one label, a code other than -1 and 0 names no label,
+        whichever day its ads fall on."""
+        dates = [START + dt.timedelta(days=d) for d in offsets]
+        with pytest.raises(DataError, match=f"ad code {bad} "):
+            aggregate_daily(self.days_on(dates), np.array(codes), ["a"], START,
+                            START + dt.timedelta(days=1))
 
     def test_empty_span_fatal(self):
         with pytest.raises(DataError, match="empty date span"):
@@ -111,9 +141,9 @@ class TestAggregateDaily:
                                   base_daily_rate=7.0),),
         )
         records, _ = generate(config)
-        [s] = aggregate_daily(ingest_records(records)[0].ordinals, 0, ["all"],
-                              config.start_date, config.start_date + dt.timedelta(days=9))
-        assert s.counts.tolist() == [7.0] * 10
+        s = aggregate_daily(ingest_records(records)[0].ordinals, 0, ["all"],
+                            config.start_date, config.start_date + dt.timedelta(days=9))
+        assert s.counts.tolist() == [[7.0]] * 10
 
 
 class TestSmape:
@@ -160,67 +190,59 @@ class TestSmape:
 class TestFit:
     def test_pure_linear_recovery(self):
         t = np.arange(100, dtype=float)
-        [model] = fit([series(2 + 0.5 * t)])
+        model = fit(series(2 + 0.5 * t))
         # piecewise trend: total slope past all changepoints
-        g = model.trend(np.array([90.0, 91.0]))
+        g = trend(model, np.array([90.0, 91.0]))
         assert g[1] - g[0] == pytest.approx(0.5, abs=1e-6)
-        assert model.weekly_amplitude() == pytest.approx(0.0, abs=1e-6)
+        assert model.weekly_amplitude()[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_planted_weekly_seasonality(self):
         t = np.arange(3 * 365, dtype=float)
         y = 10 + 0.05 * t + 3 * np.sin(2 * np.pi * t / 7)
-        [model] = fit([series(y)])
-        g = model.trend(np.array([0.0, 1.0]))
+        model = fit(series(y))
+        g = trend(model, np.array([0.0, 1.0]))
         assert g[1] - g[0] == pytest.approx(0.05, rel=0.01)
-        assert model.weekly_amplitude() == pytest.approx(3.0, rel=0.01)
+        assert model.weekly_amplitude()[0] == pytest.approx(3.0, rel=0.01)
 
     def test_planted_changepoint_slopes(self):
         n = 400
         t = np.arange(n, dtype=float)
         y = 5 + 0.2 * t
         y[200:] = y[199] + 0.8 * (t[200:] - 199)
-        [model] = fit([series(y)], FitConfig(n_changepoints=40, ridge_lambda=0.01))
-        g = model.trend(t)
+        model = fit(series(y), FitConfig(n_changepoints=40, ridge_lambda=0.01))
+        g = trend(model, t)
         left = (g[150] - g[100]) / 50
         right = (g[310] - g[260]) / 50  # inside the changepoint span
         assert left == pytest.approx(0.2, rel=0.05)
         assert right == pytest.approx(0.8, rel=0.05)
 
     def test_constant_series_degenerate_fit(self):
-        [model] = fit([series([4.0] * 60)])
-        assert model.predict(np.arange(60)) == pytest.approx(np.full(60, 4.0), abs=1e-8)
-        assert model.weekly_amplitude() == pytest.approx(0.0, abs=1e-8)
+        model = fit(series([4.0] * 60))
+        assert model_values(model, np.arange(60)) == pytest.approx(np.full(60, 4.0), abs=1e-8)
+        assert model.weekly_amplitude()[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_short_series_fatal(self):
         with pytest.raises(DataError, match="two weeks"):
-            fit([series([1.0] * 10)])
-
-    @pytest.mark.parametrize("other", [
-        DailySeries(START + dt.timedelta(days=1), np.ones(40)),
-        DailySeries(START, np.ones(41)),
-    ], ids=["start", "length"])
-    def test_mismatched_span_fatal(self, other):
-        with pytest.raises(DataError, match="share one start and length"):
-            fit([series([1.0] * 40), other])
+            fit(series([1.0] * 10))
 
     @pytest.mark.parametrize("train_days,config", SOLVE_CASES)
     def test_coefficients_match_lstsq_reference(self, train_days, config):
         rng = np.random.default_rng(train_days)
         s = series(rng.poisson(6, size=train_days).astype(float))
-        [model] = fit([s], config)
-        beta, _ = reference(s.counts, config)
-        assert model.coef == pytest.approx(beta, rel=0, abs=1e-9)
+        model = fit(s, config)
+        beta, _ = reference(s.counts[:, 0], config)
+        assert model.coef[0] == pytest.approx(beta, rel=0, abs=1e-9)
         assert (not model.use_yearly) == (train_days < 2 * 365.25)
 
     @pytest.mark.parametrize("train_days,config", SOLVE_CASES)
     def test_predict_and_forecast_match_lstsq_reference(self, train_days, config):
         rng = np.random.default_rng(train_days)
         s = series(rng.poisson(6, size=train_days).astype(float))
-        [model] = fit([s], config)
-        _, predicted = reference(s.counts, config, horizon=30)
-        assert model.predict(np.arange(train_days + 30)) == pytest.approx(
+        model = fit(s, config)
+        _, predicted = reference(s.counts[:, 0], config, horizon=30)
+        assert model_values(model, np.arange(train_days + 30)) == pytest.approx(
             predicted, rel=0, abs=1e-9)
-        assert forecast(model, 30) == pytest.approx(
+        assert forecast(model, 30)[:, 0] == pytest.approx(
             np.maximum(predicted[train_days:], 0.0), rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("config", [
@@ -228,26 +250,29 @@ class TestFit:
         pytest.param(FitConfig(holidays=days(20, 65, 90)), id="holidays"),
     ])
     def test_many_series_match_one_series_calls(self, config):
-        rng = np.random.default_rng(9)
-        many = [series(rng.poisson(lam, size=100).astype(float), label=f"s{lam}")
-                for lam in (0.2, 3, 40)] + [series([0.0] * 100, label="empty")]
-        models = fit(many, config)
-        assert len(models) == len(many)
-        for s, model in zip(many, models):
-            [alone] = fit([s], config)
-            assert model.coef == pytest.approx(alone.coef, rel=0, abs=1e-12)
-            assert model.residual_var == pytest.approx(alone.residual_var,
-                                                       rel=1e-12, abs=1e-12)
+        many = many_series(9)
+        model = fit(many, config)
+        assert model.labels == many.labels
+        assert model.coef.shape[0] == model.residual_var.shape[0] == len(many.labels)
+        for j, label in enumerate(many.labels):
+            alone = fit(series(many.counts[:, j], label), config)
+            assert model.coef[j] == pytest.approx(alone.coef[0], rel=0, abs=1e-12)
+            assert model.residual_var[j] == pytest.approx(alone.residual_var[0],
+                                                          rel=1e-12, abs=1e-12)
+            assert forecast(model, 10)[:, j] == pytest.approx(forecast(alone, 10)[:, 0],
+                                                              rel=0, abs=1e-9)
+            assert model.weekly_amplitude()[j] == pytest.approx(
+                alone.weekly_amplitude()[0], rel=0, abs=1e-9)
 
     def test_yearly_disabled_below_two_years(self):
-        [model] = fit([series([1.0] * 100)])
+        model = fit(series([1.0] * 100))
         assert not model.use_yearly
 
     def test_deterministic_refit(self):
         rng = np.random.default_rng(8)
         y = 10 + rng.poisson(5, size=200).astype(float)
-        [m1] = fit([series(y)])
-        [m2] = fit([series(y)])
+        m1 = fit(series(y))
+        m2 = fit(series(y))
         assert (m1.coef == m2.coef).all()
 
     def test_holiday_effect_recovered(self):
@@ -255,30 +280,30 @@ class TestFit:
         y = np.full(120, 10.0)
         holiday = START + dt.timedelta(days=60)
         y[60] += 8.0
-        [model] = fit([series(y)], FitConfig(holidays=(holiday,)))
-        assert model.coef[-1] == pytest.approx(8.0, rel=0.05)
-        pred = model.predict(np.array([59.0, 60.0, 61.0]))
+        model = fit(series(y), FitConfig(holidays=(holiday,)))
+        assert model.coef[0, -1] == pytest.approx(8.0, rel=0.05)
+        pred = model_values(model, np.array([59.0, 60.0, 61.0]))
         assert pred[1] == pytest.approx(18.0, rel=0.02)
 
 
 class TestForecast:
     def test_flat_model(self):
-        [model] = fit([series([6.0] * 50)])
-        assert forecast(model, 10) == pytest.approx(np.full(10, 6.0), abs=1e-6)
+        model = fit(series([6.0] * 50))
+        assert forecast(model, 10) == pytest.approx(np.full((10, 1), 6.0), abs=1e-6)
 
     def test_linear_extrapolation(self):
         t = np.arange(50, dtype=float)
-        [model] = fit([series(3 + 2 * t)])
+        model = fit(series(3 + 2 * t))
         expected = 3 + 2 * np.arange(50, 60, dtype=float)
-        assert forecast(model, 10) == pytest.approx(expected, rel=1e-4)
+        assert forecast(model, 10)[:, 0] == pytest.approx(expected, rel=1e-4)
 
     def test_negative_clip(self):
         t = np.arange(50, dtype=float)
-        [model] = fit([series(np.maximum(0.0, 20 - 1.0 * t))])
+        model = fit(series(np.maximum(0.0, 20 - 1.0 * t)))
         assert (forecast(model, 30) >= 0.0).all()
 
     def test_bad_horizon(self):
-        [model] = fit([series([1.0] * 20)])
+        model = fit(series([1.0] * 20))
         with pytest.raises(DataError):
             forecast(model, 0)
 
@@ -286,24 +311,24 @@ class TestForecast:
 class TestBacktest:
     def test_score_count(self):
         s = series([5.0] * 22)
-        [report] = sliding_window_backtest([s], train_days=14, test_days=5, iterations=4)
+        [report] = sliding_window_backtest(s, train_days=14, test_days=5, iterations=4)
         assert len(report.scores) == 4
         assert report.iterations == 4
 
     def test_constant_series_scores_zero(self):
         s = series([5.0] * 30)
-        [report] = sliding_window_backtest([s], train_days=20, test_days=5, iterations=6)
+        [report] = sliding_window_backtest(s, train_days=20, test_days=5, iterations=6)
         assert max(report.scores) < 1e-8
 
     def test_insufficient_length_reports_minimum(self):
         with pytest.raises(DataError, match="at least 383"):
-            sliding_window_backtest([series([1.0] * 100)], train_days=365,
+            sliding_window_backtest(series([1.0] * 100), train_days=365,
                                     test_days=14, iterations=5)
 
     def test_scores_in_range(self):
         rng = np.random.default_rng(21)
         y = rng.poisson(4, size=80).astype(float)
-        [report] = sliding_window_backtest([series(y)], train_days=30, test_days=10,
+        [report] = sliding_window_backtest(series(y), train_days=30, test_days=10,
                                            iterations=10)
         assert all(0.0 <= v <= 200.0 for v in report.scores)
 
@@ -314,15 +339,15 @@ class TestBacktest:
         wave = 50.0 + 30.0 * np.sign(np.sin(2 * np.pi * t / 60.0))
         volatile = series(np.maximum(wave, 0.0), label="volatile")
         kw = dict(train_days=40, test_days=20, iterations=20)
-        assert (sliding_window_backtest([volatile], **kw)[0].median
-                > sliding_window_backtest([stable], **kw)[0].median)
+        assert (sliding_window_backtest(volatile, **kw)[0].median
+                > sliding_window_backtest(stable, **kw)[0].median)
 
     @pytest.mark.parametrize("train_days,config", SOLVE_CASES)
     def test_shared_design_matches_per_window_fit(self, train_days, config):
         rng = np.random.default_rng(train_days)
         s = series(rng.poisson(6, size=train_days + 40).astype(float))
         kw = dict(train_days=train_days, test_days=30, iterations=11)
-        shared = sliding_window_backtest([s], config=config, **kw)[0].scores
+        shared = sliding_window_backtest(s, config=config, **kw)[0].scores
         assert shared == pytest.approx(per_window_scores(s, config, **kw), rel=0, abs=1e-9)
 
     def test_holiday_in_every_window_factors_once(self, monkeypatch):
@@ -343,7 +368,7 @@ class TestBacktest:
         s = series(rng.poisson(6, size=100).astype(float))
         config = FitConfig(holidays=days(40, 55, 70))
         kw = dict(train_days=45, test_days=26, iterations=30)
-        [report] = sliding_window_backtest([s], config=config, **kw)
+        [report] = sliding_window_backtest(s, config=config, **kw)
         assert len(calls) == 1
         monkeypatch.undo()
         assert report.scores == pytest.approx(per_window_scores(s, config, **kw),
@@ -354,30 +379,19 @@ class TestBacktest:
         pytest.param(FitConfig(holidays=days(20, 65, 90)), id="holidays"),
     ])
     def test_many_series_match_one_series_calls(self, config):
-        rng = np.random.default_rng(8)
-        many = [series(rng.poisson(lam, size=100).astype(float), label=f"s{lam}")
-                for lam in (0.2, 3, 40)] + [series([0.0] * 100, label="empty")]
+        many = many_series(8)
         kw = dict(train_days=60, test_days=20, iterations=21, config=config)
         reports = sliding_window_backtest(many, **kw)
-        assert [r.label for r in reports] == [s.label for s in many]
-        for s, report in zip(many, reports):
-            [alone] = sliding_window_backtest([s], **kw)
+        assert tuple(r.label for r in reports) == many.labels
+        for j, report in enumerate(reports):
+            [alone] = sliding_window_backtest(series(many.counts[:, j], report.label), **kw)
             assert report.scores == pytest.approx(alone.scores, rel=0, abs=1e-9)
-
-    @pytest.mark.parametrize("other", [
-        DailySeries(START + dt.timedelta(days=1), np.ones(40)),
-        DailySeries(START, np.ones(41)),
-    ], ids=["start", "length"])
-    def test_mismatched_span_fatal(self, other):
-        with pytest.raises(DataError, match="share one start and length"):
-            sliding_window_backtest([series([1.0] * 40), other], train_days=20,
-                                    test_days=5, iterations=3)
 
     @pytest.mark.parametrize("train_days", [10, -5])
     @pytest.mark.parametrize("config", [FitConfig(), FitConfig(holidays=(START,))])
     def test_short_train_window_fatal(self, config, train_days):
         with pytest.raises(DataError, match="two weeks"):
-            sliding_window_backtest([series([1.0] * 40)], train_days=train_days,
+            sliding_window_backtest(series([1.0] * 40), train_days=train_days,
                                     test_days=5, iterations=3, config=config)
 
     @pytest.mark.parametrize("kw,match", [
@@ -386,7 +400,7 @@ class TestBacktest:
     ])
     def test_empty_test_window_or_no_iterations_fatal(self, kw, match):
         with pytest.raises(DataError, match=match):
-            sliding_window_backtest([series([1.0] * 40)], train_days=20, **kw)
+            sliding_window_backtest(series([1.0] * 40), train_days=20, **kw)
 
     def test_report_serialization(self, tmp_path):
         report = BacktestReport(scores=[1.0, 3.0, 2.0], train_days=10,
@@ -398,7 +412,9 @@ class TestBacktest:
         import json
         payload = json.loads(out.read_text())
         assert payload["scores"] == [1.0, 3.0, 2.0]
-        assert report.boxplot_rows()[0] == ("x", 1.0)
+        write_boxplot({"x": report}, tmp_path / "boxplot.csv")
+        assert (tmp_path / "boxplot.csv").read_bytes() == (
+            b"label,smape\r\nx,1.0\r\nx,3.0\r\nx,2.0\r\n")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 365])
     def test_quantiles_equal_numpy_to_the_bit(self, n):
@@ -415,6 +431,13 @@ class TestBacktest:
             assert repr(report.median) == repr(float(statistics.median(scores)))
 
 
-def test_series_rejects_negative_counts():
-    with pytest.raises(DataError):
-        series([1.0, -2.0])
+@pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf, -np.inf])
+def test_series_rejects_negative_counts(bad):
+    with pytest.raises(DataError, match="finite and non-negative"):
+        series([1.0, bad])
+
+
+@pytest.mark.parametrize("columns", [0, 2])
+def test_series_rejects_a_column_count_other_than_its_labels(columns):
+    with pytest.raises(DataError, match=f"{columns} columns for 1 labels"):
+        DailySeries(START, np.ones((5, columns)), ("a",))
