@@ -6,7 +6,12 @@ intensity, and planted growth / salary / education / experience /
 seasonality signals (for the shortage indicators and the backtest).
 
 One explicitly seeded generator drives the whole run; the seed fully
-determines the output.
+determines the output. :func:`generate` yields the records one at a time,
+drawn as they are taken, and :func:`ground_truth` reads only the config, so
+:func:`write_scenario` writes each record as it is drawn and its memory does
+not grow with the corpus. The draws follow NumPy's ``Generator`` streams,
+which may change between NumPy releases (NEP 19); the golden cases of
+``tests/test_golden.py`` pin them.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ import datetime as dt
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import compress
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -134,18 +140,37 @@ def _daily_rate(cluster: ClusterSpec, t: int) -> float:
     return rate
 
 
-def generate(config: SynthConfig) -> tuple[list[dict], GroundTruth]:
-    """Generate the corpus, as input records, and its ground-truth sidecar.
-    Deterministic for a fixed seed."""
-    config.validate()
-    rng = np.random.default_rng(config.seed)
+def generate(config: SynthConfig) -> Iterator[dict]:
+    """The corpus as input records, drawn one at a time as they are taken.
 
-    records: list[dict] = []
-    ad_no = 0
+    The config is validated at the call; a daily rate above the Poisson
+    limit raises DataError when its day is reached. Deterministic for a
+    fixed seed."""
+    config.validate()
+    return _records(config)
+
+
+def _records(config: SynthConfig) -> Iterator[dict]:
+    """Per ad, in this order: the occupation, the cluster skills kept (one
+    drawn skill when none is), the background skills kept, then one noise
+    normal per planted field. Whatever depends only on the day and the
+    cluster is computed once per day and cluster."""
+    rng = np.random.default_rng(config.seed)
+    integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
+    noise = config.noise_level
     bg_names = [normalize_skill(n) for n, _ in config.background_skills]
     bg_probs = np.array([p for _, p in config.background_skills], dtype=np.float64)
-    cluster_names = [[normalize_skill(s) for s in c.skills] for c in config.clusters]
+    clusters = []
+    for c in config.clusters:
+        names = [normalize_skill(s) for s in c.skills]
+        planted = (c.salary_level, c.education_mean, c.experience_mean)
+        clusters.append((c, names,
+                         # whether an ad can name a skill twice: a skill given
+                         # twice, or also a background skill
+                         len({*names, *bg_names}) < len(names) + len(bg_names),
+                         sum(v is not None for v in planted) if noise else 0))
 
+    ad_no = 0
     for t in range(config.n_days):
         date = (config.start_date + dt.timedelta(days=t)).isoformat()
         season = 1.0
@@ -153,8 +178,9 @@ def generate(config: SynthConfig) -> tuple[list[dict], GroundTruth]:
             season += config.weekly_amplitude * np.sin(2 * np.pi * t / WEEK_PERIOD)
         if config.yearly_amplitude:
             season += config.yearly_amplitude * np.sin(2 * np.pi * t / YEAR_PERIOD)
-        season = max(0.0, season)
-        for cluster, names in zip(config.clusters, cluster_names):
+        season = max(0.0, float(season))
+        years = t / DAYS_PER_YEAR
+        for cluster, names, dedupe, n_noise in clusters:
             rate = _daily_rate(cluster, t) * season
             if not rate <= POISSON_LAM_MAX:
                 raise DataError(f"synth cluster {cluster.name!r}: daily rate {rate:g} "
@@ -163,51 +189,59 @@ def generate(config: SynthConfig) -> tuple[list[dict], GroundTruth]:
                 count = int(round(rate))
             else:
                 count = int(rng.poisson(rate))
+            if not count:
+                continue
+            salary = education = experience = None
+            fixed = {}
+            if cluster.salary_level is not None:
+                salary = cluster.salary_level * (1.0 + cluster.salary_trend * years)
+                mid = max(1.0, salary)
+                fixed["salary_min"], fixed["salary_max"] = 0.9 * mid, 1.1 * mid
+            if cluster.education_mean is not None:
+                education = cluster.education_mean
+                fixed["education_years"] = max(0.0, education)
+            if cluster.experience_mean is not None:
+                experience = cluster.experience_mean + cluster.experience_trend * years
+                fixed["experience_years"] = max(0.0, experience)
+            occupations, cohesion = cluster.occupations, cluster.cohesion
             for _ in range(count):
                 ad_no += 1
-                occ = cluster.occupations[int(rng.integers(len(cluster.occupations)))]
-
-                if cluster.cohesion >= 1.0:
+                occ = occupations[int(integers(len(occupations)))]
+                if cohesion >= 1.0:
                     skills = list(names)
                 else:
-                    keep = rng.random(len(names)) < cluster.cohesion
-                    skills = [n for n, k in zip(names, keep) if k]
+                    skills = list(compress(names, (random(len(names)) < cohesion).tolist()))
                     if not skills:
                         # an ad must demand at least one skill
-                        skills.append(names[int(rng.integers(len(names)))])
-                if len(bg_names):
-                    keep = rng.random(len(bg_names)) < bg_probs
-                    skills.extend(n for n, k in zip(bg_names, keep) if k)
-
+                        skills.append(names[int(integers(len(names)))])
+                if bg_names:
+                    skills.extend(compress(bg_names, (random(len(bg_names)) < bg_probs)
+                                           .tolist()))
                 rec = {"id": f"ad-{ad_no:08d}", "date": date, "occupation": occ,
-                       "skills": list(dict.fromkeys(skills))}
-                years = t / DAYS_PER_YEAR
-                if cluster.salary_level is not None:
-                    mid = cluster.salary_level * (1.0 + cluster.salary_trend * years)
-                    if config.noise_level:
-                        mid *= 1.0 + config.noise_level * rng.standard_normal()
-                    mid = max(1.0, mid)
-                    rec["salary_min"], rec["salary_max"] = 0.9 * mid, 1.1 * mid
-                if cluster.education_mean is not None:
-                    education = cluster.education_mean
-                    if config.noise_level:
-                        education += config.noise_level * rng.standard_normal()
-                    rec["education_years"] = max(0.0, education)
-                if cluster.experience_mean is not None:
-                    experience = (cluster.experience_mean
-                                  + cluster.experience_trend * years)
-                    if config.noise_level:
-                        experience += config.noise_level * rng.standard_normal()
-                    rec["experience_years"] = max(0.0, experience)
-                records.append(rec)
+                       "skills": list(dict.fromkeys(skills)) if dedupe else skills}
+                if n_noise:
+                    z = iter(standard_normal(n_noise).tolist())
+                    if salary is not None:
+                        mid = max(1.0, salary * (1.0 + noise * next(z)))
+                        rec["salary_min"], rec["salary_max"] = 0.9 * mid, 1.1 * mid
+                    if education is not None:
+                        rec["education_years"] = max(0.0, education + noise * next(z))
+                    if experience is not None:
+                        rec["experience_years"] = max(0.0, experience + noise * next(z))
+                else:
+                    rec.update(fixed)
+                yield rec
 
-    truth = GroundTruth(
-        clusters={c.name: names for c, names in zip(config.clusters, cluster_names)},
+
+def ground_truth(config: SynthConfig) -> GroundTruth:
+    """What ``generate(config)`` plants, from the config alone."""
+    return GroundTruth(
+        clusters={c.name: [normalize_skill(s) for s in c.skills] for c in config.clusters},
         occupations={occ: c.name for c in config.clusters for occ in c.occupations},
         params={c.name: {k: v for k, v in asdict(c).items()
                          if k not in ("name", "skills", "occupations")}
                 for c in config.clusters},
-        background_skills=list(bg_names),
+        background_skills=[normalize_skill(n) for n, _ in config.background_skills],
         seasonality={
             "weekly_amplitude": config.weekly_amplitude,
             "yearly_amplitude": config.yearly_amplitude,
@@ -216,18 +250,26 @@ def generate(config: SynthConfig) -> tuple[list[dict], GroundTruth]:
         n_days=config.n_days,
         start_date=config.start_date.isoformat(),
     )
-    return records, truth
 
 
 def write_scenario(config: SynthConfig, out_dir) -> tuple[Path, Path]:
-    """Generate and write ``corpus.jsonl`` plus ``ground_truth.json``."""
+    """Write ``corpus.jsonl``, each record as it is drawn, then
+    ``ground_truth.json``. The corpus is written under a temporary name and
+    renamed once complete, so a run that fails partway leaves neither file
+    (and any earlier pair as it was)."""
+    records = generate(config)  # validates before any file is opened
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, truth = generate(config)
     corpus_path = out_dir / "corpus.jsonl"
     truth_path = out_dir / "ground_truth.json"
-    write_jsonl(records, corpus_path)
-    truth.to_json(truth_path)
+    partial = out_dir / "corpus.jsonl.partial"
+    try:
+        write_jsonl(records, partial)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(corpus_path)
+    ground_truth(config).to_json(truth_path)
     return corpus_path, truth_path
 
 

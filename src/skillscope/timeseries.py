@@ -250,13 +250,16 @@ def smape(actual, predicted):
     axis: a float for two vectors, an array of scores for stacked rows.
 
     A term with both values zero contributes 0 (perfect prediction of an
-    empty day)."""
+    empty day). NaN or an infinity in either array is a DataError: a NaN
+    term would otherwise count as a perfect one."""
     a = np.asarray(actual, dtype=np.float64)
     f = np.asarray(predicted, dtype=np.float64)
     if a.shape != f.shape or a.ndim == 0:
         raise DataError("smape requires two arrays of equal shape")
     if a.shape[-1] == 0:
         raise DataError("smape requires at least one observation")
+    if not (np.isfinite(a).all() and np.isfinite(f).all()):
+        raise DataError("smape requires finite values")
     denom = np.abs(a) + np.abs(f)
     terms = np.divide(np.abs(f - a), denom, out=np.zeros_like(denom), where=denom > 0)
     scores = 200.0 * terms.mean(axis=-1)

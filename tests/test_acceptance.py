@@ -16,7 +16,7 @@ from skillscope.indicators import assemble_report
 from skillscope.occupations import compute_intensity, select_occupations
 from skillscope.similarity import expand_seeds
 from skillscope.skillmetrics import compute_effective_use, compute_rca
-from skillscope.synthgen import ClusterSpec, SynthConfig, generate
+from skillscope.synthgen import ClusterSpec, SynthConfig, generate, ground_truth
 from skillscope.timeseries import (
     DailySeries,
     FitConfig,
@@ -145,8 +145,9 @@ def test_criterion_3_cluster_recovery():
     """All 7 co-members outrank every background skill, from any member."""
     t0 = time.time()
     for seed in range(10):
-        ads, truth = generate(cluster_scenario(seed))
-        _, _, eff = pipeline(ads)
+        config = cluster_scenario(seed)
+        _, _, eff = pipeline(generate(config))
+        truth = ground_truth(config)
         members = truth.clusters["planted"]
         background = set(truth.background_skills)
         for seed_skill in members:
@@ -187,9 +188,9 @@ def intensity_scenario(seed):
 def test_criterion_4_occupation_selection():
     """Designed intensity 0.50 +/- 0.02 vs backgrounds <= 0.05 at cutoff 0.15."""
     for seed in range(20):
-        ads, truth = generate(intensity_scenario(seed))
-        targets = truth.clusters["planted"]
-        profiles = compute_intensity(ingest_records(ads)[0], targets)
+        config = intensity_scenario(seed)
+        targets = ground_truth(config).clusters["planted"]
+        profiles = compute_intensity(ingest_records(generate(config))[0], targets)
         etas = {p.occupation: p.eta for p in profiles}
         assert etas["Planted"] == pytest.approx(0.50, abs=0.02)
         for occ in ("Back1", "Back2", "Back3"):
@@ -274,8 +275,7 @@ def shortage_scenario(seed):
 
 
 def run_shortage_report(seed):
-    ads, _ = generate(shortage_scenario(seed))
-    corpus, _ = ingest_records(ads)
+    corpus, _ = ingest_records(generate(shortage_scenario(seed)))
     labels, codes = _group_ads(corpus, None)
 
     cfg = FitConfig(n_changepoints=10)

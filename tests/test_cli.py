@@ -265,6 +265,10 @@ class TestInputFileErrors:
          "expected a list of names"),
         ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "base_daily_rate": 1e300}]},
          "synth cluster 'target': daily rate 1e+300 on day 0 is above the limit"),
+        # crossed after the first cluster's ads of day 0 are drawn
+        ({**SCENARIO, "clusters": [SCENARIO["clusters"][0],
+                                   {**SCENARIO["clusters"][1], "base_daily_rate": 1e300}]},
+         "synth cluster 'other': daily rate 1e+300 on day 0 is above the limit"),
         ({**SCENARIO, "deterministic_counts": True,
           "clusters": [{**SCENARIO["clusters"][0], "base_daily_rate": 1e300}]},
          "synth cluster 'target': daily rate 1e+300 on day 0 is above the limit"),
@@ -275,13 +279,15 @@ class TestInputFileErrors:
     ], ids=["array", "n_days-not-a-number", "n_days-text", "n_days-fraction",
             "seed-fraction", "seed-boolean", "changepoint-day-fraction",
             "changepoint-day-negative", "skills-not-a-list",
-            "rate-above-poisson-limit", "deterministic-rate-above-poisson-limit",
+            "rate-above-poisson-limit", "second-cluster-rate-above-poisson-limit",
+            "deterministic-rate-above-poisson-limit",
             "growth-below-minus-one", "start-date-iso-week", "deterministic-counts-text"])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(config))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert message in one_line_error(capsys)
+        assert list((tmp_path / "o").iterdir()) == []  # no corpus, not even a part of one
 
 
 class TestReservedMarketLabel:

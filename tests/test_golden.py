@@ -6,7 +6,10 @@ mixed-case names, ``backtest --occupation Modeler --holidays``, ``report``
 plain, with ``--holidays`` and with ``--default-categories``, and
 ``indicators`` with ``--holidays`` (two groups plus the market). Plain
 ``report`` runs once more on the scenario started on 2016-10-01, so that its
-ads span a New Year and the report has posting growth. SMAPE values
+ads span a New Year and the report has posting growth. ``synth`` itself is
+pinned on that scenario and on :data:`SYNTH_BRANCHES`, a small config that
+reaches every branch of its draw loop, with and without noise: a change to
+the generator must keep every draw and every float operation. SMAPE values
 (``boxplot.csv``, ``median_smape`` in ``report.json`` and the scores and
 summary of ``backtest.json``) are compared at 1e-9 abs, because a change in
 how the backtest solves may move them at the ulp level. So are
@@ -51,6 +54,39 @@ CASES = {
     "indicators-holidays": ["indicators", "--holidays", "{holidays}", *BACKTEST_FLAGS],
     "report-new-year": REPORT,
 }
+# Reaches every branch of synth's draw loop: a cluster at cohesion 1.0; one
+# skill at low cohesion, whose empty draws fall back to one drawn skill; a
+# background skill that normalizes to a cluster skill, which the dedupe
+# drops; salary, education and experience as null and as integers, each
+# clamped at its floor on some ads; growth changepoints, one past the last
+# day; a season that falls below zero; deterministic counts with noise, and
+# Poisson counts without.
+SYNTH_BRANCHES = {
+    "seed": 11, "n_days": 220, "start_date": "2019-12-20",
+    "clusters": [
+        {"name": "whole", "skills": ["Python", "SQL", "Spark"],
+         "occupations": ["Engineer", "Analyst"], "base_daily_rate": 1.2,
+         "annual_growth": 0.5, "growth_changepoints": [[10, -0.5], [25, 2.0], [400, 0.0]],
+         "cohesion": 1.0, "salary_level": 90000, "salary_trend": 0.1,
+         "education_mean": None, "experience_mean": 3, "experience_trend": 0.5},
+        {"name": "single", "skills": ["Welding"], "occupations": ["Welder"],
+         "base_daily_rate": 1.5, "cohesion": 0.05, "salary_level": None,
+         "education_mean": 0, "experience_mean": None},
+        {"name": "sparse", "skills": ["a", "b", "c", "d"], "occupations": ["X", "Y", "Z"],
+         "base_daily_rate": 0.8, "cohesion": 0.2, "salary_level": 1,
+         "education_mean": 14, "experience_mean": 0.5, "experience_trend": -2.0},
+    ],
+    "background_skills": [[" python ", 0.5], ["email", 0.0], ["teamwork", 1.0]],
+    "weekly_amplitude": 0.9, "yearly_amplitude": 0.6, "noise_level": 0.3,
+    "deterministic_counts": True,
+}
+# Cases that run synth on their own config rather than read the scenario.
+SYNTH_CASES = {
+    "synth-scenario": SCENARIO,
+    "synth-branches": SYNTH_BRANCHES,
+    "synth-branches-noiseless": {**SYNTH_BRANCHES, "noise_level": 0,
+                                 "deterministic_counts": False},
+}
 # Cases run on the scenario started elsewhere in the year.
 START_DATES = {"report-new-year": "2016-10-01"}
 SMAPE_ABS = 1e-9
@@ -59,6 +95,12 @@ SMAPE_ABS = 1e-9
 def run_case(name: str, root: Path) -> Path:
     """Synthesize the case's scenario under ``root`` and run case ``name``
     into ``root/name``; returns that output directory."""
+    out = root / name
+    if name in SYNTH_CASES:
+        cfg = root / f"{name}.json"
+        cfg.write_text(json.dumps(SYNTH_CASES[name]))
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        return out
     start = START_DATES.get(name, SCENARIO["start_date"])
     corpus = root / f"synth-{start}" / "corpus.jsonl"
     if not corpus.is_file():
@@ -69,7 +111,6 @@ def run_case(name: str, root: Path) -> Path:
         (root / "skills.csv").write_text(SKILLS_CSV)
     argv = [a.format(holidays=root / "holidays.txt", skills=root / "skills.csv")
             for a in CASES[name]]
-    out = root / name
     assert main([*argv, "--input", str(corpus), "--out", str(out)]) == 0
     return out
 
@@ -108,7 +149,7 @@ def same_output(got: Path, want: Path) -> bool:
     return got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted([*CASES, *SYNTH_CASES]))
 def test_outputs_match_expected(tmp_path, capsys, name):
     out, expected = run_case(name, tmp_path), GOLDEN / name
     names = sorted(p.name for p in expected.iterdir())
@@ -150,11 +191,12 @@ def test_regenerating_an_unchanged_case_keeps_every_file(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    unknown = set(sys.argv[1:]) - set(CASES)
+    names = [*CASES, *SYNTH_CASES]
+    unknown = set(sys.argv[1:]) - set(names)
     if unknown:
         sys.exit(f"unknown case(s): {', '.join(sorted(unknown))}; "
-                 f"cases: {', '.join(CASES)}")
+                 f"cases: {', '.join(names)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sys.argv[1:] or CASES:
+        for name in sys.argv[1:] or names:
             changed = regenerate(name, Path(tmp))
             print(f"{GOLDEN / name}: {', '.join(changed) or 'unchanged'}", file=sys.stderr)

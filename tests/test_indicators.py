@@ -76,8 +76,7 @@ class TestPostingGrowth:
             clusters=(ClusterSpec(name="g", skills=("s",), occupations=("o",),
                                   base_daily_rate=200.0, annual_growth=0.28),),
         )
-        records, _ = generate(config)
-        [market] = compute_indicators(ingest_records(records)[0], [MARKET], 0,
+        [market] = compute_indicators(ingest_records(generate(config))[0], [MARKET], 0,
                                       {MARKET: backtest_of(MARKET)})
         counts = market.counts_by_year
         full_years = {y: c for y, c in counts.items() if y < 2017}  # 2017 partial

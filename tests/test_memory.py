@@ -1,7 +1,8 @@
 """Memory bounds: the bytes per ad that ingest keeps, and, after ingest,
 the traced peak of each skill-network, intensity and indicator stage, per
-skill slot or per ad, on a corpus of over a million slots; and the traced
-peak of hashing an input file for provenance.json.
+skill slot or per ad, on a corpus of over a million slots; the traced
+peak of hashing an input file for provenance.json; and that of writing a
+synthetic scenario, which must not grow with the corpus.
 
 The bounds are what the one-byte-per-slot rule leaves room for: a boolean
 mask over the slots, the per-ad arrays (at 14 slots per ad, one int64 per ad
@@ -23,6 +24,7 @@ from skillscope.corpus import IncidenceIndex, build_index, ingest_records
 from skillscope.indicators import MARKET, assemble_report
 from skillscope.occupations import compute_intensity
 from skillscope.skillmetrics import compute_effective_use, compute_rca
+from skillscope.synthgen import ClusterSpec, SynthConfig, write_scenario
 from skillscope.timeseries import BacktestReport, DailySeries, fit
 
 N_ADS, PER_AD, VOCAB = 75_000, 14, 40
@@ -157,3 +159,29 @@ def test_hashing_an_input_takes_at_most_128_kib(tmp_path):
     digest, peak = traced_peak(lambda: _sha256(path))
     assert digest == hashlib.sha256(data).hexdigest()
     assert peak <= 128 << 10
+
+
+def synth_config(n_days: int) -> SynthConfig:
+    """Two clusters of 10 ads a day with every planted field and noise."""
+    return SynthConfig(
+        seed=3, n_days=n_days, clusters=tuple(
+            ClusterSpec(name=f"c{i}", skills=tuple(f"k{i}_{j}" for j in range(12)),
+                        occupations=(f"o{i}a", f"o{i}b"), base_daily_rate=10.0,
+                        cohesion=0.5, salary_level=50_000.0, education_mean=12.0,
+                        experience_mean=3.0)
+            for i in range(2)),
+        background_skills=tuple((f"bg{k}", 0.2) for k in range(10)),
+        weekly_amplitude=0.3, noise_level=0.05)
+
+
+def test_synth_peak_does_not_grow_with_the_corpus(tmp_path):
+    """Each record is written as it is drawn: 200 days (about 4,000 ads)
+    peak within 16 KiB of 20 days (about 400). A list of every record would
+    add about 560 bytes per ad, 2 MB here."""
+    write_scenario(synth_config(2), tmp_path / "warm")  # caches filled outside the trace
+    (short, _), short_peak = traced_peak(lambda: write_scenario(synth_config(20),
+                                                                tmp_path / "short"))
+    (long, _), long_peak = traced_peak(lambda: write_scenario(synth_config(200),
+                                                              tmp_path / "long"))
+    assert long.read_bytes().count(b"\n") > 9 * short.read_bytes().count(b"\n")
+    assert long_peak - short_peak <= 16 << 10

@@ -12,6 +12,7 @@ from skillscope.synthgen import (
     SynthConfig,
     config_from_dict,
     generate,
+    ground_truth,
     write_scenario,
 )
 
@@ -35,24 +36,19 @@ def basic_config(**overrides):
 
 class TestDeterminism:
     def test_same_seed_identical_corpora(self):
-        a1, t1 = generate(basic_config())
-        a2, t2 = generate(basic_config())
-        assert a1 == a2
-        assert t1.clusters == t2.clusters
+        assert list(generate(basic_config())) == list(generate(basic_config()))
+        assert ground_truth(basic_config()) == ground_truth(basic_config())
 
     def test_different_seed_differs(self):
-        a1, _ = generate(basic_config())
-        a2, _ = generate(basic_config(seed=43))
-        assert a1 != a2
+        assert list(generate(basic_config())) != list(generate(basic_config(seed=43)))
 
     def test_deterministic_counts_exact(self):
         config = basic_config(deterministic_counts=True, clusters=(
             ClusterSpec(name="c", skills=("s",), occupations=("o",),
                         base_daily_rate=7.0),
         ))
-        ads, _ = generate(config)
         per_day = {}
-        for ad in ads:
+        for ad in generate(config):
             per_day[ad["date"]] = per_day.get(ad["date"], 0) + 1
         assert set(per_day.values()) == {7}
         assert len(per_day) == 30
@@ -61,17 +57,14 @@ class TestDeterminism:
 class TestPlantedStructure:
     def test_perfect_cluster_reaches_theta_one(self):
         config = basic_config()
-        ads, truth = generate(config)
-        corpus, _ = ingest_records(ads)
+        corpus, _ = ingest_records(generate(config))
         eff = compute_effective_use(compute_rca(build_index(corpus)))
         p, q = corpus.skill_ids["p"], corpus.skill_ids["q"]
         assert theta_value(eff, p, q) == 1.0
-        assert truth.clusters["pq"] == ["p", "q"]
+        assert ground_truth(config).clusters["pq"] == ["p", "q"]
 
     def test_cohesion_controls_cooccurrence(self):
-        config = basic_config(n_days=60)
-        ads, _ = generate(config)
-        bg_ads = [a for a in ads if a["occupation"] == "Back"]
+        bg_ads = [a for a in generate(basic_config(n_days=60)) if a["occupation"] == "Back"]
         rate = sum("x" in a["skills"] for a in bg_ads) / len(bg_ads)
         assert rate == pytest.approx(0.7, abs=0.08)
 
@@ -80,12 +73,12 @@ class TestPlantedStructure:
             n_days=60,
             background_skills=(("common", 0.5), ("rare", 0.05)),
         )
-        ads, truth = generate(config)
+        ads = list(generate(config))
         common = sum("common" in a["skills"] for a in ads) / len(ads)
         rare = sum("rare" in a["skills"] for a in ads) / len(ads)
         assert common == pytest.approx(0.5, abs=0.07)
         assert rare == pytest.approx(0.05, abs=0.04)
-        assert truth.background_skills == ["common", "rare"]
+        assert ground_truth(config).background_skills == ["common", "rare"]
 
     def test_growth_raises_posting_rate(self):
         config = basic_config(
@@ -94,7 +87,7 @@ class TestPlantedStructure:
                                   base_daily_rate=20.0, annual_growth=0.5),),
             deterministic_counts=True,
         )
-        ads, _ = generate(config)
+        ads = list(generate(config))
         year1 = sum(a["date"][:4] == str(config.start_date.year) for a in ads)
         year2 = len(ads) - year1
         assert year2 / year1 == pytest.approx(1.5, rel=0.05)
@@ -105,8 +98,7 @@ class TestPlantedStructure:
                         base_daily_rate=2.0, salary_level=100_000.0,
                         education_mean=16.0, experience_mean=3.0),
         ))
-        ads, _ = generate(config)
-        ad = ads[0]
+        ad = next(generate(config))
         assert (ad["salary_min"] + ad["salary_max"]) / 2 == pytest.approx(100_000.0)
         assert ad["education_years"] == 16.0
         assert ad["experience_years"] == 3.0
@@ -118,11 +110,40 @@ class TestPlantedStructure:
                                   base_daily_rate=1.0, experience_mean=4.0,
                                   experience_trend=-0.5),),
         )
-        ads, _ = generate(config)
-        first, last = ads[0], ads[-1]
+        first, *_, last = generate(config)
         assert last["experience_years"] < first["experience_years"]
         assert first["experience_years"] - last["experience_years"] == pytest.approx(
             1.0, abs=0.05)
+
+
+def limit_crossed_config():
+    """A config whose second cluster crosses the Poisson limit on day 0,
+    after the first cluster's ads of that day are drawn."""
+    return basic_config(clusters=(
+        basic_config().clusters[0],
+        ClusterSpec(name="huge", skills=("s",), occupations=("o",), base_daily_rate=1e300),
+    ))
+
+
+class TestStreaming:
+    def test_config_is_validated_at_the_call(self):
+        with pytest.raises(DataError, match="n_days"):
+            generate(basic_config(n_days=0))
+
+    def test_records_are_drawn_as_they_are_taken(self):
+        records = generate(limit_crossed_config())
+        assert next(records)["occupation"] == "Planted"
+        with pytest.raises(DataError, match="'huge': daily rate 1e\\+300 on day 0"):
+            list(records)
+
+    def test_failed_write_leaves_the_earlier_scenario(self, tmp_path):
+        corpus_path, truth_path = write_scenario(basic_config(), tmp_path)
+        before = corpus_path.read_bytes(), truth_path.read_bytes()
+        with pytest.raises(DataError, match="huge"):
+            write_scenario(limit_crossed_config(), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
+                                                              "ground_truth.json"]
+        assert (corpus_path.read_bytes(), truth_path.read_bytes()) == before
 
 
 class TestValidation:
@@ -159,8 +180,7 @@ def test_write_scenario_roundtrips(tmp_path):
     corpus_path, truth_path = write_scenario(basic_config(), tmp_path)
     corpus, report = ingest(corpus_path)
     assert report.rejected == 0
-    direct, _ = generate(basic_config())
-    assert list(corpus.rows()) == direct
+    assert list(corpus.rows()) == list(generate(basic_config()))
     truth = json.loads(truth_path.read_text())
     assert truth["seed"] == 42
     assert truth["occupations"]["Planted"] == "pq"
@@ -183,8 +203,7 @@ def test_config_from_dict_full():
     config = config_from_dict(raw)
     assert config.start_date == dt.date(2016, 5, 1)
     assert config.clusters[0].growth_changepoints == ((7, -0.1),)
-    ads, _ = generate(config)
-    assert ads
+    assert next(generate(config), None) is not None
 
 
 def test_config_from_dict_leaves_absent_fields_at_their_defaults():
@@ -195,7 +214,7 @@ def test_config_from_dict_leaves_absent_fields_at_their_defaults():
          "base_daily_rate": 5.0, "cohesion": 0.7}]}
     config = config_from_dict(raw)
     assert config == basic_config()
-    _, truth = generate(config)
+    truth = ground_truth(config)
     assert set(truth.params["bg"]) == {
         f.name for f in dataclasses.fields(ClusterSpec)} - {"name", "skills", "occupations"}
     assert truth.params["bg"]["cohesion"] == 0.7

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 import statistics
 
 import numpy as np
@@ -140,8 +141,7 @@ class TestAggregateDaily:
             clusters=(ClusterSpec(name="c", skills=("s",), occupations=("o",),
                                   base_daily_rate=7.0),),
         )
-        records, _ = generate(config)
-        s = aggregate_daily(ingest_records(records)[0].ordinals, 0, ["all"],
+        s = aggregate_daily(ingest_records(generate(config))[0].ordinals, 0, ["all"],
                             config.start_date, config.start_date + dt.timedelta(days=9))
         assert s.counts.tolist() == [[7.0]] * 10
 
@@ -181,6 +181,15 @@ class TestSmape:
     def test_empty_fatal(self):
         with pytest.raises(DataError):
             smape([], [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["actual", "predicted"])
+    def test_non_finite_value_fatal(self, bad, side):
+        finite, other = [1.0, 1.0], [bad, 1.0]
+        args = (other, finite) if side == "actual" else (finite, other)
+        with pytest.raises(DataError, match="^smape requires finite values$"):
+            smape(*args)
 
     def test_rows_scored_over_last_axis(self):
         scores = smape([[10, 0], [1, 2], [0, 0]], [[30, 0], [0, 0], [0, 0]])
