@@ -433,8 +433,6 @@ def build_index(corpus: Corpus) -> IncidenceIndex:
 
 
 def write_jsonl(records: Iterable[dict], path) -> None:
-    """Write records as JSONL, one object with sorted keys per line, each
-    as it is taken from ``records``."""
-    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+    """Write records as JSONL, one object with sorted keys per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(encode(rec) + "\n" for rec in records)
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)

@@ -22,11 +22,11 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import compress
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .corpus import normalize_skill, parse_date, write_jsonl
+from .corpus import normalize_skill, parse_date
 from .errors import DataError
 
 WEEK_PERIOD = 7.0
@@ -156,18 +156,13 @@ def _records(config: SynthConfig) -> Iterator[dict]:
     normal per planted field. Whatever depends only on the day and the
     cluster is computed once per day and cluster."""
     rng = np.random.default_rng(config.seed)
-    integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
     noise = config.noise_level
     bg_names = [normalize_skill(n) for n, _ in config.background_skills]
     bg_probs = np.array([p for _, p in config.background_skills], dtype=np.float64)
     clusters = []
     for c in config.clusters:
-        names = [normalize_skill(s) for s in c.skills]
         planted = (c.salary_level, c.education_mean, c.experience_mean)
-        clusters.append((c, names,
-                         # whether an ad can name a skill twice: a skill given
-                         # twice, or also a background skill
-                         len({*names, *bg_names}) < len(names) + len(bg_names),
+        clusters.append((c, [normalize_skill(s) for s in c.skills],
                          sum(v is not None for v in planted) if noise else 0))
 
     ad_no = 0
@@ -180,7 +175,7 @@ def _records(config: SynthConfig) -> Iterator[dict]:
             season += config.yearly_amplitude * np.sin(2 * np.pi * t / YEAR_PERIOD)
         season = max(0.0, float(season))
         years = t / DAYS_PER_YEAR
-        for cluster, names, dedupe, n_noise in clusters:
+        for cluster, names, n_noise in clusters:
             rate = _daily_rate(cluster, t) * season
             if not rate <= POISSON_LAM_MAX:
                 raise DataError(f"synth cluster {cluster.name!r}: daily rate {rate:g} "
@@ -189,47 +184,46 @@ def _records(config: SynthConfig) -> Iterator[dict]:
                 count = int(round(rate))
             else:
                 count = int(rng.poisson(rate))
-            if not count:
-                continue
             salary = education = experience = None
-            fixed = {}
             if cluster.salary_level is not None:
                 salary = cluster.salary_level * (1.0 + cluster.salary_trend * years)
-                mid = max(1.0, salary)
-                fixed["salary_min"], fixed["salary_max"] = 0.9 * mid, 1.1 * mid
             if cluster.education_mean is not None:
                 education = cluster.education_mean
-                fixed["education_years"] = max(0.0, education)
             if cluster.experience_mean is not None:
                 experience = cluster.experience_mean + cluster.experience_trend * years
-                fixed["experience_years"] = max(0.0, experience)
             occupations, cohesion = cluster.occupations, cluster.cohesion
             for _ in range(count):
                 ad_no += 1
-                occ = occupations[int(integers(len(occupations)))]
+                occ = occupations[int(rng.integers(len(occupations)))]
                 if cohesion >= 1.0:
                     skills = list(names)
                 else:
-                    skills = list(compress(names, (random(len(names)) < cohesion).tolist()))
+                    skills = list(compress(names, (rng.random(len(names)) < cohesion)
+                                           .tolist()))
                     if not skills:
                         # an ad must demand at least one skill
-                        skills.append(names[int(integers(len(names)))])
+                        skills.append(names[int(rng.integers(len(names)))])
                 if bg_names:
-                    skills.extend(compress(bg_names, (random(len(bg_names)) < bg_probs)
+                    skills.extend(compress(bg_names, (rng.random(len(bg_names)) < bg_probs)
                                            .tolist()))
                 rec = {"id": f"ad-{ad_no:08d}", "date": date, "occupation": occ,
-                       "skills": list(dict.fromkeys(skills)) if dedupe else skills}
+                       "skills": list(dict.fromkeys(skills))}
+                mid, edu, exp = salary, education, experience
                 if n_noise:
-                    z = iter(standard_normal(n_noise).tolist())
-                    if salary is not None:
-                        mid = max(1.0, salary * (1.0 + noise * next(z)))
-                        rec["salary_min"], rec["salary_max"] = 0.9 * mid, 1.1 * mid
-                    if education is not None:
-                        rec["education_years"] = max(0.0, education + noise * next(z))
-                    if experience is not None:
-                        rec["experience_years"] = max(0.0, experience + noise * next(z))
-                else:
-                    rec.update(fixed)
+                    z = iter(rng.standard_normal(n_noise).tolist())
+                    if mid is not None:
+                        mid *= 1.0 + noise * next(z)
+                    if edu is not None:
+                        edu += noise * next(z)
+                    if exp is not None:
+                        exp += noise * next(z)
+                if mid is not None:
+                    mid = max(1.0, mid)
+                    rec["salary_min"], rec["salary_max"] = 0.9 * mid, 1.1 * mid
+                if edu is not None:
+                    rec["education_years"] = max(0.0, edu)
+                if exp is not None:
+                    rec["experience_years"] = max(0.0, exp)
                 yield rec
 
 
@@ -252,24 +246,35 @@ def ground_truth(config: SynthConfig) -> GroundTruth:
     )
 
 
+def write_jsonl(records: Iterable[dict], path) -> None:
+    """Write records as JSONL, the bytes of :func:`corpus.write_jsonl`, each
+    as it is taken from ``records``, with one reusable encoder in place of a
+    ``json.dumps`` per record."""
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(encode(rec) + "\n" for rec in records)
+
+
 def write_scenario(config: SynthConfig, out_dir) -> tuple[Path, Path]:
-    """Write ``corpus.jsonl``, each record as it is drawn, then
-    ``ground_truth.json``. The corpus is written under a temporary name and
-    renamed once complete, so a run that fails partway leaves neither file
-    (and any earlier pair as it was)."""
+    """Write ``corpus.jsonl``, each record as it is drawn, and
+    ``ground_truth.json``. Both are written under temporary names and put in
+    place only once both are complete, so a run that fails partway leaves
+    neither file (and any earlier pair as it was)."""
     records = generate(config)  # validates before any file is opened
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / "corpus.jsonl"
     truth_path = out_dir / "ground_truth.json"
-    partial = out_dir / "corpus.jsonl.partial"
+    partials = [path.with_name(path.name + ".partial") for path in (corpus_path, truth_path)]
     try:
-        write_jsonl(records, partial)
+        write_jsonl(records, partials[0])
+        ground_truth(config).to_json(partials[1])
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for path in partials:
+            path.unlink(missing_ok=True)
         raise
-    partial.replace(corpus_path)
-    ground_truth(config).to_json(truth_path)
+    partials[0].replace(corpus_path)
+    partials[1].replace(truth_path)
     return corpus_path, truth_path
 
 

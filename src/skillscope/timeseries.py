@@ -250,15 +250,14 @@ def smape(actual, predicted):
     axis: a float for two vectors, an array of scores for stacked rows.
 
     A term with both values zero contributes 0 (perfect prediction of an
-    empty day). NaN or an infinity in either array is a DataError: a NaN
-    term would otherwise count as a perfect one."""
+    empty day)."""
     a = np.asarray(actual, dtype=np.float64)
     f = np.asarray(predicted, dtype=np.float64)
     if a.shape != f.shape or a.ndim == 0:
         raise DataError("smape requires two arrays of equal shape")
     if a.shape[-1] == 0:
         raise DataError("smape requires at least one observation")
-    if not (np.isfinite(a).all() and np.isfinite(f).all()):
+    if a.size and not np.isfinite([a.min(), a.max(), f.min(), f.max()]).all():
         raise DataError("smape requires finite values")
     denom = np.abs(a) + np.abs(f)
     terms = np.divide(np.abs(f - a), denom, out=np.zeros_like(denom), where=denom > 0)

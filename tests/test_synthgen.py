@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from skillscope.errors import DataError
 from skillscope.skillmetrics import compute_effective_use, compute_rca
 from skillscope.synthgen import (
     ClusterSpec,
+    GroundTruth,
     SynthConfig,
     config_from_dict,
     generate,
@@ -141,6 +143,21 @@ class TestStreaming:
         before = corpus_path.read_bytes(), truth_path.read_bytes()
         with pytest.raises(DataError, match="huge"):
             write_scenario(limit_crossed_config(), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
+                                                              "ground_truth.json"]
+        assert (corpus_path.read_bytes(), truth_path.read_bytes()) == before
+
+    def test_failed_truth_write_leaves_the_earlier_scenario(self, tmp_path, monkeypatch):
+        corpus_path, truth_path = write_scenario(basic_config(), tmp_path)
+        before = corpus_path.read_bytes(), truth_path.read_bytes()
+
+        def full_disk(self, path):
+            Path(path).write_text("{")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(GroundTruth, "to_json", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            write_scenario(basic_config(seed=7), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
                                                               "ground_truth.json"]
         assert (corpus_path.read_bytes(), truth_path.read_bytes()) == before

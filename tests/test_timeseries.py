@@ -195,6 +195,9 @@ class TestSmape:
         scores = smape([[10, 0], [1, 2], [0, 0]], [[30, 0], [0, 0], [0, 0]])
         assert scores.tolist() == pytest.approx([50.0, 200.0, 0.0])
 
+    def test_no_rows_scored_as_no_scores(self):
+        assert smape(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+
 
 class TestFit:
     def test_pure_linear_recovery(self):
