@@ -18,10 +18,11 @@ stage functions:
 
 Stages communicate through plain CSV/JSON files so every intermediate is
 inspectable and the pipeline is resumable. ``main`` makes the ``--out``
-directory before any stage runs, and a flag value that no corpus can make
-valid is rejected by the stage's own check before ingest; stage functions
-only compute, and each command writes its files after its last stage, so a
-failed command writes none. After every command ``main`` writes a
+directory and rejects a flag value that no corpus can make valid, by the
+stage's own check, before any input file is read; every side input file
+(seeds, skill set, category map, holidays) is read before ingest; stage
+functions only compute, and each command writes its files after its last
+stage, so a failed command writes none. After every command ``main`` writes a
 provenance.json: every parsed flag except ``--out``, the SHA-256 of every
 input file named by a flag, the tool version and a timestamp. ``hashlib``
 is imported only there, after the last stage, so no stage runs with
@@ -123,9 +124,7 @@ def _read_json(path, what: str):
 
 
 def _load_corpus(args):
-    path = _require_file(args.input, "input corpus")
-    _check_values(args)
-    return corpus_mod.ingest(path, args.format)
+    return corpus_mod.ingest(_require_file(args.input, "input corpus"), args.format)
 
 
 def _read_seeds(args) -> list[str]:
@@ -167,8 +166,8 @@ def _read_holidays(path) -> tuple[dt.date, ...]:
 
 def _check_values(args) -> None:
     """The stages' own checks of the flag values that no corpus can make
-    valid, in stage order, made before ingest so that such a value costs
-    no work."""
+    valid, in stage order, made before any input file is read so that such
+    a value costs no work."""
     given = vars(args)
     if "per_seed_k" in given:
         similarity.check_expansion(args.per_seed_k, args.cutoff)
@@ -192,7 +191,7 @@ def _fit_config(args) -> timeseries.FitConfig:
 def _skills_stage(corpus, seeds, args) -> similarity.SkillSetResult:
     """Index, RCA, effective use, theta and seed expansion."""
     index = corpus_mod.build_index(corpus)
-    eff = skillmetrics.compute_effective_use(skillmetrics.compute_rca(index))
+    eff = skillmetrics.compute_effective_use(index)
     return similarity.expand_seeds(
         eff,
         seeds,
@@ -283,10 +282,11 @@ def cmd_skills(args) -> None:
 
 
 def cmd_occupations(args) -> None:
-    corpus, _ = _load_corpus(args)
     skill_set = similarity.SkillSetResult.from_csv(
         _require_file(args.skills, "skill set CSV"))
-    selection = _occupations_stage(corpus, skill_set, _load_category_map(args), args)
+    category_map = _load_category_map(args)
+    corpus, _ = _load_corpus(args)
+    selection = _occupations_stage(corpus, skill_set, category_map, args)
     occupations_mod.write_selection_csv(selection, Path(args.out) / "occupations.csv")
     print(f"selected {len(selection.profiles)} occupations "
           f"({selection.total_ads} ads) above eta > {args.threshold}")
@@ -311,8 +311,9 @@ def cmd_backtest(args) -> None:
 
 def cmd_indicators(args) -> None:
     cfg = _fit_config(args)
+    category_map = _load_category_map(args)
     corpus, _ = _load_corpus(args)
-    labels, codes = _group_ads(corpus, _load_category_map(args))
+    labels, codes = _group_ads(corpus, category_map)
     report = _indicators_stage(corpus, labels, codes, args, cfg)
     out = Path(args.out)
     indicators_mod.write_report(report, out)
@@ -322,9 +323,9 @@ def cmd_indicators(args) -> None:
 def cmd_report(args) -> None:
     cfg = _fit_config(args)
     seeds = _read_seeds(args)
+    category_map = _load_category_map(args)
     corpus, ingest_report = _load_corpus(args)
     skill_set = _skills_stage(corpus, seeds, args)
-    category_map = _load_category_map(args)
     selection = _occupations_stage(corpus, skill_set, category_map, args)
     if not selection.profiles:
         raise DataError(f"no occupation exceeds eta > {args.threshold}; "
@@ -485,6 +486,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise UsageError(f"cannot make --out directory {args.out}: "
                              f"{exc.strerror}") from None
+        _check_values(args)
         with warnings.catch_warnings():
             warnings.simplefilter("default")  # not the caller's, which may make them errors
             warnings.showwarning = _show_warning

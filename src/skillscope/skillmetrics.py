@@ -1,5 +1,5 @@
-"""Skill relevance within single ads: comparative-advantage ratios and the
-binary effective-use matrix derived from them.
+"""Skill relevance within single ads: each skill's comparative-advantage
+limit and the binary effective-use matrix derived from it.
 
 For a job j with n_j distinct skills and a skill s demanded by c_s of the
 N total skill slots in the corpus, the relevance ratio is
@@ -9,9 +9,9 @@ N total skill slots in the corpus, the relevance ratio is
 defined only where the skill actually appears in the ad. A skill is in
 "effective use" in an ad when the ratio is strictly above 1.
 
-No ratio is stored: :class:`RcaMatrix` computes one on demand, with n_j
-read from ``indptr`` and N as the number of slots. The effective-use matrix
-is decided from the integer counts alone and is an
+No ratio is computed: the decision is taken in integers, from each skill's
+limit ``(N - 1) // c_s``, the longest ad (counted in distinct skills) in
+which its ratio is above 1. The effective-use matrix is an
 :class:`~skillscope.corpus.IncidenceIndex` like the incidence, cut from it by
 one boolean mask, one byte per slot, which is built only when some skill's
 limit is below the longest ad; every wider per-slot temporary is taken one
@@ -27,47 +27,29 @@ from .corpus import IncidenceIndex
 from .errors import InvariantError
 
 
-class RcaMatrix:
-    """Per-job relevance ratios over the incidence index, computed on demand."""
-
-    def __init__(self, index: IncidenceIndex):
-        self.index = index
-
-    def value(self, job_pos: int, skill_idx: int) -> float:
-        """Ratio at (job, skill); 0.0 where the skill is absent from the ad."""
-        index = self.index
-        job_pos = range(len(index.indptr) - 1)[job_pos]  # IndexError past either end
-        lo, hi = index.indptr[job_pos], index.indptr[job_pos + 1]
-        if not np.any(index.indices[lo:hi] == skill_idx):
-            return 0.0
-        return float(len(index.indices)) / (float(hi - lo)
-                                             * float(index.skill_job_counts[skill_idx]))
-
-
-def compute_rca(index: IncidenceIndex) -> RcaMatrix:
-    """Relevance ratios over every (job, skill) incidence entry."""
+def compute_rca(index: IncidenceIndex) -> np.ndarray:
+    """Each skill's limit as int64: an entry (j, s) has a ratio above 1 iff
+    ``n_j <= limit[s]``, where ``limit[s] = (N - 1) // c_s``. This is
+    ``c_s * n_j <= N - 1``, the same test as the ratio while
+    ``n_j * c_s < 2**52``."""
     if not np.diff(index.indptr).all():
         raise InvariantError("every ad must have at least one skill")
-    return RcaMatrix(index)
+    # A skill in no ad (c_s = 0) has no slot to keep; any limit serves.
+    return (len(index.indices) - 1) // np.maximum(index.skill_job_counts, 1)
 
 
-def compute_effective_use(rca: RcaMatrix) -> IncidenceIndex:
+def compute_effective_use(index: IncidenceIndex) -> IncidenceIndex:
     """The incidence entries in effective use, with their own ads per skill.
 
     Strict thresholding: a skill counts as effectively used only when its
-    ratio exceeds 1; a ratio of exactly 1.0 drops out. Decided in integers:
-    an entry stays iff ``n_j <= (N - 1) // c_s``, the skill's limit on the
-    length of an ad that keeps it; this is ``c_s * n_j <= N - 1``, the same
-    test as the ratio while ``n_j * c_s < 2**52``. Where no skill's limit is
-    below the longest ad, the incidence itself is returned with no per-slot
-    work; otherwise one boolean mask over the slots is built one
-    ``SLOT_SLICE`` at a time, and where it keeps every entry the incidence
-    is still returned, not a copy."""
-    index = rca.index
+    ratio exceeds 1; a ratio of exactly 1.0 drops out. Where no skill's
+    limit (:func:`compute_rca`) is below the longest ad, the incidence
+    itself is returned with no per-slot work; otherwise one boolean mask
+    over the slots is built one ``SLOT_SLICE`` at a time, and where it keeps
+    every entry the incidence is still returned, not a copy."""
+    limit = compute_rca(index)
     indptr, indices = index.indptr, index.indices
     n_j = np.diff(indptr)
-    # A skill in no ad (c_s = 0) has no slot to keep; any limit serves.
-    limit = (len(indices) - 1) // np.maximum(index.skill_job_counts, 1)
     if not len(indices) or limit.min() >= n_j.max():
         return index
     keep = np.empty(len(indices), dtype=bool)

@@ -8,6 +8,8 @@ record of the interchange form (ISO date text, a ``skills`` list, only the
 numbers present), then folded into plain lists one skill slot at a time.
 Two readers, :func:`theta_value` and :func:`theta_pairs`, put the
 package's theta rows in the shape of :func:`brute_theta` for comparison;
+:func:`rca_value` reads one ratio off an incidence index, as
+:func:`brute_rca` gives it;
 :func:`ad_ids` reads a corpus's ids as a list. :func:`brute_groups` scans
 the corpus once per group label. :func:`model_values` reads one label's
 fitted values off a decomposition model.
@@ -83,6 +85,15 @@ def theta_pairs(eff) -> list[tuple[int, int, float]]:
     """Every positive (a, b, theta) with a < b, read from each skill's row."""
     return [(a, b, v) for a in range(len(eff.skill_ids))
             for b, v in compute_theta(eff, a) if a < b]
+
+
+def rca_value(index, pos: int, s: int) -> float:
+    """The ratio ``N / (n_j * c_s)`` of skill ``s`` in the ad at ``pos``,
+    from the index's counts; 0.0 where the skill is absent from the ad."""
+    lo, hi = int(index.indptr[pos]), int(index.indptr[pos + 1])
+    if s not in index.indices[lo:hi].tolist():
+        return 0.0
+    return len(index.indices) / ((hi - lo) * int(index.skill_job_counts[s]))
 
 
 def brute_eta(records: list[dict], targets: set[str]) -> dict[str, float]:

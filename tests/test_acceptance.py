@@ -15,7 +15,7 @@ from skillscope.corpus import build_index, ingest_records
 from skillscope.indicators import assemble_report
 from skillscope.occupations import compute_intensity, select_occupations
 from skillscope.similarity import expand_seeds
-from skillscope.skillmetrics import compute_effective_use, compute_rca
+from skillscope.skillmetrics import compute_effective_use
 from skillscope.synthgen import ClusterSpec, SynthConfig, generate, ground_truth
 from skillscope.timeseries import (
     DailySeries,
@@ -36,6 +36,7 @@ from oracles import (
     jobs_to_records,
     model_values,
     random_jobs,
+    rca_value,
     theta_pairs,
     theta_value,
 )
@@ -46,7 +47,7 @@ START = dt.date(2012, 1, 1)
 def pipeline(records):
     corpus, _ = ingest_records(records)
     index = build_index(corpus)
-    eff = compute_effective_use(compute_rca(index))
+    eff = compute_effective_use(index)
     return corpus, index, eff
 
 
@@ -60,12 +61,11 @@ def test_criterion_1_formula_oracles():
         ads = [{**a, "occupation": f"occ{i % 3}"}
                for i, a in enumerate(jobs_to_records(jobs))]
         corpus, index, eff = pipeline(ads)
-        rca = compute_rca(index)
 
         ids = ad_ids(corpus)
         for (j, s), want in brute_rca(jobs).items():
             pos = ids.index(j)
-            got = rca.value(pos, corpus.skill_ids[s])
+            got = rca_value(index, pos, corpus.skill_ids[s])
             assert got == pytest.approx(want, rel=1e-12)
             checked += 1
         for (a, b), want in brute_theta(jobs).items():
@@ -93,12 +93,11 @@ def test_criterion_2_invariance_suite():
         doubled = ads + [{**a, "id": a["id"] + "-dup"} for a in ads]
         corpus, index, eff = pipeline(ads)
         corpus2, index2, eff2 = pipeline(doubled)
-        rca, rca2 = compute_rca(index), compute_rca(index2)
         ids2 = ad_ids(corpus2)
         for pos, (j, row) in enumerate(zip(ad_ids(corpus), csr_rows(index))):
             for s in row:
-                assert rca2.value(ids2.index(j), s) == pytest.approx(
-                    rca.value(pos, s), rel=1e-12)
+                assert rca_value(index2, ids2.index(j), s) == pytest.approx(
+                    rca_value(index, pos, s), rel=1e-12)
         for a, b, v in theta_pairs(eff):
             assert 0.0 <= v <= 1.0
             assert theta_value(eff, b, a) == v

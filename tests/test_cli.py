@@ -70,6 +70,13 @@ class TestExitCodes:
         assert rc == 1
         assert "missing.txt" in capsys.readouterr().err
 
+    def test_seeds_file_of_blank_lines_exit_1(self, corpus, tmp_path, capsys):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("\n  \n\t\n")
+        assert main(["skills", "--input", str(corpus), "--seeds", str(seeds),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"usage error: seeds file is empty: {seeds}" in one_line_error(capsys)
+
     def test_missing_input_exit_1(self, tmp_path, capsys):
         rc = main(["ingest", "--input", str(tmp_path / "none.jsonl"),
                    "--out", str(tmp_path / "o")])
@@ -84,6 +91,15 @@ class TestExitCodes:
         rc = main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def no_ingest(monkeypatch):
+    """Make any ingest fail the test: the command must end before it."""
+    def ingest(*args, **kwargs):
+        raise AssertionError("ingest ran")
+
+    monkeypatch.setattr(corpus_mod, "ingest", ingest)
 
 
 def one_line_error(capsys) -> str:
@@ -108,11 +124,7 @@ class TestBacktestInputErrors:
     @pytest.mark.parametrize("command", [["backtest"], ["indicators"],
                                          ["report", "--seed-skill", "ml"]])
     def test_changepoints_above_train_days_exit_1_before_ingest(
-            self, corpus, tmp_path, capsys, monkeypatch, command):
-        def no_ingest(*args, **kwargs):
-            raise AssertionError("ingest ran")
-
-        monkeypatch.setattr(corpus_mod, "ingest", no_ingest)
+            self, corpus, tmp_path, capsys, no_ingest, command):
         tracemalloc.start()
         try:
             rc = main([*command, "--input", str(corpus), *BACKTEST_FLAGS,
@@ -141,14 +153,32 @@ class TestBacktestInputErrors:
               (["--iterations", "-1"], "-1 iterations; needs at least 1"))],
     ])
     def test_value_no_corpus_makes_valid_exit_2_before_ingest(
-            self, corpus, tmp_path, capsys, monkeypatch, command, flags, message):
-        def no_ingest(*args, **kwargs):
-            raise AssertionError("ingest ran")
-
-        monkeypatch.setattr(corpus_mod, "ingest", no_ingest)
+            self, corpus, tmp_path, capsys, no_ingest, command, flags, message):
         out = tmp_path / "o"
         assert main([*command, "--input", str(corpus), *flags, "--out", str(out)]) == 2
         assert message in one_line_error(capsys)
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command,flag", [
+        (["occupations", "--skills", "{skills}"], "--category-map"),
+        (["indicators", *BACKTEST_FLAGS], "--category-map"),
+        (["report", "--seed-skill", "ml", *BACKTEST_FLAGS], "--category-map"),
+        (["occupations"], "--skills"),
+    ], ids=["occupations-map", "indicators-map", "report-map", "occupations-skills"])
+    # Three columns: too many for a category map, and no theta for a skill set.
+    @pytest.mark.parametrize("content,rc", [(None, 1), (b"skill,rank,extra\nml,1,2\n", 2)],
+                             ids=["missing", "malformed"])
+    def test_bad_side_input_file_exits_before_ingest(
+            self, corpus, tmp_path, capsys, no_ingest, command, flag, content, rc):
+        skills = tmp_path / "skills.csv"
+        skills.write_text("skill,theta\nml,1.0\n")
+        bad = tmp_path / "side-input"
+        if content is not None:
+            bad.write_bytes(content)
+        out = tmp_path / "o"
+        argv = [a.format(skills=skills) for a in command]
+        assert main([*argv, flag, str(bad), "--input", str(corpus), "--out", str(out)]) == rc
+        assert str(bad) in one_line_error(capsys)
         assert not any(out.iterdir())
 
     def test_unknown_occupation_exit_2_writes_no_file(self, corpus, tmp_path, capsys):
@@ -165,6 +195,19 @@ class TestBacktestInputErrors:
         assert main([command, "--input", str(empty), *BACKTEST_FLAGS,
                      "--out", str(tmp_path / "o")]) == 2
         assert "no accepted ads" in one_line_error(capsys)
+
+    def test_csv_corpus_without_header_row(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        ingested = tmp_path / "ingested"
+        assert main(["ingest", "--format", "csv", "--input", str(empty),
+                     "--out", str(ingested)]) == 0
+        assert json.loads((ingested / "ingest_report.json").read_text())["accepted"] == 0
+        out = tmp_path / "o"
+        assert main(["report", "--format", "csv", "--input", str(empty),
+                     "--seed-skill", "ml", *BACKTEST_FLAGS, "--out", str(out)]) == 2
+        assert "empty corpus" in one_line_error(capsys)
+        assert not any(out.iterdir())
 
     def test_bad_holiday_date_names_file_and_line(self, corpus, tmp_path, capsys):
         holidays = tmp_path / "holidays.txt"
@@ -276,12 +319,29 @@ class TestInputFileErrors:
          "invalid ClusterSpec growth for 'target'"),
         ({**SCENARIO, "start_date": "2017-W01-1"}, "not a YYYY-MM-DD date: '2017-W01-1'"),
         ({**SCENARIO, "deterministic_counts": "false"}, "expected true or false, got 'false'"),
+        ({**SCENARIO, "seed": -1}, "invalid SynthConfig.seed: must be >= 0"),
+        ({**SCENARIO, "clusters": []}, "need at least one cluster"),
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "occupations": []}]},
+         "invalid ClusterSpec.occupations for 'target': empty"),
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "base_daily_rate": -1}]},
+         "invalid ClusterSpec.base_daily_rate for 'target'"),
+        ({**SCENARIO, "weekly_amplitude": 1.0},
+         "invalid SynthConfig.weekly_amplitude: must be in [0, 1)"),
+        ({**SCENARIO, "yearly_amplitude": -0.1},
+         "invalid SynthConfig.yearly_amplitude: must be in [0, 1)"),
+        ({**SCENARIO, "noise_level": -0.5}, "invalid SynthConfig.noise_level: must be >= 0"),
+        ({**SCENARIO, "noise_level": float("nan")}, "non-finite number nan"),
+        ({**SCENARIO, "clusters": [{**SCENARIO["clusters"][0], "salary_level": "high"}]},
+         "expected a finite number or null, got 'high'"),
     ], ids=["array", "n_days-not-a-number", "n_days-text", "n_days-fraction",
             "seed-fraction", "seed-boolean", "changepoint-day-fraction",
             "changepoint-day-negative", "skills-not-a-list",
             "rate-above-poisson-limit", "second-cluster-rate-above-poisson-limit",
             "deterministic-rate-above-poisson-limit",
-            "growth-below-minus-one", "start-date-iso-week", "deterministic-counts-text"])
+            "growth-below-minus-one", "start-date-iso-week", "deterministic-counts-text",
+            "seed-negative", "no-clusters", "occupations-empty", "rate-negative",
+            "weekly-amplitude-one", "yearly-amplitude-negative", "noise-negative",
+            "noise-nan", "salary-level-text"])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(config))
@@ -316,7 +376,10 @@ class TestReservedMarketLabel:
 @pytest.mark.parametrize("flags,mapping,message", [
     ([], "Modeler,market\n", "group label 'market' is reserved"),
     (["--train-days", "700"], None, "too short for the backtest"),
-], ids=["category-market", "train-days-above-span"])
+    # the seed alone is the skill set: no occupation's ads are 90% "ml"
+    (["--cutoff", "1", "--threshold", "0.9"], None,
+     "no occupation exceeds eta > 0.9; nothing to report on"),
+], ids=["category-market", "train-days-above-span", "no-occupation-above-threshold"])
 def test_failed_report_writes_no_file(corpus, tmp_path, capsys, flags, mapping, message):
     argv = ["report", "--input", str(corpus), "--seed-skill", "ml", "--per-seed-k", "10",
             "--cutoff", "5", *BACKTEST_FLAGS, *flags, "--out", str(tmp_path / "o")]
@@ -664,6 +727,14 @@ class TestConfigFile:
         assert main(["skills", "--input", str(corpus), "--config-file", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert f"usage error: config file key {key!r}" in one_line_error(capsys)
+
+    def test_true_sets_the_flag(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"avg_over_all_seeds": True}))
+        out = tmp_path / "o"
+        assert main(["skills", "--input", str(corpus), "--seed-skill", "ml",
+                     "--config-file", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "skills.json").read_text())["avg_over_all_seeds"] is True
 
     def test_seeds_file_and_seed_skill_together_exit_1(self, corpus, tmp_path, capsys):
         assert main(["skills", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),

@@ -6,7 +6,10 @@ mixed-case names, ``backtest --occupation Modeler --holidays``, ``report``
 plain, with ``--holidays`` and with ``--default-categories``, and
 ``indicators`` with ``--holidays`` (two groups plus the market). Plain
 ``report`` runs once more on the scenario started on 2016-10-01, so that its
-ads span a New Year and the report has posting growth. ``synth`` itself is
+ads span a New Year and the report has posting growth, and once on the
+scenario run to 800 days with a yearly season and ``--train-days 731``, so
+that every fit, the backtest's and the trend's, takes the yearly Fourier
+block. ``synth`` itself is
 pinned on that scenario and on :data:`SYNTH_BRANCHES`, a small config that
 reaches every branch of its draw loop, with and without noise: a change to
 the generator must keep every draw and every float operation. SMAPE values
@@ -53,6 +56,8 @@ CASES = {
     "report-default-categories": [*REPORT, "--default-categories"],
     "indicators-holidays": ["indicators", "--holidays", "{holidays}", *BACKTEST_FLAGS],
     "report-new-year": REPORT,
+    "report-yearly": ["report", *SKILLS, "--train-days", "731", "--test-days", "14",
+                      "--iterations", "3", "--changepoints", "5"],
 }
 # Reaches every branch of synth's draw loop: a cluster at cohesion 1.0; one
 # skill at low cohesion, whose empty draws fall back to one drawn skill; a
@@ -87,8 +92,11 @@ SYNTH_CASES = {
     "synth-branches-noiseless": {**SYNTH_BRANCHES, "noise_level": 0,
                                  "deterministic_counts": False},
 }
-# Cases run on the scenario started elsewhere in the year.
-START_DATES = {"report-new-year": "2016-10-01"}
+# Cases run on the scenario with these fields changed.
+SCENARIO_CHANGES = {
+    "report-new-year": {"start_date": "2016-10-01"},
+    "report-yearly": {"n_days": 800, "yearly_amplitude": 0.3},
+}
 SMAPE_ABS = 1e-9
 
 
@@ -101,11 +109,11 @@ def run_case(name: str, root: Path) -> Path:
         cfg.write_text(json.dumps(SYNTH_CASES[name]))
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
         return out
-    start = START_DATES.get(name, SCENARIO["start_date"])
-    corpus = root / f"synth-{start}" / "corpus.jsonl"
+    scenario = f"scenario-{name}" if name in SCENARIO_CHANGES else "scenario"
+    corpus = root / scenario / "corpus.jsonl"
     if not corpus.is_file():
-        cfg = root / f"scenario-{start}.json"
-        cfg.write_text(json.dumps({**SCENARIO, "start_date": start}))
+        cfg = root / f"{scenario}.json"
+        cfg.write_text(json.dumps({**SCENARIO, **SCENARIO_CHANGES.get(name, {})}))
         assert main(["synth", "--config", str(cfg), "--out", str(corpus.parent)]) == 0
         (root / "holidays.txt").write_text(HOLIDAYS)
         (root / "skills.csv").write_text(SKILLS_CSV)

@@ -23,7 +23,7 @@ from skillscope.cli import _sha256
 from skillscope.corpus import IncidenceIndex, build_index, ingest_records
 from skillscope.indicators import MARKET, assemble_report
 from skillscope.occupations import compute_intensity
-from skillscope.skillmetrics import compute_effective_use, compute_rca
+from skillscope.skillmetrics import compute_effective_use
 from skillscope.synthgen import ClusterSpec, SynthConfig, write_scenario
 from skillscope.timeseries import BacktestReport, DailySeries, fit
 
@@ -103,9 +103,9 @@ def test_build_index_takes_at_most_one_byte_per_slot(corpus):
 
 
 def test_effective_use_keeping_every_slot_takes_at_most_one_byte_per_slot(corpus):
-    rca = compute_rca(build_index(corpus))
-    eff, peak = traced_peak(lambda: compute_effective_use(rca))
-    assert eff is rca.index
+    index = build_index(corpus)
+    eff, peak = traced_peak(lambda: compute_effective_use(index))
+    assert eff is index
     assert peak <= len(corpus.slots)
 
 
@@ -116,8 +116,7 @@ def test_effective_use_dropping_slots_takes_at_most_eight_bytes_per_slot():
     rows = np.column_stack([np.zeros(N_ADS, dtype=np.int64), others])
     index = IncidenceIndex({f"s{i}": i for i in range(VOCAB)},
                            np.arange(N_ADS + 1) * PER_AD, rows.ravel().astype(np.int32))
-    rca = compute_rca(index)
-    eff, peak = traced_peak(lambda: compute_effective_use(rca))
+    eff, peak = traced_peak(lambda: compute_effective_use(index))
     assert eff.skill_job_counts[0] == 0
     assert len(eff.indices) == N_ADS * (PER_AD - 1)
     assert peak <= 8 * len(index.indices)

@@ -32,7 +32,7 @@ from skillscope.corpus import (Corpus, IngestReport, _Columns, build_index, inge
 from skillscope.errors import DataError, UsageError
 from skillscope.indicators import compute_indicators
 from skillscope.occupations import compute_intensity
-from skillscope.skillmetrics import compute_effective_use, compute_rca
+from skillscope.skillmetrics import compute_effective_use
 from skillscope.synthgen import config_from_dict
 from skillscope.timeseries import (BacktestReport, DailySeries, FitConfig, fit,
                                    sliding_window_backtest)
@@ -314,7 +314,7 @@ def effective_use_at_each_slice(records):
     for size in SLICES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_mod, "SLOT_SLICE", size)
-            eff = compute_effective_use(compute_rca(index))
+            eff = compute_effective_use(index)
         rows = [{corpus.skill_names[s] for s in row} for row in csr_rows(eff)]
         kept = sum(map(len, rows))
         assert (eff is index) == (kept == len(index.indices))

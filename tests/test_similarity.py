@@ -10,13 +10,14 @@ from skillscope import similarity
 from skillscope.corpus import IncidenceIndex, build_index, ingest_records, normalize_skill
 from skillscope.errors import DataError
 from skillscope.similarity import SkillScore, SkillSetResult, compute_theta, expand_seeds
-from skillscope.skillmetrics import compute_effective_use, compute_rca
+from skillscope.skillmetrics import compute_effective_use
 
 from oracles import (
     brute_theta,
     csr_rows,
     jobs_to_records,
     random_jobs,
+    rca_value,
     theta_pairs,
     theta_value,
 )
@@ -24,7 +25,7 @@ from oracles import (
 
 def eff_from_jobs(jobs):
     corpus, _ = ingest_records(jobs_to_records(jobs))
-    return compute_effective_use(compute_rca(build_index(corpus))), corpus
+    return compute_effective_use(build_index(corpus)), corpus
 
 
 WORKED = {"J1": {"A", "B"}, "J2": {"A"}, "J3": {"B", "C"}}
@@ -68,7 +69,7 @@ class TestTheta:
         records = jobs_to_records(WORKED)
         doubled = records + [{**r, "id": r["id"] + "d"} for r in records]
         e1, _ = eff_from_jobs(WORKED)
-        e2 = compute_effective_use(compute_rca(build_index(ingest_records(doubled)[0])))
+        e2 = compute_effective_use(build_index(ingest_records(doubled)[0]))
         for a, b, v in theta_pairs(e1):
             assert theta_value(e2, a, b) == pytest.approx(v, rel=1e-12)
 
@@ -188,10 +189,10 @@ def test_skill_order_within_ads_changes_nothing():
                                                                max_skills=12)))
         views = []
         for c in (corpus, flip_rows(corpus)):
-            rca = compute_rca(build_index(c))
-            eff = compute_effective_use(rca)
+            index = build_index(c)
+            eff = compute_effective_use(index)
             views.append((
-                {(i, s): rca.value(i, s) for i in range(len(c))
+                {(i, s): rca_value(index, i, s) for i in range(len(c))
                  for s in c.slots[c.indptr[i]:c.indptr[i + 1]].tolist()},
                 [set(row) for row in csr_rows(eff)],
                 theta_pairs(eff),

@@ -7,7 +7,7 @@ import pytest
 
 from skillscope.corpus import build_index, ingest, ingest_records
 from skillscope.errors import DataError
-from skillscope.skillmetrics import compute_effective_use, compute_rca
+from skillscope.skillmetrics import compute_effective_use
 from skillscope.synthgen import (
     ClusterSpec,
     GroundTruth,
@@ -60,7 +60,7 @@ class TestPlantedStructure:
     def test_perfect_cluster_reaches_theta_one(self):
         config = basic_config()
         corpus, _ = ingest_records(generate(config))
-        eff = compute_effective_use(compute_rca(build_index(corpus)))
+        eff = compute_effective_use(build_index(corpus))
         p, q = corpus.skill_ids["p"], corpus.skill_ids["q"]
         assert theta_value(eff, p, q) == 1.0
         assert ground_truth(config).clusters["pq"] == ["p", "q"]
