@@ -96,9 +96,7 @@ def _write_provenance(out_dir: Path, args) -> None:
         "version": __version__,
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
-    (out_dir / "provenance.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    corpus_mod.write_json(out_dir / "provenance.json", payload)
 
 
 def _require_file(path, what: str) -> Path:
@@ -119,7 +117,8 @@ def _read_text(path, what: str) -> str:
 def _read_json(path, what: str):
     try:
         return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
+    # ValueError: not JSON, or an integer over the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
@@ -256,10 +255,14 @@ def _indicators_stage(corpus, labels: list[str], codes: np.ndarray, args, cfg):
 
 
 def cmd_ingest(args) -> None:
-    corpus, report = _load_corpus(args)
     out = Path(args.out)
-    corpus_mod.write_jsonl(corpus.rows(), out / "corpus.jsonl")
-    (out / "ingest_report.json").write_text(report.to_json() + "\n")
+    written = out / "corpus.jsonl"
+    if written.exists() and written.samefile(_require_file(args.input, "input corpus")):
+        raise UsageError(f"--input {args.input} is the corpus.jsonl that ingest would "
+                         f"write to --out {args.out}")
+    corpus, report = _load_corpus(args)
+    corpus_mod.write_jsonl(corpus.rows(), written)
+    corpus_mod.write_json(out / "ingest_report.json", vars(report))
     print(f"accepted {report.accepted}, rejected {report.rejected} "
           f"({len(corpus.skill_names)} distinct skills)")
 
@@ -334,7 +337,7 @@ def cmd_report(args) -> None:
                                {p.occupation for p in selection.profiles})
     report = _indicators_stage(corpus, labels, codes, args, cfg)
     out = Path(args.out)
-    (out / "ingest_report.json").write_text(ingest_report.to_json() + "\n")
+    corpus_mod.write_json(out / "ingest_report.json", vars(ingest_report))
     skill_set.to_csv(out / "skills.csv")
     skill_set.to_json(out / "skills.json")
     occupations_mod.write_selection_csv(selection, out / "occupations.csv")

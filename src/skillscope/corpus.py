@@ -26,6 +26,9 @@ it is taken one ``SLOT_SLICE`` of slots at a time, as
 
 Each input record is treated as a distinct advertisement; no deduplication
 of re-posted ads is attempted.
+
+Every output file but ``trend_lines.csv`` is written by one of the three
+writers here: :func:`write_jsonl`, :func:`write_json` or :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -285,9 +288,6 @@ class IngestReport:
     rejected: int = 0
     reasons: Counter = field(default_factory=Counter)
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True)
-
 
 def _check_utf8(text: str, reason: str) -> str:
     """``text`` itself; ValueError(reason) if it holds a lone surrogate
@@ -433,6 +433,23 @@ def build_index(corpus: Corpus) -> IncidenceIndex:
 
 
 def write_jsonl(records: Iterable[dict], path) -> None:
-    """Write records as JSONL, one object with sorted keys per line."""
+    """Write records as JSONL, one object with sorted keys per line, each as
+    it is taken from ``records``: the bytes of ``json.dumps(rec,
+    sort_keys=True)``, from one reusable encoder."""
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        fh.writelines(encode(rec) + "\n" for rec in records)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as one JSON document: indented by two spaces, keys
+    sorted, and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header: list, rows: Iterable[list]) -> None:
+    """Write the ``header`` row, then ``rows``, as ``csv.writer`` writes them."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, left_sum
+from .corpus import Corpus, left_sum, write_csv, write_json
 from .errors import DataError
 from .timeseries import BacktestReport, DecompositionModel, _trend_columns
 
@@ -270,20 +269,16 @@ def _csv_field(text: str) -> str:
 def _write_indicator_csv(path: Path, baseline, groups, by_year: str) -> None:
     """One row per group of its ``by_year`` field, the baseline's first."""
     years = sorted(baseline.counts_by_year)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [str(y) for y in years])
-        for ind in [baseline] + groups:
-            writer.writerow([ind.label] + [_fmt(getattr(ind, by_year).get(y)) for y in years])
+    write_csv(path, ["label"] + [str(y) for y in years],
+              ([ind.label] + [_fmt(getattr(ind, by_year).get(y)) for y in years]
+               for ind in [baseline] + groups))
 
 
 def write_boxplot(backtests: dict[str, BacktestReport], path) -> None:
     """One ``label,smape`` row per backtest window, labels in sorted order."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "smape"])
-        for label in sorted(backtests):
-            writer.writerows([label, repr(score)] for score in backtests[label].scores)
+    write_csv(path, ["label", "smape"],
+              ([label, repr(score)] for label in sorted(backtests)
+               for score in backtests[label].scores))
 
 
 def write_report(report: ShortageReport, out_dir) -> None:
@@ -324,9 +319,7 @@ def write_report(report: ShortageReport, out_dir) -> None:
         },
         "partial_years": report.partial_years,
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "report.json", payload)
 
 
 def _indicators_dict(ind: ShortageIndicators) -> dict:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Corpus, masked_indptr, normalize_skill
+from .corpus import Corpus, masked_indptr, normalize_skill, write_csv
 from .errors import DataError
 
 UNCATEGORIZED = "uncategorized"
@@ -76,7 +76,8 @@ def compute_intensity(corpus: Corpus,
 
 
 def load_category_map(path) -> dict[str, str]:
-    """Two-column CSV ``occupation,category``; a header row is optional."""
+    """Two-column CSV ``occupation,category``; a header row is optional.
+    An occupation may be named again only under the same category."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"cannot read category map: {path}")
@@ -98,7 +99,10 @@ def load_category_map(path) -> dict[str, str]:
         if not occ or not cat:
             raise DataError(f"malformed category map {path} at line {lineno}: "
                             "empty field")
-        mapping[occ] = cat
+        if mapping.setdefault(occ, cat) != cat:
+            raise DataError(f"malformed category map {path} at line {lineno}: "
+                            f"occupation {occ!r} is under both {mapping[occ]!r} "
+                            f"and {cat!r}")
     return mapping
 
 
@@ -133,11 +137,7 @@ def select_occupations(
 
 def write_selection_csv(result: SelectionResult, path) -> None:
     """Table layout: category, occupation, ads, eta, plus a TOTALS row."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "occupation", "ads", "eta", "low_support"])
-        for p in result.profiles:
-            writer.writerow([p.category or UNCATEGORIZED, p.occupation, p.ads, repr(p.eta),
-                             int(p.low_support)])
-        writer.writerow(["TOTALS", f"{len(result.profiles)} occupations", result.total_ads,
-                         "", ""])
+    rows = [[p.category or UNCATEGORIZED, p.occupation, p.ads, repr(p.eta), int(p.low_support)]
+            for p in result.profiles]
+    rows.append(["TOTALS", f"{len(result.profiles)} occupations", result.total_ads, "", ""])
+    write_csv(path, ["category", "occupation", "ads", "eta", "low_support"], rows)

@@ -20,14 +20,13 @@ scored by the mean of its scores over the lists in which it appears.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import IncidenceIndex, left_sum, normalize_skill
+from .corpus import IncidenceIndex, left_sum, normalize_skill, write_csv, write_json
 from .errors import DataError
 
 # The reference workflow cuts top-300 neighbour lists to a 150-skill set.
@@ -81,11 +80,9 @@ class SkillSetResult:
         return [e.skill for e in self.entries]
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "skill", "theta"])
-            for rank, e in enumerate(self.entries, start=1):
-                writer.writerow([rank, e.skill, repr(e.score)])
+        write_csv(path, ["rank", "skill", "theta"],
+                  ([rank, e.skill, repr(e.score)]
+                   for rank, e in enumerate(self.entries, start=1)))
 
     def to_json(self, path) -> None:
         payload = {
@@ -98,7 +95,7 @@ class SkillSetResult:
                 for i, e in enumerate(self.entries)
             ],
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(path, payload)
 
     @classmethod
     def from_csv(cls, path) -> "SkillSetResult":

@@ -17,16 +17,15 @@ which may change between NumPy releases (NEP 19); the golden cases of
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .corpus import normalize_skill, parse_date
+from .corpus import normalize_skill, parse_date, write_json, write_jsonl
 from .errors import DataError
 
 WEEK_PERIOD = 7.0
@@ -122,7 +121,7 @@ class GroundTruth:
     start_date: str
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        write_json(path, asdict(self))
 
 
 def _daily_rate(cluster: ClusterSpec, t: int) -> float:
@@ -246,18 +245,9 @@ def ground_truth(config: SynthConfig) -> GroundTruth:
     )
 
 
-def write_jsonl(records: Iterable[dict], path) -> None:
-    """Write records as JSONL, the bytes of :func:`corpus.write_jsonl`, each
-    as it is taken from ``records``, with one reusable encoder in place of a
-    ``json.dumps`` per record."""
-    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(encode(rec) + "\n" for rec in records)
-
-
 def write_scenario(config: SynthConfig, out_dir) -> tuple[Path, Path]:
-    """Write ``corpus.jsonl``, each record as it is drawn, and
-    ``ground_truth.json``. Both are written under temporary names and put in
+    """Write ``corpus.jsonl`` through :func:`~skillscope.corpus.write_jsonl`,
+    each record as it is drawn, and ``ground_truth.json``. Both are written under temporary names and put in
     place only once both are complete, so a run that fails partway leaves
     neither file (and any earlier pair as it was)."""
     records = generate(config)  # validates before any file is opened

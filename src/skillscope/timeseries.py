@@ -23,20 +23,20 @@ drops those rows from the shared factor by a k×k Woodbury downdate, k the
 number of distinct holiday days in the window. Only where the base or the
 reduced design may be rank-deficient at ``lstsq``'s cutoff, or the
 downdate ill-conditioned, is a window's design with its holiday columns
-factored on its own. Every series is
-scored in one SMAPE step per window.
+factored on its own. ``forecast`` turns a window's coefficients into its
+test days' predictions, clipped at zero, and every series is scored in one
+SMAPE step per window.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .corpus import write_json
 from .errors import DataError
 
 WEEK_PERIOD = 7.0
@@ -233,16 +233,11 @@ def fit(series: DailySeries, config: FitConfig = FitConfig()) -> DecompositionMo
                               series.labels, beta.T.copy(), residual_var)
 
 
-def forecast(model: DecompositionModel, horizon: int) -> np.ndarray:
-    """Extend every label's fitted decomposition ``horizon`` days past the
-    training end, one column per label. Negative predictions are clipped to
-    0 (a negative daily ad count is meaningless)."""
-    if horizon < 1:
-        raise DataError("forecast horizon must be >= 1")
-    t = np.arange(model.train_len, model.train_len + horizon, dtype=np.float64)
-    holidays = [(date - model.start).days for date in model.holiday_dates]
-    return np.maximum(_columns(t, model.changepoints, model.use_yearly, holidays)
-                      @ model.coef.T, 0.0)
+def forecast(future: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The forecast days' design ``future`` times the coefficients ``beta``,
+    one column per label, clipped at 0: a negative daily ad count is
+    meaningless."""
+    return np.maximum(future @ beta, 0.0)
 
 
 def smape(actual, predicted):
@@ -308,8 +303,7 @@ class BacktestReport:
 
     def to_json(self, path) -> None:
         """Every field and the ``quantiles`` as ``summary``."""
-        payload = {**vars(self), "summary": self.quantiles()}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(path, {**vars(self), "summary": self.quantiles()})
 
 
 def check_windows(train_days: int, test_days: int, iterations: int) -> None:
@@ -354,8 +348,9 @@ def sliding_window_backtest(
     config: FitConfig = FitConfig(),
 ) -> list[BacktestReport]:
     """Fixed-length train and test windows advance together one day per
-    iteration; each iteration fits the train window and scores the forecast
-    of the test window with SMAPE. Each label gets one report, in order.
+    iteration; each iteration fits the train window and scores its
+    ``forecast`` of the test window with SMAPE. Each label gets one report,
+    in order.
 
     Days count from each window's first day, so every window shares one
     design without holidays and one thin SVD of its ridge-augmented form,
@@ -412,8 +407,7 @@ def sliding_window_backtest(
                 # coefficient between them.
                 beta = _factor(_augmented(_columns(train, changepoints, use_yearly, held),
                                           n_cp, config.ridge_lambda), train_days)[0][:p] @ window
-        predicted = np.maximum(future @ beta, 0.0)
         actual = y[shift + train_days:shift + train_days + test_days]
-        scores[:, shift] = smape(actual.T, predicted.T)
+        scores[:, shift] = smape(actual.T, forecast(future, beta).T)
     return [BacktestReport(row.tolist(), train_days, test_days, iterations, label)
             for label, row in zip(series.labels, scores)]

@@ -11,7 +11,9 @@ import pytest
 
 import skillscope
 from skillscope import corpus as corpus_mod
+from skillscope import skillmetrics
 from skillscope.cli import _sha256, main
+from skillscope.errors import InvariantError
 
 # small end-to-end scenario: one high-intensity cluster, one background
 SCENARIO = {
@@ -181,6 +183,25 @@ class TestBacktestInputErrors:
         assert str(bad) in one_line_error(capsys)
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", [
+        ["occupations", "--skills", "{skills}"], ["indicators", *BACKTEST_FLAGS],
+        ["report", "--seed-skill", "ml", *BACKTEST_FLAGS]],
+        ids=["occupations", "indicators", "report"])
+    def test_occupation_under_two_categories_exit_2_before_ingest(
+            self, corpus, tmp_path, capsys, no_ingest, command):
+        skills = tmp_path / "skills.csv"
+        skills.write_text("skill,theta\nml,1.0\n")
+        mapping = tmp_path / "map.csv"
+        mapping.write_text("Modeler,Data\nClerk,Office\nModeler,Office\n")
+        out = tmp_path / "o"
+        argv = [a.format(skills=skills) for a in command]
+        assert main([*argv, "--category-map", str(mapping), "--input", str(corpus),
+                     "--out", str(out)]) == 2
+        assert one_line_error(capsys) == (
+            f"data error: malformed category map {mapping} at line 3: "
+            "occupation 'Modeler' is under both 'Data' and 'Office'\n")
+        assert not any(out.iterdir())
+
     def test_unknown_occupation_exit_2_writes_no_file(self, corpus, tmp_path, capsys):
         out = tmp_path / "bt"
         assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS,
@@ -227,6 +248,10 @@ class TestBacktestInputErrors:
 
 
 NOT_UTF8 = b"\xff\xfenot text\n"
+# JSON nested past the interpreter's recursion limit, and an integer over
+# its digit limit: valid JSON that json.loads cannot take.
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
+HUGE_INTEGER_JSON = b'{"seed": ' + b"9" * 5000 + b"}"
 
 
 class TestInputFileErrors:
@@ -246,18 +271,27 @@ class TestInputFileErrors:
          b"rank,skill,theta\n1,ml,high\n"),
         (["synth", "--config", "{bad}"], NOT_UTF8),
         (["synth", "--config", "{bad}"], b"{not json"),
+        (["synth", "--config", "{bad}"], DEEP_JSON),
+        (["synth", "--config", "{bad}"], HUGE_INTEGER_JSON),
         (["report", "--config-file", "{bad}"], NOT_UTF8),
         (["report", "--config-file", "{bad}"], b"{not json"),
+        (["report", "--config-file", "{bad}"], DEEP_JSON),
+        (["report", "--config-file", "{bad}"], HUGE_INTEGER_JSON),
     ], ids=["input-jsonl", "input-csv", "seeds", "holidays", "category-map",
             "category-map-3-columns", "skills", "skills-no-columns",
             "skills-theta-not-a-number", "synth-config", "synth-config-bad-json",
-            "config-file", "config-file-bad-json"])
+            "synth-config-deep", "synth-config-huge-integer",
+            "config-file", "config-file-bad-json", "config-file-deep",
+            "config-file-huge-integer"])
     def test_one_line_error_naming_the_file(self, corpus, tmp_path, capsys, argv, content):
         bad = tmp_path / "bad-file"
         bad.write_bytes(content)
         argv = [a.format(bad=bad, corpus=corpus) for a in argv]
-        assert main([*argv, "--out", str(tmp_path / "o")]) in (1, 2)
-        assert str(bad) in one_line_error(capsys)
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        err = one_line_error(capsys)
+        assert rc in (1, 2) and str(bad) in err
+        if content in (DEEP_JSON, HUGE_INTEGER_JSON):
+            assert (rc, err.split(":")[0]) == (2, "data error")
 
     @pytest.mark.parametrize("out", ["{file}", "{file}/o"], ids=["file", "under-a-file"])
     def test_out_not_a_directory_exit_1(self, corpus, tmp_path, capsys, out):
@@ -418,6 +452,19 @@ def test_seed_without_neighbours_warns_on_one_line(tmp_path, capsys):
         "it contributes an empty list\n")
 
 
+def test_invariant_violation_exit_3_writes_no_file(corpus, tmp_path, capsys, monkeypatch):
+    def compute_rca(index):
+        raise InvariantError("every ad must have at least one skill")
+
+    monkeypatch.setattr(skillmetrics, "compute_rca", compute_rca)
+    out = tmp_path / "o"
+    assert main(["report", "--input", str(corpus), "--seed-skill", "ml", *BACKTEST_FLAGS,
+                 "--out", str(out)]) == 3
+    assert one_line_error(capsys) == ("internal error (invariant violated): "
+                                      "every ad must have at least one skill\n")
+    assert not any(out.iterdir())
+
+
 class TestStages:
     def test_ingest_writes_report_and_corpus(self, corpus, tmp_path, capsys):
         out = tmp_path / "ing"
@@ -426,6 +473,21 @@ class TestStages:
         assert report["rejected"] == 0
         assert (out / "corpus.jsonl").is_file()
         assert (out / "provenance.json").is_file()
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_ingest_onto_its_own_input_exit_1(self, corpus, tmp_path, capsys, link):
+        out = corpus.parent
+        given = corpus
+        if link:
+            given = tmp_path / "link.jsonl"
+            given.symlink_to(corpus)
+        before, files = corpus.read_bytes(), sorted(out.iterdir())
+        assert main(["ingest", "--input", str(given), "--out", str(out)]) == 1
+        assert one_line_error(capsys) == (
+            f"usage error: --input {given} is the corpus.jsonl that ingest would "
+            f"write to --out {out}\n")
+        assert corpus.read_bytes() == before
+        assert sorted(out.iterdir()) == files
 
     def test_ingest_rejects_an_integer_over_the_digit_limit(self, corpus, tmp_path,
                                                               capsys):

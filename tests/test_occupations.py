@@ -136,6 +136,18 @@ class TestSelection:
         with pytest.raises(DataError, match="line 3"):
             load_category_map(mapping)
 
+    def test_occupation_under_two_categories_reports_line(self, tmp_path):
+        mapping = tmp_path / "map.csv"
+        mapping.write_text("occupation,category\nDev,IT\nNurse,Health\n Dev ,Data\n")
+        with pytest.raises(DataError, match=r"map\.csv at line 4: occupation 'Dev' is "
+                                            r"under both 'IT' and 'Data'$"):
+            load_category_map(mapping)
+
+    def test_repeated_pair_accepted(self, tmp_path):
+        mapping = tmp_path / "map.csv"
+        mapping.write_text("Dev,IT\nNurse,Health\nDev, IT\n")
+        assert load_category_map(mapping) == {"Dev": "IT", "Nurse": "Health"}
+
     def test_low_support_flagged_not_dropped(self):
         ads = [ad(1, "Tiny", ["t", "x"])] + [
             ad(10 + i, "Big", ["t", "x"]) for i in range(15)

@@ -41,8 +41,8 @@ SCENARIO = {
 
 def test_every_wrapped_stage_runs_under_synth_and_report(tmp_path, monkeypatch, capsys):
     """A stage bound by ``from x import f`` would escape the tracer's
-    wrapper: wrapped here as the tracer wraps it, every stage but
-    ``timeseries.forecast``, which no command calls, must be entered."""
+    wrapper: wrapped here as the tracer wraps it, every stage must be
+    entered."""
     from skillscope.cli import main
 
     tracer = load_tracer()
@@ -59,4 +59,4 @@ def test_every_wrapped_stage_runs_under_synth_and_report(tmp_path, monkeypatch, 
                  "--out", str(tmp_path / "r")]) == 0, capsys.readouterr().err
     entered = {span[0] for span in spans.spans}
     assert [f"{module}.{attr}" for module, attr in tracer.WRAPPED
-            if f"{module}.{attr}" not in entered] == ["timeseries.forecast"]
+            if f"{module}.{attr}" not in entered] == []
