@@ -36,12 +36,21 @@ spreadsheet programs write, is skipped.
 Exit codes: 0 success, 1 usage error or a file that cannot be read or
 written, 2 data error, 3 internal invariant violation. A failed write can
 leave the files the command wrote before it.
+
+A ``skillscope`` process, the console script or ``python -m
+skillscope.cli``, runs ``main`` through ``entry``, which first fixes
+glibc's mmap threshold, so every large array is mapped afresh whatever the
+heap's layout, and freezes the collector's objects before the process
+exits, so the interpreter's teardown does not walk them again; no output
+changes, and ``main`` called in process is unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime as dt
+import gc
 import json
 import sys
 import warnings
@@ -74,19 +83,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _release_freed_heap() -> None:
-    """Hand the heap the stages freed back to the system where glibc's
-    ``malloc_trim`` exists: glibc keeps a freed heap top smaller than its
-    trim threshold (twice the largest mapped block freed), by layout alone."""
+def _glibc(function: str, *args) -> None:
+    """Call the C library's ``function``, one of glibc's allocator controls,
+    with ``args`` given as the C types it takes, where it has one; elsewhere
+    the allocator keeps its own policy."""
     try:
-        import ctypes
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):  # not glibc: nothing to hand back
+        getattr(ctypes.CDLL(None), function)(*args)
+    except (AttributeError, OSError, TypeError):  # not glibc
         pass
 
 
 def _write_provenance(out_dir: Path, args) -> None:
-    _release_freed_heap()
+    # Hand the heap the stages freed back to the system: glibc keeps a freed
+    # heap top smaller than its trim threshold, by layout alone.
+    _glibc("malloc_trim", ctypes.c_size_t(0))
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     payload = {
         "config": config,
@@ -511,5 +521,26 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """Run :func:`main` as a process.
+
+    glibc's mmap threshold is first fixed at its default, 128 KiB. Left to
+    glibc, it rises to the largest mapped block freed, and whether a later
+    array is mapped afresh or carved from the heap then follows the heap's
+    layout, and a report's peak memory moved with the length of its input's
+    path alone.
+
+    However :func:`main` ends, with a code, with argparse's ``SystemExit``
+    or with an uncaught error, every object alive is then frozen out of the
+    collector's reach, so the collections of the interpreter's finalization
+    skip them; ``atexit`` handlers and the flush of standard output still
+    run."""
+    _glibc("mallopt", ctypes.c_int(-3), ctypes.c_int(128 * 1024))  # -3: M_MMAP_THRESHOLD
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

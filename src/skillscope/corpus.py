@@ -159,14 +159,19 @@ class _Columns:
                 elif not isinstance(raw, list):
                     raise ValueError("bad skills")
                 try:  # every text known from an appended record: straight to its ids
-                    ids = fromkeys(map(text_id, raw))
+                    ids = list(map(text_id, raw))
                 except (KeyError, TypeError):  # a new text, or one that is not a string
                     names = names_of(raw)
                 else:
                     names = None
-                    ids.pop(-1, None)
-                    if not ids:
-                        raise ValueError("empty skills")
+                    # a repeated id, a text that normalizes to "" or no text:
+                    # the ordered dedupe, which most records do not need
+                    if len(set(ids)) < len(ids) or -1 in ids or not ids:
+                        ids = fromkeys(ids)
+                        ids.pop(-1, None)
+                        if not ids:
+                            raise ValueError("empty skills")
+                        ids = list(ids)
                 # a finite float, the usual form of a JSON number, is taken as it is
                 salary_min, salary_max = get(rec, "salary_min"), get(rec, "salary_max")
                 if type(salary_min) is not float or not isfinite(salary_min):
@@ -199,7 +204,7 @@ class _Columns:
                 ids = [skill_ids.setdefault(s, len(skill_ids)) for s in names]
                 for text in raw:
                     text_ids[text] = skill_ids.get(memo[text], -1)
-            append_slots(list(ids))
+            append_slots(ids)
             append_length(len(ids))
             append_numbers([salary_min, salary_max, education, experience])
 

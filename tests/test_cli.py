@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -108,6 +109,67 @@ def one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     return err
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter importing the program under test."""
+    src = str(Path(skillscope.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestProcessEntry:
+    """``python -m skillscope.cli`` runs ``main`` through ``cli.entry``, which
+    fixes glibc's mmap threshold, freezes the collector's objects on the way
+    out and changes nothing a caller sees."""
+
+    def test_report_exit_0_one_stdout_line(self, corpus, tmp_path):
+        run = run_python("-m", "skillscope.cli", "report", "--input", str(corpus),
+                         "--seeds", str(seeds_file(tmp_path)), "--per-seed-k", "10",
+                         "--cutoff", "5", *BACKTEST_FLAGS, "--out", str(tmp_path / "out"))
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("report written to ") and run.stdout.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,rc,message", [
+        (["skills", "--nonsense"], 1, "usage error: "),
+        (["report", "--input", "{missing}", "--seed-skill", "ml", "--threshold", "2",
+          "--out", "{out}"], 2, "data error: threshold must be in (0, 1)\n"),
+    ], ids=["bad-flag", "data-error"])
+    def test_error_exit_code_one_stderr_line(self, tmp_path, argv, rc, message):
+        run = run_python("-m", "skillscope.cli", *[
+            a.format(missing=tmp_path / "none.jsonl", out=tmp_path / "o") for a in argv])
+        assert (run.returncode, run.stdout) == (rc, "")
+        assert run.stderr.startswith(message) and run.stderr.count("\n") == 1, run.stderr
+
+    def test_version_exit_0(self):
+        run = run_python("-m", "skillscope.cli", "--version")
+        assert (run.returncode, run.stdout, run.stderr) == (0, f"{skillscope.__version__}\n", "")
+
+    @pytest.mark.parametrize("argv,rc", [(["--version"], 0), (["--nonsense"], 1)],
+                             ids=["system-exit", "return"])
+    def test_atexit_handler_registered_before_the_entry_runs(self, argv, rc):
+        """As ``python -m`` runs the module, after a handler is registered;
+        ending the process through ``os._exit`` would skip the handler."""
+        script = ("import atexit, runpy\n"
+                  "atexit.register(print, 'atexit ran')\n"
+                  "runpy.run_module('skillscope.cli', run_name='__main__', alter_sys=True)\n")
+        run = run_python("-c", script, *argv)
+        assert run.returncode == rc, run.stderr
+        assert run.stdout.endswith("atexit ran\n")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_in_process_leaves_the_collector_alone(self, corpus, tmp_path, capsys,
+                                                        enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["ingest", "--input", str(corpus), "--out", str(tmp_path / "o")]) == 0
+            assert main(["skills", "--nonsense"]) == 1
+            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestBacktestInputErrors:
@@ -682,11 +744,7 @@ class TestReport:
         argv = ["report", "--input", str(corpus), "--seeds", str(seeds_file(tmp_path)),
                 "--per-seed-k", "10", "--cutoff", "5", *BACKTEST_FLAGS,
                 "--out", str(tmp_path / "out")]
-        src = str(Path(skillscope.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                             capture_output=True, text=True, timeout=120)
+        run = run_python("-c", script, *argv)
         assert run.returncode == 0, run.stderr
         code, loaded, at_import, at_write = json.loads(run.stdout.splitlines()[-1])
         assert code == 0

@@ -85,11 +85,31 @@ class TestIngest:
         assert len(corpus) == 39
         assert report.reasons["empty skills"] == 1
 
-    def test_skill_dedup_after_normalization(self, tmp_path):
-        f = tmp_path / "ads.jsonl"
-        write_lines(f, [record(0, skills=["SQL", " sql "])])
-        corpus, _ = ingest(f)
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_skill_dedup_after_normalization(self, tmp_path, fmt):
+        """Each record keeps a skill's first occurrence and drops texts that
+        normalize to "", whether its texts are new or, from the second
+        record on, all known from an earlier one."""
+        skills = [["SQL", " sql "],
+                  ["SQL", " sql ", "Python", "  "],  # two new texts
+                  ["Python", "SQL", "  ", " sql ", "Python"],  # every text known
+                  ["Python", "SQL"],  # known and distinct
+                  ["  ", "Python"],  # known and distinct, one normalizing to ""
+                  ["SQL", "SQL"]]
+        f = tmp_path / f"ads.{fmt}"
+        if fmt == "jsonl":
+            write_lines(f, [record(i, skills=s) for i, s in enumerate(skills)])
+        else:
+            write_lines(f, ["id,date,occupation,skills"]
+                        + [f"ad-{i},2018-03-01,Analyst,{';'.join(s)}"
+                           for i, s in enumerate(skills)])
+        corpus, report = ingest(f, fmt=fmt)
+        assert report.rejected == 0
         assert next(corpus.rows())["skills"] == ["sql"]
+        assert corpus.skill_names == ["sql", "python"]
+        assert [corpus.slots[lo:hi].tolist()
+                for lo, hi in zip(corpus.indptr[:-1], corpus.indptr[1:])
+                ] == [[0], [0, 1], [1, 0], [1, 0], [1], [0]]
 
     def test_csv_roundtrip(self, tmp_path):
         f = tmp_path / "ads.csv"
