@@ -2,10 +2,10 @@
 
 The chain runs ingest, then the skills stage (incidence index, RCA,
 effective use, theta, seed expansion), then the occupations stage
-(intensity, selection), then ad grouping, then the indicators stage (one
-backtest and one trend fit of the market and every group together, and the
-assembled report). Each subcommand runs a slice of it through the same
-stage functions:
+(intensity, selection), then ad grouping, then the indicators stage (the
+market's and every group's daily series from ``indicators``, their one
+backtest and one trend fit, and the report from the backtest's medians).
+Each subcommand runs a slice of it through the same stage functions:
 
     ingest       ingest
     skills       ingest, skills
@@ -236,32 +236,15 @@ def _group_ads(corpus, category_map, occupations=None) -> tuple[list[str], np.nd
     return labels, table[corpus.occupation_codes]
 
 
-def _backtest(series, args, cfg):
-    """One backtest report per label of the daily series, in order."""
-    return timeseries.sliding_window_backtest(
-        series, train_days=args.train_days, test_days=args.test_days,
-        iterations=args.iterations, config=cfg)
-
-
 def _indicators_stage(corpus, labels: list[str], codes: np.ndarray, args, cfg):
-    """Backtest the market baseline and every group, fit their trend lines,
-    and assemble the shortage report."""
-    market = indicators_mod.MARKET
-    if market in labels:
-        raise DataError(f"group label {market!r} is reserved for the whole-market "
-                        "baseline; rename that occupation or category")
-    span = corpus.span()
-    series = timeseries.DailySeries(span[0], np.hstack([
-        timeseries.aggregate_daily(corpus.ordinals, 0, [market], *span).counts,
-        timeseries.aggregate_daily(corpus.ordinals, codes, labels, *span).counts,
-    ]), (market, *labels))
-    market_bt, *group_bts = _backtest(series, args, cfg)
-    return indicators_mod.assemble_report(
-        corpus, labels, codes,
-        backtests={bt.label: bt for bt in group_bts},
-        market_backtest=market_bt,
-        trend=timeseries.fit(series, cfg),
-    )
+    """The market's and every group's one backtest and trend fit, and the
+    shortage report from the backtest's medians: ``write_report``'s input."""
+    series = indicators_mod.daily_series(corpus, labels, codes)
+    backtest = timeseries.sliding_window_backtest(series, args.train_days, args.test_days,
+                                                  args.iterations, cfg)
+    trend = timeseries.fit(series, cfg)  # first: on the heap the report frees, it peaks higher
+    report = indicators_mod.assemble_report(corpus, labels, codes, backtest.medians())
+    return report, backtest, trend
 
 
 def cmd_ingest(args) -> None:
@@ -309,16 +292,17 @@ def cmd_backtest(args) -> None:
     cfg = _fit_config(args)
     corpus, _ = _load_corpus(args)
     labels, codes = ["all"], 0
-    if args.occupation:
+    if args.occupation is not None:
         labels, codes = _group_ads(corpus, None, {args.occupation})
         if not labels:
             raise DataError(f"no accepted ad has occupation {args.occupation!r}")
-    [report] = _backtest(timeseries.aggregate_daily(corpus.ordinals, codes, labels,
-                                                    *corpus.span()), args, cfg)
+    report = timeseries.sliding_window_backtest(
+        timeseries.aggregate_daily(corpus.ordinals, codes, labels, *corpus.span()),
+        args.train_days, args.test_days, args.iterations, cfg)
     out = Path(args.out)
-    report.to_json(out / "backtest.json")
-    indicators_mod.write_boxplot({report.label: report}, out / "boxplot.csv")
-    print(f"backtest {report.label}: median SMAPE {report.median:.3f} "
+    report.to_json(out / "backtest.json", 0)
+    indicators_mod.write_boxplot(report.labels, report.scores, out / "boxplot.csv")
+    print(f"backtest {labels[0]}: median SMAPE {report.medians()[0]:.3f} "
           f"over {args.iterations} windows")
 
 
@@ -327,9 +311,9 @@ def cmd_indicators(args) -> None:
     category_map = _load_category_map(args)
     corpus, _ = _load_corpus(args)
     labels, codes = _group_ads(corpus, category_map)
-    report = _indicators_stage(corpus, labels, codes, args, cfg)
+    results = _indicators_stage(corpus, labels, codes, args, cfg)
     out = Path(args.out)
-    indicators_mod.write_report(report, out)
+    indicators_mod.write_report(*results, out)
     print(f"wrote indicator report for {len(labels)} groups to {out}")
 
 
@@ -345,13 +329,13 @@ def cmd_report(args) -> None:
                         "nothing to report on")
     labels, codes = _group_ads(corpus, category_map,
                                {p.occupation for p in selection.profiles})
-    report = _indicators_stage(corpus, labels, codes, args, cfg)
+    results = _indicators_stage(corpus, labels, codes, args, cfg)
     out = Path(args.out)
     corpus_mod.write_json(out / "ingest_report.json", vars(ingest_report))
     skill_set.to_csv(out / "skills.csv")
     skill_set.to_json(out / "skills.json")
     occupations_mod.write_selection_csv(selection, out / "occupations.csv")
-    indicators_mod.write_report(report, out)
+    indicators_mod.write_report(*results, out)
     print(f"report written to {out} ({len(labels)} groups, "
           f"{len(selection.profiles)} occupations)")
 
@@ -454,9 +438,9 @@ def apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config-file FILE`` (or ``--config-file=FILE``) into flags;
     explicit CLI flags win, as ``--flag value`` or ``--flag=value``, and an
     explicit flag of an either/or pair also wins over the other one. A
-    ``null`` value, like ``false``, leaves its flag unset. An object, or a
-    ``null``, object or list inside a list, is a usage error, even under an
-    explicit flag."""
+    ``null`` value, like ``false``, leaves its flag unset. A list holds text
+    and numbers: an object, or a ``null``, ``true``, ``false``, object or
+    list inside a list, is a usage error, even under an explicit flag."""
     flags = [arg.split("=", 1)[0] for arg in argv]
     if "--config-file" not in flags:
         return argv
@@ -471,7 +455,7 @@ def apply_config_file(argv: list[str]) -> list[str]:
     for key, value in raw.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(value, dict) or isinstance(value, list) and any(
-                v is None or isinstance(v, (dict, list)) for v in value):
+                v is None or isinstance(v, (bool, dict, list)) for v in value):
             raise UsageError(f"config file key {key!r} must be text, a number, "
                              "true, false, null or a list of text and numbers")
         if value is None or value is False or flag in flags or _EITHER_OR.get(flag) in flags:

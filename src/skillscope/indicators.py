@@ -9,8 +9,10 @@ except experience, where low demands signal shortage.
 
 The groups are one label column: each ad's code indexes the sorted
 labels, -1 for an ad in no group, and the market is the same call with
-one code for every ad. Every ad is read from the whole columns, with no
-gather, keyed by group and year, each key one segment: one
+one code for every ad. The market is label 0 of ``daily_series``, so of
+its backtest and fit, and the indicators take its median SMAPE first.
+Every ad is read from the whole columns, with no gather, keyed by group
+and year, each key one segment: one
 ``np.bincount`` counts every segment, one lexsort by segment and value
 orders every segment's salaries for their medians, taken as
 ``statistics.median`` takes them, from a stable sort, and a mean is a
@@ -36,9 +38,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import timeseries
 from .corpus import Corpus, left_sum, write_csv, write_json
 from .errors import DataError
-from .timeseries import BacktestReport, DecompositionModel, _trend_columns
 
 MARKET = "market"  # label of the whole-market baseline; no group may use it
 
@@ -124,11 +126,27 @@ def _segment_means(key: np.ndarray, values: np.ndarray, n_keys: int) -> list:
     return [total / n if n else None for total, n in zip(sums.tolist(), defined)]
 
 
+def daily_series(corpus: Corpus, labels: list[str],
+                 codes: np.ndarray | int) -> timeseries.DailySeries:
+    """The daily series of the market baseline, as label 0, then of every
+    group of ``labels``, each ad's group given by its code, over the
+    corpus's span. A group labelled as the market is a DataError."""
+    if MARKET in labels:
+        raise DataError(f"group label {MARKET!r} is reserved for the whole-market "
+                        "baseline; rename that occupation or category")
+    span = corpus.span()
+    return timeseries.DailySeries(span[0], np.hstack([
+        timeseries.aggregate_daily(corpus.ordinals, 0, [MARKET], *span).counts,
+        timeseries.aggregate_daily(corpus.ordinals, codes, labels, *span).counts,
+    ]), (MARKET, *labels))
+
+
 def compute_indicators(corpus: Corpus, labels: list[str], codes: np.ndarray | int,
-                       backtests: dict[str, BacktestReport]) -> list[ShortageIndicators]:
+                       median_smape: list[float]) -> list[ShortageIndicators]:
     """The indicators of every group, in the order of ``labels``, each ad's
     group given by its code: the index of its label, -1 for an ad of none,
-    or one code for every ad. Every ad is read from the whole columns, keyed
+    or one code for every ad, and its median SMAPE that of the same place
+    in ``median_smape``. Every ad is read from the whole columns, keyed
     ``(code + 1) * n_years + year``: each group's ads of one year are one
     segment of the counts, medians and means, and the ads of no group fill
     the first ``n_years`` segments, which are dropped. An ad's salary is the
@@ -145,7 +163,7 @@ def compute_indicators(corpus: Corpus, labels: list[str], codes: np.ndarray | in
     education = _segment_means(key, corpus.education_years, n_keys)
     experience = _segment_means(key, corpus.experience_years, n_keys)
     out = []
-    for g, label in enumerate(labels, start=1):
+    for g, (label, smape) in enumerate(zip(labels, median_smape, strict=True), start=1):
         keys = [k for k in range(g * n_years, (g + 1) * n_years) if counts[k]]
         years = [first + k - g * n_years for k in keys]
         by_year = dict(zip(years, [counts[k] for k in keys]))
@@ -158,7 +176,7 @@ def compute_indicators(corpus: Corpus, labels: list[str], codes: np.ndarray | in
             salary_by_year=dict(zip(years, [salary[k] for k in keys])),
             education_by_year=dict(zip(years, [education[k] for k in keys])),
             experience_by_year=dict(zip(years, [experience[k] for k in keys])),
-            median_smape=backtests[label].median,
+            median_smape=smape,
         ))
     return out
 
@@ -169,8 +187,6 @@ class ShortageReport:
     groups: list[ShortageIndicators]
     flags: dict[str, dict[str, bool]]
     partial_years: list[int]
-    backtests: dict[str, BacktestReport]
-    trend: DecompositionModel
 
     def flag_count(self, label: str) -> int:
         return sum(self.flags[label].values())
@@ -205,31 +221,24 @@ def _flag(group_value, baseline_value, higher_is_shortage: bool) -> bool:
     return group_value < baseline_value
 
 
-def assemble_report(
-    corpus: Corpus,
-    labels: list[str],
-    codes: np.ndarray | int,
-    backtests: dict[str, BacktestReport],
-    market_backtest: BacktestReport,
-    trend: DecompositionModel,
-) -> ShortageReport:
+def assemble_report(corpus: Corpus, labels: list[str], codes: np.ndarray | int,
+                    median_smape: list[float]) -> ShortageReport:
     """Score every group of ``labels``, each ad's index into them given by
     ``codes`` (-1: in no group), against the whole corpus as the market
     baseline on all five indicators. Experience flags in the low direction;
     everything else flags when strictly above baseline.
 
-    ``backtests`` holds one report per group label, ``market_backtest`` the
-    market's, and ``trend`` the fit whose labels ``trend_lines.csv`` draws. A
-    year that the span from the first to the last posting date covers only
-    in part is listed in ``partial_years``. A yearly figure that is not
-    finite is a DataError."""
+    ``median_smape`` holds the market's median SMAPE first, then each
+    group's, in the order of ``daily_series``. A year that the span from the
+    first to the last posting date covers only in part is listed in
+    ``partial_years``. A yearly figure that is not finite is a DataError."""
     if not len(corpus):
         raise DataError("missing market baseline: no ads")
-    [baseline] = compute_indicators(corpus, [MARKET], 0, {MARKET: market_backtest})
+    [baseline] = compute_indicators(corpus, [MARKET], 0, median_smape[:1])
     _check_finite(baseline)
 
     base_levels = _levels(baseline)
-    report_groups = compute_indicators(corpus, labels, codes, backtests)
+    report_groups = compute_indicators(corpus, labels, codes, median_smape[1:])
     flags: dict[str, dict[str, bool]] = {}
     for ind in report_groups:
         _check_finite(ind)
@@ -248,8 +257,6 @@ def assemble_report(
         groups=report_groups,
         flags=flags,
         partial_years=sorted(set(partial)),
-        backtests=backtests,
-        trend=trend,
     )
 
 
@@ -274,38 +281,37 @@ def _write_indicator_csv(path: Path, baseline, groups, by_year: str) -> None:
                for ind in [baseline] + groups))
 
 
-def write_boxplot(backtests: dict[str, BacktestReport], path) -> None:
-    """One ``label,smape`` row per backtest window, labels in sorted order."""
+def write_boxplot(labels: tuple[str, ...], scores: np.ndarray, path) -> None:
+    """One ``label,smape`` row per backtest window, labels in sorted order,
+    each label's scores the row of ``scores`` in its place."""
     write_csv(path, ["label", "smape"],
-              ([label, repr(score)] for label in sorted(backtests)
-               for score in backtests[label].scores))
+              ([label, repr(score)] for label, row in sorted(zip(labels, scores.tolist()))
+               for score in row))
 
 
-def write_report(report: ShortageReport, out_dir) -> None:
+def write_report(report: ShortageReport, backtest: timeseries.BacktestReport,
+                 trend: timeseries.DecompositionModel, out_dir) -> None:
     """Emit the report into the existing directory ``out_dir``: one CSV per
-    indicator, report.json, boxplot.csv, and trend_lines.csv."""
+    indicator, report.json, boxplot.csv of every label of ``backtest`` but
+    the market, label 0, and trend_lines.csv of every label of ``trend``."""
     out_dir = Path(out_dir)
     base, groups = report.baseline, report.groups
 
     for name, by_year in _YEARLY:
         _write_indicator_csv(out_dir / f"{name}.csv", base, groups, by_year)
 
-    write_boxplot(report.backtests, out_dir / "boxplot.csv")
+    write_boxplot(backtest.labels[1:], backtest.scores[1:], out_dir / "boxplot.csv")
 
     # Each label's trend at the knots only, labels in sorted order. The rows
     # are those csv.writer would write: only a label can need quoting, so
     # each is quoted once and its block joined as text.
-    model = report.trend
-    knots = model.knots()
-    dates = [(model.start + dt.timedelta(days=d)).isoformat() for d in knots.tolist()]
-    columns = _trend_columns(knots, model.changepoints)
+    dates = [(trend.start + dt.timedelta(days=d)).isoformat() for d in trend.knots().tolist()]
     with (out_dir / "trend_lines.csv").open("w", encoding="utf-8", newline="") as fh:
         fh.write("label,date,trend\r\n")
-        for j in sorted(range(len(model.labels)), key=model.labels.__getitem__):
-            trend = (columns @ model.coef[j, :columns.shape[1]]).tolist()
-            quoted = _csv_field(model.labels[j])
+        for label, values in sorted(zip(trend.labels, trend.knot_trends())):
+            quoted = _csv_field(label)
             fh.write("".join([f"{quoted},{date},{value!r}\r\n"
-                              for date, value in zip(dates, trend)]))
+                              for date, value in zip(dates, values)]))
 
     payload = {
         "baseline": _indicators_dict(base),

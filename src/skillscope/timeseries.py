@@ -25,7 +25,8 @@ reduced design may be rank-deficient at ``lstsq``'s cutoff, or the
 downdate ill-conditioned, is a window's design with its holiday columns
 factored on its own. ``forecast`` turns a window's coefficients into its
 test days' predictions, clipped at zero, and every series is scored in one
-SMAPE step per window.
+SMAPE step per window, into the one labels × windows score matrix of a
+``BacktestReport``.
 """
 
 from __future__ import annotations
@@ -182,6 +183,13 @@ class DecompositionModel:
         w = _fourier_block(t, WEEK_PERIOD, WEEKLY_ORDER) @ self.coef[:, k:k + 2 * WEEKLY_ORDER].T
         return (w.max(axis=0) - w.min(axis=0)) / 2.0
 
+    def knot_trends(self) -> list[list[float]]:
+        """Each label's trend at ``knots()``, one row per label in order: the
+        trend columns times its coefficients, one product per label, as for
+        a lone label (one product for every label can round otherwise)."""
+        columns = _trend_columns(self.knots(), self.changepoints)
+        return [(columns @ beta).tolist() for beta in self.coef[:, :columns.shape[1]]]
+
 
 def _augmented(design: np.ndarray, n_cp: int, ridge_lambda: float) -> np.ndarray:
     """The design with one row per penalized changepoint column, against a
@@ -274,36 +282,39 @@ def _percentile(ordered: list[float], q: float) -> float:
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
+def _median(ordered: list[float]) -> float:
+    """``statistics.median`` of ascending ``ordered``, to the bit; that
+    module would import ``fractions`` and ``decimal``."""
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 @dataclass
 class BacktestReport:
-    scores: list[float]
+    """One backtest of every label of a series: row j of ``scores`` holds
+    label j's SMAPE of each window, in window order."""
+
+    labels: tuple[str, ...]
+    scores: np.ndarray              # labels × iterations
     train_days: int
     test_days: int
     iterations: int
-    label: str = "all"
 
-    def quantiles(self) -> dict[str, float]:
-        s = sorted(self.scores)
-        return {
-            "min": float(s[0]),
-            "q1": _percentile(s, 0.25),
-            "median": self.median,
-            "q3": _percentile(s, 0.75),
-            "max": float(s[-1]),
-        }
+    def quantiles(self, j: int) -> dict[str, float]:
+        """Label ``j``'s minimum, quartiles, median and maximum score."""
+        s = sorted(self.scores[j].tolist())
+        return {"min": s[0], "q1": _percentile(s, 0.25), "median": _median(s),
+                "q3": _percentile(s, 0.75), "max": s[-1]}
 
-    @property
-    def median(self) -> float:
-        """The middle score, or the mean of the two middle ones, as
-        ``statistics.median`` takes it; that module would import
-        ``fractions`` and ``decimal``."""
-        s = sorted(self.scores)
-        mid = len(s) // 2
-        return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
+    def medians(self) -> list[float]:
+        """Each label's median score, in order."""
+        return [_median(sorted(row)) for row in self.scores.tolist()]
 
-    def to_json(self, path) -> None:
-        """Every field and the ``quantiles`` as ``summary``."""
-        write_json(path, {**vars(self), "summary": self.quantiles()})
+    def to_json(self, path, j: int) -> None:
+        """Label ``j``, its scores and ``quantiles`` as ``summary``, and the window sizes."""
+        write_json(path, {"label": self.labels[j], "scores": self.scores[j].tolist(),
+                          "train_days": self.train_days, "test_days": self.test_days,
+                          "iterations": self.iterations, "summary": self.quantiles(j)})
 
 
 def check_windows(train_days: int, test_days: int, iterations: int) -> None:
@@ -346,11 +357,10 @@ def sliding_window_backtest(
     test_days: int = TEST_DAYS,
     iterations: int = ITERATIONS,
     config: FitConfig = FitConfig(),
-) -> list[BacktestReport]:
+) -> BacktestReport:
     """Fixed-length train and test windows advance together one day per
     iteration; each iteration fits the train window and scores its
-    ``forecast`` of the test window with SMAPE. Each label gets one report,
-    in order.
+    ``forecast`` of the test window with SMAPE, every label in one report.
 
     Days count from each window's first day, so every window shares one
     design without holidays and one thin SVD of its ridge-augmented form,
@@ -409,5 +419,4 @@ def sliding_window_backtest(
                                           n_cp, config.ridge_lambda), train_days)[0][:p] @ window
         actual = y[shift + train_days:shift + train_days + test_days]
         scores[:, shift] = smape(actual.T, forecast(future, beta).T)
-    return [BacktestReport(row.tolist(), train_days, test_days, iterations, label)
-            for label, row in zip(series.labels, scores)]
+    return BacktestReport(series.labels, scores, train_days, test_days, iterations)

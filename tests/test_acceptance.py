@@ -12,7 +12,7 @@ import pytest
 
 from skillscope.cli import _group_ads, main
 from skillscope.corpus import build_index, ingest_records
-from skillscope.indicators import assemble_report
+from skillscope.indicators import assemble_report, daily_series
 from skillscope.occupations import compute_intensity, select_occupations
 from skillscope.similarity import expand_seeds
 from skillscope.skillmetrics import compute_effective_use
@@ -20,7 +20,6 @@ from skillscope.synthgen import ClusterSpec, SynthConfig, generate, ground_truth
 from skillscope.timeseries import (
     DailySeries,
     FitConfig,
-    aggregate_daily,
     fit,
     forecast,
     sliding_window_backtest,
@@ -225,23 +224,24 @@ def test_criterion_6_backtest_protocol():
     t = np.arange(n, dtype=float)
 
     constant = DailySeries(START, np.full((n, 1), 50.0), ("stable",))
-    [report_const] = sliding_window_backtest(constant)
-    assert len(report_const.scores) == 365
-    assert all(0.0 <= s <= 200.0 for s in report_const.scores)
-    assert max(report_const.scores) < 1e-9  # all-zero up to float residue
+    report_const = sliding_window_backtest(constant)
+    assert report_const.scores.shape == (1, 365)
+    assert all(0.0 <= s <= 200.0 for s in report_const.scores[0])
+    assert report_const.scores.max() < 1e-9  # all-zero up to float residue
 
     wave = 50.0 + 35.0 * np.sign(np.sin(2 * np.pi * t / 450.0))
     volatile = DailySeries(START, np.maximum(wave, 0.0).reshape(-1, 1), ("volatile",))
-    [report_vol] = sliding_window_backtest(volatile)
-    assert len(report_vol.scores) == 365
-    assert all(0.0 <= s <= 200.0 for s in report_vol.scores)
-    assert report_vol.median > report_const.median
+    report_vol = sliding_window_backtest(volatile)
+    assert report_vol.scores.shape == (1, 365)
+    assert all(0.0 <= s <= 200.0 for s in report_vol.scores[0])
+    [median_const], [median_vol] = report_const.medians(), report_vol.medians()
+    assert median_vol > median_const
 
     elapsed = time.time() - t0
     assert elapsed < 300.0
     print(f"\nPASS criterion 6: 365 scores per run, constant max "
-          f"{max(report_const.scores):.2e}, volatile median "
-          f"{report_vol.median:.2f} > stable median {report_const.median:.2e}, "
+          f"{report_const.scores.max():.2e}, volatile median "
+          f"{median_vol:.2f} > stable median {median_const:.2e}, "
           f"in {elapsed:.1f}s")
 
 
@@ -277,16 +277,10 @@ def run_shortage_report(seed):
     corpus, _ = ingest_records(generate(shortage_scenario(seed)))
     labels, codes = _group_ads(corpus, None)
 
-    cfg = FitConfig(n_changepoints=10)
-    span = corpus.span()
-    series = DailySeries(span[0], np.hstack([
-        aggregate_daily(corpus.ordinals, 0, ["market"], *span).counts,
-        aggregate_daily(corpus.ordinals, codes, labels, *span).counts,
-    ]), ("market", *labels))
-    market_bt, *group_bts = sliding_window_backtest(
-        series, train_days=180, test_days=60, iterations=30, config=cfg)
-    return assemble_report(corpus, labels, codes, {bt.label: bt for bt in group_bts},
-                           market_bt, trend=fit(series, cfg))
+    backtest = sliding_window_backtest(daily_series(corpus, labels, codes), train_days=180,
+                                       test_days=60, iterations=30,
+                                       config=FitConfig(n_changepoints=10))
+    return assemble_report(corpus, labels, codes, backtest.medians())
 
 
 def test_criterion_7_end_to_end_shortage_detection():

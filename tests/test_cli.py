@@ -264,11 +264,21 @@ class TestBacktestInputErrors:
             "occupation 'Modeler' is under both 'Data' and 'Office'\n")
         assert not any(out.iterdir())
 
-    def test_unknown_occupation_exit_2_writes_no_file(self, corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("occupation,in_config_file", [
+        ("No Such Job", False), ("", False), ("", True)],
+        ids=["unknown", "empty", "empty-in-config-file"])
+    def test_unknown_occupation_exit_2_writes_no_file(self, corpus, tmp_path, capsys,
+                                                      occupation, in_config_file):
+        """An empty occupation filters as any other: no ad has it."""
         out = tmp_path / "bt"
-        assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS,
-                     "--occupation", "No Such Job", "--out", str(out)]) == 2
-        assert "no accepted ad has occupation 'No Such Job'" in one_line_error(capsys)
+        flags = ["--occupation", occupation]
+        if in_config_file:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"occupation": occupation}))
+            flags = ["--config-file", str(cfg)]
+        assert main(["backtest", "--input", str(corpus), *BACKTEST_FLAGS, *flags,
+                     "--out", str(out)]) == 2
+        assert f"no accepted ad has occupation {occupation!r}" in one_line_error(capsys)
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["backtest", "indicators"])
@@ -838,8 +848,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key,value", [("seed_skill", ["ml", None]),
                                            ("cutoff", {"x": 1}),
-                                           ("seed_skill", ["ml", [1, 2]])],
-                             ids=["null-in-list", "object", "nested-list"])
+                                           ("seed_skill", ["ml", [1, 2]]),
+                                           ("seed_skill", [True])],
+                             ids=["null-in-list", "object", "nested-list", "bool-in-list"])
     def test_value_no_flag_can_take_is_a_usage_error(self, corpus, tmp_path, capsys,
                                                        key, value):
         cfg = tmp_path / "run.json"

@@ -17,10 +17,11 @@ from skillscope.indicators import (
     MARKET,
     assemble_report,
     compute_indicators,
+    daily_series,
     posting_growth,
     write_report,
 )
-from skillscope.timeseries import BacktestReport, DailySeries, FitConfig, aggregate_daily, fit
+from skillscope.timeseries import BacktestReport, FitConfig, fit
 
 from oracles import brute_indicators, model_values
 
@@ -30,22 +31,8 @@ def ad(i, year, occupation="Dev", skills=("x",), **fields):
             "skills": list(skills), **fields}
 
 
-def backtest_of(label, scores=(1.0,)):
-    return BacktestReport(scores=list(scores), train_days=10, test_days=5,
-                          iterations=len(scores), label=label)
-
-
-def trend_of(corpus, labels, codes, config=FitConfig()):
-    """One fit of the market and every group over the corpus's span."""
-    span = corpus.span()
-    return fit(DailySeries(span[0], np.hstack([
-        aggregate_daily(corpus.ordinals, 0, [MARKET], *span).counts,
-        aggregate_daily(corpus.ordinals, codes, labels, *span).counts,
-    ]), (MARKET, *labels)), config)
-
-
 def indicators_of(ads):
-    [ind] = compute_indicators(ingest_records(ads)[0], ["g"], 0, {"g": backtest_of("g")})
+    [ind] = compute_indicators(ingest_records(ads)[0], ["g"], 0, [1.0])
     return ind
 
 
@@ -77,7 +64,7 @@ class TestPostingGrowth:
                                   base_daily_rate=200.0, annual_growth=0.28),),
         )
         [market] = compute_indicators(ingest_records(generate(config))[0], [MARKET], 0,
-                                      {MARKET: backtest_of(MARKET)})
+                                      [1.0])
         counts = market.counts_by_year
         full_years = {y: c for y, c in counts.items() if y < 2017}  # 2017 partial
         _, mean = posting_growth(full_years)
@@ -159,9 +146,9 @@ def test_yearly_figures_equal_brute_force_exactly():
         ads = random_ads(rng)
         corpus, _ = ingest_records(ads)
         occupations = list(corpus.occupations)
-        inds = (compute_indicators(corpus, ["g"], 0, {"g": backtest_of("g")})
+        inds = (compute_indicators(corpus, ["g"], 0, [1.0])
                 + compute_indicators(corpus, occupations, corpus.occupation_codes,
-                                     {occ: backtest_of(occ) for occ in occupations}))
+                                     [1.0] * len(occupations)))
         wants = [ads] + [[a for a in ads if a["occupation"] == occ] for occ in occupations]
         for ind, group_ads in zip(inds, wants, strict=True):
             want = brute_indicators(group_ads)
@@ -193,19 +180,26 @@ def shortage_corpus():
 
 
 class TestAssembleReport:
-    def backtests(self):
-        return (
-            {"Hot": backtest_of("Hot", [40.0, 50.0, 60.0]),
-             "Cold": backtest_of("Cold", [5.0, 6.0, 7.0])},
-            backtest_of("market", [10.0, 12.0, 14.0]),
-        )
+    # The median SMAPE of the market, then of the groups Cold and Hot.
+    MEDIANS = [12.0, 6.0, 50.0]
 
     def assemble(self, ads):
         corpus, _ = ingest_records(ads)
-        backtests, market_bt = self.backtests()
         labels, codes = _group_ads(corpus, None)
-        return assemble_report(corpus, labels, codes, backtests, market_bt,
-                               trend=trend_of(corpus, labels, codes))
+        assert labels == ["Cold", "Hot"]
+        return assemble_report(corpus, labels, codes, self.MEDIANS)
+
+    def write(self, out_dir):
+        """The shortage corpus's report, written with a backtest whose
+        medians it was assembled from and the fit of its daily series."""
+        corpus, _ = ingest_records(shortage_corpus())
+        labels, codes = _group_ads(corpus, None)
+        series = daily_series(corpus, labels, codes)
+        backtest = BacktestReport(series.labels, np.array(
+            [[10.0, 12.0, 14.0], [5.0, 6.0, 7.0], [40.0, 50.0, 60.0]]), 10, 5, 3)
+        assert backtest.medians() == self.MEDIANS
+        write_report(assemble_report(corpus, labels, codes, backtest.medians()), backtest,
+                     fit(series), out_dir)
 
     def test_flags_five_of_five_and_zero_of_five(self):
         report = self.assemble(shortage_corpus())
@@ -247,7 +241,7 @@ class TestAssembleReport:
             self.assemble(ads)
 
     def test_written_report_directory(self, tmp_path):
-        write_report(self.assemble(shortage_corpus()), tmp_path)
+        self.write(tmp_path)
         for name in ["posting_counts.csv", "posting_growth.csv", "median_salary.csv",
                      "education_years.csv", "experience_years.csv",
                      "boxplot.csv", "trend_lines.csv", "report.json"]:
@@ -255,9 +249,18 @@ class TestAssembleReport:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["flags"]["Hot"]["shortage_consistent"] == "5/5"
         assert payload["flags"]["Cold"]["shortage_consistent"] == "0/5"
+        assert [payload["baseline"]["median_smape"]] + [
+            g["median_smape"] for g in payload["groups"]] == self.MEDIANS
+        # The groups' backtest scores, not the market's; every label's trend.
+        assert (tmp_path / "boxplot.csv").read_text().splitlines() == [
+            "label,smape", "Cold,5.0", "Cold,6.0", "Cold,7.0", "Hot,40.0", "Hot,50.0",
+            "Hot,60.0"]
+        with (tmp_path / "trend_lines.csv").open(newline="") as fh:
+            assert list(dict.fromkeys(row["label"] for row in csv.DictReader(fh))) == [
+                "Cold", "Hot", "market"]
 
     def test_counts_written_as_integers_and_whole_figures_as_floats(self, tmp_path):
-        write_report(self.assemble(shortage_corpus()), tmp_path)
+        self.write(tmp_path)
         assert (tmp_path / "posting_counts.csv").read_text().splitlines() == [
             "label,2016,2017,2018", "market,60,70,90", "Cold,50,50,50", "Hot,10,20,40"]
         assert (tmp_path / "median_salary.csv").read_text().splitlines()[2:] == [
@@ -265,7 +268,7 @@ class TestAssembleReport:
 
     def test_growth_csv_oracle_recompute(self, tmp_path):
         # growth CSV must match a spreadsheet-style recompute from the counts CSV
-        write_report(self.assemble(shortage_corpus()), tmp_path)
+        self.write(tmp_path)
         with (tmp_path / "posting_counts.csv").open() as fh:
             counts = {row["label"]: row for row in csv.DictReader(fh)}
         with (tmp_path / "posting_growth.csv").open() as fh:
@@ -276,10 +279,21 @@ class TestAssembleReport:
                 assert float(growth[label][year]) == pytest.approx(want, rel=1e-12)
 
 
+def test_daily_series_puts_the_market_first():
+    """Label 0 counts every ad, those in no group too, and the groups follow
+    in the order of their labels; a group may not take the market's label."""
+    corpus, _ = ingest_records(shortage_corpus())
+    labels, codes = _group_ads(corpus, None, {"Hot"})
+    series = daily_series(corpus, labels, codes)
+    assert series.labels == (MARKET, "Hot")
+    assert series.counts.sum(axis=0).tolist() == [220.0, 70.0]
+    with pytest.raises(DataError, match="'market' is reserved"):
+        daily_series(corpus, [MARKET], 0)
+
+
 def test_compute_indicators_fields():
     ads = shortage_corpus()
-    [ind] = compute_indicators(ingest_records(ads)[0], ["all"], 0,
-                               {"all": backtest_of("all", [3.0, 1.0, 2.0])})
+    [ind] = compute_indicators(ingest_records(ads)[0], ["all"], 0, [2.0])
     assert ind.counts_by_year == {2016: 60, 2017: 70, 2018: 90}
     assert ind.median_smape == 2.0
     assert ind.mean_growth == pytest.approx(
@@ -324,10 +338,11 @@ def test_trend_lines_interpolate_to_every_daily_value(tmp_path, n_days, n_change
     corpus, _ = ingest_records(ads)
     assert corpus.span() == (start, start + dt.timedelta(days=n_days - 1))
     labels, codes = _group_ads(corpus, None)
-    model = trend_of(corpus, labels, codes, FitConfig(n_changepoints=n_changepoints))
-    report = assemble_report(corpus, labels, codes, {g: backtest_of(g) for g in labels},
-                             backtest_of("market"), trend=model)
-    write_report(report, tmp_path)
+    series = daily_series(corpus, labels, codes)
+    model = fit(series, FitConfig(n_changepoints=n_changepoints))
+    backtest = BacktestReport(series.labels, np.ones((3, 1)), 14, 1, 1)
+    write_report(assemble_report(corpus, labels, codes, backtest.medians()), backtest,
+                 model, tmp_path)
 
     with (tmp_path / "trend_lines.csv").open(encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -21,14 +21,12 @@ from numpy.random import default_rng  # loaded here, outside any traced call
 
 from skillscope.cli import _sha256
 from skillscope.corpus import IncidenceIndex, build_index, ingest_records
-from skillscope.indicators import MARKET, assemble_report
+from skillscope.indicators import assemble_report
 from skillscope.occupations import compute_intensity
 from skillscope.skillmetrics import compute_effective_use
 from skillscope.synthgen import ClusterSpec, SynthConfig, write_scenario
-from skillscope.timeseries import BacktestReport, DailySeries, fit
 
 N_ADS, PER_AD, VOCAB = 75_000, 14, 40
-NO_TREND = fit(DailySeries(dt.date(2020, 1, 1), np.zeros((14, 0)), ()))  # a fit of no labels
 
 
 def traced_peak(call):
@@ -129,8 +127,7 @@ def test_intensity_takes_at_most_two_bytes_per_slot(corpus):
 
 
 def test_market_indicators_take_at_most_forty_bytes_per_ad(corpus):
-    backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
-    report, peak = traced_peak(lambda: assemble_report(corpus, [], -1, {}, backtest, NO_TREND))
+    report, peak = traced_peak(lambda: assemble_report(corpus, [], -1, [1.0]))
     assert sum(report.baseline.counts_by_year.values()) == N_ADS
     assert peak <= 40 * len(corpus)
 
@@ -140,10 +137,9 @@ def test_indicators_of_one_group_per_occupation_take_at_most_36_bytes_per_ad(cor
     read from the whole columns, with no gather of any group's rows, under
     one int64 key built in place."""
     labels = list(corpus.occupations)
-    backtests = {label: BacktestReport([1.0], 14, 1, 1, label) for label in labels}
-    backtest = BacktestReport([1.0], 14, 1, 1, MARKET)
+    medians = [1.0] * (1 + len(labels))
     report, peak = traced_peak(lambda: assemble_report(
-        corpus, labels, corpus.occupation_codes, backtests, backtest, NO_TREND))
+        corpus, labels, corpus.occupation_codes, medians))
     assert len(report.groups) == 50
     assert sum(sum(g.counts_by_year.values()) for g in report.groups) == N_ADS
     assert peak <= 36 * len(corpus)

@@ -34,8 +34,7 @@ from skillscope.indicators import compute_indicators
 from skillscope.occupations import compute_intensity
 from skillscope.skillmetrics import compute_effective_use
 from skillscope.synthgen import config_from_dict
-from skillscope.timeseries import (BacktestReport, DailySeries, FitConfig, fit,
-                                   sliding_window_backtest)
+from skillscope.timeseries import DailySeries, FitConfig, sliding_window_backtest
 
 from oracles import (NUMBER_FIELDS, ad_ids, brute_effective, brute_eta, brute_groups,
                      brute_indicators, brute_ingest, csr_rows, lstsq_backtest)
@@ -414,9 +413,7 @@ def test_yearly_figures_equal_brute_force_bit_for_bit(ads):
                     "experience_years": other})}
                for i, (year, value, other) in enumerate(ads)]
     corpus, _ = ingest_records(records)
-    [ind] = compute_indicators(corpus, [indicators.MARKET], 0,
-                               {indicators.MARKET: BacktestReport([1.0], 14, 1, 1,
-                                                                  indicators.MARKET)})
+    [ind] = compute_indicators(corpus, [indicators.MARKET], 0, [1.0])
     want = brute_indicators(records)
     assert ind.counts_by_year == want["counts"]
     for name in ("salary", "education", "experience"):
@@ -481,11 +478,7 @@ def test_group_indicators_equal_brute_force_bit_for_bit(ads):
                for name in ("salary", "education", "experience") for v in want[name].values()]
 
     def assemble():
-        return indicators.assemble_report(
-            corpus, labels, codes, {label: BacktestReport([1.0], 14, 1, 1, label)
-                                    for label in labels},
-            BacktestReport([1.0], 14, 1, 1, indicators.MARKET),
-            fit(DailySeries(dt.date(2017, 1, 1), np.zeros((14, 0)), ())))  # no trend lines
+        return indicators.assemble_report(corpus, labels, codes, [1.0] * (1 + len(labels)))
 
     if not all(v is None or math.isfinite(v) for v in figures):
         with pytest.raises(DataError, match="overflow a float"):
@@ -517,11 +510,11 @@ def test_backtest_equals_lstsq_oracle_per_window(train_days, test_days, iteratio
     start = dt.date(2018, 1, 1)
     config = FitConfig(n_changepoints, ridge_lambda,
                        tuple(start + dt.timedelta(days=h) for h in offsets))
-    [report] = sliding_window_backtest(DailySeries(start, counts.reshape(-1, 1), ("all",)),
-                                       train_days, test_days, iterations, config)
+    [scores] = sliding_window_backtest(DailySeries(start, counts.reshape(-1, 1), ("all",)),
+                                       train_days, test_days, iterations, config).scores
     want = lstsq_backtest(counts, train_days, test_days, iterations, n_changepoints,
                           ridge_lambda, offsets)
-    assert report.scores == pytest.approx(want, rel=0, abs=1e-9)
+    assert scores == pytest.approx(want, rel=0, abs=1e-9)
 
 
 # A 90-day corpus of about 360 ads over two clusters.

@@ -296,6 +296,15 @@ class TestFit:
         m2 = fit(series(y))
         assert (m1.coef == m2.coef).all()
 
+    def test_knot_trends_are_each_labels_own_product(self):
+        """One row per label, in order: the trend columns at the knots times
+        that label's trend coefficients, to the bit."""
+        model = fit(many_series(5), FitConfig(n_changepoints=4))
+        rows = model.knot_trends()
+        assert len(rows) == len(model.labels)
+        for j, row in enumerate(rows):
+            assert row == model_values(model, model.knots(), j, trend_only=True).tolist()
+
     def test_holiday_effect_recovered(self):
         t = np.arange(120, dtype=float)
         y = np.full(120, 10.0)
@@ -327,14 +336,14 @@ class TestForecast:
 class TestBacktest:
     def test_score_count(self):
         s = series([5.0] * 22)
-        [report] = sliding_window_backtest(s, train_days=14, test_days=5, iterations=4)
-        assert len(report.scores) == 4
+        report = sliding_window_backtest(s, train_days=14, test_days=5, iterations=4)
+        assert report.scores.shape == (1, 4)
         assert report.iterations == 4
 
     def test_constant_series_scores_zero(self):
         s = series([5.0] * 30)
-        [report] = sliding_window_backtest(s, train_days=20, test_days=5, iterations=6)
-        assert max(report.scores) < 1e-8
+        report = sliding_window_backtest(s, train_days=20, test_days=5, iterations=6)
+        assert report.scores.max() < 1e-8
 
     def test_insufficient_length_reports_minimum(self):
         with pytest.raises(DataError, match="at least 383"):
@@ -344,9 +353,9 @@ class TestBacktest:
     def test_scores_in_range(self):
         rng = np.random.default_rng(21)
         y = rng.poisson(4, size=80).astype(float)
-        [report] = sliding_window_backtest(series(y), train_days=30, test_days=10,
-                                           iterations=10)
-        assert all(0.0 <= v <= 200.0 for v in report.scores)
+        report = sliding_window_backtest(series(y), train_days=30, test_days=10,
+                                         iterations=10)
+        assert ((0.0 <= report.scores) & (report.scores <= 200.0)).all()
 
     def test_volatile_series_scores_worse(self):
         n = 140
@@ -355,15 +364,15 @@ class TestBacktest:
         wave = 50.0 + 30.0 * np.sign(np.sin(2 * np.pi * t / 60.0))
         volatile = series(np.maximum(wave, 0.0), label="volatile")
         kw = dict(train_days=40, test_days=20, iterations=20)
-        assert (sliding_window_backtest(volatile, **kw)[0].median
-                > sliding_window_backtest(stable, **kw)[0].median)
+        assert (sliding_window_backtest(volatile, **kw).medians()
+                > sliding_window_backtest(stable, **kw).medians())
 
     @pytest.mark.parametrize("train_days,config", SOLVE_CASES)
     def test_shared_design_matches_per_window_fit(self, train_days, config):
         rng = np.random.default_rng(train_days)
         s = series(rng.poisson(6, size=train_days + 40).astype(float))
         kw = dict(train_days=train_days, test_days=30, iterations=11)
-        shared = sliding_window_backtest(s, config=config, **kw)[0].scores
+        [shared] = sliding_window_backtest(s, config=config, **kw).scores
         assert shared == pytest.approx(per_window_scores(s, config, **kw), rel=0, abs=1e-9)
 
     def test_holiday_in_every_window_factors_once(self, monkeypatch):
@@ -384,11 +393,10 @@ class TestBacktest:
         s = series(rng.poisson(6, size=100).astype(float))
         config = FitConfig(holidays=days(40, 55, 70))
         kw = dict(train_days=45, test_days=26, iterations=30)
-        [report] = sliding_window_backtest(s, config=config, **kw)
+        [scores] = sliding_window_backtest(s, config=config, **kw).scores
         assert len(calls) == 1
         monkeypatch.undo()
-        assert report.scores == pytest.approx(per_window_scores(s, config, **kw),
-                                              rel=0, abs=1e-9)
+        assert scores == pytest.approx(per_window_scores(s, config, **kw), rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("config", [
         FitConfig(),
@@ -397,11 +405,12 @@ class TestBacktest:
     def test_many_series_match_one_series_calls(self, config):
         many = many_series(8)
         kw = dict(train_days=60, test_days=20, iterations=21, config=config)
-        reports = sliding_window_backtest(many, **kw)
-        assert tuple(r.label for r in reports) == many.labels
-        for j, report in enumerate(reports):
-            [alone] = sliding_window_backtest(series(many.counts[:, j], report.label), **kw)
-            assert report.scores == pytest.approx(alone.scores, rel=0, abs=1e-9)
+        report = sliding_window_backtest(many, **kw)
+        assert report.labels == many.labels
+        assert report.scores.shape == (4, 21)
+        for j, label in enumerate(many.labels):
+            [alone] = sliding_window_backtest(series(many.counts[:, j], label), **kw).scores
+            assert report.scores[j] == pytest.approx(alone, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("train_days", [10, -5])
     @pytest.mark.parametrize("config", [FitConfig(), FitConfig(holidays=(START,))])
@@ -419,32 +428,38 @@ class TestBacktest:
             sliding_window_backtest(series([1.0] * 40), train_days=20, **kw)
 
     def test_report_serialization(self, tmp_path):
-        report = BacktestReport(scores=[1.0, 3.0, 2.0], train_days=10,
-                                test_days=5, iterations=3, label="x")
-        q = report.quantiles()
+        report = BacktestReport(("y", "x"), np.array([[4.0, 6.0, 5.0], [1.0, 3.0, 2.0]]),
+                                train_days=10, test_days=5, iterations=3)
+        q = report.quantiles(1)
         assert q["min"] == 1.0 and q["max"] == 3.0 and q["median"] == 2.0
         out = tmp_path / "bt.json"
-        report.to_json(out)
+        report.to_json(out, 1)
         import json
-        payload = json.loads(out.read_text())
-        assert payload["scores"] == [1.0, 3.0, 2.0]
-        write_boxplot({"x": report}, tmp_path / "boxplot.csv")
+        assert json.loads(out.read_text()) == {
+            "label": "x", "scores": [1.0, 3.0, 2.0], "train_days": 10, "test_days": 5,
+            "iterations": 3, "summary": q}
+        write_boxplot(report.labels, report.scores, tmp_path / "boxplot.csv")
         assert (tmp_path / "boxplot.csv").read_bytes() == (
-            b"label,smape\r\nx,1.0\r\nx,3.0\r\nx,2.0\r\n")
+            b"label,smape\r\nx,1.0\r\nx,3.0\r\nx,2.0\r\ny,4.0\r\ny,6.0\r\ny,5.0\r\n")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 365])
     def test_quantiles_equal_numpy_to_the_bit(self, n):
+        """Every row of a multi-label score matrix, and each row alone."""
         rng = np.random.default_rng(n)
-        for scores in ((rng.random(n) * 200).tolist(), rng.integers(0, 3, n) * 1e-3 + 7.0,
-                       (rng.random(n) * rng.choice([1e-12, 1.0, 1e6], n)).tolist()):
-            report = BacktestReport(scores=list(scores), train_days=10, test_days=5,
-                                    iterations=n)
+        rows = np.array([rng.random(n) * 200, rng.integers(0, 3, n) * 1e-3 + 7.0,
+                         rng.random(n) * rng.choice([1e-12, 1.0, 1e6], n)])
+        report = BacktestReport(("a", "b", "c"), rows, train_days=10, test_days=5,
+                                iterations=n)
+        medians = report.medians()
+        for j, scores in enumerate(rows.tolist()):
             want = {"min": np.min(scores), "q1": np.percentile(scores, 25),
                     "median": np.median(scores), "q3": np.percentile(scores, 75),
                     "max": np.max(scores)}
-            assert report.quantiles() == {key: float(v) for key, v in want.items()}
-            assert report.median == float(np.median(scores))
-            assert repr(report.median) == repr(float(statistics.median(scores)))
+            assert report.quantiles(j) == {key: float(v) for key, v in want.items()}
+            assert repr(medians[j]) == repr(float(np.median(scores)))
+            assert repr(medians[j]) == repr(statistics.median(scores))
+            alone = BacktestReport(("a",), rows[j:j + 1], 10, 5, n)
+            assert repr(alone.medians()) == repr([medians[j]])
 
 
 @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf, -np.inf])
